@@ -1,32 +1,25 @@
 // Deep-anneal search benchmark (DESIGN.md §14) — the CI artifact behind
 // BENCH_search.json.
 //
-// Question: how much faster does the planner reach deep-anneal quality
-// after the search-layer rework (indexed engine event loop, checkpointed
-// suffix re-simulation, N-worker portfolio annealing) than the previous
-// revision's serial search? The baseline leg is not a guess: it replays
-// with EngineOptions.reference_event_loop — the seed engine's O(n)-sweep
-// loop, property-tested bit-identical — at workers=1 with incremental
-// resume off, i.e. the exact pre-rework search path compiled into this
-// binary.
+// Question: how much faster does the N-worker portfolio anneal reach
+// deep-anneal quality than one serial walk? Both legs run the same
+// engine and the same memoized search; only the portfolio width differs.
+// The baseline leg is workers=1 at the full 4000-iteration budget.
 //
 // The headline gate is TIME-TO-TARGET, the standard metric for parallel
 // metaheuristics: the baseline runs its full 4000-iteration budget and
-// sets the quality bar; the new configuration sweeps ascending budgets
-// and the first one whose final plan is at least as good defines the
-// wall-clock. This matches how the planner is used (anneal until the
-// plan is good, not until a counter runs out) and is honest about WHERE
-// the win comes from: the portfolio's diversified temperature rungs
-// escape the plateau the serial walk parks on, so it needs a fraction of
-// the iterations — the attribution block prices each factor separately.
+// sets the quality bar; the portfolio sweeps ascending budgets and the
+// first one whose final plan is at least as good defines the wall-clock.
+// This matches how the planner is used (anneal until the plan is good,
+// not until a counter runs out) and is honest about WHERE the win comes
+// from: the portfolio's diversified temperature rungs escape the plateau
+// the serial walk parks on, so it needs a fraction of the iterations.
 //
 // Gates:
 //   1. time-to-target speedup >= 3.0x (cold ResNet-50/1024 deep anneal)
-//   2. equal-budget quality: new config at 4000 iters is <= baseline's
-//      simulated iteration time (never trades quality for speed)
+//   2. equal-budget quality: the portfolio at 4000 iters is <= the
+//      baseline's simulated iteration time (never trades quality for speed)
 //   3. determinism: two N-worker runs produce bit-identical plans
-//   4. replay-path equivalence: reference-loop, indexed-loop, and
-//      incremental legs land on bit-identical iteration times
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -53,13 +46,10 @@ double now_seconds() {
 constexpr int kIterations = 4000;  // the deep-anneal budget
 constexpr int kReps = 5;           // min-of-N wall-clock per leg
 
-core::PlannerOptions leg_options(int workers, bool incremental,
-                                 bool reference_loop, int iterations) {
+core::PlannerOptions leg_options(int workers, int iterations) {
   core::PlannerOptions o;
   o.anneal_iterations = iterations;
   o.anneal_workers = workers;
-  o.incremental_resim = incremental;
-  o.reference_engine_loop = reference_loop;
   return o;
 }
 
@@ -84,12 +74,10 @@ LegResult run_leg(const graph::Model& model, const sim::DeviceSpec& device,
 
 void print_leg(const char* name, const LegResult& leg) {
   const auto& s = leg.result.search;
-  std::printf("%-22s %8.4f s wall  it=%.6f ms  sims=%lld  resumes=%lld  "
-              "ops_saved=%lld\n",
+  std::printf("%-22s %8.4f s wall  it=%.6f ms  sims=%lld  memo_hits=%lld\n",
               name, leg.wall, leg.result.iteration_time * 1e3,
               static_cast<long long>(s.simulations),
-              static_cast<long long>(s.incremental_resumes),
-              static_cast<long long>(s.resumed_ops_saved));
+              static_cast<long long>(s.memo_hits));
 }
 
 void write_leg(util::json::Writer& w, const char* name, const LegResult& leg) {
@@ -98,9 +86,7 @@ void write_leg(util::json::Writer& w, const char* name, const LegResult& leg) {
   w.key("wall_s"); w.value(leg.wall);
   w.key("iteration_time_s"); w.value(leg.result.iteration_time);
   w.key("simulations"); w.value(leg.result.search.simulations);
-  w.key("incremental_resumes");
-  w.value(leg.result.search.incremental_resumes);
-  w.key("resumed_ops_saved"); w.value(leg.result.search.resumed_ops_saved);
+  w.key("memo_hits"); w.value(leg.result.search.memo_hits);
   w.end_object();
 }
 
@@ -109,7 +95,7 @@ void write_leg(util::json::Writer& w, const char* name, const LegResult& leg) {
 int main() {
   // ResNet-50 at batch 1024 on the 16 GB V100: genuinely out-of-core
   // (the paper's regime) — the planner lands on ~24 blocks / ~87 ops, so
-  // replay cost and suffix depth are both real.
+  // replay cost is real.
   const graph::Model model = graph::make_resnet50(1024);
   const sim::DeviceSpec device = sim::v100_abci();
   const unsigned hw = std::thread::hardware_concurrency();
@@ -117,63 +103,45 @@ int main() {
               "hardware_concurrency=%u\n\n",
               model.name().c_str(), kIterations, hw);
 
-  // ---- Fixed-budget legs: one factor enabled at a time ----
-  const LegResult pr7 =
-      run_leg(model, device, leg_options(1, false, true, kIterations));
-  const LegResult loop =
-      run_leg(model, device, leg_options(1, false, false, kIterations));
-  const LegResult incr =
-      run_leg(model, device, leg_options(1, true, false, kIterations));
-  const LegResult pr8 =
-      run_leg(model, device, leg_options(4, true, false, kIterations));
-  print_leg("baseline (ref loop)", pr7);
-  print_leg("+ indexed event loop", loop);
-  print_leg("+ incremental resim", incr);
-  print_leg("+ 4-worker portfolio", pr8);
+  // ---- Fixed-budget legs: serial walk vs 4-worker portfolio ----
+  const LegResult serial = run_leg(model, device, leg_options(1, kIterations));
+  const LegResult portfolio =
+      run_leg(model, device, leg_options(4, kIterations));
+  print_leg("baseline (workers=1)", serial);
+  print_leg("4-worker portfolio", portfolio);
   std::printf("plan: %d blocks, %zu ops\n\n",
-              static_cast<int>(pr8.result.blocks.size()),
-              pr8.result.plan.ops.size());
-
-  // ---- Gate 4: the three serial legs replay the same search ----
-  // reference_engine_loop and incremental_resim are performance switches;
-  // if any leg's simulated quality moves, the bench is comparing two
-  // different simulators and every ratio below is meaningless.
-  const bool replay_equivalent =
-      pr7.result.iteration_time == loop.result.iteration_time &&
-      loop.result.iteration_time == incr.result.iteration_time &&
-      pr7.result.plan.schedule_string() == incr.result.plan.schedule_string();
-  if (!replay_equivalent)
-    std::printf("FAIL: serial legs disagree on the plan — replay paths "
-                "are not equivalent\n");
+              static_cast<int>(portfolio.result.blocks.size()),
+              portfolio.result.plan.ops.size());
 
   // ---- Gate 3: N-worker determinism ----
-  const LegResult pr8_again =
-      run_leg(model, device, leg_options(4, true, false, kIterations));
+  const LegResult portfolio_again =
+      run_leg(model, device, leg_options(4, kIterations));
   const bool deterministic =
-      pr8.result.iteration_time == pr8_again.result.iteration_time &&
-      pr8.result.policies == pr8_again.result.policies &&
-      pr8.result.plan.schedule_string() ==
-          pr8_again.result.plan.schedule_string();
+      portfolio.result.iteration_time ==
+          portfolio_again.result.iteration_time &&
+      portfolio.result.policies == portfolio_again.result.policies &&
+      portfolio.result.plan.schedule_string() ==
+          portfolio_again.result.plan.schedule_string();
   if (!deterministic)
     std::printf("FAIL: two 4-worker runs disagree\n");
 
   // ---- Gate 2: equal-budget quality ----
-  const bool quality_ok =
-      pr8.result.iteration_time <= pr7.result.iteration_time * (1.0 + 1e-12);
+  const bool quality_ok = portfolio.result.iteration_time <=
+                         serial.result.iteration_time * (1.0 + 1e-12);
   if (!quality_ok)
     std::printf("FAIL: portfolio at full budget lost quality vs baseline\n");
-  const double speedup_equal_budget = pr8.wall > 0 ? pr7.wall / pr8.wall : 0.0;
+  const double speedup_equal_budget =
+      portfolio.wall > 0 ? serial.wall / portfolio.wall : 0.0;
 
   // ---- Gate 1: time-to-target ----
-  const double target = pr7.result.iteration_time;
+  const double target = serial.result.iteration_time;
   std::printf("time-to-target sweep (target: baseline it=%.6f ms)\n",
               target * 1e3);
   const std::vector<int> budgets = {250, 500, 1000, 2000, kIterations};
   double ttt_wall = 0.0, ttt_it = 0.0;
   int ttt_budget = 0;
   for (const int budget : budgets) {
-    const LegResult probe =
-        run_leg(model, device, leg_options(4, true, false, budget));
+    const LegResult probe = run_leg(model, device, leg_options(4, budget));
     const bool reached =
         probe.result.iteration_time <= target * (1.0 + 1e-12);
     std::printf("  %5d iters: %8.4f s wall  it=%.6f ms  %s\n", budget,
@@ -186,32 +154,20 @@ int main() {
       break;
     }
   }
-  const double speedup_ttt =
-      ttt_wall > 0 ? pr7.wall / ttt_wall : 0.0;
+  const double speedup_ttt = ttt_wall > 0 ? serial.wall / ttt_wall : 0.0;
   const bool ttt_ok = speedup_ttt >= 3.0;
   if (!ttt_ok)
     std::printf("FAIL: time-to-target speedup %.2fx below the 3.0x gate\n",
                 speedup_ttt);
 
-  // ---- Attribution: where the win comes from, factor by factor ----
-  const double f_loop = loop.wall > 0 ? pr7.wall / loop.wall : 0.0;
-  const double f_incr = incr.wall > 0 ? loop.wall / incr.wall : 0.0;
-  const double f_portfolio = pr8.wall > 0 ? incr.wall / pr8.wall : 0.0;
-  std::printf("\nattribution (equal 4000-iteration budget):\n");
-  std::printf("  indexed event loop:   %.2fx\n", f_loop);
-  std::printf("  incremental resim:    %.2fx  (forward-phase checkpoints "
-              "only — the backward half always replays, so this is "
-              "~neutral at workers=1 and pays off as plans deepen)\n",
-              f_incr);
-  std::printf("  4-worker portfolio:   %.2fx wall at this core count "
-              "(hardware_concurrency=%u); its real contribution is "
+  std::printf("\n4-worker portfolio at equal 4000-iteration budget: %.2fx "
+              "wall (hardware_concurrency=%u); its real contribution is "
               "quality per iteration — see the sweep above\n",
-              f_portfolio, hw);
-  std::printf("  equal-budget total:   %.2fx\n", speedup_equal_budget);
-  std::printf("  time-to-target:       %.2fx (%d of %d iterations)\n",
-              speedup_ttt, ttt_budget, kIterations);
+              speedup_equal_budget, hw);
+  std::printf("time-to-target: %.2fx (%d of %d iterations)\n", speedup_ttt,
+              ttt_budget, kIterations);
 
-  const bool pass = replay_equivalent && deterministic && quality_ok && ttt_ok;
+  const bool pass = deterministic && quality_ok && ttt_ok;
 
   // ---- BENCH_search.json (the CI artifact) ----
   {
@@ -224,17 +180,15 @@ int main() {
     w.key("batch"); w.value(std::int64_t{1024});
     w.key("anneal_iterations"); w.value(std::int64_t{kIterations});
     w.key("blocks");
-    w.value(static_cast<std::int64_t>(pr8.result.blocks.size()));
+    w.value(static_cast<std::int64_t>(portfolio.result.blocks.size()));
     w.key("plan_ops");
-    w.value(static_cast<std::int64_t>(pr8.result.plan.ops.size()));
+    w.value(static_cast<std::int64_t>(portfolio.result.plan.ops.size()));
     w.key("hardware_concurrency"); w.value(static_cast<std::int64_t>(hw));
     w.end_object();
     w.key("legs");
     w.begin_object();
-    write_leg(w, "baseline_reference_loop", pr7);
-    write_leg(w, "indexed_loop", loop);
-    write_leg(w, "incremental", incr);
-    write_leg(w, "portfolio_w4", pr8);
+    write_leg(w, "baseline_w1", serial);
+    write_leg(w, "portfolio_w4", portfolio);
     w.end_object();
     w.key("time_to_target");
     w.begin_object();
@@ -245,19 +199,12 @@ int main() {
     w.key("iteration_time_s"); w.value(ttt_it);
     w.key("speedup"); w.value(speedup_ttt);
     w.end_object();
-    w.key("attribution");
-    w.begin_object();
-    w.key("indexed_event_loop"); w.value(f_loop);
-    w.key("incremental_resim"); w.value(f_incr);
-    w.key("portfolio_w4"); w.value(f_portfolio);
-    w.key("equal_budget_total"); w.value(speedup_equal_budget);
-    w.end_object();
+    w.key("equal_budget_speedup"); w.value(speedup_equal_budget);
     w.key("gates");
     w.begin_object();
     w.key("time_to_target_speedup_ge_3x"); w.value(ttt_ok);
     w.key("equal_budget_quality"); w.value(quality_ok);
     w.key("deterministic"); w.value(deterministic);
-    w.key("replay_paths_equivalent"); w.value(replay_equivalent);
     w.end_object();
     w.key("pass"); w.value(pass);
     w.end_object();
@@ -266,8 +213,7 @@ int main() {
   }
 
   std::printf("\n%s: deep-anneal search reaches baseline quality %.1fx "
-              "faster (gate >= 3.0x), bit-identical across runs and "
-              "replay paths\n",
+              "faster (gate >= 3.0x), bit-identical across runs\n",
               pass ? "PASS" : "FAIL", speedup_ttt);
   return pass ? 0 : 1;
 }

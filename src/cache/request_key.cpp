@@ -148,8 +148,6 @@ void write_planner(Fingerprint& fp, const core::PlannerOptions& p) {
   fp.field("anneal", p.anneal_iterations);
   // Plan-affecting: the portfolio reduction is deterministic for a fixed
   // worker count, but different counts explore different rng streams.
-  // incremental_resim is intentionally absent — resumed replays are
-  // bit-identical to cold ones, so it cannot change the plan.
   fp.field("anneal_workers", p.anneal_workers);
   fp.field("seed", static_cast<std::uint64_t>(p.seed));
   fp.field("prefetch", p.schedule.prefetch_window);

@@ -4,8 +4,8 @@
 // the device's swap-in throughput, estimate per-step occupancy and the
 // catch-up step theta at which processing overtakes prefetching (Eq. 7).
 // The discrete-event engine is the ground truth these estimates are
-// validated against in tests; the planner uses the analytic form as a
-// cheap pre-filter and the engine for final candidate ranking.
+// validated against in tests. The planner does not call this model: it
+// ranks every candidate by its simulated engine makespan alone.
 #pragma once
 
 #include <vector>

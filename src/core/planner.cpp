@@ -55,22 +55,6 @@ std::vector<int> candidate_cut_points(const graph::Model& model) {
   return cuts;
 }
 
-/// Incremental re-simulation state (DESIGN.md §14). `base` is the
-/// candidate whose plan + checkpoint log future replays diff against.
-/// Candidate evaluations resume from `base` without recording anything
-/// (most candidates are rejected, so a per-evaluation checkpoint log is
-/// wasted work); when a walk accepts a candidate the caller re-simulates
-/// it once with recording via rebase_incremental, which installs it as
-/// the new `base`. shared_ptr-to-const: worker contexts seeded from the
-/// serial context alias the same immutable baseline.
-struct KarmaPlanner::IncrementalCtx {
-  struct BaselineSim {
-    sim::Plan plan;
-    sim::CheckpointLog log;
-  };
-  std::shared_ptr<const BaselineSim> base;
-};
-
 KarmaPlanner::KarmaPlanner(const graph::Model& model, sim::DeviceSpec device,
                            PlannerOptions options)
     : model_(model),
@@ -173,8 +157,8 @@ std::vector<BlockPolicy> KarmaPlanner::initial_policies(
 
 PlanResult KarmaPlanner::simulate_candidate(
     const std::vector<sim::Block>& blocks,
-    const std::vector<BlockPolicy>& policies, const std::string& strategy,
-    IncrementalCtx* inc) const {
+    const std::vector<BlockPolicy>& policies,
+    const std::string& strategy) const {
   // Per-block costs come from the memo so a boundary move only re-costs
   // the blocks it changed; the emitted plan is identical either way.
   std::vector<sim::BlockCost> costs;
@@ -182,25 +166,8 @@ PlanResult KarmaPlanner::simulate_candidate(
   for (const auto& b : blocks) costs.push_back(block_cost(b));
   sim::Plan plan = build_training_plan(model_, device_, blocks, policies,
                                        strategy, options_.schedule, &costs);
-  const sim::Engine engine(
-      device_, {.reference_event_loop = options_.reference_engine_loop});
   PlanResult result;
-  if (inc && inc->base && options_.incremental_resim) {
-    // Evaluation-only replay: resume from the baseline's deepest shared
-    // checkpoint, record nothing. Accepted candidates get their own log
-    // via rebase_incremental.
-    const int lcp = sim::common_op_prefix(inc->base->plan, plan);
-    const sim::EngineCheckpoint* ck = inc->base->log.best_at_or_below(lcp);
-    result.trace = engine.run(plan, ck, nullptr);
-    if (ck) {
-      counters_.incremental_resumes.fetch_add(1, std::memory_order_relaxed);
-      counters_.resumed_ops_saved.fetch_add(ck->cut,
-                                            std::memory_order_relaxed);
-      obs::emit_instant("search.resume", "search", "ops_saved", ck->cut);
-    }
-  } else {
-    result.trace = engine.run(plan);
-  }
+  result.trace = sim::Engine(device_).run(plan);
   result.plan = std::move(plan);
   result.blocks = blocks;
   result.policies = policies;
@@ -209,40 +176,12 @@ PlanResult KarmaPlanner::simulate_candidate(
   return result;
 }
 
-void KarmaPlanner::rebase_incremental(
-    IncrementalCtx& inc, const std::vector<sim::Block>& blocks,
-    const std::vector<BlockPolicy>& policies,
-    const std::string& strategy) const {
-  if (!options_.incremental_resim) return;
-  obs::Span span("search.rebase", "search");
-  std::vector<sim::BlockCost> costs;
-  costs.reserve(blocks.size());
-  for (const auto& b : blocks) costs.push_back(block_cost(b));
-  auto fresh = std::make_shared<IncrementalCtx::BaselineSim>();
-  fresh->plan = build_training_plan(model_, device_, blocks, policies,
-                                    strategy, options_.schedule, &costs);
-  const sim::Engine engine(
-      device_, {.reference_event_loop = options_.reference_engine_loop});
-  const sim::EngineCheckpoint* ck = nullptr;
-  if (inc.base) {
-    const int lcp = sim::common_op_prefix(inc.base->plan, fresh->plan);
-    ck = inc.base->log.best_at_or_below(lcp);
-    if (ck) fresh->log.seed_from(inc.base->log, ck->cut);
-  }
-  engine.run(fresh->plan, ck, &fresh->log);
-  if (ck) {
-    counters_.incremental_resumes.fetch_add(1, std::memory_order_relaxed);
-    counters_.resumed_ops_saved.fetch_add(ck->cut, std::memory_order_relaxed);
-  }
-  inc.base = std::move(fresh);
-}
-
 std::optional<PlanResult> KarmaPlanner::evaluate(
     const std::vector<sim::Block>& blocks,
     const std::vector<BlockPolicy>& policies,
     const std::string& strategy) const {
   try {
-    return simulate_candidate(blocks, policies, strategy, nullptr);
+    return simulate_candidate(blocks, policies, strategy);
   } catch (const InfeasibleError&) {
     return std::nullopt;  // infeasible candidate (deadlock / over-capacity)
   }
@@ -291,13 +230,6 @@ PlanResult KarmaPlanner::run_search(
   bool warm_started = false;
   int anneal_workers_used = 0;
 
-  // Serial-phase incremental context: `base` tracks the incumbent best's
-  // replay (plan + checkpoint log), so every later candidate resumes from
-  // the deepest checkpoint its op prefix shares with the incumbent. The
-  // warm-start path seeds it with the repair seed's replay — exactly the
-  // ROADMAP item-4 composition: repair rides suffix re-simulation.
-  IncrementalCtx serial_inc;
-
   // Canonical candidate key: blocking + tier-routed policy vector. The
   // strategy string and all planner knobs are fixed for this run, so the
   // pair fully determines the (deterministic) evaluation result.
@@ -318,16 +250,15 @@ PlanResult KarmaPlanner::run_search(
   };
 
   // Memo-aware candidate evaluation returning only the objective (for the
-  // annealer). Exact: memo values are the deterministic simulation result,
-  // which also makes the table safe to share across portfolio workers —
-  // when two workers race to fill the same key they store the same value
-  // (incremental resume is bit-identical to cold replay by construction).
-  // Lookups are counted by the memo itself; harvested into SearchStats at
-  // the end of the search.
+  // annealer). Exact: every candidate replays from op 0 on the one engine
+  // path, so a memo value is the deterministic simulation result, which
+  // also makes the table safe to share across portfolio workers — when two
+  // workers race to fill the same key they store the same value. Lookups
+  // are counted by the memo itself; harvested into SearchStats at the end
+  // of the search.
   const auto cached_objective =
       [&](const std::vector<sim::Block>& blocks,
-          const std::vector<BlockPolicy>& policies,
-          IncrementalCtx* inc) -> double {
+          const std::vector<BlockPolicy>& policies) -> double {
     check_stop();
     const std::string key = signature(blocks, policies);
     if (const auto memoized = candidate_memo_->find(key)) {
@@ -339,8 +270,7 @@ PlanResult KarmaPlanner::run_search(
     control.count_candidate(/*simulated=*/true);
     double value = kInfeasible;
     try {
-      value = simulate_candidate(blocks, policies, strategy, inc)
-                  .iteration_time;
+      value = simulate_candidate(blocks, policies, strategy).iteration_time;
     } catch (const InfeasibleError&) {
     }
     candidate_memo_->store(key, value);
@@ -373,7 +303,7 @@ PlanResult KarmaPlanner::run_search(
     control.count_candidate(/*simulated=*/true);
     std::optional<PlanResult> result;
     try {
-      result = simulate_candidate(blocks, policies, strategy, &serial_inc);
+      result = simulate_candidate(blocks, policies, strategy);
     } catch (const InfeasibleError&) {
     }
     if (!memoized)
@@ -381,9 +311,6 @@ PlanResult KarmaPlanner::run_search(
                              result ? result->iteration_time : kInfeasible);
     if (result && (!best || result->iteration_time < best->iteration_time)) {
       best = std::move(result);
-      // The incumbent's replay becomes the diff baseline for everything
-      // that follows (neighbor candidates share most of its op prefix).
-      rebase_incremental(serial_inc, best->blocks, best->policies, strategy);
       // Publish the artifact snapshot BEFORE the progress flag: an
       // observer that sees best_cost become finite must also find the
       // best-so-far plan attached.
@@ -529,54 +456,15 @@ PlanResult KarmaPlanner::run_search(
     obs::Span anneal_span("opt1.anneal", "search");
     anneal_span.arg("workers", workers);
     anneal_span.arg("iterations", options_.anneal_iterations);
-    // Per-worker incremental contexts, all seeded from the incumbent
-    // best's replay; each worker rebases onto its own walk as it accepts
-    // moves (one recorded suffix replay per acceptance — evaluations
-    // themselves record nothing). base_cuts remembers which state the
-    // worker's baseline simulates so a re-acceptance never rebases twice.
-    struct WorkerCtx {
-      IncrementalCtx inc;
-      /// The state inc.base simulates, so a re-acceptance of the state
-      /// the baseline already covers never re-records it. Rebasing on
-      /// every other accepted move keeps the baseline glued to the walk:
-      /// each evaluation then diffs against the state it was proposed
-      /// from, which maximizes the shared op prefix.
-      std::vector<int> base_cuts;
-      int accepts_since_rebase = 0;
-    };
-    std::vector<WorkerCtx> worker_ctx(static_cast<std::size_t>(workers));
-    for (auto& wc : worker_ctx) {
-      wc.inc.base = serial_inc.base;
-      wc.base_cuts = init_cuts;
-    }
-
     const std::function<double(const std::vector<int>&, int)> energy =
-        [&](const std::vector<int>& cuts, int w) {
-          WorkerCtx& wc = worker_ctx[static_cast<std::size_t>(w)];
+        [&](const std::vector<int>& cuts, int) {
           double value = std::numeric_limits<double>::infinity();
           try {
             const auto blocks = blocks_from_boundaries(cuts);
-            value = cached_objective(blocks, initial_policies(blocks),
-                                     &wc.inc);
+            value = cached_objective(blocks, initial_policies(blocks));
           } catch (const InfeasibleError&) {
           }
           return value;
-        };
-    const std::function<void(const std::vector<int>&, int)> on_accept =
-        [&](const std::vector<int>& cuts, int w) {
-          WorkerCtx& wc = worker_ctx[static_cast<std::size_t>(w)];
-          if (wc.base_cuts == cuts) return;
-          if (++wc.accepts_since_rebase < 4) return;
-          try {
-            const auto blocks = blocks_from_boundaries(cuts);
-            rebase_incremental(wc.inc, blocks, initial_policies(blocks),
-                               strategy);
-            wc.base_cuts = cuts;
-            wc.accepts_since_rebase = 0;
-          } catch (const InfeasibleError&) {
-            // An infeasible state is never accepted from a feasible one;
-            // belt-and-braces only. The old baseline stays in place.
-          }
         };
     const std::function<std::vector<int>(const std::vector<int>&, Rng&)>
         neighbor = [&](const std::vector<int>& cuts, Rng& r) {
@@ -639,7 +527,7 @@ PlanResult KarmaPlanner::run_search(
       params.should_stop = [&control] { return control.should_stop(); };
     const auto reduced = solver::portfolio_anneal<std::vector<int>>(
         init_cuts, energy, neighbor, params, workers, rng, reduce_key,
-        on_accept, worker_gauge);
+        worker_gauge);
     consider_blocking(blocks_from_boundaries(reduced.state));
   }
 
@@ -675,10 +563,6 @@ PlanResult KarmaPlanner::run_search(
   stats.memo_hits = counters_.memo_hits.load(std::memory_order_relaxed);
   stats.block_cost_lookups = block_cost_memo_->lookups();
   stats.block_cost_hits = block_cost_memo_->hits();
-  stats.incremental_resumes =
-      counters_.incremental_resumes.load(std::memory_order_relaxed);
-  stats.resumed_ops_saved =
-      counters_.resumed_ops_saved.load(std::memory_order_relaxed);
   stats.anneal_workers = anneal_workers_used;
   stats.warm_started = warm_started;
   stats.search_seconds =

@@ -61,18 +61,6 @@ struct PlannerOptions {
   /// tie-break. Plan-affecting (it reshapes the explored walk), so it is
   /// part of the request fingerprint. 1 = one serial walk.
   int anneal_workers = 4;
-  /// Resume candidate replays from the deepest engine checkpoint shared
-  /// with the incumbent's plan instead of simulating from op 0
-  /// (DESIGN.md §14). Bit-identical to full replay by construction —
-  /// results never depend on this switch, so it is NOT fingerprinted; it
-  /// exists so benches can price the optimization.
-  bool incremental_resim = true;
-  /// Replay candidates with the seed engine's O(n)-sweep event loop
-  /// instead of the indexed one (sim::EngineOptions). Results are
-  /// bit-identical; like incremental_resim this is excluded from the
-  /// request fingerprint. Bench/testing only: bench/fig_search.cpp uses
-  /// it so its baseline leg runs the exact pre-PR-8 search code path.
-  bool reference_engine_loop = false;
   std::uint64_t seed = 0x5eed;
   ScheduleOptions schedule;
 };
@@ -93,11 +81,9 @@ struct SearchStats {
   std::int64_t memo_hits = 0;
   std::int64_t block_cost_lookups = 0; ///< per-block cost requests
   std::int64_t block_cost_hits = 0;    ///< served by the block-cost memo
-  /// Incremental re-simulation accounting (DESIGN.md §14): replays that
-  /// resumed from an engine checkpoint instead of op 0, and the total ops
-  /// those resumes did not have to re-start.
+  /// Always 0: every candidate replays from op 0 (DESIGN.md §14). Kept
+  /// because plannerbench/src/main.cpp still reads it.
   std::int64_t incremental_resumes = 0;
-  std::int64_t resumed_ops_saved = 0;
   /// Portfolio width the boundary anneal actually ran with.
   int anneal_workers = 0;
   /// True when the search was seeded from an existing plan (plan_from —
@@ -200,11 +186,6 @@ class KarmaPlanner {
   const graph::Model& model() const { return model_; }
 
  private:
-  /// Per-context state for checkpointed incremental re-simulation
-  /// (DESIGN.md §14); defined in planner.cpp. The serial phases share one,
-  /// each portfolio worker owns one.
-  struct IncrementalCtx;
-
   /// Shared search body behind plan() and plan_from(): null seed = cold
   /// Opt-1 enumeration, non-null = warm start from the seed candidate.
   PlanResult run_search(const std::vector<sim::Block>* seed_blocks,
@@ -213,24 +194,10 @@ class KarmaPlanner {
                         const std::function<void(const PlanResult&)>&
                             on_improved) const;
   /// Builds + replays one candidate; throws karma::InfeasibleError when it
-  /// cannot run (deadlock, tier overflow, no spill route). With a non-null
-  /// `inc` (and options_.incremental_resim), the replay resumes from the
-  /// deepest checkpoint of inc->base whose cut is within the candidate's
-  /// common op prefix and records nothing — results bit-identical to the
-  /// cold replay either way. Accepted candidates get their own checkpoint
-  /// log via rebase_incremental.
+  /// cannot run (deadlock, tier overflow, no spill route).
   PlanResult simulate_candidate(const std::vector<sim::Block>& blocks,
                                 const std::vector<BlockPolicy>& policies,
-                                const std::string& strategy,
-                                IncrementalCtx* inc) const;
-  /// Re-simulates an accepted candidate once WITH checkpoint recording
-  /// (resumed from the current baseline, so it costs about one suffix
-  /// replay) and installs it as inc.base — the diff target for the moves
-  /// that follow. No-op when incremental_resim is off.
-  void rebase_incremental(IncrementalCtx& inc,
-                          const std::vector<sim::Block>& blocks,
-                          const std::vector<BlockPolicy>& policies,
-                          const std::string& strategy) const;
+                                const std::string& strategy) const;
   std::vector<sim::Block> blocks_from_boundaries(
       const std::vector<int>& cuts) const;
   /// Balanced selection of `k` boundaries from the clean cut points,
@@ -265,13 +232,9 @@ class KarmaPlanner {
   struct StatsCounters {
     std::atomic<std::int64_t> simulations{0};
     std::atomic<std::int64_t> memo_hits{0};
-    std::atomic<std::int64_t> incremental_resumes{0};
-    std::atomic<std::int64_t> resumed_ops_saved{0};
     void reset() {
       simulations = 0;
       memo_hits = 0;
-      incremental_resumes = 0;
-      resumed_ops_saved = 0;
     }
   };
   mutable StatsCounters counters_;

@@ -791,15 +791,25 @@ void Daemon::stop() {
       return;
     }
   }
-  impl_->stopping.store(true, std::memory_order_relaxed);
+  {
+    // Under queue_mu: a plan worker between its wait predicate and its
+    // wait would otherwise miss both the flag and the notify, and the
+    // join below would hang on it.
+    std::lock_guard<std::mutex> lock(impl_->queue_mu);
+    impl_->stopping.store(true, std::memory_order_relaxed);
+  }
   impl_->queue_cv.notify_all();
 
+  // Shutting the listening socket down wakes the accept loop's poll now
+  // instead of at its next tick.
+  if (impl_->listen_fd >= 0) ::shutdown(impl_->listen_fd, SHUT_RDWR);
   if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
   if (impl_->listen_fd >= 0) {
     ::close(impl_->listen_fd);
     impl_->listen_fd = -1;
   }
   ::unlink(options_.socket_path.c_str());
+  impl_->release_lock();  // a later daemon may serve this path again
 
   // Wake blocked readers: shutdown() forces their read_frame to return.
   // Then join every reader still tracked — finished ones the accept loop

@@ -44,61 +44,16 @@ Seconds Engine::op_duration(const Plan& plan, const Op& op) const {
 
 namespace {
 
-bool same_cost(const BlockCost& a, const BlockCost& b) {
-  return a.fwd_time == b.fwd_time && a.bwd_time == b.bwd_time &&
-         a.act_bytes == b.act_bytes && a.boundary_bytes == b.boundary_bytes &&
-         a.param_bytes == b.param_bytes && a.grad_bytes == b.grad_bytes;
-}
-
-bool same_op(const Op& a, const Op& b) {
-  return a.kind == b.kind && a.block == b.block && a.tier == b.tier &&
-         a.residency == b.residency && a.bytes == b.bytes &&
-         a.alloc == b.alloc && a.free == b.free && a.duration == b.duration &&
-         a.retains == b.retains && a.iteration == b.iteration &&
-         a.after_op == b.after_op;
-}
-
-bool same_hierarchy(const std::optional<tier::StorageHierarchy>& a,
-                    const std::optional<tier::StorageHierarchy>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  if (!a) return true;
-  const auto& ta = a->tiers();
-  const auto& tb = b->tiers();
-  if (ta.size() != tb.size()) return false;
-  for (std::size_t i = 0; i < ta.size(); ++i) {
-    if (ta[i].tier != tb[i].tier || ta[i].capacity != tb[i].capacity ||
-        ta[i].read_bw != tb[i].read_bw || ta[i].write_bw != tb[i].write_bw ||
-        ta[i].latency != tb[i].latency)
-      return false;
-  }
-  return true;
-}
+/// Per-op progress inside one replay.
+struct EngineOpState {
+  bool done = false;
+  Seconds start = 0.0;
+  Seconds end = 0.0;
+};
 
 }  // namespace
 
-int common_op_prefix(const Plan& a, const Plan& b) {
-  // Global preconditions: a checkpoint embeds the free-memory counter,
-  // the tier ledger, and baseline charges, so any mismatch there makes
-  // even an identical op prefix non-resumable.
-  if (a.capacity != b.capacity || a.baseline_resident != b.baseline_resident ||
-      a.host_baseline_resident != b.host_baseline_resident ||
-      a.blocks.size() != b.blocks.size() || a.costs.size() != b.costs.size() ||
-      !same_hierarchy(a.hierarchy, b.hierarchy))
-    return 0;
-  const std::size_t n = std::min(a.ops.size(), b.ops.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Op& oa = a.ops[i];
-    if (!same_op(oa, b.ops[i])) return static_cast<int>(i);
-    // Durations and byte defaults derive from the op's block cost; an op
-    // is only "the same" if that cost row matches too.
-    const auto blk = static_cast<std::size_t>(oa.block);
-    if (!same_cost(a.costs[blk], b.costs[blk])) return static_cast<int>(i);
-  }
-  return static_cast<int>(n);
-}
-
-ExecutionTrace Engine::run(const Plan& plan, const EngineCheckpoint* resume,
-                           CheckpointLog* record) const {
+ExecutionTrace Engine::run(const Plan& plan) const {
   validate_plan(plan);
   const int n = static_cast<int>(plan.ops.size());
   const auto op_at = [&](int i) -> const Op& {
@@ -189,86 +144,13 @@ ExecutionTrace Engine::run(const Plan& plan, const EngineCheckpoint* resume,
   Seconds compute_busy = 0.0;
   int completed = 0;
 
-  // Contiguity tracking for checkpoint capture: started_count many ops
-  // have started; next_unstarted is the first op that has not. A "clean
-  // instant" is started_count == next_unstarted — the started set is
-  // exactly the prefix [0, next_unstarted).
-  int started_count = 0;
-  int next_unstarted = 0;
-
   // One op occupies a stream from start to end (start requires
   // stream_free_at <= now), so the in-flight set is at most one op per
-  // stream — which makes the next-event scan O(#streams) instead of the
-  // O(n) sweep the first engine shipped with.
+  // stream, and the next-event scan and retire pass are O(#streams).
   std::array<int, kNumStreams> running;
   running.fill(-1);
 
-  if (resume) {
-    if (resume->cut < 0 || resume->cut > n ||
-        resume->ops.size() != static_cast<std::size_t>(resume->cut))
-      throw std::logic_error("engine: checkpoint does not fit this plan");
-    std::copy(resume->ops.begin(), resume->ops.end(), state.begin());
-    head = resume->head;
-    stream_free_at = resume->stream_free_at;
-    ledger = resume->ledger;
-    spilled = resume->spilled;
-    grad_in_flight = resume->grad_in_flight;
-    free_mem = resume->free_mem;
-    min_free = resume->min_free;
-    now = resume->now;
-    compute_busy = resume->compute_busy;
-    completed = resume->completed;
-    started_count = next_unstarted = resume->cut;
-    for (int i = 0; i < resume->cut; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      if (state[ii].started && !state[ii].done)
-        running[static_cast<std::size_t>(stream_of_op(op_at(i)))] = i;
-    }
-  }
-
-  // Checkpoint capture bounds: suffix resumes always land in the forward
-  // phase (any boundary or policy change first shows up at a forward-phase
-  // op), so cuts past the last forward op are dead weight; and capture
-  // copies the op-state prefix, so record on a stride that bounds the log
-  // to a fixed count regardless of plan depth.
-  int record_limit = 0;
-  int record_stride = 1;
-  int last_recorded = 0;
-  if (record) {
-    int last_forward = -1;
-    for (int i = 0; i < n; ++i)
-      if (op_at(i).kind == OpKind::kForward) last_forward = i;
-    record_limit = std::min(n - 1, last_forward + 2);
-    // Each capture deep-copies the live engine state, so captures — not
-    // resumes — are the overhead knob: 8 strided cuts keeps the capture
-    // cost a small fraction of one replay while a resume wastes at most
-    // one stride of re-simulated ops.
-    constexpr int kMaxCheckpoints = 8;
-    record_stride = std::max(1, record_limit / kMaxCheckpoints);
-    last_recorded = record->empty() ? 0 : record->max_cut();
-  }
-
   while (completed < n) {
-    if (record && started_count == next_unstarted &&
-        next_unstarted <= record_limit &&
-        next_unstarted - last_recorded >= record_stride) {
-      EngineCheckpoint ck;
-      ck.cut = next_unstarted;
-      ck.now = now;
-      ck.compute_busy = compute_busy;
-      ck.free_mem = free_mem;
-      ck.min_free = min_free;
-      ck.completed = completed;
-      ck.head = head;
-      ck.stream_free_at = stream_free_at;
-      ck.ops.assign(state.begin(), state.begin() + next_unstarted);
-      ck.ledger = ledger;
-      ck.spilled = spilled;
-      ck.grad_in_flight = grad_in_flight;
-      record->add(std::move(ck));
-      last_recorded = next_unstarted;
-    }
-
     // Start every op that can start at the current instant. Starting one
     // op can enable another (e.g. memory freed is observed only at
     // completions, but stream heads advance), so loop to fixpoint.
@@ -311,14 +193,11 @@ ExecutionTrace Engine::run(const Plan& plan, const EngineCheckpoint* resume,
           outstanding[{op.block, static_cast<int>(op.tier)}] += payload;
         }
         EngineOpState& st = state[ii];
-        st.started = true;
         st.start = now;
         Seconds dur = op_duration(plan, op);
         // Mixed-load NVMe asymmetry (DESIGN.md §16): an IO issued while
         // the opposite direction is in flight pays its penalty factor.
-        // stream_free_at is engine state (checkpointed and restored), so
-        // the check is deterministic on every replay path; the identity
-        // guard keeps the uncontended model bit-exact.
+        // The identity guard keeps the uncontended model bit-exact.
         if (!device_.nvme_contention.identity()) {
           if (s == static_cast<int>(Stream::kNvmeRead) &&
               stream_free_at[static_cast<std::size_t>(Stream::kNvmeWrite)] >
@@ -333,29 +212,15 @@ ExecutionTrace Engine::run(const Plan& plan, const EngineCheckpoint* resume,
         stream_free_at[si] = st.end;
         running[si] = i;
         ++head[si];
-        ++started_count;
-        while (next_unstarted < n &&
-               state[static_cast<std::size_t>(next_unstarted)].started)
-          ++next_unstarted;
         progressed = true;
       }
     }
 
     Seconds next_end = std::numeric_limits<Seconds>::infinity();
-    if (options_.reference_event_loop) {
-      // Seed-engine scan: every op, started-and-not-done filter. Kept as
-      // the measurable baseline for the indexed loop below.
-      for (int i = 0; i < n; ++i) {
-        const auto ii = static_cast<std::size_t>(i);
-        if (state[ii].started && !state[ii].done)
-          next_end = std::min(next_end, state[ii].end);
-      }
-    } else {
-      for (int s = 0; s < kNumStreams; ++s) {
-        const int i = running[static_cast<std::size_t>(s)];
-        if (i >= 0)
-          next_end = std::min(next_end, state[static_cast<std::size_t>(i)].end);
-      }
+    for (int s = 0; s < kNumStreams; ++s) {
+      const int i = running[static_cast<std::size_t>(s)];
+      if (i >= 0)
+        next_end = std::min(next_end, state[static_cast<std::size_t>(i)].end);
     }
     if (!std::isfinite(next_end)) {
       std::ostringstream os;
@@ -424,27 +289,19 @@ ExecutionTrace Engine::run(const Plan& plan, const EngineCheckpoint* resume,
       if (stream_of_op(done_op) == Stream::kCompute)
         compute_busy += st.end - st.start;
     };
-    if (options_.reference_event_loop) {
-      // Seed-engine retire pass: sweep all ops in index order.
-      for (int i = 0; i < n; ++i) {
-        const auto ii = static_cast<std::size_t>(i);
-        if (state[ii].started && !state[ii].done && state[ii].end <= now)
-          retire(i);
-      }
-    } else {
-      // At most one op per stream is in flight; gather the ones ending now
-      // and retire them in op-index order — the order the full sweep used,
-      // kept so the replay stays bit-for-bit identical.
-      std::array<int, kNumStreams> ending;
-      int num_ending = 0;
-      for (int s = 0; s < kNumStreams; ++s) {
-        const int i = running[static_cast<std::size_t>(s)];
-        if (i >= 0 && state[static_cast<std::size_t>(i)].end <= now)
-          ending[static_cast<std::size_t>(num_ending++)] = i;
-      }
-      std::sort(ending.begin(), ending.begin() + num_ending);
-      for (int e = 0; e < num_ending; ++e) retire(ending[static_cast<std::size_t>(e)]);
+    // At most one op per stream is in flight; gather the ones ending now
+    // and retire them in op-index order (free-memory and ledger updates
+    // are order-sensitive, so the order is part of the model).
+    std::array<int, kNumStreams> ending;
+    int num_ending = 0;
+    for (int s = 0; s < kNumStreams; ++s) {
+      const int i = running[static_cast<std::size_t>(s)];
+      if (i >= 0 && state[static_cast<std::size_t>(i)].end <= now)
+        ending[static_cast<std::size_t>(num_ending++)] = i;
     }
+    std::sort(ending.begin(), ending.begin() + num_ending);
+    for (int e = 0; e < num_ending; ++e)
+      retire(ending[static_cast<std::size_t>(e)]);
   }
 
   // Build records with stall accounting: stall = start minus the end of

@@ -15,143 +15,22 @@
 // (Sec. III-H): prefetches are cudaMemPrefetchAsync on a side stream,
 // compute waits on events, and stalls appear exactly when a dependency or
 // the capacity limit blocks the compute queue.
-//
-// Checkpointed replay (DESIGN.md §14): the planner's annealer perturbs a
-// suffix of the schedule per move, so the engine can snapshot its full
-// state at "clean instants" — moments when the set of started ops is
-// exactly the contiguous op prefix [0, c) — and later resume a *different*
-// plan from such a snapshot, provided the two plans' first c ops (and the
-// global preconditions: capacity, baselines, hierarchy, block count) are
-// identical. Clean instants are reproducible across plans sharing the
-// prefix: the event evolution is a deterministic function of the op list,
-// and at a clean instant no op >= c has influenced anything yet. A resumed
-// run is therefore bit-identical to a from-scratch replay (property-tested
-// in test_search_incremental.cpp).
 #pragma once
-
-#include <array>
-#include <map>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "src/sim/plan.h"
 #include "src/sim/trace.h"
-#include "src/tier/accountant.h"
 
 namespace karma::sim {
 
-/// Per-op progress inside one replay; the unit a checkpoint stores per
-/// prefix op.
-struct EngineOpState {
-  bool started = false;
-  bool done = false;
-  Seconds start = 0.0;
-  Seconds end = 0.0;
-};
-
-/// Full engine state at a clean instant: every op < cut has started (some
-/// may still be in flight), no op >= cut has. Restoring this and replaying
-/// ops [cut, n) reproduces the from-scratch replay exactly for any plan
-/// whose first `cut` ops match the plan this was captured from.
-struct EngineCheckpoint {
-  int cut = 0;                       ///< ops [0, cut) started, rest not
-  Seconds now = 0.0;
-  Seconds compute_busy = 0.0;
-  Bytes free_mem = 0;
-  Bytes min_free = 0;
-  int completed = 0;
-  std::array<std::size_t, kNumStreams> head{};
-  std::array<Seconds, kNumStreams> stream_free_at{};
-  std::vector<EngineOpState> ops;    ///< size == cut
-  tier::TierAccountant ledger;
-  std::map<std::pair<int, int>, Bytes> spilled;
-  std::map<std::pair<int, int>, Bytes> grad_in_flight;
-};
-
-/// Ascending-by-cut collection of checkpoints from one replay. The engine
-/// appends (strided, forward-phase only — suffix resumes always land in
-/// the forward phase, see DESIGN.md §14); the planner seeds a resumed
-/// run's log with the baseline's still-valid prefix so reuse compounds.
-/// Checkpoints are immutable once recorded and held by shared_ptr, so
-/// seeding a new log from a baseline copies pointers, not engine state —
-/// the seed cost is O(#checkpoints), independent of plan depth.
-class CheckpointLog {
- public:
-  void add(EngineCheckpoint ck) {
-    points_.push_back(std::make_shared<const EngineCheckpoint>(std::move(ck)));
-  }
-
-  /// Deepest checkpoint usable for a resume at op index `cut` (largest
-  /// recorded cut <= cut); nullptr when none qualifies.
-  const EngineCheckpoint* best_at_or_below(int cut) const {
-    const EngineCheckpoint* best = nullptr;
-    for (const auto& p : points_) {
-      if (p->cut > cut) break;
-      best = p.get();
-    }
-    return best;
-  }
-
-  /// Shares the checkpoints of `other` with cut <= `cut` into this log
-  /// (which must be empty) — the seed for a resumed run's own recording.
-  void seed_from(const CheckpointLog& other, int cut) {
-    points_.clear();
-    for (const auto& p : other.points_) {
-      if (p->cut > cut) break;
-      points_.push_back(p);
-    }
-  }
-
-  bool empty() const { return points_.empty(); }
-  std::size_t size() const { return points_.size(); }
-  int max_cut() const { return points_.empty() ? 0 : points_.back()->cut; }
-  const std::vector<std::shared_ptr<const EngineCheckpoint>>& points() const {
-    return points_;
-  }
-
- private:
-  std::vector<std::shared_ptr<const EngineCheckpoint>> points_;
-};
-
-/// Longest prefix of identical ops between two plans whose global
-/// preconditions (capacity, baselines, hierarchy, block count) also match;
-/// 0 when they differ. Two ops are identical when every scheduling-
-/// relevant field matches AND their blocks' costs match (durations and
-/// byte defaults derive from costs). This is the resume bound for
-/// checkpointed replay.
-int common_op_prefix(const Plan& a, const Plan& b);
-
-/// Replay knobs that do not change results. `reference_event_loop`
-/// restores the seed engine's O(n)-sweep next-event scan and retire pass
-/// (bit-identical outcomes, property-tested) — it exists so benchmarks
-/// can measure the indexed event loop against the exact code path earlier
-/// revisions shipped, from one binary.
-struct EngineOptions {
-  bool reference_event_loop = false;
-};
-
 class Engine {
  public:
-  explicit Engine(DeviceSpec device, EngineOptions options = {})
-      : device_(device), options_(options) {}
+  explicit Engine(DeviceSpec device) : device_(device) {}
 
-  /// Replays `plan` and returns the trace. Throws karma::InfeasibleError
-  /// with a state dump if the plan deadlocks (e.g. a swap-in that can
-  /// never fit) and std::logic_error if the plan fails validation.
-  ExecutionTrace run(const Plan& plan) const {
-    return run(plan, nullptr, nullptr);
-  }
-
-  /// Checkpointed replay. `resume` (optional) restores a snapshot taken
-  /// from a plan sharing this plan's first resume->cut ops — the caller
-  /// owns that contract; common_op_prefix() computes the bound. `record`
-  /// (optional) collects this replay's own checkpoints: only cuts deeper
-  /// than record->max_cut() are appended, so a log seeded with the
-  /// baseline's prefix composes. Passing both nullptrs is the plain replay
-  /// above; results are bit-identical in every combination.
-  ExecutionTrace run(const Plan& plan, const EngineCheckpoint* resume,
-                     CheckpointLog* record) const;
+  /// Replays `plan` from op 0 and returns the trace. Throws
+  /// karma::InfeasibleError with a state dump if the plan deadlocks (e.g.
+  /// a swap-in that can never fit) and std::logic_error if the plan fails
+  /// validation.
+  ExecutionTrace run(const Plan& plan) const;
 
   const DeviceSpec& device() const { return device_; }
 
@@ -160,7 +39,6 @@ class Engine {
   Bytes op_bytes(const Plan& plan, const Op& op) const;
 
   DeviceSpec device_;
-  EngineOptions options_;
 };
 
 }  // namespace karma::sim

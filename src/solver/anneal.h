@@ -48,25 +48,17 @@ struct AnnealParams {
 /// Minimizes `energy` starting from `init`. `neighbor` proposes a move;
 /// standard Metropolis acceptance. Returns the best state ever visited
 /// (not the final one). Deterministic for a fixed Rng seed.
-///
-/// `on_accept` (optional) fires after every accepted move, with the new
-/// current state — including the implicit acceptance of `init` at the
-/// start of the walk. Callers that evaluate incrementally use it to
-/// rebase their diff baseline onto the walk's position. Observational
-/// only: it draws no randomness and must not mutate the state.
 template <typename State>
 std::pair<State, double> anneal(
     State init, const std::function<double(const State&)>& energy,
     const std::function<State(const State&, Rng&)>& neighbor,
-    const AnnealParams& params, Rng& rng,
-    const std::function<void(const State&)>& on_accept = {}) {
+    const AnnealParams& params, Rng& rng) {
   // Poll BEFORE the first evaluation: a search cancelled before the walk
   // starts must not pay one full simulation just to learn it is dead.
   if (params.should_stop && params.should_stop())
     return {std::move(init), std::numeric_limits<double>::infinity()};
   State current = std::move(init);
   double current_e = energy(current);
-  if (on_accept) on_accept(current);
   State best = current;
   double best_e = current_e;
   double temperature = params.initial_temperature;
@@ -87,7 +79,6 @@ std::pair<State, double> anneal(
         rng.next_double() < std::exp(-delta / std::max(temperature, 1e-12))) {
       current = std::move(candidate);
       current_e = e;
-      if (on_accept) on_accept(current);
       if (current_e < best_e) {
         best = current;
         best_e = current_e;
@@ -148,7 +139,6 @@ PortfolioResult<State> portfolio_anneal(
     const std::function<State(const State&, Rng&)>& neighbor,
     const AnnealParams& params, int workers, Rng& rng,
     const std::function<std::string(const State&)>& key,
-    const std::function<void(const State&, int)>& on_accept = {},
     const std::function<void(int, bool)>& on_worker = {}) {
   workers = std::max(1, workers);
   std::vector<Rng> streams;
@@ -176,10 +166,8 @@ PortfolioResult<State> portfolio_anneal(
       std::function<double(const State&)> e = [&, w](const State& s) {
         return energy(s, w);
       };
-      std::function<void(const State&)> acc;
-      if (on_accept) acc = [&, w](const State& s) { on_accept(s, w); };
-      results[static_cast<std::size_t>(w)] =
-          anneal<State>(init, e, neighbor, p, streams[static_cast<std::size_t>(w)], acc);
+      results[static_cast<std::size_t>(w)] = anneal<State>(
+          init, e, neighbor, p, streams[static_cast<std::size_t>(w)]);
     } catch (...) {
       errors[static_cast<std::size_t>(w)] = std::current_exception();
     }

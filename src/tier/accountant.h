@@ -38,11 +38,6 @@ namespace karma::tier {
 
 class TierAccountant {
  public:
-  /// Empty-hierarchy placeholder: fits() nothing, charges throw. Exists so
-  /// value types that embed a ledger snapshot (sim::EngineCheckpoint) are
-  /// default-constructible; every live accountant is built from a real
-  /// hierarchy.
-  TierAccountant() = default;
   explicit TierAccountant(const StorageHierarchy& hierarchy);
 
   /// True when `bytes` more would still fit on `t`. Tiers absent from the

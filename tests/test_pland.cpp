@@ -19,10 +19,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -205,6 +208,46 @@ TEST(Daemon, SecondDaemonRefusesALiveSocket) {
   pland::Daemon usurper(std::move(second));
   EXPECT_FALSE(usurper.start());
   EXPECT_TRUE(fx.daemon->running());
+}
+
+TEST(Daemon, StopWithIdleWorkersNeverHangs) {
+  // Regression: stop() must publish its stop flag under the queue mutex.
+  // A plan worker caught between its wait predicate and its wait used to
+  // miss both the flag and the notify, and stop() then hung joining it.
+  // Idle workers park in exactly that wait, so cycle start/stop many
+  // times; a lost wakeup shows up as a blown deadline, not a pass.
+  constexpr int kCycles = 1000;
+  TempDir dir("stop");
+  struct Progress {
+    std::atomic<int> cycles{0};
+    std::atomic<bool> done{false};
+  };
+  auto progress = std::make_shared<Progress>();
+  std::thread driver([path = dir.path, progress] {
+    for (int i = 0; i < kCycles; ++i) {
+      pland::DaemonOptions options;
+      options.socket_path = path + "/pland.sock";
+      options.engine.cache.cache_dir = path + "/cache";
+      options.num_workers = 4;
+      pland::Daemon daemon(std::move(options));
+      if (!daemon.start()) break;
+      daemon.stop();
+      progress->cycles.fetch_add(1);
+    }
+    progress->done = true;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!progress->done && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  if (!progress->done) {
+    // A hung stop() can never be joined; report and end the process.
+    std::fprintf(stderr, "stop() hung after %d of %d start/stop cycles\n",
+                 progress->cycles.load(), kCycles);
+    std::_Exit(1);
+  }
+  driver.join();
+  EXPECT_EQ(progress->cycles.load(), kCycles);
 }
 
 // ---------------------------------------------------------------------------
