@@ -11,9 +11,13 @@
 //   warm (disk)— fresh Session, shared cache dir: the persisted v2 plan
 //                JSON artifact is loaded, revalidated, and replayed.
 //
-// Acceptance gate (ISSUE 4): warm plan() must be >= 10x faster than cold,
-// and every warm artifact must be bit-identical to the cold one. The
-// process exits nonzero when either fails, so CI can smoke-run it.
+// Acceptance gates: warm plan() must be >= 10x faster than cold, and every
+// warm artifact must be bit-identical to the cold one. The cache key of a
+// warm hit must cost <= 0.5x serializing the same request to JSON (median
+// Engine::key_for vs median api::request_to_json): both walk every field
+// of the model on one core, so the ratio holds on a loaded runner, and it
+// fails if the key ever goes back to building text. The process exits
+// nonzero when any gate fails, so CI can smoke-run it.
 //
 // The default cache dir lives under the build tree (KARMA_DEFAULT_CACHE_DIR,
 // injected by CMake) — cache entries are generated artifacts, kept out of
@@ -24,11 +28,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/api/engine.h"
+#include "src/api/request_io.h"
 #include "src/cache/disk_store.h"
 #include "src/cache/plan_cache.h"
 #include "src/cache/request_key.h"
@@ -38,6 +45,22 @@
 #endif
 
 namespace {
+
+/// Median wall time of `fn` over `reps` calls, in microseconds.
+template <class Fn>
+double median_us(int reps, Fn fn) {
+  std::vector<double> us;
+  us.reserve(static_cast<std::size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    us.push_back(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::nth_element(us.begin(), us.begin() + reps / 2, us.end());
+  return us[static_cast<std::size_t>(reps / 2)];
+}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -81,8 +104,9 @@ int main(int argc, char** argv) {
   std::printf("cache dir: %s\n\n", dir.c_str());
 
   // ---- Cold: full Opt-1/Opt-2 search ----
-  const api::Session session =
-      api::Engine::create({cache_options(dir)})->session();
+  const std::shared_ptr<api::Engine> engine =
+      api::Engine::create({cache_options(dir)});
+  const api::Session session = engine->session();
   const double t0 = now_ms();
   const api::Plan cold = session.plan_or_throw(request);
   const double cold_ms = now_ms() - t0;
@@ -142,9 +166,27 @@ int main(int argc, char** argv) {
   std::printf("session stats:  %s\n", session.cache_stats().describe().c_str());
   std::printf("fresh-session:  %s\n", fresh->cache_stats().describe().c_str());
 
+  // ---- Key vs request serialization, both over the whole model ----
+  constexpr int kKeyReps = 201;
+  std::size_t sink = 0;  // keeps both calls observable
+  const double key_us = median_us(kKeyReps, [&] {
+    sink += static_cast<std::size_t>(engine->key_for(request).digest.lo & 1);
+  });
+  const double to_json_us = median_us(kKeyReps, [&] {
+    sink += api::request_to_json(request).size();
+  });
+  const double key_ratio = key_us / to_json_us;
+  std::printf("\nkey_for median:          %8.1f us\n", key_us);
+  std::printf("request_to_json median:  %8.1f us  -> key/to_json %.2fx "
+              "(gate <= 0.5x; sink %zu)\n",
+              to_json_us, key_ratio, sink);
+
   const bool fast_enough = cold_ms / mem_ms >= 10.0 &&
                            cold_ms / disk_ms >= 10.0;
+  const bool key_cheap = key_ratio <= 0.5;
   std::printf("\n%s: warm >= 10x cold and bit-identical\n",
               identical && fast_enough ? "PASS" : "FAIL");
-  return identical && fast_enough ? 0 : 1;
+  std::printf("%s: key_for <= 0.5x request_to_json\n",
+              key_cheap ? "PASS" : "FAIL");
+  return identical && fast_enough && key_cheap ? 0 : 1;
 }

@@ -880,19 +880,20 @@ namespace {
 /// Builds a fresh flight this caller leads: one construction path for the
 /// listed (single-flight) and unlisted (kBypass) cases, so a new Flight
 /// field initialized from the request cannot silently diverge between
-/// them. Registers the caller as the first waiter; `threshold_out`
-/// receives its absolute budget threshold.
-std::shared_ptr<Flight> lead_flight(const PlanRequest& request,
-                                    const core::PlannerOptions& planner_options,
-                                    Bytes reserved_host, bool listed,
+/// them. Derives the host reserve here, on the lead path only: a cache
+/// hit or a join never walks the model for it. Registers the caller as
+/// the first waiter; `threshold_out` receives its absolute budget
+/// threshold.
+std::shared_ptr<Flight> lead_flight(PlanRequest request, bool listed,
                                     Clock::time_point waiter_deadline,
                                     std::int64_t* threshold_out) {
   auto flight = std::make_shared<Flight>();
   flight->listed = listed;
-  flight->request = request;
-  flight->planner_options = planner_options;
-  flight->reserved_host = reserved_host;
+  flight->reserved_host = derive_reserved_host(request);
+  flight->planner_options = request.planner;
+  flight->planner_options.schedule.reserved_host_bytes = flight->reserved_host;
   flight->want_probe = request.probe_feasible_batch;
+  flight->request = std::move(request);
   {
     std::lock_guard<std::mutex> lock(flight->mu);
     *threshold_out = flight->register_waiter_locked(
@@ -911,10 +912,6 @@ Engine::Prepared Engine::prepare(const PlanRequest& request) {
     prepared.settled = std::make_shared<const Outcome>(std::move(*invalid));
     return prepared;
   }
-
-  const Bytes reserved_host = derive_reserved_host(request);
-  core::PlannerOptions planner_options = request.planner;
-  planner_options.schedule.reserved_host_bytes = reserved_host;
 
   // This caller's limits, clocked from submission. They bound THIS
   // caller's wait; the shared search runs under the loosest limits of
@@ -997,8 +994,7 @@ Engine::Prepared Engine::prepare(const PlanRequest& request) {
       // lead a fresh flight for this caller.
       impl_->flights.erase(it);
     }
-    prepared.flight = lead_flight(effective_request(), planner_options,
-                                  reserved_host, /*listed=*/true,
+    prepared.flight = lead_flight(effective_request(), /*listed=*/true,
                                   prepared.waiter_deadline,
                                   &prepared.waiter_budget_threshold);
     prepared.flight->key = key;
@@ -1026,8 +1022,7 @@ Engine::Prepared Engine::prepare(const PlanRequest& request) {
   // kBypass: no cache and no single-flight — a private, unlisted flight;
   // every request runs its own full search (the mode's contract, used by
   // tests to force re-searches).
-  prepared.flight = lead_flight(effective_request(), planner_options,
-                                reserved_host, /*listed=*/false,
+  prepared.flight = lead_flight(effective_request(), /*listed=*/false,
                                 prepared.waiter_deadline,
                                 &prepared.waiter_budget_threshold);
   prepared.leader = true;

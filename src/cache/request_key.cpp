@@ -1,7 +1,8 @@
 #include "src/cache/request_key.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <bit>
+#include <cstdint>
+#include <string_view>
 
 #include "src/api/plan_io.h"
 #include "src/api/session.h"
@@ -9,239 +10,206 @@
 namespace karma::cache {
 namespace {
 
-/// Append-only canonical serializer. Same philosophy as plan_io's
-/// JsonWriter: determinism falls out of the code structure, not a schema
-/// walker. Strings are length-prefixed (`name=5:hello;`) so field values
-/// cannot impersonate delimiters.
-class Fingerprint {
- public:
-  std::string take() { return std::move(out_); }
+/// fp_version: the encoding's version, the first word of every key.
+/// v5: binary word encoding hashed by util::Hasher128 (the v4 text
+///     fingerprint and its FNV-1a digest are gone).
+/// v4: fleet section + NVMe contention device fields (DESIGN.md §16) —
+///     fleet-aware engines must never serve keys minted without them.
+/// v3: anneal_workers + the rejection-sampled Rng (plans under the
+///     unbiased stream differ from v2's, so v2 entries must miss).
+/// v2: device scale fields + the calibration preamble entry.
+constexpr int kFpVersion = 5;
 
-  void section(const char* name) {
-    out_ += name;
-    out_ += '{';
+/// request_fingerprint's word sink: each word as its 8 little-endian
+/// bytes, so digest128(text) is the Hasher128 fed the same words.
+struct TextSink {
+  void word(std::uint64_t w) {
+    char bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(w >> (8 * i));
+    text.append(bytes, sizeof bytes);
   }
-  void end_section() { out_ += '}'; }
-
-  void field(const char* key, std::int64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRId64, v);
-    emit(key, buf);
-  }
-  void field(const char* key, int v) { field(key, static_cast<std::int64_t>(v)); }
-  void field(const char* key, std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-    emit(key, buf);
-  }
-  void field(const char* key, double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    emit(key, buf);
-  }
-  void field(const char* key, bool v) { emit(key, v ? "1" : "0"); }
-  void field(const char* key, const std::string& v) {
-    out_ += key;
-    out_ += '=';
-    out_ += std::to_string(v.size());
-    out_ += ':';
-    out_ += v;
-    out_ += ';';
-  }
-
- private:
-  void emit(const char* key, const char* value) {
-    out_ += key;
-    out_ += '=';
-    out_ += value;
-    out_ += ';';
-  }
-  std::string out_;
+  std::string text;
 };
 
-void write_shape(Fingerprint& fp, const char* key,
-                 const graph::TensorShape& shape) {
-  std::string dims;
-  for (std::size_t i = 0; i < shape.rank(); ++i) {
-    if (i) dims += 'x';
-    dims += std::to_string(shape.dim(i));
+/// Canonical word encoder over a sink (util::Hasher128 or TextSink). The
+/// overload is picked by the field's C++ type, so one field cannot be
+/// encoded two ways; counts go through count() so a size_t never lands
+/// on a narrower overload.
+template <class Sink>
+struct Encoder {
+  Sink sink;
+
+  void put(std::uint64_t v) { sink.word(v); }
+  void put(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
+  void put(int v) { put(static_cast<std::int64_t>(v)); }
+  void put(bool v) { put(std::uint64_t{v ? 1u : 0u}); }
+  void put(double v) { put(std::bit_cast<std::uint64_t>(v)); }
+  void put(std::string_view v) {
+    count(v.size());
+    util::for_each_le_word(v, [this](std::uint64_t w) { sink.word(w); });
   }
-  fp.field(key, dims);
+  void count(std::size_t n) { put(static_cast<std::uint64_t>(n)); }
+};
+
+template <class Enc>
+void write_shape(Enc& e, const graph::TensorShape& shape) {
+  e.count(shape.rank());
+  for (const std::int64_t d : shape.dims()) e.put(d);
 }
 
-void write_model(Fingerprint& fp, const graph::Model& model) {
-  fp.section("model");
-  fp.field("name", model.name());
-  fp.field("dtype_bytes", model.dtype_bytes());
-  fp.field("act_scale", model.activation_memory_scale());
-  fp.field("layers", static_cast<std::int64_t>(model.num_layers()));
+template <class Enc>
+void write_model(Enc& e, const graph::Model& model) {
+  e.put(model.name());
+  e.put(model.dtype_bytes());
+  e.put(model.activation_memory_scale());
+  e.count(model.num_layers());
+  // A layer's id is its index (Model::add_layer), so position encodes it.
   for (const auto& layer : model.layers()) {
-    fp.section("l");
-    fp.field("name", layer.name);
-    fp.field("kind", static_cast<int>(layer.kind));
-    write_shape(fp, "in", layer.in_shape);
-    write_shape(fp, "out", layer.out_shape);
-    fp.field("kernel", layer.kernel);
-    fp.field("stride", layer.stride);
-    fp.field("in_ch", layer.in_channels);
-    fp.field("out_ch", layer.out_channels);
-    fp.field("heads", layer.heads);
-    fp.field("head_dim", layer.head_dim);
-    fp.field("vocab", layer.vocab);
-    fp.field("weights", layer.weight_elems);
-    fp.end_section();
+    e.put(layer.name);
+    e.put(static_cast<int>(layer.kind));
+    write_shape(e, layer.in_shape);
+    write_shape(e, layer.out_shape);
+    e.put(layer.kernel);
+    e.put(layer.stride);
+    e.put(layer.in_channels);
+    e.put(layer.out_channels);
+    e.put(layer.heads);
+    e.put(layer.head_dim);
+    e.put(layer.vocab);
+    e.put(layer.weight_elems);
   }
-  // Edges via succs(), kept sorted ascending by Model::add_edge — the
-  // order edges were *added* in cannot reach the fingerprint.
-  fp.section("edges");
+  // One successor list per layer, via succs(), kept sorted ascending by
+  // Model::add_edge — the order edges were *added* in cannot reach the key.
   for (const auto& layer : model.layers()) {
-    std::string succs;
-    for (const int s : model.succs(layer.id)) {
-      if (!succs.empty()) succs += ',';
-      succs += std::to_string(s);
-    }
-    fp.field(std::to_string(layer.id).c_str(), succs);
+    const std::vector<int>& succs = model.succs(layer.id);
+    e.count(succs.size());
+    for (const int s : succs) e.put(s);
   }
-  fp.end_section();
-  fp.end_section();
 }
 
-void write_device(Fingerprint& fp, const sim::DeviceSpec& d) {
-  fp.section("device");
-  fp.field("name", d.name);
-  fp.field("memory_capacity", d.memory_capacity);
-  fp.field("peak_flops", d.peak_flops);
-  fp.field("device_mem_bw", d.device_mem_bw);
-  fp.field("h2d_bw", d.h2d_bw);
-  fp.field("d2h_bw", d.d2h_bw);
-  fp.field("swap_latency", d.swap_latency);
-  fp.field("cpu_flops", d.cpu_flops);
-  fp.field("host_mem_bw", d.host_mem_bw);
-  fp.field("host_capacity", d.host_capacity);
-  fp.field("nvme_capacity", d.nvme_capacity);
-  fp.field("nvme_read_bw", d.nvme_read_bw);
-  fp.field("nvme_write_bw", d.nvme_write_bw);
-  fp.field("nvme_latency", d.nvme_latency);
+template <class Enc>
+void write_device(Enc& e, const sim::DeviceSpec& d) {
+  e.put(d.name);
+  e.put(d.memory_capacity);
+  e.put(d.peak_flops);
+  e.put(d.device_mem_bw);
+  e.put(d.h2d_bw);
+  e.put(d.d2h_bw);
+  e.put(d.swap_latency);
+  e.put(d.cpu_flops);
+  e.put(d.host_mem_bw);
+  e.put(d.host_capacity);
+  e.put(d.nvme_capacity);
+  e.put(d.nvme_read_bw);
+  e.put(d.nvme_write_bw);
+  e.put(d.nvme_latency);
   // NVMe contention model (DESIGN.md §16): unconditional like the scale
-  // overlay — identity requests hash identical bytes to each other, and
+  // overlay — identity requests hash identical words to each other, and
   // contended devices never collide with their uncontended twins.
-  fp.field("qd", d.nvme_contention.queue_depth);
-  fp.field("mixed_read", d.nvme_contention.mixed_read_penalty);
-  fp.field("mixed_write", d.nvme_contention.mixed_write_penalty);
+  e.put(d.nvme_contention.queue_depth);
+  e.put(d.nvme_contention.mixed_read_penalty);
+  e.put(d.nvme_contention.mixed_write_penalty);
   // Calibration overlay: identity for uncalibrated requests, but probe
   // requests derived from a calibrated flight embed scaled devices, and
   // those must not collide with their analytic twins.
-  fp.field("scale_compute", d.scale.compute);
-  fp.field("scale_h2d", d.scale.h2d);
-  fp.field("scale_d2h", d.scale.d2h);
-  fp.field("scale_nvme_read", d.scale.nvme_read);
-  fp.field("scale_nvme_write", d.scale.nvme_write);
-  fp.field("scale_cpu_update", d.scale.cpu_update);
-  fp.end_section();
+  e.put(d.scale.compute);
+  e.put(d.scale.h2d);
+  e.put(d.scale.d2h);
+  e.put(d.scale.nvme_read);
+  e.put(d.scale.nvme_write);
+  e.put(d.scale.cpu_update);
 }
 
-void write_planner(Fingerprint& fp, const core::PlannerOptions& p) {
-  fp.section("planner");
-  fp.field("recompute", p.enable_recompute);
-  fp.field("min_blocks", p.min_blocks);
-  fp.field("max_blocks", p.max_blocks);
-  fp.field("anneal", p.anneal_iterations);
+template <class Enc>
+void write_planner(Enc& e, const core::PlannerOptions& p) {
+  e.put(p.enable_recompute);
+  e.put(p.min_blocks);
+  e.put(p.max_blocks);
+  e.put(p.anneal_iterations);
   // Plan-affecting: the portfolio reduction is deterministic for a fixed
   // worker count, but different counts explore different rng streams.
-  fp.field("anneal_workers", p.anneal_workers);
-  fp.field("seed", static_cast<std::uint64_t>(p.seed));
-  fp.field("prefetch", p.schedule.prefetch_window);
-  fp.field("reserved_host", p.schedule.reserved_host_bytes);
-  fp.end_section();
+  e.put(p.anneal_workers);
+  e.put(p.seed);
+  e.put(p.schedule.prefetch_window);
+  e.put(p.schedule.reserved_host_bytes);
 }
 
-void write_optimizer(Fingerprint& fp, const api::OptimizerSpec& o) {
-  fp.section("optimizer");
-  fp.field("kind", static_cast<int>(o.kind));
-  fp.field("host_resident", o.host_resident);
-  fp.field("state_per_param", o.state_bytes_per_param_byte);
-  fp.end_section();
+template <class Enc>
+void write_optimizer(Enc& e, const api::OptimizerSpec& o) {
+  e.put(static_cast<int>(o.kind));
+  e.put(o.host_resident);
+  e.put(o.state_bytes_per_param_byte);
 }
 
-void write_distributed(Fingerprint& fp,
+template <class Enc>
+void write_distributed(Enc& e,
                        const std::optional<core::DistributedOptions>& d) {
-  fp.section("distributed");
-  if (!d) {
-    fp.field("none", true);
-    fp.end_section();
-    return;
-  }
-  fp.field("num_gpus", d->num_gpus);
-  fp.field("gpus_per_node", d->net.gpus_per_node);
-  fp.field("intra_bw", d->net.intra_bw);
-  fp.field("intra_latency", d->net.intra_latency);
-  fp.field("inter_bw", d->net.inter_bw);
-  fp.field("inter_latency", d->net.inter_latency);
-  fp.field("exchange", static_cast<int>(d->exchange));
-  fp.field("update", static_cast<int>(d->update));
-  fp.field("iterations", d->iterations);
-  fp.field("shard_fraction", d->weight_shard_fraction);
+  e.put(d.has_value());
+  if (!d) return;
+  e.put(d->num_gpus);
+  e.put(d->net.gpus_per_node);
+  e.put(d->net.intra_bw);
+  e.put(d->net.intra_latency);
+  e.put(d->net.inter_bw);
+  e.put(d->net.inter_latency);
+  e.put(static_cast<int>(d->exchange));
+  e.put(static_cast<int>(d->update));
+  e.put(d->iterations);
+  e.put(d->weight_shard_fraction);
   // d->planner is intentionally absent: Session supersedes it with
   // PlanRequest::planner (see the header's exclusion list).
-  fp.end_section();
 }
 
-void write_fleet(Fingerprint& fp,
-                 const std::optional<place::FleetSpec>& f) {
-  fp.section("fleet");
-  if (!f) {
-    fp.field("none", true);
-    fp.end_section();
-    return;
-  }
-  fp.field("nodes", f->num_nodes());
+template <class Enc>
+void write_fleet(Enc& e, const std::optional<place::FleetSpec>& f) {
+  e.put(f.has_value());
+  if (!f) return;
+  e.count(f->nodes.size());
   for (const auto& node : f->nodes) {
-    fp.section("n");
-    fp.field("name", node.name);
-    write_device(fp, node.device);
-    fp.end_section();
+    e.put(node.name);
+    write_device(e, node.device);
   }
-  fp.field("gpus_per_node", f->net.gpus_per_node);
-  fp.field("intra_bw", f->net.intra_bw);
-  fp.field("intra_latency", f->net.intra_latency);
-  fp.field("inter_bw", f->net.inter_bw);
-  fp.field("inter_latency", f->net.inter_latency);
-  fp.field("strategy", static_cast<int>(f->strategy));
-  fp.end_section();
+  e.put(f->net.gpus_per_node);
+  e.put(f->net.intra_bw);
+  e.put(f->net.intra_latency);
+  e.put(f->net.inter_bw);
+  e.put(f->net.inter_latency);
+  e.put(static_cast<int>(f->strategy));
+}
+
+template <class Enc>
+void write_request(Enc& e, const api::PlanRequest& request,
+                   const std::string& calibration) {
+  e.put(kFpVersion);
+  // Schema bump = cache invalidation: new keys never collide with entries
+  // written under the old schema (which plan_from_json rejects anyway).
+  e.put(api::kPlanJsonVersion);
+  // The active CalibrationTable's content hash ("" = analytic model).
+  // Hot-swapping a table therefore re-keys the whole cache — stale plans
+  // miss, and the engine turns the old-key entry into a repair seed.
+  e.put(calibration);
+  write_model(e, request.model);
+  write_device(e, request.device);
+  write_planner(e, request.planner);
+  write_optimizer(e, request.optimizer);
+  write_distributed(e, request.distributed);
+  write_fleet(e, request.fleet);
 }
 
 }  // namespace
 
 std::string request_fingerprint(const api::PlanRequest& request,
                                 const std::string& calibration) {
-  Fingerprint fp;
-  fp.section("karma-request-fp");
-  // v4: fleet section + NVMe contention device fields (DESIGN.md §16) —
-  // fleet-aware engines must never serve keys minted without them.
-  // v3: anneal_workers + the rejection-sampled Rng (plans under the
-  // unbiased stream differ from v2's, so v2 entries must miss).
-  // v2: device scale fields + the calibration preamble entry below.
-  fp.field("fp_version", 4);
-  // Schema bump = cache invalidation: new keys never collide with entries
-  // written under the old schema (which plan_from_json rejects anyway).
-  fp.field("plan_schema", api::kPlanJsonVersion);
-  // The active CalibrationTable's content hash ("" = analytic model).
-  // Hot-swapping a table therefore re-keys the whole cache — stale plans
-  // miss, and the engine turns the old-key entry into a repair seed.
-  fp.field("calibration", calibration);
-  fp.end_section();
-  write_model(fp, request.model);
-  write_device(fp, request.device);
-  write_planner(fp, request.planner);
-  write_optimizer(fp, request.optimizer);
-  write_distributed(fp, request.distributed);
-  write_fleet(fp, request.fleet);
-  return fp.take();
+  Encoder<TextSink> e;
+  write_request(e, request, calibration);
+  return std::move(e.sink.text);
 }
 
 RequestKey request_key(const api::PlanRequest& request,
                        const std::string& calibration) {
-  return {util::digest128(request_fingerprint(request, calibration))};
+  Encoder<util::Hasher128> e;
+  write_request(e, request, calibration);
+  return {e.sink.finish()};
 }
 
 }  // namespace karma::cache

@@ -1,22 +1,36 @@
 // Content-addressed fingerprinting of PlanRequests (DESIGN.md §10).
 //
-// PR 2 made planning pure: a PlanRequest is a value, Session::plan() is a
+// Planning is pure: a PlanRequest is a value, Session::plan() is a
 // deterministic function of it, and the Plan artifact serializes
 // byte-stably. That makes planning cacheable — IF requests can be keyed
-// by content. RequestKey is that key: a canonical text serialization of
-// every request field that influences the produced plan, hashed to a
-// 128-bit digest.
+// by content. RequestKey is that key: a canonical binary encoding of
+// every request field that influences the produced plan, streamed word
+// by word into util::Hasher128 for a 128-bit digest. No text is built on
+// the key path.
 //
 // Canonicalization rules:
 //   - fields are emitted in one fixed order by code structure (no
 //     reflection, no map iteration — the same discipline as plan_io);
-//   - strings are length-prefixed so no name can fake a delimiter;
-//   - doubles print with %.17g (bit-exact, same as the plan JSON);
-//   - model edges come from Model::succs(), which the builder keeps
-//     sorted ascending, so edge *insertion* order cannot leak in;
-//   - the plan JSON schema version is part of the preamble: bumping the
-//     schema invalidates every existing key (and the on-disk entries
-//     would fail version validation anyway — two independent fences).
+//     field names are not encoded, position is the field;
+//   - every scalar is one little-endian 64-bit word: integers as two's
+//     complement, bools as 0/1, enums by their integer value, doubles by
+//     their IEEE-754 bit pattern (bit-exact, like %.17g in the plan
+//     JSON);
+//   - a string is a length word followed by its bytes packed into
+//     little-endian words, the last one zero-padded;
+//   - every list (layers, shape dims, successors, fleet nodes) follows a
+//     count word; each optional section (`distributed`, `fleet`) follows
+//     a presence word, and its fields appear only when present. The word
+//     stream is therefore prefix-free: no request's stream is a prefix
+//     of another's, so field values cannot impersonate structure;
+//   - a layer's id is its position; model edges come from
+//     Model::succs(), which the builder keeps sorted ascending, so edge
+//     *insertion* order cannot leak in;
+//   - the stream opens with `fp_version` (bump it whenever the encoding
+//     or util::Hasher128 changes), then the plan JSON schema version:
+//     bumping the schema invalidates every existing key (and the on-disk
+//     entries would fail version validation anyway — two independent
+//     fences).
 //
 // Deliberately EXCLUDED from the fingerprint:
 //   - PlanRequest::probe_feasible_batch — it shapes the PlanError on the
@@ -56,8 +70,9 @@ struct RequestKeyHash {
   }
 };
 
-/// The canonical fingerprint text the key hashes. Exposed for tests and
-/// debugging (e.g. diffing why two requests miss each other).
+/// The canonical encoding the key hashes, as the words' little-endian
+/// bytes. Exposed for tests and debugging (e.g. diffing why two requests
+/// miss each other); the key path never builds it.
 ///
 /// `calibration` is the active CalibrationTable's content hash, or ""
 /// when planning against the uncorrected analytic model (DESIGN.md §13).
@@ -67,7 +82,8 @@ struct RequestKeyHash {
 std::string request_fingerprint(const api::PlanRequest& request,
                                 const std::string& calibration = {});
 
-/// Content key of `request`: digest128(request_fingerprint(request,
+/// Content key of `request`: the same words streamed into a
+/// util::Hasher128, equal to digest128(request_fingerprint(request,
 /// calibration)).
 RequestKey request_key(const api::PlanRequest& request,
                        const std::string& calibration = {});

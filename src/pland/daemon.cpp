@@ -622,14 +622,20 @@ struct Daemon::Impl {
       }
       const api::PlanRequest request = std::move(parsed).value();
       {
+        // Keyed under the engine's ACTIVE calibration, and outside
+        // digest_mu: the key walks the whole model, and every connection
+        // thread's hit path takes that lock. handle_calibrate installs a
+        // table BEFORE it flushes this memo under digest_mu, so a key
+        // whose hash is still active once the lock is held cannot be
+        // stale; one minted under a since-replaced table is dropped.
+        const std::string calib_hash = engine->calibration_hash();
+        const cache::RequestKey key = cache::request_key(request, calib_hash);
         std::lock_guard<std::mutex> lock(digest_mu);
-        if (digests.size() >= kDigestMemoCap) digests.clear();
-        // Keyed under the engine's ACTIVE calibration (key_for, not the
-        // bare request_key): a calibrate verb flushes this memo, so every
-        // surviving entry agrees with the hash the engine keys by.
-        digests.emplace(job.digest,
-                        DigestEntry{engine->key_for(request),
-                                    request.probe_feasible_batch});
+        if (engine->calibration_hash() == calib_hash) {
+          if (digests.size() >= kDigestMemoCap) digests.clear();
+          digests.emplace(job.digest,
+                          DigestEntry{key, request.probe_feasible_batch});
+        }
       }
       // Cached answers (e.g. a warm disk store the memo hasn't seen yet)
       // settle here without a search; otherwise the search runs on this

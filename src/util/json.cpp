@@ -121,7 +121,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Value parse() {
-    Value v = parse_value();
+    Value v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size())
       throw std::runtime_error("trailing characters after JSON value");
@@ -152,13 +152,19 @@ class Parser {
     return false;
   }
 
-  Value parse_value() {
+  /// `depth` = arrays/objects enclosing this value. The parser recurses
+  /// once per level, so the bound is what keeps hostile input from
+  /// overflowing the stack.
+  Value parse_value(int depth) {
     const char c = peek();  // skips leading whitespace
     const std::size_t begin = pos_;
+    if ((c == '{' || c == '[') && depth >= kMaxParseDepth)
+      throw std::runtime_error("JSON nesting deeper than " +
+                               std::to_string(kMaxParseDepth));
     Value v = [&] {
       switch (c) {
-        case '{': return parse_object();
-        case '[': return parse_array();
+        case '{': return parse_object(depth + 1);
+        case '[': return parse_array(depth + 1);
         case '"': return parse_string();
         case 't':
         case 'f': return parse_bool();
@@ -171,7 +177,7 @@ class Parser {
     return v;
   }
 
-  Value parse_object() {
+  Value parse_object(int depth) {
     expect('{');
     Value v;
     v.type = Value::Type::kObject;
@@ -179,19 +185,19 @@ class Parser {
     do {
       Value key = parse_string();
       expect(':');
-      v.object.emplace(std::move(key.str), parse_value());
+      v.object.emplace(std::move(key.str), parse_value(depth));
     } while (consume(','));
     expect('}');
     return v;
   }
 
-  Value parse_array() {
+  Value parse_array(int depth) {
     expect('[');
     Value v;
     v.type = Value::Type::kArray;
     if (consume(']')) return v;
     do {
-      v.array.push_back(parse_value());
+      v.array.push_back(parse_value(depth));
     } while (consume(','));
     expect(']');
     return v;

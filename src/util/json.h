@@ -120,8 +120,14 @@ struct Value {
   bool is_null() const { return type == Type::kNull; }
 };
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so without a bound a 200 KB run of '[' from any client
+/// overflows the stack; every schema here nests fewer than 10 levels.
+inline constexpr int kMaxParseDepth = 256;
+
 /// Parses exactly one JSON value spanning the whole input (trailing
-/// garbage is an error). Throws std::runtime_error on malformed input.
+/// garbage is an error). Throws std::runtime_error on malformed input,
+/// including nesting deeper than kMaxParseDepth.
 Value parse(std::string_view text);
 
 /// Checked int64 -> int narrowing: huge values in corrupt input must fail

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "src/util/hash.h"
+
 namespace karma {
 
 class Rng {
@@ -16,10 +18,7 @@ class Rng {
 
   /// Next raw 64-bit value.
   std::uint64_t next_u64() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return util::splitmix64_mix(state_ += 0x9e3779b97f4a7c15ULL);
   }
 
   /// Uniform double in [0, 1).

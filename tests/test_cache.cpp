@@ -9,11 +9,15 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/api/engine.h"
 #include "src/cache/plan_cache.h"
 #include "src/cache/request_key.h"
 #include "src/graph/model_zoo.h"
+#include "src/place/fleet.h"
+#include "src/util/hash.h"
 #include "src/util/rng.h"
 
 namespace karma::cache {
@@ -80,6 +84,32 @@ graph::Model chain_model(int layers, std::int64_t batch, std::int64_t width,
   return model;
 }
 
+/// `model` rebuilt layer by layer with `edit(index, layer)` applied to
+/// each copy — zoo models expose no mutable layers. Skip edges carry over.
+template <class Edit>
+graph::Model edited(const graph::Model& model, Edit edit,
+                    const std::string& name = "") {
+  graph::Model out(name.empty() ? model.name() : name, model.dtype_bytes());
+  out.set_activation_memory_scale(model.activation_memory_scale());
+  for (const graph::Layer& layer : model.layers()) {
+    graph::Layer copy = layer;
+    edit(layer.id, copy);
+    out.add_layer(std::move(copy));
+  }
+  for (const graph::Layer& layer : model.layers())
+    for (const int s : model.succs(layer.id))
+      if (s != layer.id + 1) out.add_edge(layer.id, s);
+  return out;
+}
+
+const auto kNoEdit = [](int, graph::Layer&) {};
+
+api::PlanRequest fleet_request() {
+  api::PlanRequest request = resnet_request();
+  request.fleet = place::mixed_generation_fleet(2, 2, Bytes{8} << 30);
+  return request;
+}
+
 api::SessionOptions with_dir(const std::string& dir) {
   api::SessionOptions options;
   options.cache_dir = dir;
@@ -98,6 +128,48 @@ TEST(RequestKey, EqualRequestsProduceEqualKeys) {
             request_fingerprint(resnet_request()));
   EXPECT_EQ(a.hex().size(), 32u);
   EXPECT_EQ(a.hex().find_first_not_of("0123456789abcdef"), std::string::npos);
+}
+
+TEST(RequestKey, KeyIsTheDigestOfTheFingerprint) {
+  // request_key streams the words request_fingerprint writes out; the two
+  // paths must never drift apart.
+  api::PlanRequest distributed = resnet_request();
+  distributed.distributed = core::DistributedOptions{};
+  distributed.distributed->num_gpus = 8;
+  for (const api::PlanRequest& r :
+       {resnet_request(), distributed, fleet_request()}) {
+    for (const std::string calibration : {"", "0123456789abcdef0123"}) {
+      const std::string fp = request_fingerprint(r, calibration);
+      EXPECT_EQ(fp.size() % 8, 0u);
+      EXPECT_EQ(request_key(r, calibration),
+                RequestKey{util::digest128(fp)});
+    }
+  }
+}
+
+TEST(RequestKey, ResnetKeyIsPinned) {
+  // Changing this hex means every cached plan misses: bump fp_version in
+  // src/cache/request_key.cpp in the same change, then update it here.
+  EXPECT_EQ(request_key(resnet_request()).hex(),
+            "f7f5fdfe3243cda1183de6d566982d62");
+}
+
+TEST(RequestKey, Digest128KnownAnswers) {
+  // Computed by an independent implementation of the constants and steps
+  // documented in src/util/hash.h; lengths straddle the 8-byte word edge.
+  const std::pair<std::string, std::string> kVectors[] = {
+      {"", "bf8fec90feaa8750b9dc90a8a4ba549a"},
+      {"a", "3e0e38070b6cea86dfed73333ae72f44"},
+      {"abcdefg", "9b3745047b800d05dd0df021686a7f71"},
+      {"abcdefgh", "0452463e0c20b6f38e51f9bdf066da56"},
+      {"abcdefghi", "41a09d12c0455cb386dad6d1f31106df"},
+      {"0123456789abcdef", "8f12907071d25a0b71914988d4f87bcf"},
+  };
+  for (const auto& [input, hex] : kVectors)
+    EXPECT_EQ(util::digest128(input).hex(), hex) << "length " << input.size();
+  // Zero padding is not ambiguous: the byte length closes the stream.
+  EXPECT_NE(util::digest128(std::string("a", 1)),
+            util::digest128(std::string("a\0", 2)));
 }
 
 TEST(RequestKey, EveryPlanAffectingFieldChangesTheKey) {
@@ -126,12 +198,76 @@ TEST(RequestKey, EveryPlanAffectingFieldChangesTheKey) {
           "optimizer state override");
   differs([](auto& r) { r.distributed = core::DistributedOptions{}; },
           "distributed presence");
+  differs([](auto& r) { r.device.nvme_contention.mixed_read_penalty = 2.0; },
+          "nvme contention");
+
+  // Model graph edits: the rebuild itself must be invisible to the key.
+  ASSERT_EQ(request_key(base), [&] {
+    api::PlanRequest r = resnet_request();
+    r.model = edited(r.model, kNoEdit);
+    return request_key(r);
+  }());
+  differs([](auto& r) {
+    r.model = edited(r.model, [](int id, graph::Layer& l) {
+      if (id == 3) {
+        std::vector<std::int64_t> dims = l.out_shape.dims();
+        dims.back() += 1;
+        l.out_shape = graph::TensorShape(dims);
+      }
+    });
+  }, "one layer dim");
+  differs([](auto& r) {
+    r.model = edited(r.model, [](int id, graph::Layer& l) {
+      if (id == 3) l.name += "x";
+    });
+  }, "one layer name");
+  // One skip edge added, and the same edge moved to another target: equal
+  // successor counts, so only the target ids tell those two apart.
+  const auto with_skip = [](int back) {
+    api::PlanRequest r = resnet_request();
+    r.model = edited(r.model, kNoEdit);
+    r.model.add_edge(0, static_cast<int>(r.model.num_layers()) - back);
+    return r;
+  };
+  EXPECT_NE(request_key(with_skip(1)), base_key) << "one edge";
+  EXPECT_NE(request_key(with_skip(1)), request_key(with_skip(2)))
+      << "one edge's target";
+
+  EXPECT_NE(request_key(base, "calibrated"), base_key) << "calibration";
+
   api::PlanRequest dist_a = resnet_request();
   dist_a.distributed = core::DistributedOptions{};
   api::PlanRequest dist_b = resnet_request();
   dist_b.distributed = core::DistributedOptions{};
   dist_b.distributed->num_gpus = 32;
   EXPECT_NE(request_key(dist_a), request_key(dist_b));
+
+  const api::PlanRequest fleet = fleet_request();
+  api::PlanRequest fleet_device = fleet_request();
+  fleet_device.fleet->nodes[1].device.h2d_bw *= 2;
+  EXPECT_NE(request_key(fleet), request_key(fleet_device))
+      << "one fleet node's device";
+
+  // Bytes moved across the boundary of two adjacent strings. Calibration
+  // is followed by the model name; a fleet node's name by its device's
+  // name. Per-string zero padding alone keeps "ab"+"c" apart from
+  // "a"+"bc"; a split on a word edge ("abcdefgh"+"c" vs ""+"abcdefghc")
+  // packs the same words, so only the length words tell it apart.
+  const auto named = [](const std::string& name) {
+    api::PlanRequest r = resnet_request();
+    r.model = edited(r.model, kNoEdit, name);
+    return r;
+  };
+  EXPECT_NE(request_key(named("c"), "ab"), request_key(named("bc"), "a"));
+  EXPECT_NE(request_key(named("c"), "abcdefgh"),
+            request_key(named("abcdefghc"), ""));
+  api::PlanRequest node_ab = fleet_request();
+  node_ab.fleet->nodes[0].name = "ab";
+  node_ab.fleet->nodes[0].device.name = "c";
+  api::PlanRequest node_a = fleet_request();
+  node_a.fleet->nodes[0].name = "a";
+  node_a.fleet->nodes[0].device.name = "bc";
+  EXPECT_NE(request_key(node_ab), request_key(node_a));
 }
 
 TEST(RequestKey, ErrorPathKnobDoesNotChangeTheKey) {

@@ -3,7 +3,8 @@
 // content-hash / golden-fixture guarantees assume emit -> parse -> emit is
 // bit-exact. This test drives random IEEE-754 bit patterns (deterministic
 // seed, so CI failures reproduce) through a Writer array and back through
-// parse(), comparing the raw bits of the parsed double view.
+// parse(), comparing the raw bits of the parsed double view. It also pins
+// the parser's nesting bound against stack-overflow bombs.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -155,6 +156,37 @@ TEST(JsonFuzz, NanIsRejectedInfinitiesOverflowBack) {
   ASSERT_EQ(root.array.size(), 2u);
   EXPECT_EQ(root.array[0].number, std::numeric_limits<double>::infinity());
   EXPECT_EQ(root.array[1].number, -std::numeric_limits<double>::infinity());
+}
+
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonFuzz, NestingBombThrowsInsteadOfOverflowingTheStack) {
+  // 200 KB, far under the daemon's 64 MiB frame cap: unbounded recursion
+  // used to segfault on it.
+  EXPECT_THROW(parse(nested_arrays(100000)), std::runtime_error);
+  EXPECT_THROW(parse(nested_arrays(kMaxParseDepth + 1)), std::runtime_error);
+  // Objects count toward the same bound as arrays.
+  std::string objects;
+  for (int i = 0; i <= kMaxParseDepth; ++i) objects += "{\"k\":";
+  objects += "0" + std::string(kMaxParseDepth + 1, '}');
+  EXPECT_THROW(parse(objects), std::runtime_error);
+}
+
+TEST(JsonFuzz, NestingWithinTheBoundStillParses) {
+  for (const std::size_t depth :
+       {std::size_t{200}, static_cast<std::size_t>(kMaxParseDepth)}) {
+    const Value root = parse(nested_arrays(depth));
+    const Value* v = &root;
+    std::size_t levels = 1;
+    while (!v->array.empty()) {
+      v = &v->array.front();
+      ++levels;
+    }
+    EXPECT_EQ(v->type, Value::Type::kArray);
+    EXPECT_EQ(levels, depth);
+  }
 }
 
 }  // namespace

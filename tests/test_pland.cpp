@@ -16,6 +16,8 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/file.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -27,6 +29,7 @@
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +41,8 @@
 #include "src/cache/request_key.h"
 #include "src/graph/model_zoo.h"
 #include "src/pland/daemon.h"
+#include "src/pland/protocol.h"
+#include "src/util/json.h"
 
 namespace karma {
 namespace {
@@ -207,6 +212,54 @@ TEST(Daemon, SecondDaemonRefusesALiveSocket) {
   second.engine.cache.cache_dir = fx.dir.path + "/cache2";
   pland::Daemon usurper(std::move(second));
   EXPECT_FALSE(usurper.start());
+  EXPECT_TRUE(fx.daemon->running());
+}
+
+/// A raw client socket to `path`, for frames RemoteSession never sends.
+int connect_raw(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// One request frame out, its response frame back, parsed.
+util::json::Value frame_round_trip(int fd, const std::string& frame) {
+  std::string reply;
+  if (!pland::write_frame(fd, frame) ||
+      pland::read_frame(fd, &reply) != pland::ReadStatus::kOk)
+    throw std::runtime_error("frame exchange failed");
+  return util::json::parse(reply);
+}
+
+TEST(Daemon, NestingBombPlanFrameIsAnErrorNotACrash) {
+  // Regression: util::json::parse recursed without bound, so a plan frame
+  // whose request was 100,000 '[' then 100,000 ']' (200 KB) overflowed a
+  // plan worker's stack and killed the daemon.
+  DaemonFixture fx("bomb");
+  ASSERT_TRUE(fx.daemon->start());
+  const int fd = connect_raw(fx.daemon->socket_path());
+  ASSERT_GE(fd, 0);
+  const std::string bomb =
+      std::string(100000, '[') + std::string(100000, ']');
+  const util::json::Value plan = frame_round_trip(
+      fd, R"({"v":1,"type":"plan","id":7,"request":)" + bomb + "}");
+  EXPECT_EQ(plan.at("type").as_string(), "plan");
+  EXPECT_EQ(plan.at("id").as_int(), 7);
+  EXPECT_FALSE(plan.at("ok").as_bool());
+  EXPECT_EQ(plan.at("error").at("code").as_string(), "parse-error");
+  // Same connection, still served.
+  const util::json::Value pong =
+      frame_round_trip(fd, R"({"v":1,"type":"ping","id":8})");
+  EXPECT_EQ(pong.at("type").as_string(), "pong");
+  EXPECT_EQ(pong.at("id").as_int(), 8);
+  ::close(fd);
   EXPECT_TRUE(fx.daemon->running());
 }
 
