@@ -13,7 +13,7 @@
 namespace karma::bench {
 namespace {
 
-/// All ablation rows plan through the api::Session facade. The planner
+/// All ablation rows plan through an api::Engine. The planner
 /// knobs embedded in DistributedOptions are lifted onto the request (the
 /// facade's single set of planner options supersedes the embedded copy).
 Seconds dp_iteration_time(const graph::Model& model,
@@ -24,7 +24,7 @@ Seconds dp_iteration_time(const graph::Model& model,
   request.device = device;
   request.planner = options.planner;
   request.distributed = options;
-  return api::Engine::create()->session().plan_or_throw(request).iteration_time;
+  return api::Engine::create()->plan_or_throw(request).iteration_time;
 }
 
 void ablation_capacity_vs_eager() {
@@ -91,7 +91,7 @@ void ablation_prefetch_window() {
     request.planner.anneal_iterations = 0;
     request.planner.schedule.prefetch_window = window;
     request.probe_feasible_batch = false;
-    const auto result = api::Engine::create()->session().plan(request);
+    const auto result = api::Engine::create()->plan(request);
     table.begin_row();
     table.add_cell(static_cast<std::int64_t>(window));
     if (result) {

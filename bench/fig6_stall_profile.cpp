@@ -66,10 +66,10 @@ int run() {
     {
       const core::KarmaPlanner planner(incore_model, device, {});
       std::vector<core::BlockPolicy> resident(
-          result->blocks.size(), core::BlockPolicy::kResident);
+          result->plan.blocks.size(), core::BlockPolicy::kResident);
       // Re-derive the same blocking on the in-core model (same layer
       // count, smaller batch).
-      const auto ref = planner.evaluate(result->blocks, resident, "ref");
+      const auto ref = planner.evaluate(result->plan.blocks, resident, "ref");
       if (ref) {
         auto p = ref->trace.backward_profile(nb);
         for (const Seconds v : p) incore_mean += v;

@@ -21,8 +21,8 @@ int run() {
   }
 
   Table table({"block", "layers", "span", "policy", "fwd [ms]", "acts"});
-  for (std::size_t b = 0; b < karma->blocks.size(); ++b) {
-    const sim::Block& blk = karma->blocks[b];
+  for (std::size_t b = 0; b < karma->plan.blocks.size(); ++b) {
+    const sim::Block& blk = karma->plan.blocks[b];
     const sim::BlockCost& cost = karma->plan.costs[b];
     table.begin_row();
     table.add_cell(static_cast<std::int64_t>(b + 1));

@@ -29,7 +29,7 @@ double karma_epoch_hours(const graph::TransformerConfig& cfg, int gpus,
   request.planner.anneal_iterations = 0;
   options.weight_shard_fraction = shard_fraction;
   request.distributed = options;
-  const api::Plan result = api::Engine::create()->session().plan_or_throw(request);
+  const api::Plan result = api::Engine::create()->plan_or_throw(request);
   const double samples_per_iter =
       static_cast<double>(gpus) * kBatchPerGroup;
   return static_cast<double>(kSamplesPerEpoch) / samples_per_iter *

@@ -7,8 +7,8 @@
 //   cold       — empty cache: the full Opt-1/Opt-2 search runs (its
 //                memoization counters are printed: candidates vs actual
 //                re-simulations, per-block cost memo hit rate);
-//   warm (mem) — same Session again: in-memory LRU hit;
-//   warm (disk)— fresh Session, shared cache dir: the persisted v2 plan
+//   warm (mem) — same Engine again: in-memory LRU hit;
+//   warm (disk)— fresh Engine, shared cache dir: the persisted v2 plan
 //                JSON artifact is loaded, revalidated, and replayed.
 //
 // Acceptance gates: warm plan() must be >= 10x faster than cold, and every
@@ -68,8 +68,8 @@ double now_ms() {
       .count();
 }
 
-karma::api::SessionOptions cache_options(const std::string& dir) {
-  karma::api::SessionOptions options;
+karma::api::CacheOptions cache_options(const std::string& dir) {
+  karma::api::CacheOptions options;
   options.cache_dir = dir;
   return options;
 }
@@ -106,9 +106,8 @@ int main(int argc, char** argv) {
   // ---- Cold: full Opt-1/Opt-2 search ----
   const std::shared_ptr<api::Engine> engine =
       api::Engine::create({cache_options(dir)});
-  const api::Session session = engine->session();
   const double t0 = now_ms();
-  const api::Plan cold = session.plan_or_throw(request);
+  const api::Plan cold = engine->plan_or_throw(request);
   const double cold_ms = now_ms() - t0;
 
   const core::SearchStats& search = cold.search_stats;
@@ -136,21 +135,21 @@ int main(int argc, char** argv) {
   constexpr int kWarmReps = 20;
 
   // ---- Warm, memory level ----
-  api::Plan warm_mem = session.plan_or_throw(request);
+  api::Plan warm_mem = engine->plan_or_throw(request);
   double mem_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kWarmReps; ++rep) {
     const double t1 = now_ms();
-    warm_mem = session.plan_or_throw(request);
+    warm_mem = engine->plan_or_throw(request);
     mem_ms = std::min(mem_ms, now_ms() - t1);
   }
 
-  // ---- Warm, disk level (fresh session per rep = fresh-process stand-in,
+  // ---- Warm, disk level (fresh engine per rep = fresh-process stand-in,
   // so every hit pays the load + revalidate path, never the LRU) ----
   double disk_ms = std::numeric_limits<double>::infinity();
   api::Plan warm_disk = cold;
-  std::optional<api::Session> fresh;  // last rep's session, for the stats
+  std::shared_ptr<api::Engine> fresh;  // last rep's engine, for the stats
   for (int rep = 0; rep < kWarmReps; ++rep) {
-    fresh.emplace(api::Engine::create({cache_options(dir)})->session());
+    fresh = api::Engine::create({cache_options(dir)});
     const double t2 = now_ms();
     warm_disk = fresh->plan_or_throw(request);
     disk_ms = std::min(disk_ms, now_ms() - t2);
@@ -163,8 +162,8 @@ int main(int argc, char** argv) {
   std::printf("warm plan (disk store):  %8.3f ms  -> %8.1fx speedup\n",
               disk_ms, cold_ms / disk_ms);
   std::printf("artifacts bit-identical: %s\n", identical ? "yes" : "NO");
-  std::printf("session stats:  %s\n", session.cache_stats().describe().c_str());
-  std::printf("fresh-session:  %s\n", fresh->cache_stats().describe().c_str());
+  std::printf("engine stats:   %s\n", engine->cache_stats().describe().c_str());
+  std::printf("fresh engine:   %s\n", fresh->cache_stats().describe().c_str());
 
   // ---- Key vs request serialization, both over the whole model ----
   constexpr int kKeyReps = 201;

@@ -110,7 +110,7 @@ int main() {
   print_leg("baseline (workers=1)", serial);
   print_leg("4-worker portfolio", portfolio);
   std::printf("plan: %d blocks, %zu ops\n\n",
-              static_cast<int>(portfolio.result.blocks.size()),
+              static_cast<int>(portfolio.result.plan.blocks.size()),
               portfolio.result.plan.ops.size());
 
   // ---- Gate 3: N-worker determinism ----
@@ -180,7 +180,7 @@ int main() {
     w.key("batch"); w.value(std::int64_t{1024});
     w.key("anneal_iterations"); w.value(std::int64_t{kIterations});
     w.key("blocks");
-    w.value(static_cast<std::int64_t>(portfolio.result.blocks.size()));
+    w.value(static_cast<std::int64_t>(portfolio.result.plan.blocks.size()));
     w.key("plan_ops");
     w.value(static_cast<std::int64_t>(portfolio.result.plan.ops.size()));
     w.key("hardware_concurrency"); w.value(static_cast<std::int64_t>(hw));

@@ -88,11 +88,12 @@ int main(int argc, char** argv) {
   bool pass = true;
 
   // ---- Baseline: one cold search, nothing shared ----
-  api::SessionOptions bypass;
-  bypass.cache_mode = api::SessionOptions::CacheMode::kBypass;
+  api::CacheOptions bypass;
+  bypass.cache_mode = api::CacheOptions::CacheMode::kBypass;
   const api::PlanRequest hot = resnet_request(512, anneal);
   const double t0 = now_ms();
-  const std::string baseline = api::Engine::create({bypass})->session().plan_or_throw(hot).to_json();
+  const std::string baseline =
+      api::Engine::create({bypass})->plan_or_throw(hot).to_json();
   const double cold_ms = now_ms() - t0;
 
   bench::print_section("service throughput: " + std::to_string(tenants) +
@@ -110,10 +111,9 @@ int main(int argc, char** argv) {
       std::vector<std::jthread> threads;
       for (int i = 0; i < tenants; ++i)
         threads.emplace_back([&, i] {
-          api::Session session = engine->session();
           sync.arrive_and_wait();
           artifacts[static_cast<std::size_t>(i)] =
-              session.plan_or_throw(hot).to_json();
+              engine->plan_or_throw(hot).to_json();
         });
     }
     const double storm_ms = now_ms() - t1;
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   {
     const auto engine = api::Engine::create();
     // Warm the hot entry once, as a live service would have.
-    engine->session().plan_or_throw(hot);
+    engine->plan_or_throw(hot);
     constexpr int kRequestsPerTenant = 4;
     std::barrier sync(tenants);
     const double t2 = now_ms();
@@ -148,17 +148,16 @@ int main(int argc, char** argv) {
       std::vector<std::jthread> threads;
       for (int i = 0; i < tenants; ++i)
         threads.emplace_back([&, i] {
-          api::Session session = engine->session();
           sync.arrive_and_wait();
           for (int r = 0; r < kRequestsPerTenant; ++r) {
             if (r % 2 == 0) {
-              session.plan_or_throw(hot);  // shared hot key
+              engine->plan_or_throw(hot);  // shared hot key
             } else {
               // Private cold key per (tenant, round): a genuine search,
               // cheap (no anneal) so the phase stays a smoke test.
               api::PlanRequest cold_request =
                   resnet_request(128 + 32 * i + 8 * r, 0);
-              session.plan_or_throw(cold_request);
+              engine->plan_or_throw(cold_request);
             }
           }
         });
@@ -176,10 +175,9 @@ int main(int argc, char** argv) {
   // ---- Phase 3: cancel / deadline settle latency ----
   {
     const auto engine = api::Engine::create();
-    api::Session session = engine->session();
     const api::PlanRequest deep = resnet_request(512, 50'000'000);
 
-    api::PlanFuture doomed = session.plan_async(deep);
+    api::PlanFuture doomed = engine->plan_async(deep);
     while (!doomed.progress().has_best)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     const double t3 = now_ms();
@@ -198,7 +196,7 @@ int main(int argc, char** argv) {
     api::PlanRequest bounded = deep;
     bounded.limits.deadline = 0.2;
     const double t4 = now_ms();
-    const auto expired = session.plan(bounded);
+    const auto expired = engine->plan(bounded);
     const double deadline_ms = now_ms() - t4;
     const double settle_ms = deadline_ms - 1000.0 * bounded.limits.deadline;
     const bool deadline_ok =

@@ -9,25 +9,28 @@
 //                   overflow blocks spill to storage and training goes on.
 // Per-tier peaks come from the engine's ledger; the NVMe column counts
 // blocks the router placed on storage.
+#include <stdexcept>
+
 #include "bench/bench_common.h"
-#include "src/api/engine.h"
+#include "src/core/planner.h"
 #include "src/graph/memory_model.h"
 #include "src/sim/trace_check.h"
 
 namespace karma::bench {
 namespace {
 
+/// The search an uncalibrated api::Engine runs for this request, without
+/// the Engine's plan cache: every row checks the search's full trace.
 std::optional<core::PlanResult> plan_on(const graph::Model& model,
                                         const sim::DeviceSpec& device) {
-  api::PlanRequest request;
-  request.model = model;
-  request.device = device;
-  request.planner.enable_recompute = false;  // isolate placement from remat
-  request.planner.anneal_iterations = 60;
-  request.probe_feasible_batch = false;  // refusal is part of the figure
-  const auto plan = api::Engine::create()->session().plan(request);
-  if (!plan) return std::nullopt;
-  return plan->to_plan_result();
+  core::PlannerOptions options;
+  options.enable_recompute = false;  // isolate placement from remat
+  options.anneal_iterations = 60;
+  try {
+    return core::KarmaPlanner(model, device, options).plan();
+  } catch (const std::runtime_error&) {
+    return std::nullopt;  // refusal is part of the figure
+  }
 }
 
 int run() {

@@ -64,9 +64,9 @@ void BM_PlannerResnet50(benchmark::State& state) {
   request.model = graph::make_resnet50(512);
   request.device = sim::v100_abci();
   request.planner.anneal_iterations = static_cast<int>(state.range(0));
-  const api::Session session = api::Engine::create()->session();
+  const auto engine = api::Engine::create();
   for (auto _ : state) {
-    auto result = session.plan(request);
+    auto result = engine->plan(request);
     benchmark::DoNotOptimize(result);
   }
 }

@@ -38,7 +38,7 @@ void strong_scaling() {
     options.planner.anneal_iterations = 0;  // superseded by request.planner
     request.planner.anneal_iterations = 0;
     request.distributed = options;
-    const api::Plan karma = api::Engine::create()->session().plan_or_throw(request);
+    const api::Plan karma = api::Engine::create()->plan_or_throw(request);
 
     baselines::HybridConfig hybrid;
     hybrid.model = cfg;

@@ -68,7 +68,7 @@ int run() {
       request.planner.anneal_iterations = 0;
       request.distributed = options;
       request.probe_feasible_batch = false;
-      const auto karma = api::Engine::create()->session().plan(request);
+      const auto karma = api::Engine::create()->plan(request);
       if (karma)
         karma_iters_per_s = 1.0 / karma->iteration_time;
       else
@@ -119,7 +119,7 @@ int run() {
     request.planner.anneal_iterations = 0;
     request.distributed = options;
     request.probe_feasible_batch = false;
-    const auto karma = api::Engine::create()->session().plan(request);
+    const auto karma = api::Engine::create()->plan(request);
     residency.begin_row();
     residency.add_cell(format_double(
                            static_cast<double>(cfg.approx_params()) / 1e9, 1) +

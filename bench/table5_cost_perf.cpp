@@ -46,7 +46,7 @@ int run() {
           static_cast<std::int64_t>(gpus) * w.per_gpu_batch;
 
       // Data parallelism: per-GPU batch fixed at the capacity max.
-      const api::Session session = api::Engine::create()->session();
+      const auto engine = api::Engine::create();
       api::PlanRequest dp_request;
       dp_request.model = w.make(w.per_gpu_batch);
       dp_request.device = device;
@@ -56,7 +56,7 @@ int run() {
       dp_options.planner.anneal_iterations = 0;
       dp_request.planner = dp_options.planner;
       dp_request.distributed = dp_options;
-      const api::Plan dp = session.plan_or_throw(dp_request);
+      const api::Plan dp = engine->plan_or_throw(dp_request);
       const double dp_tput =
           static_cast<double>(global_batch) / dp.iteration_time;
       const double dp_cost = dollars_per_perf(gpus, dp_tput);
@@ -70,7 +70,7 @@ int run() {
       k_options.num_gpus = w.karma_gpus;
       karma_request.planner = k_options.planner;
       karma_request.distributed = k_options;
-      const api::Plan karma = session.plan_or_throw(karma_request);
+      const api::Plan karma = engine->plan_or_throw(karma_request);
       const double karma_tput =
           static_cast<double>(global_batch) / karma.iteration_time;
       const double karma_cost = dollars_per_perf(w.karma_gpus, karma_tput);

@@ -41,17 +41,15 @@ int main(int argc, char** argv) {
   request.model = model;
   request.device = device;
   request.planner.enable_recompute = true;
-  const api::Plan plan = api::Engine::create()->session().plan_or_throw(request);
-  const core::PlanResult result = plan.to_plan_result();
+  const api::Plan plan = api::Engine::create()->plan_or_throw(request);
 
   std::printf("\nKARMA plan: %zu blocks, iteration %s, occupancy %.3f\n",
-              result.blocks.size(),
-              format_seconds(result.iteration_time).c_str(),
-              result.occupancy);
+              plan.blocks().size(),
+              format_seconds(plan.iteration_time).c_str(), plan.occupancy);
   std::printf("peak device memory: %s (fits!)\n",
-              format_bytes(result.trace.peak_resident).c_str());
+              format_bytes(plan.trace.peak_resident).c_str());
   int swapped = 0, recomputed = 0, resident = 0;
-  for (const auto policy : result.policies) {
+  for (const auto policy : plan.policies) {
     if (policy == core::BlockPolicy::kSwap) ++swapped;
     else if (policy == core::BlockPolicy::kRecompute) ++recomputed;
     else ++resident;
@@ -60,8 +58,7 @@ int main(int argc, char** argv) {
               recomputed, resident);
 
   std::printf("\ngenerated training script (first 30 lines):\n");
-  const std::string script =
-      core::generate_training_script(result.plan);
+  const std::string script = core::generate_training_script(plan.schedule);
   std::size_t pos = 0;
   for (int line = 0; line < 30 && pos != std::string::npos; ++line) {
     const std::size_t end = script.find('\n', pos);

@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
   request.planner.anneal_iterations = 0;
   request.distributed = options;
   const auto engine = api::Engine::create();
-  const api::Session session = engine->session();
-  const api::Plan result = session.plan_or_throw(request);
+  const api::Plan result = engine->plan_or_throw(request);
   const net::ExchangePlan& exchange = *result.exchange;
 
   std::printf("\n5-stage pipeline plan (%d GPUs, local batch %lld):\n", gpus,
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
     api::PlanRequest bounded = request;
     bounded.device = sim::v100_abci_nvme();
     bounded.distributed->iterations = 3;
-    const api::Plan r = session.plan_or_throw(bounded);
+    const api::Plan r = engine->plan_or_throw(bounded);
     std::printf("\nbounded-DRAM node (%s DRAM, %s NVMe):\n",
                 format_bytes(bounded.device.host_capacity).c_str(),
                 format_bytes(bounded.device.nvme_capacity).c_str());
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
     api::PlanRequest tiny = bounded;
     tiny.device.host_capacity = 256_MiB;
     tiny.probe_feasible_batch = false;
-    const auto rejected = session.plan(tiny);
+    const auto rejected = engine->plan(tiny);
     if (!rejected)
       std::printf("\nwith only 256 MiB DRAM the planner reports:\n%s\n",
                   rejected.error().describe().c_str());
@@ -125,7 +124,7 @@ int main(int argc, char** argv) {
     scaled.distributed->num_gpus = g;
     scaled.distributed->iterations = 2;
     cluster_sizes.push_back(g);
-    futures.push_back(session.plan_async(scaled));
+    futures.push_back(engine->plan_async(scaled));
   }
   Table scaling({"GPUs", "iteration [s]", "epoch [h]"});
   for (std::size_t i = 0; i < futures.size(); ++i) {

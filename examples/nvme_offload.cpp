@@ -1,10 +1,10 @@
 // NVMe offload walkthrough: training a model whose swap working set does
 // not fit in host DRAM, by letting the planner spill the overflow to a
-// third storage tier — all through the karma::api::Session facade.
+// third storage tier — all through the karma::api::Engine.
 //
 //   1. describe the platform as a storage hierarchy (HBM -> DRAM -> NVMe);
 //   2. ask the memory model what the offload tiers must absorb;
-//   3. plan via Session: the router fills DRAM with the blocks needed
+//   3. plan via the Engine: the router fills DRAM with the blocks needed
 //      soonest and sends the early blocks (most prefetch slack) to NVMe;
 //   4. replay the plan on the engine and read per-tier peaks;
 //   5. bind_executor() derives the real-value OocExecutor blocks + tier
@@ -50,7 +50,7 @@ int main() {
   request.device = device;
   request.planner.enable_recompute = false;  // keep it about placement
   request.planner.anneal_iterations = 60;
-  const auto planned = api::Engine::create()->session().plan(request);
+  const auto planned = api::Engine::create()->plan(request);
   if (!planned) {
     std::printf("infeasible:\n%s\n", planned.error().describe().c_str());
     return 1;

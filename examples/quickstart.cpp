@@ -3,11 +3,10 @@
 //
 //   $ ./quickstart [batch]
 //
-// One Engine, one tenant Session, one request, one artifact: build a
-// PlanRequest (model + device + optimizer + planner knobs) ->
-// Session::plan() -> inspect the Plan artifact (blocking, policies,
-// simulated iteration), round-trip it through JSON (the plan-cache
-// format), show the structured PlanError a hopeless request produces
+// One Engine, one request, one artifact: build a PlanRequest (model +
+// device + optimizer + planner knobs) -> Engine::plan() -> inspect the
+// Plan artifact (blocking, policies, simulated iteration), round-trip it
+// through JSON (the plan-cache format), show the structured PlanError a hopeless request produces
 // instead of an exception — then the service features: a deadline-bounded
 // plan, an async plan cancelled mid-search (both returning structured
 // errors with the best-so-far plan attached), and the shared plan cache.
@@ -48,12 +47,11 @@ int main(int argc, char** argv) {
                   : "does NOT fit; KARMA required");
 
   // ---- 2. The v2 service: Engine owns the shared cache + worker pool;
-  // Sessions are cheap per-tenant handles. (For cross-process sharing,
+  // every holder of its shared_ptr is a tenant. (For cross-process sharing,
   // api::RemoteSession plans through the karma-pland daemon instead —
   // see the README quickstart.) ----
   const auto engine = api::Engine::create();
-  const api::Session session = engine->session();
-  const auto planned = session.plan(request);
+  const auto planned = engine->plan(request);
   if (!planned) {
     std::printf("infeasible:\n%s\n", planned.error().describe().c_str());
     return 1;
@@ -101,7 +99,7 @@ int main(int argc, char** argv) {
   api::PlanRequest hopeless = request;
   hopeless.device.memory_capacity = 64_MiB;  // smaller than one layer
   hopeless.probe_feasible_batch = false;     // keep the demo fast
-  const auto refused = session.plan(hopeless);
+  const auto refused = engine->plan(hopeless);
   if (!refused)
     std::printf("\na 64 MiB device is refused with a diagnosis:\n%s\n",
                 refused.error().describe().c_str());
@@ -119,7 +117,7 @@ int main(int argc, char** argv) {
 
   api::PlanRequest bounded = deep;
   bounded.limits.deadline = 0.15;  // seconds
-  const auto expired = session.plan(bounded);
+  const auto expired = engine->plan(bounded);
   if (!expired) {
     std::printf("\ndeadline-bounded plan (150 ms budget): %s\n",
                 api::plan_error_code_name(expired.error().code));
@@ -134,7 +132,7 @@ int main(int argc, char** argv) {
   // ---- 6. Async + cancel: PlanFuture over the worker pool ----
   api::PlanRequest doomed = deep;
   doomed.planner.seed ^= 1;  // distinct request: a fresh flight, not a hit
-  api::PlanFuture future = session.plan_async(doomed);
+  api::PlanFuture future = engine->plan_async(doomed);
   // Wait for the search's first feasible candidate, then pull the plug.
   api::PlanProgress progress = future.progress();
   while (!progress.has_best && !progress.done) {
@@ -172,10 +170,10 @@ int main(int argc, char** argv) {
   // search. Note the cancelled and deadline-bounded searches above left
   // no cache entries behind (only completed searches are cached).
   std::printf("\nplan cache [%s]: %s\n",
-              session.options().cache_dir.empty()
+              engine->options().cache.cache_dir.empty()
                   ? "memory-only; set KARMA_CACHE_DIR to persist"
-                  : session.options().cache_dir.c_str(),
-              session.cache_stats().describe().c_str());
+                  : engine->options().cache.cache_dir.c_str(),
+              engine->cache_stats().describe().c_str());
   std::printf("engine: %s\n", engine->stats().describe().c_str());
   return refused ? 1 : 0;
 }

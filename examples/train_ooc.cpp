@@ -5,7 +5,7 @@
 // (Sec. IV-D).
 //
 // The OOC configuration is not hand-assembled: an analytic twin of the
-// MLP goes through karma::api::Session on a scaled-down device, and
+// MLP goes through karma::api::Engine on a scaled-down device, and
 // Plan::bind_executor() projects the planner's blocking + policies onto
 // the real Sequential — the same facade path production callers use.
 //
@@ -103,7 +103,7 @@ int main() {
   request.planner.enable_recompute = true;
   request.planner.min_blocks = 2;
 
-  const api::Plan plan = api::Engine::create()->session().plan_or_throw(request);
+  const api::Plan plan = api::Engine::create()->plan_or_throw(request);
   std::printf("\nfacade plan: %zu blocks on '%s' (policies:",
               plan.blocks().size(), request.device.name.c_str());
   for (const auto p : plan.policies)

@@ -30,22 +30,21 @@ int main(int argc, char** argv) {
   request.model = model;
   request.device = device;
   request.planner.enable_recompute = true;
-  const api::Plan plan = api::Engine::create()->session().plan_or_throw(request);
-  const core::PlanResult result = plan.to_plan_result();
-  const auto long_skip = core::blocks_with_long_skips(model, result.blocks);
+  const api::Plan plan = api::Engine::create()->plan_or_throw(request);
+  const auto long_skip = core::blocks_with_long_skips(model, plan.blocks());
 
   Table table({"block", "layers", "has outgoing skip", "policy"});
   int skip_blocks = 0, skip_swapped = 0;
-  for (std::size_t b = 0; b < result.blocks.size(); ++b) {
+  for (std::size_t b = 0; b < plan.blocks().size(); ++b) {
     table.begin_row();
     table.add_cell(static_cast<std::int64_t>(b + 1));
-    table.add_cell(model.layer(result.blocks[b].first_layer).name + " .. " +
-                   model.layer(result.blocks[b].last_layer - 1).name);
+    table.add_cell(model.layer(plan.blocks()[b].first_layer).name + " .. " +
+                   model.layer(plan.blocks()[b].last_layer - 1).name);
     table.add_cell(long_skip[b] ? "yes" : "");
-    table.add_cell(core::block_policy_name(result.policies[b]));
+    table.add_cell(core::block_policy_name(plan.policies[b]));
     if (long_skip[b]) {
       ++skip_blocks;
-      if (result.policies[b] == core::BlockPolicy::kSwap) ++skip_swapped;
+      if (plan.policies[b] == core::BlockPolicy::kSwap) ++skip_swapped;
     }
   }
   std::printf("%s", table.to_ascii().c_str());
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
       "the expansive path finds its inputs without premature swap-ins).\n",
       skip_blocks, skip_swapped);
   std::printf("\niteration %s, occupancy %.3f, peak %s\n",
-              format_seconds(result.iteration_time).c_str(), result.occupancy,
-              format_bytes(result.trace.peak_resident).c_str());
+              format_seconds(plan.iteration_time).c_str(), plan.occupancy,
+              format_bytes(plan.trace.peak_resident).c_str());
   return skip_swapped == 0 ? 0 : 1;
 }

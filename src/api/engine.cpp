@@ -32,9 +32,8 @@ namespace karma::api {
 using Clock = CancelToken::Clock;
 
 // ---------------------------------------------------------------------------
-// Planning internals (moved here from session.cpp when Session became a
-// handle): request -> artifact, interruptible, with incremental best-so-far
-// publication for the service layer's partial results.
+// Planning internals: request -> artifact, interruptible, with incremental
+// best-so-far publication for the service layer's partial results.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -67,51 +66,21 @@ Plan artifact_base(const PlanRequest& request, Bytes reserved_host) {
   return artifact;
 }
 
-void fill_single(Plan& artifact, core::PlanResult r) {
-  artifact.schedule = std::move(r.plan);
-  artifact.policies = std::move(r.policies);
-  artifact.trace = std::move(r.trace);
-  artifact.iteration_time = r.iteration_time;
-  artifact.first_iteration_time = r.iteration_time;
-  artifact.occupancy = r.occupancy;
-  artifact.search_stats = r.search;
-}
-
-void fill_distributed(Plan& artifact, core::DistributedResult r) {
-  artifact.schedule = std::move(r.plan);
-  artifact.policies = std::move(r.policies);
-  artifact.trace = std::move(r.trace);
-  artifact.iteration_time = r.iteration_time;
-  artifact.first_iteration_time = r.first_iteration_time;
-  artifact.occupancy = artifact.trace.occupancy();
-  artifact.distributed = true;
-  artifact.weights_resident = r.weights_resident;
-  artifact.exchange = std::move(r.exchange);
-}
-
-/// Maps a fleet planning result onto the unified artifact: the scalar
-/// fields describe the STRAGGLER node (its device, schedule, trace — so
-/// simulate() replays the binding rank), iteration_time is the fleet max
-/// including the exposed exchange and CPU-update tails, and the full
-/// per-node story rides in Plan::placement.
-void fill_fleet(Plan& artifact, place::FleetPlanResult r,
-                const place::FleetSpec& fleet) {
-  const std::size_t straggler = static_cast<std::size_t>(r.straggler);
-  place::NodePlanResult& leg = r.nodes[straggler];
-  artifact.device = fleet.nodes[straggler].device;
-  artifact.schedule = std::move(leg.result.plan);
-  artifact.policies = std::move(leg.result.policies);
-  artifact.trace = std::move(leg.result.trace);
-  artifact.occupancy = leg.result.occupancy;
-  artifact.search_stats = leg.result.search;
-  artifact.iteration_time = r.iteration_time;
-  artifact.first_iteration_time = r.iteration_time;
-  artifact.reserved_host_bytes =
-      r.placement.nodes[straggler].reserved_host_bytes;
-  artifact.distributed = true;
-  artifact.weights_resident = true;
-  artifact.exchange = std::move(leg.exchange);
-  artifact.placement = std::move(r.placement);
+/// The one mapping from a search result onto the artifact `base`. Only
+/// data-parallel ranks and fleet nodes carry a gradient exchange, so the
+/// exchange is what marks the artifact distributed.
+Plan artifact_from(Plan base, core::PlanResult r) {
+  base.schedule = std::move(r.plan);
+  base.policies = std::move(r.policies);
+  base.trace = std::move(r.trace);
+  base.iteration_time = r.iteration_time;
+  base.first_iteration_time = r.first_iteration_time;
+  base.occupancy = r.occupancy;
+  base.distributed = r.exchange.has_value();
+  base.weights_resident = r.weights_resident;
+  base.exchange = std::move(r.exchange);
+  base.search_stats = r.search;
+  return base;
 }
 
 /// Runs the planners for `request` with the fully derived `options` (the
@@ -127,7 +96,6 @@ Plan plan_uncached(const PlanRequest& request,
                    const std::function<void(Plan&&)>& on_best = {},
                    const Plan* repair_seed = nullptr) {
   const Plan base = artifact_base(request, reserved_host);
-  Plan artifact = base;
   if (request.fleet) {
     // Heterogeneous fleet (DESIGN.md §16). `options` carries the caller's
     // reserve inflated with the WHOLE model's optimizer state — correct
@@ -150,60 +118,60 @@ Plan plan_uncached(const PlanRequest& request,
     place::FleetPlanResult r =
         place::plan_fleet(request.model, *request.fleet, fleet_options,
                           control);
-    fill_fleet(artifact, std::move(r), *request.fleet);
-  } else if (request.distributed) {
+    // The scalar fields describe the STRAGGLER node (its device, schedule,
+    // trace — so simulate() replays the binding rank); iteration_time is
+    // the fleet max including the exposed exchange and CPU-update tails,
+    // and the full per-node story rides in Plan::placement.
+    const std::size_t straggler = static_cast<std::size_t>(r.straggler);
+    Plan artifact = artifact_from(base, std::move(r.nodes[straggler].result));
+    artifact.device = request.fleet->nodes[straggler].device;
+    artifact.iteration_time = r.iteration_time;
+    artifact.first_iteration_time = r.iteration_time;
+    artifact.reserved_host_bytes =
+        r.placement.nodes[straggler].reserved_host_bytes;
+    artifact.placement = std::move(r.placement);
+    return artifact;
+  }
+  std::function<void(const core::PlanResult&)> publish;
+  if (on_best)
+    publish = [&](const core::PlanResult& r) {
+      on_best(artifact_from(base, r));
+    };
+  if (request.distributed) {
     core::DistributedOptions opts = *request.distributed;
     // One set of planner knobs: request.planner (with the optimizer
     // reserve) supersedes the copy embedded in DistributedOptions.
     opts.planner = options;
-    std::function<void(const core::DistributedResult&)> publish;
-    if (on_best)
-      publish = [&](const core::DistributedResult& r) {
-        Plan snapshot = base;
-        fill_distributed(snapshot, r);
-        on_best(std::move(snapshot));
-      };
-    core::DistributedResult r = core::plan_data_parallel(
-        request.model, request.device, opts, control, publish);
-    fill_distributed(artifact, std::move(r));
-  } else {
-    // Calib repair (DESIGN.md §13): a plan cached under a superseded
-    // calibration seeds a warm-start search (KarmaPlanner::plan_from) with
-    // a reduced anneal budget instead of the cold Opt-1 enumeration. The
-    // seed must structurally match this request (same model, so equal
-    // block/policy counts); anything else degrades to the cold search.
-    const bool seeded =
-        repair_seed && !request.distributed && !repair_seed->distributed &&
-        !repair_seed->policies.empty() &&
-        repair_seed->blocks().size() == repair_seed->policies.size() &&
-        repair_seed->model_layers ==
-            static_cast<std::int64_t>(request.model.num_layers());
-    core::PlannerOptions effective = options;
-    if (seeded)
-      effective.anneal_iterations =
-          calib::repair_anneal_budget(options.anneal_iterations);
-    const core::KarmaPlanner planner(request.model, request.device, effective);
-    std::function<void(const core::PlanResult&)> publish;
-    if (on_best)
-      publish = [&](const core::PlanResult& r) {
-        Plan snapshot = base;
-        fill_single(snapshot, r);
-        on_best(std::move(snapshot));
-      };
-    core::PlanResult r =
-        seeded ? planner.plan_from(repair_seed->blocks(),
-                                   repair_seed->policies, control, publish)
-               : planner.plan(control, publish);
-    fill_single(artifact, std::move(r));
+    return artifact_from(base,
+                         core::plan_data_parallel(request.model, request.device,
+                                                  opts, control, publish));
   }
-  return artifact;
+  // Calib repair (DESIGN.md §13): a plan cached under a superseded
+  // calibration seeds a warm-start search (KarmaPlanner::plan_from) with
+  // a reduced anneal budget instead of the cold Opt-1 enumeration. The
+  // seed must structurally match this request (same model, so equal
+  // block/policy counts); anything else degrades to the cold search.
+  const bool seeded =
+      repair_seed && !repair_seed->distributed &&
+      !repair_seed->policies.empty() &&
+      repair_seed->blocks().size() == repair_seed->policies.size() &&
+      repair_seed->model_layers ==
+          static_cast<std::int64_t>(request.model.num_layers());
+  core::PlannerOptions effective = options;
+  if (seeded)
+    effective.anneal_iterations =
+        calib::repair_anneal_budget(options.anneal_iterations);
+  const core::KarmaPlanner planner(request.model, request.device, effective);
+  return artifact_from(
+      base, seeded ? planner.plan_from(repair_seed->blocks(),
+                                       repair_seed->policies, control, publish)
+                   : planner.plan(control, publish));
 }
 
 /// Cache context for the feasibility bisection: successful probes are
 /// first-class plan artifacts, keyed and stored like any other plan, so
 /// repeated diagnoses reuse intermediate candidates instead of
-/// re-planning them. Read-only policy lives in the PlanCache itself
-/// (insert is a no-op there) — one authority, no duplicated guards.
+/// re-planning them.
 struct ProbeContext {
   cache::PlanCache* cache = nullptr;  ///< null = uncached probing
   int candidates = 0;  ///< probe plans evaluated (cache hits included)
@@ -692,7 +660,7 @@ std::shared_ptr<Engine> Engine::create(EngineOptions options) {
 
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)), impl_(std::make_unique<Impl>()) {
-  SessionOptions& cache_options = options_.cache;
+  CacheOptions& cache_options = options_.cache;
 
   // ---- Calibration bootstrap (DESIGN.md §13) ----
   // Runs even under kBypass: calibration changes what a search produces,
@@ -734,7 +702,7 @@ Engine::Engine(EngineOptions options)
     }
   }
 
-  if (cache_options.cache_mode == SessionOptions::CacheMode::kBypass) return;
+  if (cache_options.cache_mode == CacheOptions::CacheMode::kBypass) return;
   if (cache_options.cache_dir.empty()) {
     // Opt-in persistent store via the environment (examples, CI): keep
     // shared cache dirs under the build tree — entries are generated
@@ -745,10 +713,6 @@ Engine::Engine(EngineOptions options)
   cache::PlanCache::Options opts;
   opts.memory_capacity_bytes = cache_options.cache_memory_bytes;
   opts.dir = cache_options.cache_dir;
-  opts.read_only =
-      cache_options.cache_mode == SessionOptions::CacheMode::kReadOnly;
-  opts.negative_cache =
-      cache_options.cache_mode != SessionOptions::CacheMode::kPositiveOnly;
   impl_->cache = std::make_shared<cache::PlanCache>(std::move(opts));
 
   // Mirror the cache's own counters into registry gauges at snapshot
@@ -946,7 +910,7 @@ Engine::Prepared Engine::prepare(const PlanRequest& request) {
   };
 
   const bool bypass =
-      options_.cache.cache_mode == SessionOptions::CacheMode::kBypass;
+      options_.cache.cache_mode == CacheOptions::CacheMode::kBypass;
   cache::RequestKey key{};
   if (!bypass) {
     // ---- Shared-cache consult (content-addressed; DESIGN.md §10) ----
@@ -1082,12 +1046,8 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
   // leader's artifact. The claim only coordinates DEDUP — if claiming
   // fails for I/O reasons we fall through and search anyway; correctness
   // never depends on it.
-  // Read-only engines stay out entirely: a claim file is a store
-  // mutation, and a read-only leader could never publish the artifact its
-  // followers would be waiting on.
   cache::DiskStore::Claim fleet_claim;  // released (unlink+close) on return
-  if (flight->listed && impl_->cache &&
-      options_.cache.cache_mode != SessionOptions::CacheMode::kReadOnly) {
+  if (flight->listed && impl_->cache) {
     if (cache::DiskStore* disk = impl_->cache->disk()) {
       obs::Span claim_span("engine.claim_wait", "engine");
       for (bool waiting = true; waiting;) {
@@ -1147,8 +1107,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
             plan_uncached(flight->request, flight->planner_options,
                           flight->reserved_host, flight->control, on_best,
                           flight->repair_seed.get());
-        // Only completed searches are cached; read-only enforcement lives
-        // in PlanCache (insert no-ops) — one authority for the policy.
+        // Only completed searches are cached.
         if (flight->listed && impl_->cache)
           impl_->cache->insert(flight->key, artifact);
         settle(Outcome(std::move(artifact)));
@@ -1388,7 +1347,7 @@ std::optional<Expected<Plan, PlanError>> Engine::try_cached(
     impl_->requests->inc();
     return Outcome(std::move(*invalid));
   }
-  if (options_.cache.cache_mode == SessionOptions::CacheMode::kBypass ||
+  if (options_.cache.cache_mode == CacheOptions::CacheMode::kBypass ||
       !impl_->cache)
     return std::nullopt;
   const cache::RequestKey key = key_for(request);
@@ -1411,7 +1370,7 @@ std::optional<Expected<Plan, PlanError>> Engine::try_cached(
     const cache::RequestKey& key, bool probe_feasible_batch) {
   // No validate(): the caller vouches that the bytes behind this key
   // already parsed and validated once (same bytes -> same outcome).
-  if (options_.cache.cache_mode == SessionOptions::CacheMode::kBypass ||
+  if (options_.cache.cache_mode == CacheOptions::CacheMode::kBypass ||
       !impl_->cache)
     return std::nullopt;
   obs::Span lookup_span("engine.cache_lookup", "cache");
@@ -1456,6 +1415,12 @@ Expected<Plan, PlanError> Engine::plan(const PlanRequest& request) {
   if (prepared.leader) run_flight(prepared.flight);
   block_until_available(state, Clock::time_point::max());
   return outcome_of(state);
+}
+
+Plan Engine::plan_or_throw(const PlanRequest& request) {
+  auto result = plan(request);
+  if (!result) throw std::runtime_error(result.error().describe());
+  return std::move(result).value();
 }
 
 PlanFuture Engine::plan_async(const PlanRequest& request) {

@@ -5,7 +5,7 @@
 // serializes byte-stably. The Engine is the service built on that fact:
 //
 //   - ONE shared two-level plan cache (positive artifacts + memoized
-//     negative results) that every tenant Session reads and warms;
+//     negative results) that every tenant reads and warms;
 //   - single-flight collapse: concurrent identical requests (same
 //     cache::RequestKey) share one search — one simulation storm, every
 //     waiter gets the bit-identical artifact;
@@ -18,10 +18,10 @@
 //     truncates another's search; when the last waiter leaves, the
 //     search is cancelled and its (uncached) result discarded.
 //
-// Lifecycle: Engine::create() returns a shared_ptr; Sessions and
-// PlanFutures keep their Engine alive, so the pool cannot be torn down
-// under an outstanding request. Destruction stops the workers and settles
-// any still-queued flights with PlanError{kCancelled}.
+// Lifecycle: Engine::create() returns a shared_ptr, the one planning
+// handle; PlanFutures keep their Engine alive, so the pool cannot be torn
+// down under an outstanding request. Destruction stops the workers and
+// settles any still-queued flights with PlanError{kCancelled}.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +31,8 @@
 #include "src/api/session.h"
 
 namespace karma::cache {
+class PlanCache;
+struct CacheStats;
 struct RequestKey;
 }  // namespace karma::cache
 
@@ -50,10 +52,8 @@ struct Flight;
 
 /// Configuration of a planning service.
 struct EngineOptions {
-  /// Shared-cache behavior (mode, byte capacity, disk dir). The name
-  /// SessionOptions is historical — since v2 the cache belongs to the
-  /// Engine and Sessions are handles onto it.
-  SessionOptions cache;
+  /// Shared-cache behavior (mode, byte capacity, disk dir, calibration).
+  CacheOptions cache;
   /// Worker threads for plan_async(); 0 = auto (hardware concurrency,
   /// clamped to [1, 8]). Workers start lazily on the first async submit.
   /// Note: a synchronous plan() carrying SearchLimits also routes through
@@ -93,13 +93,23 @@ class Engine : public std::enable_shared_from_this<Engine> {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// A tenant handle of this engine (equivalently Session(engine)).
-  Session session() { return Session(shared_from_this()); }
-
-  /// Synchronous plan: validates, consults the shared caches, collapses
-  /// into an identical in-flight search or leads a new one on the calling
-  /// thread. See Session::plan for the full contract.
+  /// Plans `request` end to end: charges the optimizer's host residency
+  /// into per-tier admission, consults the shared plan cache (positive
+  /// and negative), collapses into any identical in-flight search
+  /// (single-flight) or leads a new one on the calling thread — Opt-1/
+  /// Opt-2, the 5-stage distributed pipeline when request.distributed is
+  /// set, or the per-node fleet search when request.fleet is — and wraps
+  /// the result in a Plan artifact. Cache hits are bit-identical (same
+  /// to_json()) to fresh plans. Never throws — infeasibility returns a
+  /// structured PlanError (the nearest-feasible-batch bisection caches its
+  /// successful probes), and request.limits turn an over-budget search
+  /// into PlanError{kDeadline} with the best-so-far plan attached.
   Expected<Plan, PlanError> plan(const PlanRequest& request);
+
+  /// Throwing convenience for call sites without error handling (benches,
+  /// examples): unwraps plan() or throws
+  /// std::runtime_error(error.describe()).
+  Plan plan_or_throw(const PlanRequest& request);
 
   /// Asynchronous plan on the worker pool. Cache hits and invalid
   /// requests settle the future immediately; otherwise the future tracks

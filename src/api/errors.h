@@ -1,9 +1,9 @@
 // Structured planning errors for the karma::api facade (DESIGN.md §8).
 //
-// The legacy entry points (KarmaPlanner::plan, plan_data_parallel) throw
-// bare std::runtime_error with a prose message; callers who want to react
-// — shrink the batch, add a tier, route to a bigger node — have nothing to
-// parse. Session::plan() instead returns Expected<Plan, PlanError>: the
+// The search layers (KarmaPlanner::plan, plan_data_parallel) throw bare
+// std::runtime_error with a prose message; callers who want to react —
+// shrink the batch, add a tier, route to a bigger node — have nothing to
+// parse. Engine::plan() instead returns Expected<Plan, PlanError>: the
 // error names the failing component (layer / block), quantifies the
 // shortfall per storage tier, and, when the request allows it, reports the
 // nearest batch size that would have been feasible (found by bisection).

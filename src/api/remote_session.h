@@ -1,7 +1,7 @@
-// karma::api::RemoteSession — a Session-shaped client for karma-pland
+// karma::api::RemoteSession — an Engine-shaped client for karma-pland
 // (DESIGN.md §12).
 //
-// Where Engine::session() plans in-process against the process-local
+// Where Engine::plan() plans in-process against the process-local
 // Engine, RemoteSession::connect() plans against the node's planning
 // daemon over its unix socket, so EVERY process on the machine shares one
 // plan cache, one single-flight, and one admission policy. The planning
@@ -44,7 +44,7 @@ class RemoteSession {
   RemoteSession(const RemoteSession&) = delete;
   RemoteSession& operator=(const RemoteSession&) = delete;
 
-  /// Remote Session::plan — blocks until the daemon answers (a cold miss
+  /// Remote Engine::plan — blocks until the daemon answers (a cold miss
   /// waits for the fleet-wide search).
   Expected<Plan, PlanError> plan(const PlanRequest& request);
 

@@ -4,9 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/api/engine.h"
 #include "src/api/plan_io.h"
-#include "src/cache/plan_cache.h"
 
 namespace karma::api {
 
@@ -140,50 +138,6 @@ train::OocExecutor Plan::bind_executor(train::Sequential* net,
   return train::OocExecutor(
       net, derive_ooc_blocks(net->size()), pool_capacity, host_capacity,
       reserved_host_bytes + schedule.host_baseline_resident);
-}
-
-core::PlanResult Plan::to_plan_result() const {
-  core::PlanResult r;
-  r.plan = schedule;
-  r.blocks = schedule.blocks;
-  r.policies = policies;
-  r.trace = trace;
-  r.iteration_time = iteration_time;
-  r.occupancy = occupancy;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Session — a handle onto an Engine. The planning pipeline itself
-// (validation, cache consult, single-flight, search, diagnosis) lives in
-// engine.cpp since v2.
-// ---------------------------------------------------------------------------
-
-Session::Session(std::shared_ptr<Engine> engine) : engine_(std::move(engine)) {
-  if (!engine_)
-    throw std::invalid_argument("Session: null engine");
-}
-
-Expected<Plan, PlanError> Session::plan(const PlanRequest& request) const {
-  return engine_->plan(request);
-}
-
-PlanFuture Session::plan_async(const PlanRequest& request) const {
-  return engine_->plan_async(request);
-}
-
-Plan Session::plan_or_throw(const PlanRequest& request) const {
-  auto result = plan(request);
-  if (!result) throw std::runtime_error(result.error().describe());
-  return std::move(result).value();
-}
-
-cache::CacheStats Session::cache_stats() const {
-  return engine_->cache_stats();
-}
-
-const SessionOptions& Session::options() const {
-  return engine_->options().cache;
 }
 
 }  // namespace karma::api

@@ -1,36 +1,28 @@
-// karma::api v2 — Session, the per-tenant planning handle (DESIGN.md §8,
-// §11).
+// karma::api — the planning request, the plan artifact and the async
+// handle (DESIGN.md §8, §11).
 //
 // The paper's workflow is a single pipeline: profile a model, solve Opt-1
 // (blocking) and Opt-2 (recompute interleave), then execute the blocked
-// schedule. The facade exposes it as a single request/artifact exchange:
+// schedule. The API exposes it as a single request/artifact exchange:
 //
 //   PlanRequest  — model + device/storage hierarchy + optional distributed
 //                  options + optimizer model + planner knobs + search
 //                  limits (deadline / candidate budget);
-//   Session::plan(request)       -> Expected<Plan, PlanError>
-//   Session::plan_async(request) -> PlanFuture (wait/get/cancel/progress)
-//   Plan         — one artifact unifying the legacy PlanResult /
-//                  DistributedResult, with simulate() (engine replay),
+//   Engine::plan(request)       -> Expected<Plan, PlanError>
+//   Engine::plan_async(request) -> PlanFuture (wait/get/cancel/progress)
+//   Plan         — the artifact built from the search layers' one
+//                  core::PlanResult, with simulate() (engine replay),
 //                  to_json()/from_json() (deterministic round-trip, plan
 //                  caching), and bind_executor() (derives OocExecutor
 //                  blocks + per-tier policies from planner output).
 //
-// Since v2, a Session is a cheap handle onto a karma::api::Engine
+// The planning handle is a std::shared_ptr<karma::api::Engine>
 // (src/api/engine.h) — the process-wide planning service that owns the
-// worker pool and ONE shared plan cache. Sessions created from the same
-// Engine are tenants of that service: their identical concurrent requests
-// collapse into a single search (single-flight), and every tenant's plans
-// warm the shared cache. Construct via `Engine::create(...)->session()`;
-// the v1 legacy constructors that built a hidden private Engine are gone.
+// worker pool and ONE shared plan cache. Callers sharing an Engine are its
+// tenants: their identical concurrent requests collapse into a single
+// search (single-flight), and every tenant's plans warm the shared cache.
 // For cross-process sharing, RemoteSession (src/api/remote_session.h)
 // plans through the node's karma-pland daemon with the same surface.
-//
-// Session is the one public planning entry point. The core planners —
-// KarmaPlanner::plan(), plan_data_parallel() — are internal implementation
-// details behind it (the deprecated-shim window for external callers is
-// closed); hand-built OocExecutor block lists remain only for white-box
-// numeric tests.
 #pragma once
 
 #include <cstddef>
@@ -45,11 +37,6 @@
 #include "src/place/fleet.h"
 #include "src/place/placement.h"
 #include "src/train/ooc_exec.h"
-
-namespace karma::cache {
-class PlanCache;
-struct CacheStats;
-}  // namespace karma::cache
 
 namespace karma::api {
 
@@ -78,7 +65,7 @@ struct OptimizerSpec {
   Bytes host_state_bytes(Bytes param_bytes) const;
 };
 
-/// Everything Session::plan needs, as one value. Copyable; the model is
+/// Everything Engine::plan needs, as one value. Copyable; the model is
 /// held by value so requests can outlive the scope that built them.
 struct PlanRequest {
   graph::Model model{"(unset)"};
@@ -133,7 +120,7 @@ struct Plan {
   std::int64_t model_layers = 0; ///< layer count the block ranges index into
   sim::DeviceSpec device;
 
-  // ---- Planner output (unifies PlanResult / DistributedResult) ----
+  // ---- Planner output (core::PlanResult, mapped once by the Engine) ----
   sim::Plan schedule;            ///< the Plan IR: blocks, costs, ops
   std::vector<core::BlockPolicy> policies;
   /// Trace of the planning run. Its per-op records are transient — the
@@ -196,27 +183,19 @@ struct Plan {
   train::OocExecutor bind_executor(train::Sequential* net,
                                    Bytes pool_capacity,
                                    Bytes host_capacity = 0) const;
-
-  /// Legacy interop: view as the deprecated core::PlanResult (single-GPU
-  /// shape). Lets migrated call sites feed code still speaking the old
-  /// types during the shim window.
-  core::PlanResult to_plan_result() const;
 };
 
-/// Cache behavior of the Engine a Session speaks to (DESIGN.md §10, §11).
-/// Planning is pure — requests are values, plans are deterministic
-/// serializable artifacts — so plan() is memoizable by content: requests
-/// are fingerprinted (cache::RequestKey), answered from an in-memory LRU,
-/// then from an optional on-disk store whose entries are the v2 plan JSON
-/// artifacts. Infeasible outcomes are memoized too (negative-result
-/// cache), in memory only.
-struct SessionOptions {
+/// Cache behavior of an Engine (DESIGN.md §10, §11). Planning is pure —
+/// requests are values, plans are deterministic serializable artifacts —
+/// so plan() is memoizable by content: requests are fingerprinted
+/// (cache::RequestKey), answered from an in-memory LRU, then from an
+/// optional on-disk store whose entries are the v2 plan JSON artifacts.
+/// Infeasible outcomes are memoized too (negative-result cache), in memory
+/// only.
+struct CacheOptions {
   enum class CacheMode {
-    kEnabled,       ///< consult and populate both caches (default)
-    kReadOnly,      ///< consult only; never insert or write to disk
-    kBypass,        ///< no cache at all: every plan() runs the full search
-    kPositiveOnly,  ///< plan cache on, negative-result cache bypassed:
-                    ///< every infeasible request re-diagnoses
+    kEnabled,  ///< consult and populate both caches (default)
+    kBypass,   ///< no cache at all: every plan() runs the full search
   };
   CacheMode cache_mode = CacheMode::kEnabled;
   /// Max resident bytes of in-memory plan artifacts, counted as
@@ -296,51 +275,6 @@ class PlanFuture {
   explicit PlanFuture(std::shared_ptr<detail::FutureState> state)
       : state_(std::move(state)) {}
   std::shared_ptr<detail::FutureState> state_;
-};
-
-/// The per-tenant planning handle (cheap, copyable; copies share the same
-/// Engine). Create from an Engine: Engine::create()->session(). (The v1
-/// legacy constructors that built a private single-tenant Engine are
-/// gone — their one-release deprecation window closed with the daemon
-/// work; a hidden private engine would silently opt a caller out of the
-/// fleet-shared cache and single-flight.)
-class Session {
- public:
-  /// A tenant handle of `engine` (equivalently, Engine::session()).
-  explicit Session(std::shared_ptr<Engine> engine);
-
-  /// Plans `request` end to end: charges the optimizer's host residency
-  /// into per-tier admission, consults the shared plan cache (positive
-  /// and negative), collapses into any identical in-flight search
-  /// (single-flight), and on a miss runs Opt-1/Opt-2 (or the 5-stage
-  /// distributed pipeline when request.distributed is set) on the calling
-  /// thread and wraps the result in a Plan artifact. Cache hits are
-  /// bit-identical (same to_json()) to fresh plans. Never throws —
-  /// infeasibility returns a structured PlanError (the
-  /// nearest-feasible-batch bisection caches its successful probes), and
-  /// request.limits turn an over-budget search into
-  /// PlanError{kDeadline} with the best-so-far plan attached.
-  Expected<Plan, PlanError> plan(const PlanRequest& request) const;
-
-  /// Asynchronous form: the search runs on the Engine's worker pool; the
-  /// returned future supports wait()/get()/cancel() and live progress().
-  PlanFuture plan_async(const PlanRequest& request) const;
-
-  /// Throwing convenience for call sites without error handling (benches,
-  /// examples): unwraps or throws std::runtime_error(error.describe()).
-  Plan plan_or_throw(const PlanRequest& request) const;
-
-  /// Counters of the engine's shared cache (all zeros under
-  /// CacheMode::kBypass).
-  cache::CacheStats cache_stats() const;
-
-  /// The engine's resolved cache options ($KARMA_CACHE_DIR applied).
-  const SessionOptions& options() const;
-
-  const std::shared_ptr<Engine>& engine() const { return engine_; }
-
- private:
-  std::shared_ptr<Engine> engine_;  ///< never null
 };
 
 }  // namespace karma::api

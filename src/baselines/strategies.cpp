@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "src/api/engine.h"
+#include <stdexcept>
 
 #include "src/graph/memory_model.h"
 
@@ -178,32 +177,32 @@ std::optional<PlanResult> plan_um_naive(const graph::Model& model,
 
 namespace {
 
-/// The KARMA rows go through the api::Session facade (the one planning
-/// door); baselines keep the legacy optional<PlanResult> signature so the
-/// figure drivers can tabulate every strategy uniformly.
-std::optional<PlanResult> plan_karma_via_session(const graph::Model& model,
-                                                 const sim::DeviceSpec& device,
-                                                 bool recompute) {
-  api::PlanRequest request;
-  request.model = model;
-  request.device = device;
-  request.planner.enable_recompute = recompute;
-  request.probe_feasible_batch = false;  // figure grids probe many cells
-  const auto plan = api::Engine::create()->session().plan(request);
-  if (!plan) return std::nullopt;
-  return plan->to_plan_result();
+/// The KARMA rows run the same search an uncalibrated api::Engine runs for
+/// these requests (no optimizer, so no host reserve), without the Engine's
+/// plan cache or calibration: figure rows always carry the search's full
+/// trace, whatever KARMA_CACHE_DIR or KARMA_CALIB_DIR hold.
+std::optional<PlanResult> plan_karma_search(const graph::Model& model,
+                                            const sim::DeviceSpec& device,
+                                            bool recompute) {
+  core::PlannerOptions options;
+  options.enable_recompute = recompute;
+  try {
+    return core::KarmaPlanner(model, device, options).plan();
+  } catch (const std::runtime_error&) {
+    return std::nullopt;  // no feasible blocking
+  }
 }
 
 }  // namespace
 
 std::optional<PlanResult> plan_karma(const graph::Model& model,
                                      const sim::DeviceSpec& device) {
-  return plan_karma_via_session(model, device, /*recompute=*/false);
+  return plan_karma_search(model, device, /*recompute=*/false);
 }
 
 std::optional<PlanResult> plan_karma_recompute(const graph::Model& model,
                                                const sim::DeviceSpec& device) {
-  return plan_karma_via_session(model, device, /*recompute=*/true);
+  return plan_karma_search(model, device, /*recompute=*/true);
 }
 
 const std::vector<StrategyEntry>& all_strategies() {

@@ -2,8 +2,8 @@
 // across processes (DESIGN.md §10, §12).
 //
 // One entry per request key, named `<key-hex>.plan.json`, holding exactly
-// the v2 plan JSON artifact (plan_io) — the same bytes Session would hand
-// back from Plan::to_json(), so a cache entry doubles as a reviewable,
+// the v2 plan JSON artifact (plan_io) — the same bytes Engine::plan would
+// hand back from Plan::to_json(), so a cache entry doubles as a reviewable,
 // replayable artifact and any schema drift invalidates it through the
 // version check in plan_from_json.
 //

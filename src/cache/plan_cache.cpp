@@ -72,10 +72,8 @@ std::optional<api::Plan> PlanCache::lookup(const RequestKey& key,
     if (loaded.plan) {
       ++stats_.disk_hits;
       // Promote so repeated lookups skip the parse. Not counted as an
-      // insertion: nothing new entered the cache. Read-only caches never
-      // mutate any level, so they re-parse on every disk hit instead.
-      if (!options_.read_only)
-        put_locked(key, *loaded.plan, loaded.serialized_bytes);
+      // insertion: nothing new entered the cache.
+      put_locked(key, *loaded.plan, loaded.serialized_bytes);
       return std::move(loaded.plan);
     }
     if (!quiet) ++stats_.misses;
@@ -90,7 +88,6 @@ void PlanCache::insert(const RequestKey& key, const api::Plan& plan) {
   // One serialization feeds both levels: the LRU's byte accounting and
   // the disk write. Runs outside the lock (it can be milliseconds on
   // deep plans).
-  if (options_.read_only) return;
   const std::string json = plan.to_json();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -109,7 +106,6 @@ void PlanCache::insert(const RequestKey& key, const api::Plan& plan) {
 
 std::optional<api::PlanError> PlanCache::lookup_negative(const RequestKey& key,
                                                          bool want_probe) {
-  if (!options_.negative_cache) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = negative_index_.find(key);
   if (it == negative_index_.end()) return std::nullopt;
@@ -126,7 +122,6 @@ std::optional<api::PlanError> PlanCache::lookup_negative(const RequestKey& key,
 
 void PlanCache::insert_negative(const RequestKey& key,
                                 const api::PlanError& error, bool probed) {
-  if (!options_.negative_cache || options_.read_only) return;
   if (options_.negative_capacity == 0) return;
   // Interrupted outcomes describe one caller's patience, not the request
   // (and internal errors describe a bug): memoizing them would poison

@@ -7,9 +7,8 @@
 // (their to_json size), not how many there are. Level 2 is an optional
 // persistent DiskStore sharing the same keys. Lookups consult memory
 // first, then disk (a disk hit is promoted into memory so repeats stay
-// cheap); inserts populate both unless the cache is read-only. Every
-// outcome is counted: the stats are how benches, examples, and CI prove
-// cold-vs-warm behavior.
+// cheap); inserts populate both. Every outcome is counted: the stats are
+// how benches, examples, and CI prove cold-vs-warm behavior.
 //
 // Alongside the positive artifacts, the cache memoizes NEGATIVE results
 // (DESIGN.md §11): an infeasible request's structured PlanError, keyed by
@@ -73,12 +72,6 @@ class PlanCache {
     Bytes memory_capacity_bytes = 256ll * 1024 * 1024;
     /// Persistent store directory; empty = memory-only cache.
     std::string dir;
-    /// Consult both levels but never mutate either: no inserts, no disk
-    /// writes, and no disk-hit promotion into the LRU.
-    bool read_only = false;
-    /// Memoize structured infeasibility (lookup_negative/insert_negative);
-    /// off = every infeasible request re-diagnoses.
-    bool negative_cache = true;
     /// Max memoized PlanErrors (count-capped: negatives are small).
     std::size_t negative_capacity = 256;
   };
@@ -94,22 +87,20 @@ class PlanCache {
   /// recorded.
   std::optional<api::Plan> lookup(const RequestKey& key, bool quiet = false);
 
-  /// Inserts into memory and (when configured) persists to disk. No-op
-  /// for read-only caches. Thread-safe.
+  /// Inserts into memory and (when configured) persists to disk.
+  /// Thread-safe.
   void insert(const RequestKey& key, const api::Plan& plan);
 
   /// Memoized infeasibility for `key`, marked from_negative_cache. A hit
   /// requires the entry to satisfy the caller: an entry diagnosed without
   /// the feasible-batch bisection cannot answer a request that wants one
-  /// (`want_probe`), and misses instead. Returns nullopt when negative
-  /// caching is disabled.
+  /// (`want_probe`), and misses instead.
   std::optional<api::PlanError> lookup_negative(const RequestKey& key,
                                                 bool want_probe);
 
   /// Memoizes a diagnosis (`probed` = it includes bisection results).
-  /// No-op when read-only, when negative caching is disabled, or for
-  /// interrupted outcomes (kCancelled/kDeadline) — those are never
-  /// request properties. Thread-safe.
+  /// No-op for interrupted outcomes (kCancelled/kDeadline) — those are
+  /// never request properties. Thread-safe.
   void insert_negative(const RequestKey& key, const api::PlanError& error,
                        bool probed);
 

@@ -156,7 +156,7 @@ void write_distributed(Enc& e,
   e.put(static_cast<int>(d->update));
   e.put(d->iterations);
   e.put(d->weight_shard_fraction);
-  // d->planner is intentionally absent: Session supersedes it with
+  // d->planner is intentionally absent: the Engine supersedes it with
   // PlanRequest::planner (see the header's exclusion list).
 }
 

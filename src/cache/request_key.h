@@ -1,6 +1,6 @@
 // Content-addressed fingerprinting of PlanRequests (DESIGN.md §10).
 //
-// Planning is pure: a PlanRequest is a value, Session::plan() is a
+// Planning is pure: a PlanRequest is a value, Engine::plan() is a
 // deterministic function of it, and the Plan artifact serializes
 // byte-stably. That makes planning cacheable — IF requests can be keyed
 // by content. RequestKey is that key: a canonical binary encoding of
@@ -40,9 +40,9 @@
 //     never what it produces, and an interrupted search is never cached —
 //     so bounded requests share flights and cache entries with unbounded
 //     ones (DESIGN.md §11);
-//   - DistributedOptions::planner — Session documents that the embedded
-//     copy is superseded by PlanRequest::planner (the facade has exactly
-//     one set of planner knobs).
+//   - DistributedOptions::planner — PlanRequest documents that the
+//     embedded copy is superseded by PlanRequest::planner (the facade has
+//     exactly one set of planner knobs).
 #pragma once
 
 #include <string>

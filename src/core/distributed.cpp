@@ -225,10 +225,10 @@ void emit_iteration(Plan& plan, const EmitContext& ctx, int iteration) {
 
 }  // namespace
 
-DistributedResult plan_data_parallel(
+PlanResult plan_data_parallel(
     const graph::Model& model, const sim::DeviceSpec& device,
     const DistributedOptions& options, const CancelToken& control,
-    const std::function<void(const DistributedResult&)>& on_improved) {
+    const std::function<void(const PlanResult&)>& on_improved) {
   // Decide the weight regime.
   const graph::LayerMemory total = graph::range_memory(
       model, 0, static_cast<int>(model.num_layers()));
@@ -240,7 +240,7 @@ DistributedResult plan_data_parallel(
       weight_state < device.memory_capacity / 2;
 
   // ---- Blocking (Opt-1 for the distributed pipeline) ----
-  std::optional<DistributedResult> best;
+  std::optional<PlanResult> best;
 
   const auto try_candidate = [&](const std::vector<Block>& blocks) {
     // Cooperative cancellation point, once per candidate blocking — the
@@ -380,7 +380,7 @@ DistributedResult plan_data_parallel(
 
       try {
         const sim::Engine engine(device);
-        DistributedResult result;
+        PlanResult result;
         result.trace = engine.run(plan);
         // Steady-state iteration time: span between the completion of the
         // last op of consecutive iterations.
@@ -395,10 +395,10 @@ DistributedResult plan_data_parallel(
                 ? iter_end[static_cast<std::size_t>(options.iterations - 1)] -
                       iter_end[static_cast<std::size_t>(options.iterations - 2)]
                 : iter_end.front();
+        result.occupancy = result.trace.occupancy();
         result.plan = std::move(plan);
         result.exchange = exchange;
         result.weights_resident = weights_resident;
-        result.blocks = blocks;
         result.policies = variant;
         control.count_candidate(/*simulated=*/true);
         if (!best || result.iteration_time < best->iteration_time) {

@@ -23,10 +23,7 @@
 // the cluster's iteration time.
 #pragma once
 
-#include <optional>
-
 #include "src/core/planner.h"
-#include "src/net/phased_exchange.h"
 
 namespace karma::core {
 
@@ -51,34 +48,22 @@ struct DistributedOptions {
   double weight_shard_fraction = 1.0;
 };
 
-struct DistributedResult {
-  sim::Plan plan;
-  sim::ExecutionTrace trace;
-  Seconds iteration_time = 0.0;        ///< steady-state (last iteration)
-  Seconds first_iteration_time = 0.0;
-  net::ExchangePlan exchange;
-  bool weights_resident = true;
-  std::vector<sim::Block> blocks;
-  std::vector<BlockPolicy> policies;
-};
-
 /// Plans and simulates data-parallel KARMA for `model` (built at the
-/// *per-GPU* batch size). Throws std::runtime_error when infeasible.
+/// *per-GPU* batch size). Throws std::runtime_error when infeasible. The
+/// result carries the steady-state (last) and first iteration times, the
+/// weight regime and the gradient exchange.
 ///
-/// Internal implementation entry: the public door is karma::api::Session
-/// with PlanRequest::distributed set — same search, but returning the
-/// unified Plan artifact and structured PlanError diagnostics (per-tier
-/// shard deficits included). Only core itself (elastic replanning) and
-/// white-box tests call this directly; the deprecated-shim window for
-/// external callers is closed.
+/// api::Engine runs this search for requests with PlanRequest::distributed
+/// set, reporting infeasibility as a structured PlanError (per-tier shard
+/// deficits included).
 ///
 /// `control` / `on_improved` follow the KarmaPlanner::plan contract: the
 /// token is polled per candidate blocking (raising SearchInterrupted),
 /// each engine-ranked variant counts one candidate, and every new
 /// incumbent best is published through the callback.
-DistributedResult plan_data_parallel(
+PlanResult plan_data_parallel(
     const graph::Model& model, const sim::DeviceSpec& device,
     const DistributedOptions& options, const CancelToken& control = {},
-    const std::function<void(const DistributedResult&)>& on_improved = {});
+    const std::function<void(const PlanResult&)>& on_improved = {});
 
 }  // namespace karma::core

@@ -169,9 +169,9 @@ PlanResult KarmaPlanner::simulate_candidate(
   PlanResult result;
   result.trace = sim::Engine(device_).run(plan);
   result.plan = std::move(plan);
-  result.blocks = blocks;
   result.policies = policies;
   result.iteration_time = result.trace.makespan;
+  result.first_iteration_time = result.iteration_time;
   result.occupancy = result.trace.occupancy();
   return result;
 }
@@ -445,11 +445,11 @@ PlanResult KarmaPlanner::run_search(
 
   // ---- Opt-1 refinement: portfolio anneal of boundary positions (the
   // MIDACO stand-in, parallelized lazy-SMP style — DESIGN.md §14). ----
-  if (options_.anneal_iterations > 0 && best->blocks.size() > 2) {
+  if (options_.anneal_iterations > 0 && best->plan.blocks.size() > 2) {
     Rng rng(options_.seed);
     std::vector<int> init_cuts;
     init_cuts.push_back(0);
-    for (const auto& b : best->blocks) init_cuts.push_back(b.last_layer);
+    for (const auto& b : best->plan.blocks) init_cuts.push_back(b.last_layer);
 
     const int workers = std::max(1, options_.anneal_workers);
     anneal_workers_used = workers;
@@ -551,7 +551,7 @@ PlanResult KarmaPlanner::run_search(
         // After an accepted flip the outer loop restarts, re-trying every
         // flip it already scored against the same base — those repeats
         // are memo hits inside consider(), not fresh replays.
-        if (consider(best->blocks, policies)) improved = true;
+        if (consider(best->plan.blocks, policies)) improved = true;
       }
     }
   }

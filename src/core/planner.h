@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/core/schedule_gen.h"
+#include "src/net/phased_exchange.h"
 #include "src/sim/engine.h"
 #include "src/solver/memo.h"
 #include "src/util/cancel.h"
@@ -98,13 +99,23 @@ struct SearchStats {
   double repair_vs_cold_speedup = 0.0;
 };
 
+/// The one result every search layer returns: KarmaPlanner, the
+/// data-parallel pipeline (plan_data_parallel), each fleet node's leg
+/// (place::plan_fleet) and calib::repair. The blocking is plan.blocks.
 struct PlanResult {
   sim::Plan plan;
-  std::vector<sim::Block> blocks;
   std::vector<BlockPolicy> policies;
   sim::ExecutionTrace trace;       ///< trace of the chosen plan
-  Seconds iteration_time = 0.0;    ///< = trace.makespan
+  Seconds iteration_time = 0.0;    ///< steady state (single-GPU: makespan)
+  /// = iteration_time for single-GPU plans; the data-parallel pipeline
+  /// reports its first iteration, which has no update running into it.
+  Seconds first_iteration_time = 0.0;
   double occupancy = 0.0;
+  /// False when the data-parallel pipeline swaps weights per block.
+  bool weights_resident = true;
+  /// The gradient exchange of a data-parallel rank or fleet node; unset
+  /// for single-GPU plans.
+  std::optional<net::ExchangePlan> exchange;
   SearchStats search;              ///< effort of the search that found it
 };
 
@@ -129,12 +140,10 @@ class KarmaPlanner {
   /// Throws std::runtime_error if no feasible plan exists (e.g. one layer
   /// alone exceeds device memory).
   ///
-  /// Internal implementation entry: the public door is karma::api::Session
-  /// (src/api/session.h), which wraps this search behind the PlanRequest ->
-  /// Plan artifact facade with structured PlanError diagnostics instead of
-  /// exceptions. Only core itself, the baselines' KARMA rows, and white-box
-  /// tests call this directly; the deprecated-shim window for external
-  /// callers is closed.
+  /// api::Engine wraps this search behind the PlanRequest -> Plan artifact
+  /// facade with structured PlanError diagnostics instead of exceptions;
+  /// the baselines' KARMA rows, fleet legs and calib::repair call it
+  /// directly.
   ///
   /// Memoized: per-block simulated costs (keyed by block extent) and
   /// whole-candidate makespans (keyed by blocking + tier-routed policy

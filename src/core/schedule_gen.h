@@ -50,7 +50,8 @@ struct ScheduleOptions {
   int prefetch_window = 2;
   /// Host DRAM pre-charged before any activation spill is admitted —
   /// optimizer state pinned on the host for CPU-side updates (ROADMAP
-  /// `reserved_host`; set by karma::api::Session from its OptimizerSpec).
+  /// `reserved_host`; set by karma::api::Engine from the request's
+  /// OptimizerSpec).
   /// Charged in tiered_policies routing, in build_training_plan's per-tier
   /// admission, and against the engine's host ledger. 0 = seed behavior.
   Bytes reserved_host_bytes = 0;

@@ -4,6 +4,7 @@
 // track the real workload: LN -> QKV projection -> attention core ->
 // softmax -> output projection -> residual add -> LN -> MLP(4H) -> GeLU ->
 // MLP(H) -> residual add.
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -71,10 +72,17 @@ Model build_transformer(const TransformerConfig& cfg, std::int64_t batch,
   if (cfg.hidden % cfg.heads != 0)
     throw std::invalid_argument("make_transformer: hidden % heads != 0");
 
-  const std::int64_t params_b = cfg.approx_params() / 1000000000;
+  // Whole billions from 1B up (those names are part of cache keys and
+  // stay fixed); one decimal below, where the integer would read 0.
+  const std::int64_t params = cfg.approx_params();
+  char size[32];
+  if (params >= 1000000000)
+    std::snprintf(size, sizeof size, "%lld",
+                  static_cast<long long>(params / 1000000000));
+  else
+    std::snprintf(size, sizeof size, "%.1f", static_cast<double>(params) / 1e9);
   Model model("GPT2-" + std::to_string(cfg.hidden) + "h" +
-                  std::to_string(cfg.layers) + "L (~" +
-                  std::to_string(params_b) + "B)" +
+                  std::to_string(cfg.layers) + "L (~" + size + "B)" +
                   (chain ? " chain" : ""),
               cfg.dtype_bytes);
   TfCursor t{&model, batch, cfg.seq_len, cfg.hidden};

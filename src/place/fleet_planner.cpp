@@ -72,7 +72,7 @@ FleetPlanResult plan_fleet(const graph::Model& model, const FleetSpec& fleet,
       if (seed_node >= 0) {
         const core::PlanResult& seed = out.nodes[seed_node].result;
         out.nodes[n].result =
-            planner.plan_from(seed.blocks, seed.policies, control);
+            planner.plan_from(seed.plan.blocks, seed.policies, control);
       } else {
         out.nodes[n].result = planner.plan(control);
       }
@@ -97,7 +97,7 @@ FleetPlanResult plan_fleet(const graph::Model& model, const FleetSpec& fleet,
   for (int n = 0; n < num_nodes; ++n) {
     NodePlanResult& leg = out.nodes[n];
     NodeSummary& summary = out.placement.nodes[static_cast<std::size_t>(n)];
-    const core::PlanResult& result = leg.result;
+    core::PlanResult& result = leg.result;
 
     std::vector<Bytes> grad_bytes;
     std::vector<Seconds> bwd_times;
@@ -107,11 +107,10 @@ FleetPlanResult plan_fleet(const graph::Model& model, const FleetSpec& fleet,
       grad_bytes.push_back(cost.grad_bytes);
       bwd_times.push_back(cost.bwd_time);
     }
-    leg.exchange =
-        net::merged_exchange(fleet.net, num_nodes, grad_bytes, bwd_times);
-    leg.exchange_tail = leg.exchange.phases.empty()
-                            ? 0.0
-                            : leg.exchange.phases.back().allreduce_time;
+    const net::ExchangePlan& exchange = result.exchange.emplace(
+        net::merged_exchange(fleet.net, num_nodes, grad_bytes, bwd_times));
+    leg.exchange_tail =
+        exchange.phases.empty() ? 0.0 : exchange.phases.back().allreduce_time;
     leg.update_time =
         fleet.nodes[n].device.cpu_update_time(summary.owned_param_bytes);
     leg.total_time =

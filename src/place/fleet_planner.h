@@ -28,8 +28,7 @@ struct FleetPlanOptions {
 
 /// One node's search outcome plus its leg of the straggler composition.
 struct NodePlanResult {
-  core::PlanResult result;
-  net::ExchangePlan exchange;
+  core::PlanResult result;  ///< result.exchange: this node's AllReduce
   Seconds exchange_tail = 0.0;  ///< exposed (post-backward) AllReduce time
   Seconds update_time = 0.0;    ///< CPU update of this node's owned shards
   Seconds total_time = 0.0;     ///< iteration_time + tails

@@ -11,7 +11,7 @@
 //
 // A default-constructed token is inert: it never stops anything, and
 // progress writes are dropped. That keeps the non-service entry points
-// (tests, benches, the deprecated synchronous Session shim) zero-cost and
+// (tests, benches, the baselines' direct planner calls) zero-cost and
 // signature-compatible.
 //
 // Determinism: stopping a search only truncates it — the token never

@@ -15,7 +15,7 @@
 // propagate.
 //
 // InfeasibleError derives from std::runtime_error so pre-existing
-// boundary handlers (the api::Session diagnostics layer catches
+// boundary handlers (the api::Engine diagnostics layer catches
 // std::runtime_error to build PlanError) keep working unchanged.
 #pragma once
 

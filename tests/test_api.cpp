@@ -1,7 +1,8 @@
-// karma::api::Session facade: parity with the legacy entry points,
-// deterministic JSON round-trips, executor binding, structured
-// infeasibility, the optimizer reserved-host pre-charge, and the golden
-// plan-format fixture (regenerate with KARMA_REGEN_GOLDEN=1 ./test_api).
+// karma::api::Engine planning: artifacts that map the search layers'
+// results field by field, deterministic JSON round-trips, executor
+// binding, structured infeasibility, the optimizer reserved-host
+// pre-charge, and the golden plan-format fixture (regenerate with
+// KARMA_REGEN_GOLDEN=1 ./test_api).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -48,17 +49,37 @@ graph::Model chain_model(int layers, std::int64_t batch, std::int64_t width) {
   return model;
 }
 
+/// The artifact JSON of a schedule and an exchange alone (neither has a
+/// serializer of its own).
+std::string json_of(const sim::Plan& schedule,
+                    const std::optional<net::ExchangePlan>& exchange) {
+  Plan plan;
+  plan.schedule = schedule;
+  plan.exchange = exchange;
+  return plan.to_json();
+}
+
+/// `plan` carries exactly the fields of the search result `r`.
+void expect_artifact_of(const Plan& plan, const core::PlanResult& r) {
+  EXPECT_EQ(json_of(plan.schedule, plan.exchange), json_of(r.plan, r.exchange));
+  EXPECT_EQ(plan.policies, r.policies);
+  EXPECT_EQ(plan.iteration_time, r.iteration_time);
+  EXPECT_EQ(plan.first_iteration_time, r.first_iteration_time);
+  EXPECT_EQ(plan.occupancy, r.occupancy);
+  EXPECT_EQ(plan.weights_resident, r.weights_resident);
+  EXPECT_EQ(plan.distributed, r.exchange.has_value());
+}
+
 // ---------------------------------------------------------------------------
-// Session-only planning guarantees (the legacy-shim parity tests ported:
-// the deprecated entry points are gone, so the properties they certified —
-// bit-stable planning and a structurally complete distributed pipeline —
-// are asserted on the facade alone).
+// Engine planning guarantees: bit-stable planning, a structurally complete
+// distributed pipeline, and artifacts that carry exactly what the search
+// layers returned.
 // ---------------------------------------------------------------------------
 
 TEST(Session, PlanningIsDeterministicToTheByte) {
   const PlanRequest request = resnet_request();
-  const auto a = Engine::create()->session().plan(request);
-  const auto b = Engine::create()->session().plan(request);
+  const auto a = Engine::create()->plan(request);
+  const auto b = Engine::create()->plan(request);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   // Equal requests plan to byte-identical artifacts (ops, policies,
@@ -66,6 +87,13 @@ TEST(Session, PlanningIsDeterministicToTheByte) {
   EXPECT_EQ(a->to_json(), b->to_json());
   EXPECT_EQ(a->iteration_time, b->iteration_time);
   EXPECT_EQ(a->policies, b->policies);
+  // The artifact is the direct KarmaPlanner result, field by field.
+  const core::PlanResult direct =
+      core::KarmaPlanner(request.model, request.device, request.planner)
+          .plan();
+  expect_artifact_of(*a, direct);
+  EXPECT_EQ(a->first_iteration_time, a->iteration_time);
+  EXPECT_FALSE(a->exchange.has_value());
 }
 
 TEST(Session, DistributedPlansTheFullPipeline) {
@@ -79,7 +107,7 @@ TEST(Session, DistributedPlansTheFullPipeline) {
   request.distributed = options;
   request.probe_feasible_batch = false;
 
-  const auto planned = Engine::create()->session().plan(request);
+  const auto planned = Engine::create()->plan(request);
   ASSERT_TRUE(planned.has_value());
   EXPECT_TRUE(planned->distributed);
   EXPECT_TRUE(planned->weights_resident);  // ResNet-50 fits a V100
@@ -97,9 +125,17 @@ TEST(Session, DistributedPlansTheFullPipeline) {
   EXPECT_TRUE(has[static_cast<int>(sim::OpKind::kCpuUpdate)]);
   EXPECT_NO_THROW(sim::validate_plan(planned->schedule));
   // And the same request plans the same artifact again.
-  const auto again = Engine::create()->session().plan(request);
+  const auto again = Engine::create()->plan(request);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->to_json(), planned->to_json());
+  // The artifact is the direct plan_data_parallel result, field by field
+  // (request.planner supersedes the copy inside DistributedOptions).
+  core::DistributedOptions direct_options = *request.distributed;
+  direct_options.planner = request.planner;
+  expect_artifact_of(*planned,
+                     core::plan_data_parallel(request.model, request.device,
+                                              direct_options));
+  EXPECT_GT(planned->first_iteration_time, 0.0);
 }
 
 TEST(Session, DistributedShardResidencyDeficitIsReported) {
@@ -117,7 +153,7 @@ TEST(Session, DistributedShardResidencyDeficitIsReported) {
   request.distributed = options;
   request.probe_feasible_batch = false;
 
-  const auto planned = Engine::create()->session().plan(request);
+  const auto planned = Engine::create()->plan(request);
   ASSERT_FALSE(planned.has_value());
   const PlanError& error = planned.error();
   EXPECT_EQ(error.code, PlanErrorCode::kTierOverflow);
@@ -132,7 +168,7 @@ TEST(Session, DistributedShardResidencyDeficitIsReported) {
 // ---------------------------------------------------------------------------
 
 TEST(PlanIo, RoundTripIsByteStableAndReplaysIdentically) {
-  const auto planned = Engine::create()->session().plan(resnet_request());
+  const auto planned = Engine::create()->plan(resnet_request());
   ASSERT_TRUE(planned.has_value());
 
   const std::string json = planned->to_json();
@@ -157,7 +193,7 @@ TEST(PlanIo, RejectsGarbageAndWrongVersions) {
 }
 
 TEST(PlanIo, RejectsParseableButCorruptArtifacts) {
-  const auto planned = Engine::create()->session().plan(resnet_request(256));
+  const auto planned = Engine::create()->plan(resnet_request(256));
   ASSERT_TRUE(planned.has_value());
   const std::string json = planned->to_json();
   // An op pointing at a nonexistent block must not reach the engine.
@@ -176,7 +212,7 @@ TEST(PlanIo, RejectsParseableButCorruptArtifacts) {
 // ---------------------------------------------------------------------------
 
 TEST(Session, BindExecutorDerivesPlannerBlocksExactly) {
-  const auto planned = Engine::create()->session().plan(resnet_request(256));
+  const auto planned = Engine::create()->plan(resnet_request(256));
   ASSERT_TRUE(planned.has_value());
   // Same layer count -> the projection is the identity on block ranges.
   const auto derived = planned->derive_ooc_blocks(
@@ -192,7 +228,7 @@ TEST(Session, BindExecutorDerivesPlannerBlocksExactly) {
 }
 
 TEST(Session, BindExecutorProjectsOntoSmallerNetContiguously) {
-  const auto planned = Engine::create()->session().plan(resnet_request(256));
+  const auto planned = Engine::create()->plan(resnet_request(256));
   ASSERT_TRUE(planned.has_value());
   const auto derived = planned->derive_ooc_blocks(7);
   ASSERT_FALSE(derived.empty());
@@ -203,7 +239,7 @@ TEST(Session, BindExecutorProjectsOntoSmallerNetContiguously) {
 }
 
 TEST(Session, BindExecutorRunsTheRealNetwork) {
-  const auto planned = Engine::create()->session().plan(resnet_request(256));
+  const auto planned = Engine::create()->plan(resnet_request(256));
   ASSERT_TRUE(planned.has_value());
   Rng rng(1);
   train::Sequential net = train::make_mlp({16, 32, 32, 4}, rng);
@@ -223,7 +259,7 @@ TEST(Session, BindExecutorRunsTheRealNetwork) {
 TEST(Session, EmptyModelIsInvalidRequest) {
   PlanRequest request;
   request.device = sim::v100_abci();
-  const auto planned = Engine::create()->session().plan(request);
+  const auto planned = Engine::create()->plan(request);
   ASSERT_FALSE(planned.has_value());
   EXPECT_EQ(planned.error().code, PlanErrorCode::kInvalidRequest);
 }
@@ -236,7 +272,7 @@ TEST(Session, SingleLayerOverflowNamesLayerBlockAndDeficit) {
   // when truly nothing fits. Use a width where batch 1 fits.
   request.model = chain_model(4, 8, 32768);  // 8*32768*4 = 1 MiB/layer
   request.device = sim::test_device();       // 1 MiB
-  const auto planned = Engine::create()->session().plan(request);
+  const auto planned = Engine::create()->plan(request);
   ASSERT_FALSE(planned.has_value());
   const PlanError& error = planned.error();
   EXPECT_EQ(error.code, PlanErrorCode::kLayerExceedsDevice);
@@ -252,7 +288,7 @@ TEST(Session, SingleLayerOverflowNamesLayerBlockAndDeficit) {
   PlanRequest shrunk = request;
   shrunk.model =
       request.model.with_batch_size(error.nearest_feasible_batch);
-  EXPECT_TRUE(Engine::create()->session().plan(shrunk).has_value());
+  EXPECT_TRUE(Engine::create()->plan(shrunk).has_value());
   // describe() carries the essentials for logs.
   const std::string text = error.describe();
   EXPECT_NE(text.find("layer-exceeds-device"), std::string::npos);
@@ -262,7 +298,7 @@ TEST(Session, SingleLayerOverflowNamesLayerBlockAndDeficit) {
 TEST(Session, WeightsOverflowIsDiagnosed) {
   PlanRequest request = resnet_request();
   request.device.memory_capacity = 64_MiB;  // below ResNet-50 weight state
-  const auto planned = Engine::create()->session().plan(request);
+  const auto planned = Engine::create()->plan(request);
   ASSERT_FALSE(planned.has_value());
   EXPECT_EQ(planned.error().code, PlanErrorCode::kWeightsExceedDevice);
   ASSERT_FALSE(planned.error().deficits.empty());
@@ -288,7 +324,7 @@ TEST(Session, OptimizerReserveDisplacesSpillToNvme) {
   request.planner.min_blocks = 12;
   request.planner.max_blocks = 12;
   request.probe_feasible_batch = false;
-  const auto probe = Engine::create()->session().plan(request);
+  const auto probe = Engine::create()->plan(request);
   ASSERT_TRUE(probe.has_value());
   Bytes host_spill = 0;
   for (std::size_t b = 0; b < probe->policies.size(); ++b)
@@ -298,7 +334,7 @@ TEST(Session, OptimizerReserveDisplacesSpillToNvme) {
 
   // Shrink DRAM to exactly the swap set: still all-host at reserve 0.
   request.device.host_capacity = host_spill;
-  const auto exact = Engine::create()->session().plan(request);
+  const auto exact = Engine::create()->plan(request);
   ASSERT_TRUE(exact.has_value());
   int nvme_at_zero = 0;
   for (const auto p : exact->policies)
@@ -310,7 +346,7 @@ TEST(Session, OptimizerReserveDisplacesSpillToNvme) {
   // request must now spill part of the swap set to NVMe, and the engine's
   // host ledger must respect the shrunken tier.
   request.optimizer.kind = OptimizerSpec::Kind::kAdam;
-  const auto charged = Engine::create()->session().plan(request);
+  const auto charged = Engine::create()->plan(request);
   ASSERT_TRUE(charged.has_value());
   EXPECT_GT(charged->reserved_host_bytes, 0);
   int nvme_charged = 0;

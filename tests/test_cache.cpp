@@ -1,6 +1,6 @@
 // karma::cache: request fingerprinting, the two-level plan cache, disk
 // robustness (corruption degrades to a miss, never a crash or a wrong
-// plan), Session integration, the cached feasibility bisection, and the
+// plan), Engine integration, the cached feasibility bisection, and the
 // Opt-1/Opt-2 search memoization counters (DESIGN.md §10).
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -27,7 +27,7 @@ namespace fs = std::filesystem;
 
 // These tests assert exact hit/miss counters, so ambient cache
 // configuration must not leak in: a user's exported KARMA_CACHE_DIR would
-// turn cold-path misses into warm disk hits. Cleared before any Session
+// turn cold-path misses into warm disk hits. Cleared before any Engine
 // is constructed (static init runs before gtest's main).
 [[maybe_unused]] const int kCacheEnvGuard = [] {
   unsetenv("KARMA_CACHE_DIR");
@@ -110,8 +110,8 @@ api::PlanRequest fleet_request() {
   return request;
 }
 
-api::SessionOptions with_dir(const std::string& dir) {
-  api::SessionOptions options;
+api::CacheOptions with_dir(const std::string& dir) {
+  api::CacheOptions options;
   options.cache_dir = dir;
   return options;
 }
@@ -308,7 +308,7 @@ TEST(PlanCache, ByteCountedLruEvictsColdEntriesAndCounts) {
   // "eviction by resident bytes"): room for two copies of this plan's
   // artifact but not three.
   const api::Plan plan =
-      api::Engine::create()->session().plan_or_throw(resnet_request());
+      api::Engine::create()->plan_or_throw(resnet_request());
   const auto artifact_bytes = static_cast<Bytes>(plan.to_json().size());
   PlanCache::Options options;
   options.memory_capacity_bytes = 2 * artifact_bytes + artifact_bytes / 2;
@@ -348,7 +348,7 @@ TEST(PlanCache, ByteCountedLruEvictsColdEntriesAndCounts) {
 
 TEST(PlanCache, OversizedArtifactIsNotAdmittedToMemory) {
   const api::Plan plan =
-      api::Engine::create()->session().plan_or_throw(resnet_request());
+      api::Engine::create()->plan_or_throw(resnet_request());
   PlanCache::Options options;
   options.memory_capacity_bytes =
       static_cast<Bytes>(plan.to_json().size()) / 2;
@@ -368,20 +368,20 @@ TEST(PlanCacheDisk, WarmSessionLoadsBitIdenticalPlanFromDisk) {
   TempCacheDir dir("warm");
   const api::PlanRequest request = resnet_request();
 
-  const api::Session cold = api::Engine::create({with_dir(dir.path())})->session();
-  const api::Plan fresh = cold.plan_or_throw(request);
-  EXPECT_EQ(cold.cache_stats().disk_writes, 1u);
+  const auto cold = api::Engine::create({with_dir(dir.path())});
+  const api::Plan fresh = cold->plan_or_throw(request);
+  EXPECT_EQ(cold->cache_stats().disk_writes, 1u);
 
-  const api::Session warm = api::Engine::create({with_dir(dir.path())})->session();
-  const api::Plan reloaded = warm.plan_or_throw(request);
+  const auto warm = api::Engine::create({with_dir(dir.path())});
+  const api::Plan reloaded = warm->plan_or_throw(request);
   EXPECT_EQ(reloaded.to_json(), fresh.to_json());
-  EXPECT_EQ(warm.cache_stats().disk_hits, 1u);
-  EXPECT_EQ(warm.cache_stats().misses, 0u);
+  EXPECT_EQ(warm->cache_stats().disk_hits, 1u);
+  EXPECT_EQ(warm->cache_stats().misses, 0u);
 
   // The disk hit was promoted: a repeat is a memory hit, not a re-parse.
-  warm.plan_or_throw(request);
-  EXPECT_EQ(warm.cache_stats().memory_hits, 1u);
-  EXPECT_EQ(warm.cache_stats().disk_hits, 1u);
+  warm->plan_or_throw(request);
+  EXPECT_EQ(warm->cache_stats().memory_hits, 1u);
+  EXPECT_EQ(warm->cache_stats().disk_hits, 1u);
 
   // No temp files left behind by the atomic write discipline. The store's
   // own coordination files (write lock, single-flight claims) are the only
@@ -396,8 +396,8 @@ TEST(PlanCacheDisk, WarmSessionLoadsBitIdenticalPlanFromDisk) {
 TEST(PlanCacheDisk, TruncatedAndGarbledEntriesDegradeToCleanMisses) {
   TempCacheDir dir("corrupt");
   const api::PlanRequest request = resnet_request();
-  const api::Session cold = api::Engine::create({with_dir(dir.path())})->session();
-  const api::Plan fresh = cold.plan_or_throw(request);
+  const auto cold = api::Engine::create({with_dir(dir.path())});
+  const api::Plan fresh = cold->plan_or_throw(request);
 
   const std::string entry =
       DiskStore(dir.path()).entry_path(request_key(request));
@@ -406,33 +406,33 @@ TEST(PlanCacheDisk, TruncatedAndGarbledEntriesDegradeToCleanMisses) {
   // Truncate mid-artifact (a crashed writer without the atomic rename).
   std::string half = fresh.to_json().substr(0, fresh.to_json().size() / 2);
   std::ofstream(entry, std::ios::trunc) << half;
-  api::Session truncated = api::Engine::create({with_dir(dir.path())})->session();
-  const api::Plan replanned = truncated.plan_or_throw(request);
+  const auto truncated = api::Engine::create({with_dir(dir.path())});
+  const api::Plan replanned = truncated->plan_or_throw(request);
   EXPECT_EQ(replanned.to_json(), fresh.to_json());  // never a wrong plan
-  EXPECT_EQ(truncated.cache_stats().corrupt_entries, 1u);
-  EXPECT_EQ(truncated.cache_stats().misses, 1u);
+  EXPECT_EQ(truncated->cache_stats().corrupt_entries, 1u);
+  EXPECT_EQ(truncated->cache_stats().misses, 1u);
 
-  // The replan healed the entry (atomic overwrite): next session hits.
-  api::Session healed = api::Engine::create({with_dir(dir.path())})->session();
-  healed.plan_or_throw(request);
-  EXPECT_EQ(healed.cache_stats().disk_hits, 1u);
+  // The replan healed the entry (atomic overwrite): next engine hits.
+  const auto healed = api::Engine::create({with_dir(dir.path())});
+  healed->plan_or_throw(request);
+  EXPECT_EQ(healed->cache_stats().disk_hits, 1u);
 
   // Outright garbage.
   std::ofstream(entry, std::ios::trunc) << "not a plan artifact at all";
-  api::Session garbled = api::Engine::create({with_dir(dir.path())})->session();
-  EXPECT_EQ(garbled.plan_or_throw(request).to_json(), fresh.to_json());
-  EXPECT_EQ(garbled.cache_stats().corrupt_entries, 1u);
+  const auto garbled = api::Engine::create({with_dir(dir.path())});
+  EXPECT_EQ(garbled->plan_or_throw(request).to_json(), fresh.to_json());
+  EXPECT_EQ(garbled->cache_stats().corrupt_entries, 1u);
 }
 
 TEST(PlanCacheDisk, PropertyCachedThenReloadedEqualsFreshlyPlanned) {
   // Property test over randomized requests: for any feasible request, the
   // plan served by a warm cache (across a process boundary, modeled by a
-  // fresh Session) is bit-identical to planning from scratch with no
+  // fresh Engine) is bit-identical to planning from scratch with no
   // cache at all.
   TempCacheDir dir("property");
   Rng rng(0xCAFE);
-  api::SessionOptions bypass;
-  bypass.cache_mode = api::SessionOptions::CacheMode::kBypass;
+  api::CacheOptions bypass;
+  bypass.cache_mode = api::CacheOptions::CacheMode::kBypass;
   int planned = 0;
   for (int draw = 0; draw < 8; ++draw) {
     const int layers = 4 + static_cast<int>(rng.next_below(5));
@@ -446,12 +446,14 @@ TEST(PlanCacheDisk, PropertyCachedThenReloadedEqualsFreshlyPlanned) {
     request.planner.seed = rng.next_u64();
     request.probe_feasible_batch = false;
 
-    const auto fresh = api::Engine::create({bypass})->session().plan(request);
-    const auto cached = api::Engine::create({with_dir(dir.path())})->session().plan(request);
+    const auto fresh = api::Engine::create({bypass})->plan(request);
+    const auto cached =
+        api::Engine::create({with_dir(dir.path())})->plan(request);
     ASSERT_EQ(fresh.has_value(), cached.has_value()) << "draw " << draw;
     if (!fresh.has_value()) continue;  // infeasible draw: nothing to cache
     ++planned;
-    const auto reloaded = api::Engine::create({with_dir(dir.path())})->session().plan(request);
+    const auto reloaded =
+        api::Engine::create({with_dir(dir.path())})->plan(request);
     ASSERT_TRUE(reloaded.has_value());
     EXPECT_EQ(cached->to_json(), fresh->to_json()) << "draw " << draw;
     EXPECT_EQ(reloaded->to_json(), fresh->to_json()) << "draw " << draw;
@@ -463,62 +465,39 @@ TEST(PlanCacheDisk, PropertyCachedThenReloadedEqualsFreshlyPlanned) {
 }
 
 // ---------------------------------------------------------------------------
-// Session cache modes
+// Engine cache modes
 // ---------------------------------------------------------------------------
 
-TEST(SessionCache, ReadOnlyModeNeverWrites) {
-  TempCacheDir dir("readonly");
-  api::SessionOptions options = with_dir(dir.path());
-  options.cache_mode = api::SessionOptions::CacheMode::kReadOnly;
-  const api::Session session = api::Engine::create({options})->session();
-  session.plan_or_throw(resnet_request());
-  EXPECT_EQ(session.cache_stats().insertions, 0u);
-  EXPECT_EQ(session.cache_stats().disk_writes, 0u);
-  EXPECT_FALSE(fs::exists(dir.path()));  // store never even created
-
-  // Against a populated store it consults but never mutates: repeated
-  // disk hits are NOT promoted into the LRU (that would be an insert).
-  api::Engine::create({with_dir(dir.path())})->session().plan_or_throw(resnet_request());
-  const api::Session reader = api::Engine::create({options})->session();
-  reader.plan_or_throw(resnet_request());
-  reader.plan_or_throw(resnet_request());
-  EXPECT_EQ(reader.cache_stats().disk_hits, 2u);
-  EXPECT_EQ(reader.cache_stats().memory_hits, 0u);
-  EXPECT_EQ(reader.cache_stats().insertions, 0u);
-}
-
 TEST(SessionCache, BypassModeRunsTheFullSearchEveryTime) {
-  api::SessionOptions options;
-  options.cache_mode = api::SessionOptions::CacheMode::kBypass;
-  const api::Session session = api::Engine::create({options})->session();
-  const auto a = session.plan_or_throw(resnet_request());
-  const auto b = session.plan_or_throw(resnet_request());
+  api::CacheOptions options;
+  options.cache_mode = api::CacheOptions::CacheMode::kBypass;
+  const auto engine = api::Engine::create({options});
+  const auto a = engine->plan_or_throw(resnet_request());
+  const auto b = engine->plan_or_throw(resnet_request());
   EXPECT_EQ(a.to_json(), b.to_json());  // determinism, not caching
-  EXPECT_EQ(session.cache_stats().lookups(), 0u);
+  EXPECT_EQ(engine->cache_stats().lookups(), 0u);
   EXPECT_GT(b.search_stats.simulations, 0);  // really re-searched
 }
 
 TEST(SessionCache, DefaultSessionHonorsCacheDirEnv) {
   TempCacheDir dir("env");
   ASSERT_EQ(setenv("KARMA_CACHE_DIR", dir.path().c_str(), 1), 0);
-  const api::Session session =
-      api::Engine::create()->session();  // defaults pick up the env var
+  const auto engine = api::Engine::create();  // defaults pick up the env var
   unsetenv("KARMA_CACHE_DIR");
-  EXPECT_EQ(session.options().cache_dir, dir.path());
-  session.plan_or_throw(resnet_request());
-  EXPECT_EQ(session.cache_stats().disk_writes, 1u);
+  EXPECT_EQ(engine->options().cache.cache_dir, dir.path());
+  engine->plan_or_throw(resnet_request());
+  EXPECT_EQ(engine->cache_stats().disk_writes, 1u);
   EXPECT_TRUE(
       fs::exists(DiskStore(dir.path()).entry_path(request_key(resnet_request()))));
 }
 
 TEST(SessionCache, MemoryHitsWithinOneSession) {
-  const api::Session session =
-      api::Engine::create()->session();  // default: memory LRU, no disk
-  const api::Plan first = session.plan_or_throw(resnet_request());
-  const api::Plan second = session.plan_or_throw(resnet_request());
+  const auto engine = api::Engine::create();  // default: memory LRU, no disk
+  const api::Plan first = engine->plan_or_throw(resnet_request());
+  const api::Plan second = engine->plan_or_throw(resnet_request());
   EXPECT_EQ(first.to_json(), second.to_json());
-  EXPECT_EQ(session.cache_stats().memory_hits, 1u);
-  EXPECT_EQ(session.cache_stats().misses, 1u);
+  EXPECT_EQ(engine->cache_stats().memory_hits, 1u);
+  EXPECT_EQ(engine->cache_stats().misses, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -531,27 +510,29 @@ TEST(SessionCache, BisectionReportsAndCachesItsProbes) {
   request.device = sim::test_device();       // 1 MiB device: infeasible
   request.probe_feasible_batch = true;
 
-  // kPositiveOnly: without it the second diagnosis below would be served
-  // whole from the negative-result cache (its own test follows) — here we
-  // want the bisection to actually re-run against the warmed probe cache.
-  api::SessionOptions options;
-  options.cache_mode = api::SessionOptions::CacheMode::kPositiveOnly;
-  const api::Session session = api::Engine::create({options})->session();
-  const auto first = session.plan(request);
+  // The first engine diagnoses cold and stores its successful probes as
+  // plan artifacts in the shared store.
+  TempCacheDir dir("bisect");
+  const auto first = api::Engine::create({with_dir(dir.path())})->plan(request);
   ASSERT_FALSE(first.has_value());
   const api::PlanError& e1 = first.error();
   EXPECT_GE(e1.nearest_feasible_batch, 1);
-  EXPECT_GT(e1.probe_candidates, 0);   // satellite: bisection effort visible
+  EXPECT_GT(e1.probe_candidates, 0);   // bisection effort visible
   EXPECT_EQ(e1.probe_cache_hits, 0);   // cold cache: every probe planned
 
-  const auto second = session.plan(request);
+  // A second engine on the same store has no memoized diagnosis (negative
+  // entries live in memory only), so it re-runs the bisection — and finds
+  // the probe plans on disk.
+  const auto engine = api::Engine::create({with_dir(dir.path())});
+  const auto second = engine->plan(request);
   ASSERT_FALSE(second.has_value());
   const api::PlanError& e2 = second.error();
+  EXPECT_FALSE(e2.from_negative_cache);
   EXPECT_EQ(e2.nearest_feasible_batch, e1.nearest_feasible_batch);
   EXPECT_EQ(e2.probe_candidates, e1.probe_candidates);
-  // Successful probes were cached as plan artifacts the first time round.
   EXPECT_GT(e2.probe_cache_hits, 0);
   EXPECT_LE(e2.probe_cache_hits, e2.probe_candidates);
+  EXPECT_GT(engine->cache_stats().disk_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -567,16 +548,16 @@ api::PlanRequest infeasible_request() {
 }
 
 TEST(NegativeCache, RepeatedInfeasibleProbesAreMemoized) {
-  const api::Session session = api::Engine::create()->session();
-  const auto first = session.plan(infeasible_request());
+  const auto engine = api::Engine::create();
+  const auto first = engine->plan(infeasible_request());
   ASSERT_FALSE(first.has_value());
   EXPECT_FALSE(first.error().from_negative_cache);
-  EXPECT_EQ(session.cache_stats().negative_insertions, 1u);
+  EXPECT_EQ(engine->cache_stats().negative_insertions, 1u);
 
-  const auto second = session.plan(infeasible_request());
+  const auto second = engine->plan(infeasible_request());
   ASSERT_FALSE(second.has_value());
   EXPECT_TRUE(second.error().from_negative_cache);
-  EXPECT_EQ(session.cache_stats().negative_hits, 1u);
+  EXPECT_EQ(engine->cache_stats().negative_hits, 1u);
   // The memoized diagnosis is the original one, structurally.
   EXPECT_EQ(second.error().code, first.error().code);
   EXPECT_EQ(second.error().message, first.error().message);
@@ -584,41 +565,29 @@ TEST(NegativeCache, RepeatedInfeasibleProbesAreMemoized) {
 }
 
 TEST(NegativeCache, UnprobedEntryCannotAnswerAProbingRequest) {
-  const api::Session session = api::Engine::create()->session();
+  const auto engine = api::Engine::create();
   api::PlanRequest quick = infeasible_request();
-  ASSERT_FALSE(session.plan(quick).has_value());  // memoized, unprobed
+  ASSERT_FALSE(engine->plan(quick).has_value());  // memoized, unprobed
 
   // Same RequestKey (the probe knob is excluded from the fingerprint),
   // but this caller wants the bisection: the unprobed entry must miss and
   // the re-diagnosis (with probes) overwrite it.
   api::PlanRequest probing = infeasible_request();
   probing.probe_feasible_batch = true;
-  const auto probed = session.plan(probing);
+  const auto probed = engine->plan(probing);
   ASSERT_FALSE(probed.has_value());
   EXPECT_FALSE(probed.error().from_negative_cache);
   EXPECT_GE(probed.error().nearest_feasible_batch, 1);
 
   // Now both probing and non-probing callers are answered memoized.
-  const auto third = session.plan(probing);
+  const auto third = engine->plan(probing);
   ASSERT_FALSE(third.has_value());
   EXPECT_TRUE(third.error().from_negative_cache);
   EXPECT_EQ(third.error().nearest_feasible_batch,
             probed.error().nearest_feasible_batch);
-  const auto fourth = session.plan(quick);
+  const auto fourth = engine->plan(quick);
   ASSERT_FALSE(fourth.has_value());
   EXPECT_TRUE(fourth.error().from_negative_cache);
-}
-
-TEST(NegativeCache, PositiveOnlyModeRediagnosesEveryTime) {
-  api::SessionOptions options;
-  options.cache_mode = api::SessionOptions::CacheMode::kPositiveOnly;
-  const api::Session session = api::Engine::create({options})->session();
-  ASSERT_FALSE(session.plan(infeasible_request()).has_value());
-  const auto second = session.plan(infeasible_request());
-  ASSERT_FALSE(second.has_value());
-  EXPECT_FALSE(second.error().from_negative_cache);
-  EXPECT_EQ(session.cache_stats().negative_hits, 0u);
-  EXPECT_EQ(session.cache_stats().negative_insertions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -631,7 +600,7 @@ TEST(SearchMemo, ResimulationsDropBelowCandidateCount) {
   // standard ResNet-50 search (annealer revisits + Opt-2 greedy rounds)
   // without changing the chosen plan.
   const api::Plan plan =
-      api::Engine::create()->session().plan_or_throw(resnet_request(512, /*anneal=*/30));
+      api::Engine::create()->plan_or_throw(resnet_request(512, /*anneal=*/30));
   const core::SearchStats& s = plan.search_stats;
   EXPECT_GT(s.candidates, 0);
   EXPECT_GT(s.memo_hits, 0);
@@ -648,10 +617,12 @@ TEST(SearchMemo, ResimulationsDropBelowCandidateCount) {
 TEST(SearchMemo, MemoizedSearchPlansIdenticallyToUncachedSessions) {
   // The memo is an exact shortcut: two independent full searches (bypass
   // mode, no plan-cache involvement) still agree to the byte.
-  api::SessionOptions bypass;
-  bypass.cache_mode = api::SessionOptions::CacheMode::kBypass;
-  const auto a = api::Engine::create({bypass})->session().plan_or_throw(resnet_request(512, 30));
-  const auto b = api::Engine::create({bypass})->session().plan_or_throw(resnet_request(512, 30));
+  api::CacheOptions bypass;
+  bypass.cache_mode = api::CacheOptions::CacheMode::kBypass;
+  const auto a =
+      api::Engine::create({bypass})->plan_or_throw(resnet_request(512, 30));
+  const auto b =
+      api::Engine::create({bypass})->plan_or_throw(resnet_request(512, 30));
   EXPECT_EQ(a.to_json(), b.to_json());
 }
 

@@ -372,7 +372,7 @@ TEST(Repair, RepairedPlanIsFeasibleAndNeverWorseThanCold) {
   table.factors["*"] = {{"h2d", 4.0}, {"d2h", 4.0}};
 
   const core::PlanResult repaired =
-      repair(model, device, table, cold.blocks, cold.policies,
+      repair(model, device, table, cold.plan.blocks, cold.policies,
              RepairOptions{options}, {}, cold.search.search_seconds);
   EXPECT_TRUE(repaired.search.warm_started);
   EXPECT_GT(repaired.search.repair_vs_cold_speedup, 0.0);

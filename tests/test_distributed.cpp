@@ -25,7 +25,7 @@ TEST(Distributed, ResnetWeightsStayResident) {
                                     base_options(16));
   EXPECT_TRUE(r.weights_resident);
   EXPECT_GT(r.iteration_time, 0.0);
-  EXPECT_FALSE(r.exchange.phases.empty());
+  EXPECT_FALSE(r.exchange->phases.empty());
 }
 
 TEST(Distributed, MegatronWeightsAreSwapped) {

@@ -123,6 +123,17 @@ TEST(Zoo, TransformerStructure) {
   EXPECT_EQ(attn, cfg.layers);
 }
 
+TEST(Zoo, TransformerNamesCarryTheParameterCount) {
+  // Below 1B the size keeps one decimal; from 1B up the names (which feed
+  // cache keys) stay in whole billions.
+  EXPECT_EQ(make_transformer_chain(megatron_config(0), 1).name(),
+            "GPT2-1152h18L (~0.3B) chain");
+  EXPECT_EQ(make_transformer(megatron_config(1), 1).name(),
+            "GPT2-1536h40L (~1B)");
+  EXPECT_EQ(make_transformer(megatron_config(4), 1).name(),
+            "GPT2-3072h72L (~8B)");
+}
+
 TEST(Zoo, TransformerChainIsLinearWithSameLayers) {
   TransformerConfig cfg;
   cfg.hidden = 64;

@@ -11,7 +11,7 @@
 namespace karma::core {
 namespace {
 
-DistributedResult weight_swapped_plan() {
+PlanResult weight_swapped_plan() {
   const graph::Model model =
       graph::make_transformer(graph::megatron_config(2), 4);  // 2.5B: must swap
   DistributedOptions options;
@@ -21,7 +21,7 @@ DistributedResult weight_swapped_plan() {
   return plan_data_parallel(model, sim::v100_abci(), options);
 }
 
-DistributedResult weight_resident_plan() {
+PlanResult weight_resident_plan() {
   DistributedOptions options;
   options.num_gpus = 16;
   options.iterations = 2;
@@ -122,7 +122,7 @@ TEST(PipelineStructure, SecondIterationForwardWaitsForUpdatedWeights) {
 TEST(PipelineStructure, PhasedExchangeCoversAllGradients) {
   const auto r = weight_swapped_plan();
   std::vector<int> covered(r.plan.blocks.size(), 0);
-  for (const auto& phase : r.exchange.phases)
+  for (const auto& phase : r.exchange->phases)
     for (int b : phase.blocks) ++covered[static_cast<std::size_t>(b)];
   for (std::size_t b = 0; b < covered.size(); ++b)
     EXPECT_EQ(covered[b], 1) << "block " << b;

@@ -3,7 +3,7 @@
 // across runs, asserted under TSan too since this file runs in every
 // sanitizer lane), the placement golden fixture (regenerate with
 // KARMA_REGEN_GOLDEN=1 ./test_place), fleet request round-trips that
-// preserve the cache key, the end-to-end Session fleet path naming the
+// preserve the cache key, the end-to-end Engine fleet path naming the
 // straggler, structured FleetInfeasible surfacing, and the identity
 // NVMe-contention bit-exactness guarantee.
 #include <gtest/gtest.h>
@@ -281,11 +281,11 @@ TEST(NvmeContention, IdentityReproducesSeedTimingsExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end through the Session facade.
+// End-to-end through the Engine.
 // ---------------------------------------------------------------------------
 
 TEST(FleetSession, PlansEndToEndAndNamesTheStraggler) {
-  const auto planned = api::Engine::create()->session().plan(fleet_request());
+  const auto planned = api::Engine::create()->plan(fleet_request());
   ASSERT_TRUE(planned.has_value()) << planned.error().describe();
   const api::Plan& plan = *planned;
   ASSERT_TRUE(plan.placement.has_value());
@@ -308,12 +308,46 @@ TEST(FleetSession, PlansEndToEndAndNamesTheStraggler) {
   EXPECT_EQ(api::placement_to_json(*reloaded->placement),
             api::placement_to_json(placement));
   EXPECT_EQ(reloaded->to_json(), plan.to_json());
+
+  // The scalar fields are the straggler leg of the same direct plan_fleet
+  // search, field by field.
+  const api::PlanRequest request = fleet_request();
+  FleetPlanOptions options;
+  options.planner = request.planner;
+  options.placement.optimizer_state_bytes = [&](Bytes param_bytes) {
+    return request.optimizer.host_state_bytes(param_bytes);
+  };
+  const FleetPlanResult direct =
+      plan_fleet(request.model, *request.fleet, options);
+  ASSERT_EQ(direct.straggler, placement.straggler);
+  const core::PlanResult& leg =
+      direct.nodes[static_cast<std::size_t>(direct.straggler)].result;
+  // Schedule and exchange compare as artifact JSON (neither has a
+  // serializer of its own).
+  const auto json_of = [](const sim::Plan& schedule,
+                          const std::optional<net::ExchangePlan>& exchange) {
+    api::Plan only;
+    only.schedule = schedule;
+    only.exchange = exchange;
+    return only.to_json();
+  };
+  ASSERT_TRUE(leg.exchange.has_value());
+  EXPECT_EQ(json_of(plan.schedule, plan.exchange),
+            json_of(leg.plan, leg.exchange));
+  EXPECT_EQ(plan.policies, leg.policies);
+  EXPECT_EQ(plan.occupancy, leg.occupancy);
+  EXPECT_EQ(plan.weights_resident, leg.weights_resident);
+  EXPECT_EQ(plan.iteration_time, direct.iteration_time);
+  EXPECT_EQ(plan.first_iteration_time, direct.iteration_time);
+  EXPECT_EQ(plan.reserved_host_bytes,
+            direct.placement.nodes[static_cast<std::size_t>(direct.straggler)]
+                .reserved_host_bytes);
 }
 
 TEST(FleetSession, InfeasibleFleetReportsBindingNodeAsStructuredError) {
   api::PlanRequest request = fleet_request();
   for (auto& node : request.fleet->nodes) node.device.host_capacity = 1024;
-  const auto planned = api::Engine::create()->session().plan(request);
+  const auto planned = api::Engine::create()->plan(request);
   ASSERT_FALSE(planned.has_value());
   const api::PlanError& e = planned.error();
   EXPECT_EQ(e.code, api::PlanErrorCode::kTierOverflow);
@@ -329,7 +363,7 @@ TEST(FleetSession, FleetAndDistributedAreMutuallyExclusive) {
   core::DistributedOptions distributed;
   distributed.num_gpus = 4;
   request.distributed = distributed;
-  const auto planned = api::Engine::create()->session().plan(request);
+  const auto planned = api::Engine::create()->plan(request);
   ASSERT_FALSE(planned.has_value());
   EXPECT_EQ(planned.error().code, api::PlanErrorCode::kInvalidRequest);
 }
@@ -337,7 +371,7 @@ TEST(FleetSession, FleetAndDistributedAreMutuallyExclusive) {
 TEST(FleetSession, InvalidFleetIsRejectedBeforePlanning) {
   api::PlanRequest request = fleet_request();
   request.fleet->nodes.resize(1);  // < 2 nodes
-  const auto planned = api::Engine::create()->session().plan(request);
+  const auto planned = api::Engine::create()->plan(request);
   ASSERT_FALSE(planned.has_value());
   EXPECT_EQ(planned.error().code, api::PlanErrorCode::kInvalidRequest);
 }
@@ -345,12 +379,12 @@ TEST(FleetSession, InvalidFleetIsRejectedBeforePlanning) {
 TEST(FleetSession, FleetPlansAreServedFromCache) {
   const auto engine = api::Engine::create();
   const api::PlanRequest request = fleet_request();
-  const auto first = engine->session().plan(request);
+  const auto first = engine->plan(request);
   ASSERT_TRUE(first.has_value()) << first.error().describe();
-  const auto second = engine->session().plan(request);
+  const auto second = engine->plan(request);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->to_json(), first->to_json());
-  EXPECT_GE(engine->session().cache_stats().hits(), 1u);
+  EXPECT_GE(engine->cache_stats().hits(), 1u);
 }
 
 }  // namespace

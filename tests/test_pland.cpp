@@ -309,15 +309,15 @@ TEST(Daemon, StopWithIdleWorkersNeverHangs) {
 
 TEST(FleetSingleFlight, TwoEnginesOneDirRunExactlyOneSearch) {
   TempDir dir("fleet");
-  api::SessionOptions with_dir;
+  api::CacheOptions with_dir;
   with_dir.cache_dir = dir.path;
   const auto a = api::Engine::create({with_dir});
   const auto b = api::Engine::create({with_dir});
   const api::PlanRequest request = resnet_request(512, /*anneal=*/120);
 
   std::string plan_a, plan_b;
-  std::thread ta([&] { plan_a = a->session().plan_or_throw(request).to_json(); });
-  std::thread tb([&] { plan_b = b->session().plan_or_throw(request).to_json(); });
+  std::thread ta([&] { plan_a = a->plan_or_throw(request).to_json(); });
+  std::thread tb([&] { plan_b = b->plan_or_throw(request).to_json(); });
   ta.join();
   tb.join();
 

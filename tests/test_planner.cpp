@@ -55,7 +55,7 @@ TEST(Planner, OutOfCoreBatchIsFeasible) {
   const PlanResult r = planner.plan();
   EXPECT_GT(r.iteration_time, 0.0);
   EXPECT_LE(r.trace.peak_resident, sim::v100_abci().memory_capacity);
-  EXPECT_GT(r.blocks.size(), 1u);
+  EXPECT_GT(r.plan.blocks.size(), 1u);
 }
 
 TEST(Planner, RecomputeNeverHurts) {
@@ -93,8 +93,8 @@ TEST(Planner, UnetLongSkipBlocksNotSwapped) {
   const graph::Model unet = graph::make_unet(16);  // out-of-core
   const KarmaPlanner planner(unet, sim::v100_abci(), fast_options(true));
   const PlanResult r = planner.plan();
-  const auto mask = blocks_with_long_skips(unet, r.blocks);
-  for (std::size_t b = 0; b < r.blocks.size(); ++b) {
+  const auto mask = blocks_with_long_skips(unet, r.plan.blocks);
+  for (std::size_t b = 0; b < r.plan.blocks.size(); ++b) {
     if (mask[b]) {
       EXPECT_FALSE(is_swap_policy(r.policies[b]))
           << "contracting-path block " << b << " must not swap (III-F.4)";
@@ -116,9 +116,9 @@ TEST(Planner, DeterministicAcrossRuns) {
   const PlanResult a = planner.plan();
   const PlanResult b = planner.plan();
   EXPECT_DOUBLE_EQ(a.iteration_time, b.iteration_time);
-  ASSERT_EQ(a.blocks.size(), b.blocks.size());
-  for (std::size_t i = 0; i < a.blocks.size(); ++i) {
-    EXPECT_EQ(a.blocks[i].first_layer, b.blocks[i].first_layer);
+  ASSERT_EQ(a.plan.blocks.size(), b.plan.blocks.size());
+  for (std::size_t i = 0; i < a.plan.blocks.size(); ++i) {
+    EXPECT_EQ(a.plan.blocks[i].first_layer, b.plan.blocks[i].first_layer);
     EXPECT_EQ(a.policies[i], b.policies[i]);
   }
 }
@@ -138,7 +138,7 @@ TEST(Planner, BlockingRespectsCleanCuts) {
   const KarmaPlanner planner(m, sim::v100_abci(), fast_options(true));
   const PlanResult r = planner.plan();
   const auto cuts = clean_cut_points(m);
-  for (const auto& blk : r.blocks) {
+  for (const auto& blk : r.plan.blocks) {
     EXPECT_TRUE(std::binary_search(cuts.begin(), cuts.end(), blk.first_layer))
         << "boundary " << blk.first_layer << " not a clean cut";
   }

@@ -363,7 +363,7 @@ TEST(LedgerConservation, RandomizedDistributedSchedules) {
     request.distributed = options;
     request.probe_feasible_batch = false;
 
-    const auto planned = api::Engine::create()->session().plan(request);
+    const auto planned = api::Engine::create()->plan(request);
     if (!planned.has_value()) continue;  // infeasible draw: nothing to check
     ++admitted;
     const std::string label = "trial " + std::to_string(trial) + " (" +

@@ -138,7 +138,7 @@ TEST(Regression, Resnet50FeasibilityCeilingStaysStructured) {
     request.planner.enable_recompute = true;
     request.planner.anneal_iterations = 0;
     request.probe_feasible_batch = true;
-    const auto planned = engine->session().plan(request);
+    const auto planned = engine->plan(request);
     ASSERT_FALSE(planned.has_value()) << "batch " << batch;
     const api::PlanError& e = planned.error();
     EXPECT_TRUE(e.code == api::PlanErrorCode::kTierOverflow ||

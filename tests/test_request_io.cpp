@@ -179,7 +179,7 @@ TEST(RequestIo, ErrorRoundTripCarriesThePartialPlanByteExactly) {
   // A deadline error ships the best-so-far artifact; across the wire it
   // must stay the same bytes (the plan artifact is spliced verbatim).
   const auto planned =
-      Engine::create()->session().plan(resnet_request(256));
+      Engine::create()->plan(resnet_request(256));
   ASSERT_TRUE(planned.has_value());
   PlanError e;
   e.code = PlanErrorCode::kDeadline;

@@ -61,7 +61,7 @@ PlannerOptions search_options(int workers) {
 void expect_results_identical(const PlanResult& a, const PlanResult& b,
                               const std::string& what) {
   EXPECT_EQ(a.iteration_time, b.iteration_time) << what;
-  EXPECT_EQ(a.blocks.size(), b.blocks.size()) << what;
+  EXPECT_EQ(a.plan.blocks.size(), b.plan.blocks.size()) << what;
   EXPECT_EQ(a.policies, b.policies) << what;
   EXPECT_EQ(a.plan.schedule_string(), b.plan.schedule_string()) << what;
   expect_traces_identical(a.trace, b.trace, what);
@@ -101,7 +101,8 @@ TEST(PortfolioSearch, RepairRidesSuffixResim) {
   const graph::Model m = graph::make_resnet50(512);
   const KarmaPlanner planner(m, sim::v100_abci(), search_options(4));
   const PlanResult cold = planner.plan();
-  const PlanResult repaired = planner.plan_from(cold.blocks, cold.policies);
+  const PlanResult repaired =
+      planner.plan_from(cold.plan.blocks, cold.policies);
   EXPECT_TRUE(repaired.search.warm_started);
   // Warm start must not land anywhere worse than the seed it was given.
   EXPECT_LE(repaired.iteration_time, cold.iteration_time * (1.0 + 1e-9));

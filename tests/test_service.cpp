@@ -48,9 +48,9 @@ PlanRequest resnet_request(std::int64_t batch, int anneal_iterations) {
 /// Fresh single-use full search, no cache involvement — the ground truth
 /// the engine's answers must be bit-identical to.
 std::string serial_baseline_json(const PlanRequest& request) {
-  SessionOptions bypass;
-  bypass.cache_mode = SessionOptions::CacheMode::kBypass;
-  return Engine::create({bypass})->session().plan_or_throw(request).to_json();
+  CacheOptions bypass;
+  bypass.cache_mode = CacheOptions::CacheMode::kBypass;
+  return Engine::create({bypass})->plan_or_throw(request).to_json();
 }
 
 // ---------------------------------------------------------------------------
@@ -71,10 +71,9 @@ TEST(EngineSingleFlight, IdenticalStormRunsExactlyOneSearch) {
     std::vector<std::jthread> threads;
     for (int i = 0; i < kThreads; ++i)
       threads.emplace_back([&, i] {
-        Session session = engine->session();
         sync.arrive_and_wait();
         artifacts[static_cast<std::size_t>(i)] =
-            session.plan_or_throw(request).to_json();
+            engine->plan_or_throw(request).to_json();
       });
   }
 
@@ -98,10 +97,9 @@ TEST(EngineSingleFlight, DistinctConcurrentRequestsMatchFreshSerialPlans) {
     std::vector<std::jthread> threads;
     for (std::size_t i = 0; i < batches.size(); ++i)
       threads.emplace_back([&, i] {
-        Session session = engine->session();
         sync.arrive_and_wait();
         artifacts[i] =
-            session.plan_or_throw(resnet_request(batches[i], 30)).to_json();
+            engine->plan_or_throw(resnet_request(batches[i], 30)).to_json();
       });
   }
   EXPECT_EQ(engine->stats().searches, batches.size());
@@ -112,10 +110,9 @@ TEST(EngineSingleFlight, DistinctConcurrentRequestsMatchFreshSerialPlans) {
 
 TEST(EngineSingleFlight, SequentialRepeatIsACacheHitNotASecondSearch) {
   const auto engine = Engine::create();
-  Session session = engine->session();
   const PlanRequest request = resnet_request(256, 30);
-  const Plan first = session.plan_or_throw(request);
-  const PlanFuture warm = session.plan_async(request);
+  const Plan first = engine->plan_or_throw(request);
+  const PlanFuture warm = engine->plan_async(request);
   // Settled at submission: no flight, no worker, just the cached artifact.
   EXPECT_TRUE(warm.progress().done);
   const auto result = warm.get();
@@ -131,11 +128,10 @@ TEST(EngineSingleFlight, SequentialRepeatIsACacheHitNotASecondSearch) {
 
 TEST(EngineCancel, CancelMidAnnealSettlesPromptlyWithPartial) {
   const auto engine = Engine::create();
-  Session session = engine->session();
   // An effectively unbounded anneal: without cancellation this search
   // would run for minutes.
   const PlanRequest deep = resnet_request(512, /*anneal=*/50'000'000);
-  const PlanFuture future = session.plan_async(deep);
+  const PlanFuture future = engine->plan_async(deep);
 
   // Wait for the search to produce a best-so-far (first feasible Opt-1
   // candidate) so the partial attachment is deterministic.
@@ -192,9 +188,8 @@ TEST(EngineCancel, CancelMidPortfolioLeavesNoWorkerBehind) {
   // window must stop ALL of them (each walk polls the shared token), and
   // the worker gauge must return to zero once the future settles.
   const auto engine = Engine::create();
-  Session session = engine->session();
   PlanRequest deep = resnet_request(512, /*anneal=*/50'000'000);
-  const PlanFuture future = session.plan_async(deep);
+  const PlanFuture future = engine->plan_async(deep);
   const auto t0 = std::chrono::steady_clock::now();
   while (!future.progress().has_best && seconds_since(t0) < 30.0)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -214,11 +209,10 @@ TEST(EngineCancel, CancelMidPortfolioLeavesNoWorkerBehind) {
 
 TEST(EngineCancel, CancelledSearchPoisonsNeitherCacheNorDeterminism) {
   const auto engine = Engine::create();
-  Session session = engine->session();
 
   // Start a deep search and cancel it mid-anneal.
   const PlanFuture doomed =
-      session.plan_async(resnet_request(512, /*anneal=*/50'000'000));
+      engine->plan_async(resnet_request(512, /*anneal=*/50'000'000));
   const auto t0 = std::chrono::steady_clock::now();
   while (!doomed.progress().has_best && seconds_since(t0) < 30.0)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -234,7 +228,7 @@ TEST(EngineCancel, CancelledSearchPoisonsNeitherCacheNorDeterminism) {
   // serial one: each planner run builds its own rng stream and memo
   // state, so the cancelled walk left no footprint.
   const PlanRequest request = resnet_request(384, /*anneal=*/40);
-  EXPECT_EQ(session.plan_or_throw(request).to_json(),
+  EXPECT_EQ(engine->plan_or_throw(request).to_json(),
             serial_baseline_json(request));
 }
 
@@ -242,7 +236,7 @@ TEST(EngineCancel, DroppingEveryFutureCancelsAnUnwantedSearch) {
   auto engine = Engine::create();
   {
     const PlanFuture abandoned =
-        engine->session().plan_async(resnet_request(512, 50'000'000));
+        engine->plan_async(resnet_request(512, 50'000'000));
     const auto t0 = std::chrono::steady_clock::now();
     while (abandoned.progress().candidates == 0 && seconds_since(t0) < 30.0)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -261,11 +255,10 @@ TEST(EngineCancel, DroppingEveryFutureCancelsAnUnwantedSearch) {
 
 TEST(EngineDeadline, DeadlineBoundedPlanReturnsStructuredError) {
   const auto engine = Engine::create();
-  Session session = engine->session();
   PlanRequest deep = resnet_request(512, /*anneal=*/50'000'000);
   deep.limits.deadline = 0.5;  // seconds; the anneal alone would take minutes
   const auto t0 = std::chrono::steady_clock::now();
-  const auto outcome = session.plan(deep);
+  const auto outcome = engine->plan(deep);
   const double elapsed = seconds_since(t0);
   ASSERT_FALSE(outcome.has_value());
   EXPECT_EQ(outcome.error().code, PlanErrorCode::kDeadline);
@@ -283,12 +276,11 @@ TEST(EngineDeadline, DeadlineBoundedPlanReturnsStructuredError) {
 
 TEST(EngineDeadline, CandidateBudgetStopsSearchWithBestSoFar) {
   const auto engine = Engine::create();
-  Session session = engine->session();
   PlanRequest bounded = resnet_request(512, /*anneal=*/2000);
   // Enough budget for several feasible Opt-1 candidates, far below the
   // full search.
   bounded.limits.max_candidates = 25;
-  const auto outcome = session.plan(bounded);
+  const auto outcome = engine->plan(bounded);
   ASSERT_FALSE(outcome.has_value());
   EXPECT_EQ(outcome.error().code, PlanErrorCode::kDeadline);
   EXPECT_NE(outcome.error().message.find("budget"), std::string::npos);
@@ -305,7 +297,7 @@ TEST(EngineDeadline, CandidateBudgetStopsSearchWithBestSoFar) {
   // same request yields the full-search plan, bit-identical to serial.
   PlanRequest unbounded = bounded;
   unbounded.limits.max_candidates = 0;
-  EXPECT_EQ(session.plan_or_throw(unbounded).to_json(),
+  EXPECT_EQ(engine->plan_or_throw(unbounded).to_json(),
             serial_baseline_json(unbounded));
 }
 
@@ -314,9 +306,8 @@ TEST(EngineDeadline, JoinerBudgetSettlesJoinerWithoutKillingTheFlight) {
   // flight's effective limits stay loose (the leader is unbounded) — and
   // must not truncate the shared search.
   const auto engine = Engine::create();
-  Session session = engine->session();
   const PlanRequest deep = resnet_request(512, /*anneal=*/50'000'000);
-  const PlanFuture leader = session.plan_async(deep);
+  const PlanFuture leader = engine->plan_async(deep);
   const auto t0 = std::chrono::steady_clock::now();
   while (leader.progress().candidates == 0 && seconds_since(t0) < 30.0)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -325,7 +316,7 @@ TEST(EngineDeadline, JoinerBudgetSettlesJoinerWithoutKillingTheFlight) {
   PlanRequest joiner = deep;
   joiner.limits.max_candidates = 1;
   const auto t1 = std::chrono::steady_clock::now();
-  const auto outcome = session.plan(joiner);
+  const auto outcome = engine->plan(joiner);
   ASSERT_FALSE(outcome.has_value());
   EXPECT_EQ(outcome.error().code, PlanErrorCode::kDeadline);
   EXPECT_NE(outcome.error().message.find("budget"), std::string::npos);
@@ -354,12 +345,11 @@ TEST(NegativeCacheInterplay, TruncatedDiagnosisIsNeverMemoizedAsComplete) {
   // caller must get the complete answer — a truncated diagnosis must
   // never have been memoized as the request's.
   const auto engine = Engine::create();
-  Session session = engine->session();
   PlanRequest truncated = probing;
   truncated.limits.max_candidates = 12;
-  (void)session.plan(truncated);  // kDeadline or a truncated diagnosis
+  (void)engine->plan(truncated);  // kDeadline or a truncated diagnosis
 
-  const auto second = session.plan(probing);
+  const auto second = engine->plan(probing);
   ASSERT_FALSE(second.has_value());
   EXPECT_EQ(second.error().nearest_feasible_batch, nearest)
       << (second.error().from_negative_cache
@@ -371,19 +361,18 @@ TEST(EngineDeadline, LimitsDoNotChangeTheCacheKey) {
   // A deadline-bounded request that finishes in time must hit the cache
   // entry written by an unbounded one: limits are patience, not content.
   const auto engine = Engine::create();
-  Session session = engine->session();
-  const Plan warm = session.plan_or_throw(resnet_request(256, 30));
+  const Plan warm = engine->plan_or_throw(resnet_request(256, 30));
   PlanRequest limited = resnet_request(256, 30);
   limited.limits.deadline = 30.0;
   limited.limits.max_candidates = 1;  // would stop any fresh search at once
-  const auto hit = session.plan(limited);
+  const auto hit = engine->plan(limited);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->to_json(), warm.to_json());
   EXPECT_EQ(engine->stats().searches, 1u);
 }
 
 // ---------------------------------------------------------------------------
-// Engine independence (replaces the deleted v1 Session-shim test)
+// Engine independence
 // ---------------------------------------------------------------------------
 
 TEST(EngineIndependence, SeparateEnginesPlanIdenticallyAndShareNothing) {
@@ -392,12 +381,10 @@ TEST(EngineIndependence, SeparateEnginesPlanIdenticallyAndShareNothing) {
   const auto a = Engine::create();
   const auto b = Engine::create();
   const PlanRequest request = resnet_request(256, 30);
-  EXPECT_EQ(a->session().plan_or_throw(request).to_json(),
-            b->session().plan_or_throw(request).to_json());
+  EXPECT_EQ(a->plan_or_throw(request).to_json(),
+            b->plan_or_throw(request).to_json());
   EXPECT_EQ(a->stats().searches, 1u);
   EXPECT_EQ(b->stats().searches, 1u);  // b never saw a's artifact
-  // And the handle exposes its engine for service-level introspection.
-  EXPECT_EQ(a->session().engine(), a);
 }
 
 }  // namespace

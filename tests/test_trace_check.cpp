@@ -4,6 +4,11 @@
 #include "src/sim/trace_check.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "src/baselines/strategies.h"
 #include "src/core/distributed.h"
@@ -55,6 +60,32 @@ TEST(TraceCheck, DetectsMemoryOverflow) {
   EXPECT_TRUE(has_memory_violation);
 }
 
+TEST(TraceCheck, KarmaRowsIgnoreTheUserPlanCache) {
+  // A plan loaded from a disk cache carries no per-op trace records, so
+  // the figure rows must never read one, whatever KARMA_CACHE_DIR holds.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("karma-trace-check-cache-" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  const char* outer = std::getenv("KARMA_CACHE_DIR");
+  const std::string saved = outer ? outer : "";
+  ASSERT_EQ(setenv("KARMA_CACHE_DIR", dir.c_str(), 1), 0);
+  const graph::Model model = graph::make_vgg16(64);
+  const auto first = baselines::plan_karma(model, v100_abci());
+  const auto second = baselines::plan_karma(model, v100_abci());
+  if (outer)
+    setenv("KARMA_CACHE_DIR", saved.c_str(), 1);
+  else
+    unsetenv("KARMA_CACHE_DIR");
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  ASSERT_TRUE(first);
+  ASSERT_TRUE(second);
+  EXPECT_EQ(second->trace.records.size(), second->plan.ops.size());
+  EXPECT_TRUE(check_trace_invariants(second->plan, second->trace).empty());
+}
+
 class StrategyTraces : public ::testing::TestWithParam<int> {};
 
 TEST_P(StrategyTraces, AllStrategiesProduceConsistentTraces) {
@@ -89,7 +120,7 @@ TEST(TraceCheck, DistributedPipelineTraceConsistent) {
 
 // ---- Distributed tier-tagged replay (DESIGN.md §9) ----
 
-core::DistributedResult tiered_distributed_result(int iterations = 3) {
+core::PlanResult tiered_distributed_result(int iterations = 3) {
   const graph::Model model =
       graph::make_transformer(graph::megatron_config(0), 4);
   core::DistributedOptions options;
