@@ -66,9 +66,7 @@ Plan artifact_base(const PlanRequest& request, Bytes reserved_host) {
   return artifact;
 }
 
-/// The one mapping from a search result onto the artifact `base`. Only
-/// data-parallel ranks and fleet nodes carry a gradient exchange, so the
-/// exchange is what marks the artifact distributed.
+/// The one mapping from a search result onto the artifact `base`.
 Plan artifact_from(Plan base, core::PlanResult r) {
   base.schedule = std::move(r.plan);
   base.policies = std::move(r.policies);
@@ -76,7 +74,6 @@ Plan artifact_from(Plan base, core::PlanResult r) {
   base.iteration_time = r.iteration_time;
   base.first_iteration_time = r.first_iteration_time;
   base.occupancy = r.occupancy;
-  base.distributed = r.exchange.has_value();
   base.weights_resident = r.weights_resident;
   base.exchange = std::move(r.exchange);
   base.search_stats = r.search;
@@ -152,7 +149,7 @@ Plan plan_uncached(const PlanRequest& request,
   // seed must structurally match this request (same model, so equal
   // block/policy counts); anything else degrades to the cold search.
   const bool seeded =
-      repair_seed && !repair_seed->distributed &&
+      repair_seed && !repair_seed->distributed() &&
       !repair_seed->policies.empty() &&
       repair_seed->blocks().size() == repair_seed->policies.size() &&
       repair_seed->model_layers ==
@@ -1347,33 +1344,21 @@ std::optional<Expected<Plan, PlanError>> Engine::try_cached(
     impl_->requests->inc();
     return Outcome(std::move(*invalid));
   }
-  if (options_.cache.cache_mode == CacheOptions::CacheMode::kBypass ||
-      !impl_->cache)
-    return std::nullopt;
-  const cache::RequestKey key = key_for(request);
-  obs::Span lookup_span("engine.cache_lookup", "cache");
-  // quiet: a nullopt probe flows into plan()/plan_async(), whose own
-  // prepare counts the miss — counting it here too would double-bill.
-  if (auto hit = impl_->cache->lookup(key, /*quiet=*/true)) {
-    impl_->requests->inc();
-    return Outcome(std::move(*hit));
-  }
-  if (auto negative =
-          impl_->cache->lookup_negative(key, request.probe_feasible_batch)) {
-    impl_->requests->inc();
-    return Outcome(std::move(*negative));
-  }
-  return std::nullopt;
+  return try_cached(key_for(request), request.probe_feasible_batch);
 }
 
 std::optional<Expected<Plan, PlanError>> Engine::try_cached(
     const cache::RequestKey& key, bool probe_feasible_batch) {
-  // No validate(): the caller vouches that the bytes behind this key
-  // already parsed and validated once (same bytes -> same outcome).
+  // No validate(): the PlanRequest overload validates before it
+  // delegates, and a caller holding only the key vouches that the bytes
+  // behind it already parsed and validated once (same bytes -> same
+  // outcome).
   if (options_.cache.cache_mode == CacheOptions::CacheMode::kBypass ||
       !impl_->cache)
     return std::nullopt;
   obs::Span lookup_span("engine.cache_lookup", "cache");
+  // quiet: a nullopt probe flows into plan()/plan_async(), whose own
+  // prepare counts the miss — counting it here too would double-bill.
   if (auto hit = impl_->cache->lookup(key, /*quiet=*/true)) {
     impl_->requests->inc();
     return Outcome(std::move(*hit));

@@ -1,12 +1,8 @@
 #include "src/api/request_io.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <stdexcept>
 
-#include "src/api/io_detail.h"
+#include "src/api/fields.h"
 #include "src/api/plan_io.h"
 #include "src/api/session.h"
 #include "src/util/json.h"
@@ -16,83 +12,20 @@ namespace {
 
 using util::json::Value;
 using util::json::Writer;
-using util::json::as_int32;
 
-// ---------------------------------------------------------------------------
-// Enum maps. Layer kinds travel as their display names (stable, readable);
-// the reverse map is built from layer_kind_name over the whole enum so the
-// two can never drift apart.
-// ---------------------------------------------------------------------------
-
-constexpr int kNumLayerKinds = static_cast<int>(graph::LayerKind::kGeLU) + 1;
-
-graph::LayerKind layer_kind_from(const std::string& s) {
-  static const std::map<std::string, graph::LayerKind> kMap = [] {
-    std::map<std::string, graph::LayerKind> m;
-    for (int k = 0; k < kNumLayerKinds; ++k) {
-      const auto kind = static_cast<graph::LayerKind>(k);
-      m.emplace(graph::layer_kind_name(kind), kind);
-    }
-    return m;
-  }();
-  const auto it = kMap.find(s);
-  if (it == kMap.end())
-    throw std::runtime_error("unknown layer kind '" + s + "'");
-  return it->second;
-}
-
-template <typename E>
-E enum_from(const Value& v, int count, const char* what) {
-  const int x = as_int32(v, what);
-  if (x < 0 || x >= count)
-    throw std::runtime_error(std::string(what) + " out of range");
-  return static_cast<E>(x);
-}
-
-// ---------------------------------------------------------------------------
-// Component writers / readers.
-// ---------------------------------------------------------------------------
-
-void write_shape(Writer& w, const graph::TensorShape& shape) {
-  w.begin_array();
-  for (std::size_t i = 0; i < shape.rank(); ++i) w.value(shape.dim(i));
-  w.end_array();
-}
-
-graph::TensorShape read_shape(const Value& v) {
-  std::vector<std::int64_t> dims;
-  for (const auto& dv : v.array) dims.push_back(dv.as_int());
-  return dims.empty() ? graph::TensorShape()
-                      : graph::TensorShape(std::move(dims));
-}
+// The model is the one request member that is not a field list: it is
+// built by add_layer, and only its skip edges travel. Model::add_layer
+// wires every chain edge id-1 -> id itself, so add_layer + add_edge(skips)
+// reconstructs the graph exactly (succs stay sorted — the key sees no
+// drift).
 
 void write_model(Writer& w, const graph::Model& model) {
+  io::JsonOut out(w);
   w.begin_object();
-  w.key("name"); w.value(model.name());
-  w.key("dtype_bytes"); w.value(model.dtype_bytes());
-  w.key("act_scale"); w.value(model.activation_memory_scale());
-  w.key("layers");
-  w.begin_array();
-  for (const auto& layer : model.layers()) {
-    w.begin_object();
-    w.key("name"); w.value(layer.name);
-    w.key("kind"); w.value(graph::layer_kind_name(layer.kind));
-    w.key("in"); write_shape(w, layer.in_shape);
-    w.key("out"); write_shape(w, layer.out_shape);
-    w.key("kernel"); w.value(layer.kernel);
-    w.key("stride"); w.value(layer.stride);
-    w.key("in_channels"); w.value(layer.in_channels);
-    w.key("out_channels"); w.value(layer.out_channels);
-    w.key("heads"); w.value(layer.heads);
-    w.key("head_dim"); w.value(layer.head_dim);
-    w.key("vocab"); w.value(layer.vocab);
-    w.key("weight_elems"); w.value(layer.weight_elems);
-    w.end_object();
-  }
-  w.end_array();
-  // Only skip edges travel: Model::add_layer wires every chain edge
-  // id-1 -> id itself, so add_layer + add_edge(skips) reconstructs the
-  // graph exactly (succs stay sorted — the fingerprint sees no drift).
+  out("name", model.name());
+  out("dtype_bytes", model.dtype_bytes());
+  out("act_scale", model.activation_memory_scale());
+  out("layers", model.layers());
   w.key("skips");
   w.begin_array();
   for (const auto& layer : model.layers()) {
@@ -110,126 +43,20 @@ void write_model(Writer& w, const graph::Model& model) {
 
 graph::Model read_model(const Value& v) {
   graph::Model model(v.at("name").as_string(),
-                     as_int32(v.at("dtype_bytes"), "model.dtype_bytes"));
+                     util::json::as_int32(v.at("dtype_bytes"), "dtype_bytes"));
   model.set_activation_memory_scale(v.at("act_scale").as_double());
-  for (const auto& lv : v.at("layers").array) {
-    graph::Layer layer;
-    layer.name = lv.at("name").as_string();
-    layer.kind = layer_kind_from(lv.at("kind").as_string());
-    layer.in_shape = read_shape(lv.at("in"));
-    layer.out_shape = read_shape(lv.at("out"));
-    layer.kernel = lv.at("kernel").as_int();
-    layer.stride = lv.at("stride").as_int();
-    layer.in_channels = lv.at("in_channels").as_int();
-    layer.out_channels = lv.at("out_channels").as_int();
-    layer.heads = lv.at("heads").as_int();
-    layer.head_dim = lv.at("head_dim").as_int();
-    layer.vocab = lv.at("vocab").as_int();
-    layer.weight_elems = lv.at("weight_elems").as_int();
-    model.add_layer(std::move(layer));
-  }
-  for (const auto& ev : v.at("skips").array) {
-    if (ev.array.size() != 2) throw std::runtime_error("bad skip edge");
-    model.add_edge(as_int32(ev.array[0], "skip.from"),
-                   as_int32(ev.array[1], "skip.to"));
+  std::vector<graph::Layer> layers;
+  std::vector<std::vector<int>> skips;
+  io::JsonIn in(v);
+  in("layers", layers);
+  in("skips", skips);
+  for (auto& layer : layers) model.add_layer(std::move(layer));
+  for (const auto& edge : skips) {
+    if (edge.size() != 2) throw std::runtime_error("bad skip edge");
+    model.add_edge(edge[0], edge[1]);
   }
   model.validate();
   return model;
-}
-
-void write_planner(Writer& w, const core::PlannerOptions& p) {
-  w.begin_object();
-  w.key("recompute"); w.value(p.enable_recompute);
-  w.key("min_blocks"); w.value(p.min_blocks);
-  w.key("max_blocks"); w.value(p.max_blocks);
-  w.key("anneal"); w.value(p.anneal_iterations);
-  w.key("anneal_workers"); w.value(p.anneal_workers);
-  // uint64 seeds exceed the JSON writer's int64 range; travel as decimal
-  // text (the fingerprint prints the same %PRIu64 digits).
-  char seed[32];
-  std::snprintf(seed, sizeof seed, "%" PRIu64,
-                static_cast<std::uint64_t>(p.seed));
-  w.key("seed"); w.value(seed);
-  w.key("prefetch"); w.value(p.schedule.prefetch_window);
-  w.key("reserved_host"); w.value(p.schedule.reserved_host_bytes);
-  w.end_object();
-}
-
-core::PlannerOptions read_planner(const Value& v) {
-  core::PlannerOptions p;
-  p.enable_recompute = v.at("recompute").as_bool();
-  p.min_blocks = as_int32(v.at("min_blocks"), "planner.min_blocks");
-  p.max_blocks = as_int32(v.at("max_blocks"), "planner.max_blocks");
-  p.anneal_iterations = as_int32(v.at("anneal"), "planner.anneal");
-  p.anneal_workers = as_int32(v.at("anneal_workers"), "planner.anneal_workers");
-  // A seed is unsigned decimal digits only. strtoull alone is too lax:
-  // it accepts "-1" and wraps it to 2^64-1 without setting ERANGE.
-  const std::string& seed = v.at("seed").as_string();
-  if (seed.empty() || seed.front() < '0' || seed.front() > '9')
-    throw std::runtime_error("bad planner.seed '" + seed + "'");
-  char* end = nullptr;
-  errno = 0;
-  p.seed = std::strtoull(seed.c_str(), &end, 10);
-  if (end != seed.c_str() + seed.size() || errno == ERANGE)
-    throw std::runtime_error("bad planner.seed '" + seed + "'");
-  p.schedule.prefetch_window = as_int32(v.at("prefetch"), "planner.prefetch");
-  p.schedule.reserved_host_bytes = v.at("reserved_host").as_int();
-  return p;
-}
-
-void write_optimizer(Writer& w, const OptimizerSpec& o) {
-  w.begin_object();
-  w.key("kind"); w.value(static_cast<int>(o.kind));
-  w.key("host_resident"); w.value(o.host_resident);
-  w.key("state_per_param"); w.value(o.state_bytes_per_param_byte);
-  w.end_object();
-}
-
-OptimizerSpec read_optimizer(const Value& v) {
-  OptimizerSpec o;
-  o.kind = enum_from<OptimizerSpec::Kind>(
-      v.at("kind"), static_cast<int>(OptimizerSpec::Kind::kAdam) + 1,
-      "optimizer.kind");
-  o.host_resident = v.at("host_resident").as_bool();
-  o.state_bytes_per_param_byte = v.at("state_per_param").as_double();
-  return o;
-}
-
-void write_distributed(Writer& w, const core::DistributedOptions& d) {
-  w.begin_object();
-  w.key("num_gpus"); w.value(d.num_gpus);
-  w.key("gpus_per_node"); w.value(d.net.gpus_per_node);
-  w.key("intra_bw"); w.value(d.net.intra_bw);
-  w.key("intra_latency"); w.value(d.net.intra_latency);
-  w.key("inter_bw"); w.value(d.net.inter_bw);
-  w.key("inter_latency"); w.value(d.net.inter_latency);
-  w.key("exchange"); w.value(static_cast<int>(d.exchange));
-  w.key("update"); w.value(static_cast<int>(d.update));
-  w.key("iterations"); w.value(d.iterations);
-  w.key("shard_fraction"); w.value(d.weight_shard_fraction);
-  w.end_object();
-}
-
-core::DistributedOptions read_distributed(const Value& v) {
-  core::DistributedOptions d;
-  d.num_gpus = as_int32(v.at("num_gpus"), "distributed.num_gpus");
-  d.net.gpus_per_node =
-      as_int32(v.at("gpus_per_node"), "distributed.gpus_per_node");
-  d.net.intra_bw = v.at("intra_bw").as_double();
-  d.net.intra_latency = v.at("intra_latency").as_double();
-  d.net.inter_bw = v.at("inter_bw").as_double();
-  d.net.inter_latency = v.at("inter_latency").as_double();
-  d.exchange = enum_from<core::ExchangeMode>(
-      v.at("exchange"), static_cast<int>(core::ExchangeMode::kMerged) + 1,
-      "distributed.exchange");
-  d.update = enum_from<core::UpdateSite>(
-      v.at("update"), static_cast<int>(core::UpdateSite::kDevice) + 1,
-      "distributed.update");
-  d.iterations = as_int32(v.at("iterations"), "distributed.iterations");
-  d.weight_shard_fraction = v.at("shard_fraction").as_double();
-  // d.planner stays default-constructed: PlanRequest::planner supersedes
-  // it everywhere (and the fingerprint never reads it).
-  return d;
 }
 
 /// Fleet component schema version, independent of the request envelope
@@ -239,21 +66,7 @@ constexpr int kFleetJsonVersion = 1;
 void write_fleet(Writer& w, const place::FleetSpec& f) {
   w.begin_object();
   w.key("version"); w.value(kFleetJsonVersion);
-  w.key("nodes");
-  w.begin_array();
-  for (const auto& node : f.nodes) {
-    w.begin_object();
-    w.key("name"); w.value(node.name);
-    w.key("device"); detail::write_device(w, node.device);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("gpus_per_node"); w.value(f.net.gpus_per_node);
-  w.key("intra_bw"); w.value(f.net.intra_bw);
-  w.key("intra_latency"); w.value(f.net.intra_latency);
-  w.key("inter_bw"); w.value(f.net.inter_bw);
-  w.key("inter_latency"); w.value(f.net.inter_latency);
-  w.key("strategy"); w.value(place::placement_strategy_name(f.strategy));
+  io::JsonOut(w).members(f);
   w.end_object();
 }
 
@@ -263,18 +76,7 @@ place::FleetSpec read_fleet(const Value& v) {
     throw std::runtime_error("unsupported fleet schema version " +
                              std::to_string(version));
   place::FleetSpec f;
-  for (const auto& nv : v.at("nodes").array) {
-    place::FleetNode node;
-    node.name = nv.at("name").as_string();
-    node.device = detail::read_device(nv.at("device"));
-    f.nodes.push_back(std::move(node));
-  }
-  f.net.gpus_per_node = as_int32(v.at("gpus_per_node"), "fleet.gpus_per_node");
-  f.net.intra_bw = v.at("intra_bw").as_double();
-  f.net.intra_latency = v.at("intra_latency").as_double();
-  f.net.inter_bw = v.at("inter_bw").as_double();
-  f.net.inter_latency = v.at("inter_latency").as_double();
-  f.strategy = place::placement_strategy_from(v.at("strategy").as_string());
+  io::JsonIn(v).members(f);
   return f;
 }
 
@@ -285,50 +87,23 @@ PlanError parse_fail(const char* who, const std::string& why) {
   return e;
 }
 
-PlanErrorCode error_code_from(const std::string& s) {
-  static const std::map<std::string, PlanErrorCode> kMap = [] {
-    std::map<std::string, PlanErrorCode> m;
-    for (int c = 0; c <= static_cast<int>(PlanErrorCode::kUnavailable); ++c) {
-      const auto code = static_cast<PlanErrorCode>(c);
-      m.emplace(plan_error_code_name(code), code);
-    }
-    return m;
-  }();
-  const auto it = kMap.find(s);
-  if (it == kMap.end())
-    throw std::runtime_error("unknown error code '" + s + "'");
-  return it->second;
-}
-
-tier::Tier tier_from(const std::string& s) {
-  if (s == "device") return tier::Tier::kDevice;
-  if (s == "host") return tier::Tier::kHost;
-  if (s == "nvme") return tier::Tier::kNvme;
-  throw std::runtime_error("unknown tier '" + s + "'");
-}
-
 }  // namespace
 
 std::string request_to_json(const PlanRequest& request) {
   Writer w;
+  io::JsonOut out(w);
   w.begin_object();
-  w.key("version"); w.value(kRequestJsonVersion);
+  out("version", kRequestJsonVersion);
   w.key("model"); write_model(w, request.model);
-  w.key("device"); detail::write_device(w, request.device);
-  w.key("planner"); write_planner(w, request.planner);
-  w.key("optimizer"); write_optimizer(w, request.optimizer);
-  w.key("distributed");
-  if (request.distributed) write_distributed(w, *request.distributed);
-  else w.null();
+  out("device", request.device);
+  out("planner", request.planner);
+  out("optimizer", request.optimizer);
+  out("distributed", request.distributed);
   w.key("fleet");
   if (request.fleet) write_fleet(w, *request.fleet);
   else w.null();
-  w.key("probe_feasible_batch"); w.value(request.probe_feasible_batch);
-  w.key("limits");
-  w.begin_object();
-  w.key("deadline"); w.value(request.limits.deadline);
-  w.key("max_candidates"); w.value(request.limits.max_candidates);
-  w.end_object();
+  out("probe_feasible_batch", request.probe_feasible_batch);
+  out("limits", request.limits);
   w.end_object();
   return w.take();
 }
@@ -342,18 +117,16 @@ Expected<PlanRequest, PlanError> request_from_json(std::string_view json) {
       return parse_fail("request_from_json", "unsupported schema version " +
                                                  std::to_string(version));
     PlanRequest request;
+    io::JsonIn in(root);
     request.model = read_model(root.at("model"));
-    request.device = detail::read_device(root.at("device"));
-    request.planner = read_planner(root.at("planner"));
-    request.optimizer = read_optimizer(root.at("optimizer"));
-    if (!root.at("distributed").is_null())
-      request.distributed = read_distributed(root.at("distributed"));
+    in("device", request.device);
+    in("planner", request.planner);
+    in("optimizer", request.optimizer);
+    in("distributed", request.distributed);
     if (version >= 2 && !root.at("fleet").is_null())
       request.fleet = read_fleet(root.at("fleet"));
-    request.probe_feasible_batch = root.at("probe_feasible_batch").as_bool();
-    const Value& limits = root.at("limits");
-    request.limits.deadline = limits.at("deadline").as_double();
-    request.limits.max_candidates = limits.at("max_candidates").as_int();
+    in("probe_feasible_batch", request.probe_feasible_batch);
+    in("limits", request.limits);
     return request;
   } catch (const std::exception& ex) {
     return parse_fail("request_from_json", ex.what());
@@ -363,27 +136,7 @@ Expected<PlanRequest, PlanError> request_from_json(std::string_view json) {
 std::string error_to_json(const PlanError& error) {
   Writer w;
   w.begin_object();
-  w.key("code"); w.value(plan_error_code_name(error.code));
-  w.key("message"); w.value(error.message);
-  w.key("model"); w.value(error.model);
-  w.key("device"); w.value(error.device);
-  w.key("violating_layer"); w.value(error.violating_layer);
-  w.key("violating_block"); w.value(error.violating_block);
-  w.key("deficits");
-  w.begin_array();
-  for (const auto& d : error.deficits) {
-    w.begin_object();
-    w.key("tier"); w.value(tier::tier_name(d.tier));
-    w.key("required"); w.value(d.required);
-    w.key("capacity"); w.value(d.capacity);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("nearest_feasible_batch"); w.value(error.nearest_feasible_batch);
-  w.key("probe_candidates"); w.value(error.probe_candidates);
-  w.key("probe_cache_hits"); w.value(error.probe_cache_hits);
-  w.key("from_negative_cache"); w.value(error.from_negative_cache);
-  w.key("retry_after"); w.value(error.retry_after);
+  io::JsonOut(w).members(error);
   w.key("partial");
   // Spliced verbatim so the embedded artifact is byte-identical to the
   // plan's standalone to_json() — the cross-process byte-stability the
@@ -394,42 +147,11 @@ std::string error_to_json(const PlanError& error) {
   return w.take();
 }
 
-std::string fleet_to_json(const place::FleetSpec& fleet) {
-  Writer w;
-  write_fleet(w, fleet);
-  return w.take();
-}
-
-place::FleetSpec fleet_from_json(std::string_view json) {
-  return read_fleet(util::json::parse(json));
-}
-
 PlanError error_from_json(std::string_view json) {
   try {
     const Value root = util::json::parse(json);
     PlanError error;
-    error.code = error_code_from(root.at("code").as_string());
-    error.message = root.at("message").as_string();
-    error.model = root.at("model").as_string();
-    error.device = root.at("device").as_string();
-    error.violating_layer =
-        as_int32(root.at("violating_layer"), "violating_layer");
-    error.violating_block =
-        as_int32(root.at("violating_block"), "violating_block");
-    for (const auto& dv : root.at("deficits").array) {
-      TierDeficit d;
-      d.tier = tier_from(dv.at("tier").as_string());
-      d.required = dv.at("required").as_int();
-      d.capacity = dv.at("capacity").as_int();
-      error.deficits.push_back(d);
-    }
-    error.nearest_feasible_batch = root.at("nearest_feasible_batch").as_int();
-    error.probe_candidates =
-        as_int32(root.at("probe_candidates"), "probe_candidates");
-    error.probe_cache_hits =
-        as_int32(root.at("probe_cache_hits"), "probe_cache_hits");
-    error.from_negative_cache = root.at("from_negative_cache").as_bool();
-    error.retry_after = root.at("retry_after").as_double();
+    io::JsonIn(root).members(error);
     const Value& partial = root.at("partial");
     if (!partial.is_null()) {
       // The plan reader wants the artifact's exact text, not a DOM — the
@@ -444,6 +166,16 @@ PlanError error_from_json(std::string_view json) {
   } catch (const std::exception& ex) {
     return parse_fail("error_from_json", ex.what());
   }
+}
+
+std::string fleet_to_json(const place::FleetSpec& fleet) {
+  Writer w;
+  write_fleet(w, fleet);
+  return w.take();
+}
+
+place::FleetSpec fleet_from_json(std::string_view json) {
+  return read_fleet(util::json::parse(json));
 }
 
 }  // namespace karma::api

@@ -6,18 +6,20 @@
 //
 //   request_to_json / request_from_json — a PlanRequest round-trips with
 //       its cache identity intact: cache::request_key(parse(serialize(r)))
-//       == cache::request_key(r), bit for bit. The schema covers exactly
-//       the fields the fingerprint covers (model graph, device, planner
-//       knobs, optimizer, distributed) plus the fingerprint-excluded
-//       delivery fields (search limits, probe_feasible_batch) that a
-//       remote server still needs to honor.
+//       == cache::request_key(r), bit for bit. Both directions and the key
+//       walk the same declared field lists (src/api/fields.h), so the
+//       schema covers exactly the fields the key covers (model graph,
+//       device, planner knobs, optimizer, distributed, fleet) plus the
+//       delivery fields the key leaves out (search limits,
+//       probe_feasible_batch) that a remote server still needs to honor.
 //   error_to_json / error_from_json — a structured PlanError round-trips
 //       including its attached partial plan (embedded as a nested v2 plan
 //       artifact via Writer::raw, so the bytes match a standalone
 //       to_json() exactly).
 //
-// Like the plan schema, the request schema is versioned and readers
-// reject versions they do not understand.
+// tests/golden/request_fixture.json and error_fixture.json pin the
+// bytes. Like the plan schema, the request schema is versioned and
+// readers reject versions they do not understand.
 #pragma once
 
 #include <string>

@@ -129,7 +129,7 @@ train::OocExecutor Plan::bind_executor(train::Sequential* net,
                                        Bytes host_capacity) const {
   if (net == nullptr || net->size() == 0)
     throw std::invalid_argument("bind_executor: empty network");
-  if (distributed)
+  if (distributed())
     throw std::invalid_argument(
         "bind_executor: distributed plans have no single-device executor");
   // The planner's host pre-charges carry over to the numeric twin: the

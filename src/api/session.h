@@ -134,10 +134,12 @@ struct Plan {
   double occupancy = 0.0;
   Bytes reserved_host_bytes = 0; ///< optimizer pre-charge used in admission
 
-  // ---- Distributed extras (meaningful when distributed == true) ----
-  bool distributed = false;
+  // ---- Distributed extras (meaningful when distributed()) ----
   bool weights_resident = true;
   std::optional<net::ExchangePlan> exchange;
+  /// Only data-parallel ranks and fleet nodes carry a gradient exchange,
+  /// so the exchange is what makes a plan distributed.
+  bool distributed() const { return exchange.has_value(); }
 
   // ---- Fleet extras (set when the request carried a FleetSpec) ----
   /// The shard-ownership placement plus the per-node straggler roll-up.

@@ -9,9 +9,12 @@
 // the key path.
 //
 // Canonicalization rules:
-//   - fields are emitted in one fixed order by code structure (no
-//     reflection, no map iteration — the same discipline as plan_io);
-//     field names are not encoded, position is the field;
+//   - fields are emitted in the order of the declared field lists in
+//     src/api/fields.h — the same lists the request JSON is written and
+//     read from (no reflection, no map iteration); field names are not
+//     encoded, position is the field. The device's `nvme_contention` and
+//     `scale` overlays, which the JSON leaves out while identity, are
+//     always encoded, contention first;
 //   - every scalar is one little-endian 64-bit word: integers as two's
 //     complement, bools as 0/1, enums by their integer value, doubles by
 //     their IEEE-754 bit pattern (bit-exact, like %.17g in the plan

@@ -1,7 +1,6 @@
 #include "src/place/fleet.h"
 
 #include <set>
-#include <stdexcept>
 
 namespace karma::place {
 
@@ -11,12 +10,6 @@ const char* placement_strategy_name(PlacementStrategy strategy) {
     case PlacementStrategy::kRoundRobin: return "round-robin";
   }
   return "?";
-}
-
-PlacementStrategy placement_strategy_from(const std::string& name) {
-  if (name == "cost-based") return PlacementStrategy::kCostBased;
-  if (name == "round-robin") return PlacementStrategy::kRoundRobin;
-  throw std::runtime_error("unknown placement strategy '" + name + "'");
 }
 
 std::string validate_fleet(const FleetSpec& fleet) {

@@ -32,9 +32,6 @@ enum class PlacementStrategy {
 };
 
 const char* placement_strategy_name(PlacementStrategy strategy);
-/// Inverse of placement_strategy_name; throws std::runtime_error on an
-/// unknown name (the serialization error channel).
-PlacementStrategy placement_strategy_from(const std::string& name);
 
 /// One named rank of the fleet. The DeviceSpec carries everything that
 /// differs between generations: FLOPS, HBM, host link, DRAM / NVMe tier

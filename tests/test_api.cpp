@@ -15,6 +15,7 @@
 #include "src/graph/memory_model.h"
 #include "src/graph/model_zoo.h"
 #include "src/train/synthetic.h"
+#include "src/util/json.h"
 
 namespace karma::api {
 namespace {
@@ -67,7 +68,7 @@ void expect_artifact_of(const Plan& plan, const core::PlanResult& r) {
   EXPECT_EQ(plan.first_iteration_time, r.first_iteration_time);
   EXPECT_EQ(plan.occupancy, r.occupancy);
   EXPECT_EQ(plan.weights_resident, r.weights_resident);
-  EXPECT_EQ(plan.distributed, r.exchange.has_value());
+  EXPECT_EQ(plan.distributed(), r.exchange.has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -109,7 +110,7 @@ TEST(Session, DistributedPlansTheFullPipeline) {
 
   const auto planned = Engine::create()->plan(request);
   ASSERT_TRUE(planned.has_value());
-  EXPECT_TRUE(planned->distributed);
+  EXPECT_TRUE(planned->distributed());
   EXPECT_TRUE(planned->weights_resident);  // ResNet-50 fits a V100
   EXPECT_GT(planned->iteration_time, 0.0);
   ASSERT_TRUE(planned->exchange.has_value());
@@ -459,7 +460,6 @@ Plan golden_plan() {
   phase.allreduce_time = 0.125;
   exchange.phases = {phase};
   plan.exchange = exchange;
-  plan.distributed = true;
   plan.weights_resident = false;
   return plan;
 }
@@ -492,6 +492,35 @@ TEST(PlanIo, GoldenFixtureMatches) {
   const auto reloaded = Plan::from_json(expected);
   ASSERT_TRUE(reloaded.has_value()) << reloaded.error().describe();
   EXPECT_EQ(reloaded->to_json(), expected);
+}
+
+TEST(PlanIo, DistributedFlagMustAgreeWithTheExchange) {
+  // "distributed" is derived from the exchange, not stored beside it: an
+  // artifact where the two disagree is corrupt and must not reach the
+  // disk cache or the engine.
+  const std::string json = golden_plan().to_json();
+  const std::string flag = "\"distributed\":true";
+  ASSERT_NE(json.find(flag), std::string::npos);
+  const std::string_view exchange = util::json::scan_member(json, "exchange");
+  ASSERT_FALSE(exchange.empty());
+  const std::size_t exchange_at =
+      static_cast<std::size_t>(exchange.data() - json.data());
+
+  std::string no_exchange = json;  // "distributed":true,"exchange":null
+  no_exchange.replace(exchange_at, exchange.size(), "null");
+  std::string not_flagged = json;  // "distributed":false with an exchange
+  not_flagged.replace(json.find(flag), flag.size(), "\"distributed\":false");
+  for (const std::string& bad : {no_exchange, not_flagged}) {
+    const auto parsed = Plan::from_json(bad);
+    ASSERT_FALSE(parsed.has_value());
+    EXPECT_EQ(parsed.error().code, PlanErrorCode::kParseError);
+  }
+
+  std::string single = not_flagged;  // consistent: no exchange, not flagged
+  single.replace(exchange_at + 1, exchange.size(), "null");
+  const auto parsed = Plan::from_json(single);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().describe();
+  EXPECT_FALSE(parsed->exchange.has_value());
 }
 
 }  // namespace

@@ -296,7 +296,7 @@ TEST(FleetSession, PlansEndToEndAndNamesTheStraggler) {
   EXPECT_EQ(plan.device.name,
             placement.nodes[placement.straggler].device_name);
   EXPECT_EQ(plan.iteration_time, placement.iteration_time);
-  EXPECT_TRUE(plan.distributed);
+  EXPECT_TRUE(plan.distributed());
   ASSERT_TRUE(plan.exchange.has_value());
   // Fleet max >= the straggler's own planned makespan (tails add).
   EXPECT_GE(plan.iteration_time,

@@ -6,7 +6,10 @@
 // test's byte-identity guarantee silently fall apart.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "src/api/engine.h"
@@ -14,6 +17,7 @@
 #include "src/api/request_io.h"
 #include "src/cache/request_key.h"
 #include "src/graph/model_zoo.h"
+#include "src/place/fleet.h"
 
 namespace karma::api {
 namespace {
@@ -195,6 +199,241 @@ TEST(RequestIo, ErrorRoundTripCarriesThePartialPlanByteExactly) {
 TEST(RequestIo, MalformedErrorDegradesToAParseError) {
   const PlanError e = error_from_json("{\"garbage\":true}");
   EXPECT_EQ(e.code, PlanErrorCode::kParseError);
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden fixtures: request and error bytes are a reviewable diff
+// ---------------------------------------------------------------------------
+
+/// Small hand-built graph with two skip edges, so the fixture stays short
+/// and exercises the skip reconstruction.
+graph::Model fixture_model() {
+  graph::Model model("fixture-net", 2);
+  model.set_activation_memory_scale(1.25);
+  const auto layer = [](const char* name, graph::LayerKind kind,
+                        graph::TensorShape in, graph::TensorShape out) {
+    graph::Layer l;
+    l.name = name;
+    l.kind = kind;
+    l.in_shape = std::move(in);
+    l.out_shape = std::move(out);
+    return l;
+  };
+  const auto img = graph::TensorShape::nchw(2, 4, 8, 8);
+  model.add_layer(layer("input", graph::LayerKind::kInput, img, img));
+  graph::Layer conv = layer("conv", graph::LayerKind::kConv2d, img, img);
+  conv.kernel = 3;
+  conv.in_channels = 4;
+  conv.out_channels = 4;
+  conv.weight_elems = 144;
+  model.add_layer(conv);
+  model.add_layer(layer("relu", graph::LayerKind::kReLU, img, img));
+  model.add_layer(layer("add", graph::LayerKind::kAdd, img, img));
+  graph::Layer fc = layer("fc", graph::LayerKind::kFullyConnected, img,
+                          graph::TensorShape({2, 10}));
+  fc.weight_elems = 2560;
+  model.add_layer(fc);
+  model.add_edge(0, 3);
+  model.add_edge(1, 4);
+  return model;
+}
+
+/// Every optional section set at once: skip edges, `distributed`, a
+/// two-node fleet whose weak node's NVMe is contended, and non-default
+/// delivery fields (limits, probe_feasible_batch).
+PlanRequest fixture_request() {
+  PlanRequest request;
+  request.model = fixture_model();
+  request.device = sim::test_device_tiered();
+  request.planner.min_blocks = 1;
+  request.planner.max_blocks = 5;
+  request.planner.anneal_iterations = 9;
+  request.planner.anneal_workers = 2;
+  request.planner.seed = 0xFEEDFACE12345678ull;
+  request.planner.schedule.prefetch_window = 3;
+  request.planner.schedule.reserved_host_bytes = 96;
+  request.optimizer.kind = OptimizerSpec::Kind::kSgdMomentum;
+  request.optimizer.host_resident = false;
+  core::DistributedOptions dist;
+  dist.num_gpus = 8;
+  dist.net.gpus_per_node = 2;
+  dist.exchange = core::ExchangeMode::kBulk;
+  dist.iterations = 4;
+  dist.weight_shard_fraction = 0.5;
+  request.distributed = dist;
+  request.fleet = place::mixed_generation_fleet(1, 1, 64_GiB);
+  request.fleet->strategy = place::PlacementStrategy::kRoundRobin;
+  request.fleet->net.inter_latency = 12e-6;
+  request.probe_feasible_batch = false;
+  request.limits.deadline = 2.5;
+  request.limits.max_candidates = 777;
+  return request;
+}
+
+/// A plan small enough to read in the fixture: two blocks, a hierarchy,
+/// an exchange and a fleet placement, so the spliced partial covers
+/// every optional plan section.
+Plan fixture_partial_plan() {
+  Plan plan;
+  plan.model_name = "fixture-net";
+  plan.batch = 2;
+  plan.model_layers = 5;
+  plan.device = sim::test_device_tiered();
+  plan.schedule.strategy = "karma+recompute";
+  plan.schedule.blocks = {{0, 3}, {3, 5}};
+  sim::BlockCost cost;
+  cost.fwd_time = 0.25;
+  cost.bwd_time = 0.5;
+  cost.act_bytes = 512;
+  cost.boundary_bytes = 128;
+  cost.param_bytes = 64;
+  cost.grad_bytes = 64;
+  plan.schedule.costs = {cost, cost};
+  plan.schedule.capacity = 2048;
+  plan.schedule.hierarchy = tier::test_hierarchy();
+  sim::Op fwd;
+  fwd.block = 1;
+  sim::Op swap;
+  swap.kind = sim::OpKind::kSwapOut;
+  swap.tier = tier::Tier::kNvme;
+  swap.residency = tier::Residency::kWeightShard;
+  swap.bytes = 512;
+  swap.after_op = 0;
+  plan.schedule.ops = {fwd, swap};
+  plan.policies = {core::BlockPolicy::kSwapNvme, core::BlockPolicy::kRecompute};
+  plan.iteration_time = 1.5;
+  plan.first_iteration_time = 1.75;
+  plan.occupancy = 0.5;
+  plan.trace.makespan = 1.5;
+  plan.trace.peak_resident = 1536;
+  net::ExchangePhase phase;
+  phase.launch_after_block = 0;
+  phase.blocks = {1, 0};
+  phase.bytes = 128;
+  phase.allreduce_time = 0.0625;
+  plan.exchange = net::ExchangePlan{{phase}};
+  plan.weights_resident = false;
+  place::PlacementPlan placement;
+  placement.strategy = place::PlacementStrategy::kRoundRobin;
+  placement.blocks = {{0, 5}};
+  placement.owner = {1};
+  place::NodeSummary node;
+  node.name = "v100-0";
+  node.device_name = "test-1MiB";
+  node.owned_blocks = 1;
+  node.owned_param_bytes = 64;
+  node.owned_grad_bytes = 32;
+  node.total_time = 1.5;
+  placement.nodes = {place::NodeSummary{}, node};
+  placement.straggler = 1;
+  placement.iteration_time = 1.5;
+  plan.placement = placement;
+  return plan;
+}
+
+PlanError fixture_error() {
+  PlanError e;
+  e.code = PlanErrorCode::kDeadline;
+  e.message = "budget ran out \"mid-search\"";
+  e.model = "fixture-net";
+  e.device = "test-1MiB";
+  e.violating_layer = 3;
+  e.violating_block = 1;
+  e.deficits.push_back({tier::Tier::kHost, 6000, 4096});
+  e.deficits.push_back({tier::Tier::kNvme, 70000, 65536});
+  e.nearest_feasible_batch = 1;
+  e.probe_candidates = 6;
+  e.probe_cache_hits = 2;
+  e.from_negative_cache = true;
+  e.retry_after = 0.125;
+  e.partial = std::make_shared<const Plan>(fixture_partial_plan());
+  return e;
+}
+
+/// Compares `actual` with tests/golden/<name> byte for byte, or rewrites
+/// the file under KARMA_REGEN_GOLDEN=1.
+void expect_golden(const std::string& name, const std::string& actual) {
+  const std::string path =
+      std::string(KARMA_SOURCE_DIR) + "/tests/golden/" + name;
+  if (std::getenv("KARMA_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual << "\n";
+    GTEST_SKIP() << "regenerated golden fixture at " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden fixture " << path
+                         << " — regenerate with KARMA_REGEN_GOLDEN=1 "
+                            "./test_request_io";
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::string expected = buffer.str();
+  if (!expected.empty() && expected.back() == '\n') expected.pop_back();
+  EXPECT_EQ(actual, expected)
+      << name << " drifted; if intentional, regenerate with "
+                 "KARMA_REGEN_GOLDEN=1 and review the diff";
+}
+
+TEST(RequestIo, RequestGoldenFixtureMatches) {
+  const std::string json = request_to_json(fixture_request());
+  expect_golden("request_fixture.json", json);
+  auto back = request_from_json(json);
+  ASSERT_TRUE(back.has_value()) << back.error().message;
+  EXPECT_EQ(request_to_json(back.value()), json);
+  EXPECT_EQ(back->limits.max_candidates, 777);
+  EXPECT_FALSE(back->probe_feasible_batch);
+}
+
+TEST(RequestIo, ErrorGoldenFixtureMatches) {
+  const std::string json = error_to_json(fixture_error());
+  expect_golden("error_fixture.json", json);
+  const PlanError back = error_from_json(json);
+  ASSERT_EQ(back.code, PlanErrorCode::kDeadline) << back.message;
+  ASSERT_NE(back.partial, nullptr);
+  EXPECT_EQ(error_to_json(back), json);
+}
+
+TEST(RequestIo, FixtureRequestKeyIsPinned) {
+  // Pins the distributed, fleet and NVMe-contention key words the ResNet
+  // pin never reaches. Changing this hex means every cached plan misses:
+  // bump fp_version in src/cache/request_key.cpp in the same change.
+  EXPECT_EQ(cache::request_key(fixture_request()).hex(),
+            "089b8d2316e8bd0059582a79b10f2057");
+}
+
+TEST(RequestIo, DeviceWithScaleBeforeContentionStaysReadable) {
+  // Devices written before the member order was unified listed `scale`
+  // before `nvme_contention`; disk entries and clients holding such bytes
+  // must still parse to the same device.
+  place::FleetSpec fleet = place::mixed_generation_fleet(1, 1, 64_GiB);
+  sim::DeviceSpec& weak = fleet.nodes[1].device;
+  weak.scale.compute = 1.5;
+  weak.scale.nvme_write = 0.75;
+  const std::string json = fleet_to_json(fleet);
+  const std::size_t scale = json.find("\"scale\":{");
+  const std::size_t contention = json.find(",\"nvme_contention\":{");
+  ASSERT_NE(scale, std::string::npos);
+  ASSERT_NE(contention, std::string::npos);
+  // Rebuild the weak device's tail in the older order, whatever order the
+  // writer uses today.
+  const std::size_t scale_end = json.find('}', scale) + 1;
+  const std::size_t contention_end = json.find('}', contention) + 1;
+  const std::string scale_member = json.substr(scale, scale_end - scale);
+  const std::string contention_member =
+      json.substr(contention + 1, contention_end - contention - 1);
+  const std::size_t tail = std::min(scale, contention + 1);
+  const std::size_t tail_end = std::max(scale_end, contention_end);
+  std::string older = json;
+  older.replace(tail, tail_end - tail,
+                scale_member + "," + contention_member);
+  ASSERT_LT(older.find("\"scale\""), older.find("\"nvme_contention\""));
+
+  const place::FleetSpec back = fleet_from_json(older);
+  ASSERT_EQ(back.nodes.size(), 2u);
+  EXPECT_EQ(back.nodes[1].device.scale, weak.scale);
+  EXPECT_EQ(back.nodes[1].device.nvme_contention, weak.nvme_contention);
+  EXPECT_EQ(fleet_to_json(back), json);
 }
 
 }  // namespace
