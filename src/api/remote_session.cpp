@@ -9,8 +9,6 @@
 
 #include "src/api/plan_io.h"
 #include "src/api/request_io.h"
-#include "src/pland/protocol.h"
-#include "src/util/json.h"
 
 namespace karma::api {
 
@@ -69,52 +67,46 @@ RemoteSession::~RemoteSession() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::string RemoteSession::round_trip(const std::string& envelope,
-                                      std::int64_t id) {
-  if (fd_ < 0) return {};
-  if (!pland::write_frame(fd_, envelope)) return {};
+Expected<std::string, PlanError> RemoteSession::call(
+    std::string_view type, const pland::EnvelopeMembers& members,
+    const char* result) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::int64_t id = next_id_++;
+  const std::string failed =
+      "karma-pland '" + std::string(type) + "' request failed";
+  if (fd_ < 0 ||
+      !pland::write_frame(fd_, pland::write_envelope(type, id, members)))
+    return unavailable(failed);
   std::string payload;
   for (;;) {
     if (pland::read_frame(fd_, &payload) != pland::ReadStatus::kOk)
-      return {};
+      return unavailable(failed + ": connection lost");
     try {
-      const Value root = util::json::parse(payload);
-      if (root.at("id").as_int() == id) return payload;
-      // Not ours (stale pipelined response) — keep reading.
-    } catch (const std::exception&) {
-      return {};
+      const pland::Envelope env = pland::read_envelope(payload);
+      if (env.id != id) continue;  // a stale pipelined response: not ours
+      if (!env.root.at("ok").as_bool())
+        return error_from_json(env.root.at("error").span(payload));
+      const Value& member = env.root.at(result);
+      if (member.type == Value::Type::kString) return member.str;
+      return std::string(member.span(payload));
+    } catch (const std::exception& ex) {
+      return unavailable("malformed '" + std::string(type) +
+                         "' response from karma-pland: " + ex.what());
     }
   }
 }
 
 Expected<std::string, PlanError> RemoteSession::plan_raw(
     const PlanRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("plan");
-  w.key("id"); w.value(id);
-  w.key("tenant"); w.value(tenant_);
-  w.key("request"); w.raw(request_to_json(request));
-  w.end_object();
-
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty())
-    return unavailable("karma-pland connection failed mid-request");
-  try {
-    const Value root = util::json::parse(payload);
-    if (root.at("ok").as_bool()) {
-      // The span IS the leader's Plan::to_json() bytes — byte-identical
-      // for every client fleet-wide.
-      return std::string(root.at("plan").span(payload));
-    }
-    return error_from_json(root.at("error").span(payload));
-  } catch (const std::exception& ex) {
-    return unavailable(std::string("malformed daemon response: ") +
-                       ex.what());
-  }
+  // The span IS the leader's Plan::to_json() bytes — byte-identical for
+  // every client fleet-wide.
+  return call(
+      "plan",
+      [&](Writer& w) {
+        w.key("tenant"); w.value(tenant_);
+        w.key("request"); w.raw(request_to_json(request));
+      },
+      "plan");
 }
 
 Expected<Plan, PlanError> RemoteSession::plan(const PlanRequest& request) {
@@ -124,116 +116,36 @@ Expected<Plan, PlanError> RemoteSession::plan(const PlanRequest& request) {
 }
 
 Expected<std::string, PlanError> RemoteSession::stats_json() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("stats");
-  w.key("id"); w.value(id);
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return unavailable("stats request failed");
-  try {
-    const Value root = util::json::parse(payload);
-    if (!root.at("ok").as_bool())
-      return error_from_json(root.at("error").span(payload));
-    return std::string(root.at("stats").span(payload));
-  } catch (const std::exception& ex) {
-    return unavailable(std::string("malformed stats response: ") +
-                       ex.what());
-  }
+  return call("stats", nullptr, "stats");
 }
 
 Expected<std::string, PlanError> RemoteSession::metrics_json() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("metrics");
-  w.key("id"); w.value(id);
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return unavailable("metrics request failed");
-  try {
-    const Value root = util::json::parse(payload);
-    if (!root.at("ok").as_bool())
-      return error_from_json(root.at("error").span(payload));
-    return std::string(root.at("metrics").span(payload));
-  } catch (const std::exception& ex) {
-    return unavailable(std::string("malformed metrics response: ") +
-                       ex.what());
-  }
+  return call("metrics", nullptr, "metrics");
 }
 
 Expected<std::string, PlanError> RemoteSession::calibrate(
     const std::string& table_json) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("calibrate");
-  w.key("id"); w.value(id);
-  w.key("table");
-  if (table_json.empty()) {
-    w.null();  // null table clears back to the analytic model
-  } else {
-    w.raw(table_json);
-  }
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return unavailable("calibrate request failed");
-  try {
-    const Value root = util::json::parse(payload);
-    if (!root.at("ok").as_bool())
-      return error_from_json(root.at("error").span(payload));
-    return root.at("calibration").as_string();
-  } catch (const std::exception& ex) {
-    return unavailable(std::string("malformed calibrate response: ") +
-                       ex.what());
-  }
+  return call(
+      "calibrate",
+      [&](Writer& w) {
+        w.key("table");
+        if (table_json.empty()) {
+          w.null();  // null table clears back to the analytic model
+        } else {
+          w.raw(table_json);
+        }
+      },
+      "calibration");
 }
 
 bool RemoteSession::ping() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("ping");
-  w.key("id"); w.value(id);
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return false;
-  try {
-    const Value root = util::json::parse(payload);
-    return root.at("type").as_string() == "pong" &&
-           root.at("ok").as_bool();
-  } catch (const std::exception&) {
-    return false;
-  }
+  const auto type = call("ping", nullptr, "type");
+  return type && type.value() == "pong";
 }
 
 bool RemoteSession::shutdown_server() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("shutdown");
-  w.key("id"); w.value(id);
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return false;
-  try {
-    const Value root = util::json::parse(payload);
-    return root.at("type").as_string() == "shutdown" &&
-           root.at("ok").as_bool();
-  } catch (const std::exception&) {
-    return false;
-  }
+  const auto type = call("shutdown", nullptr, "type");
+  return type && type.value() == "shutdown";
 }
 
 }  // namespace karma::api

@@ -16,6 +16,11 @@
 // artifacts (karma-planctl, the storm test) keep byte-identity end to end
 // without a reserialize.
 //
+// Every verb is one call(): one envelope out (pland::write_envelope), then
+// frames in until the response echoing its id arrives, each parsed exactly
+// once (pland::read_envelope) — so the client holds no envelope format of
+// its own.
+//
 // Thread-safety: a RemoteSession serializes its calls internally (one
 // in-flight request per connection); open one per thread for parallelism.
 #pragma once
@@ -23,9 +28,11 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "src/api/errors.h"
 #include "src/api/session.h"
+#include "src/pland/protocol.h"
 
 namespace karma::api {
 
@@ -77,9 +84,14 @@ class RemoteSession {
  private:
   RemoteSession(int fd, std::string tenant);
 
-  /// Sends one envelope, reads frames until the response echoing `id`
-  /// arrives, returns its payload. Empty = transport failure.
-  std::string round_trip(const std::string& envelope, std::int64_t id);
+  /// Sends one `type` envelope carrying `members` and reads frames until
+  /// the response echoing its id arrives, parsing each one once. Returns
+  /// response member `result`: a JSON string as its value, anything else
+  /// as its exact bytes. `ok:false` is the daemon's PlanError; a lost
+  /// connection or a malformed response is PlanError{kUnavailable}.
+  Expected<std::string, PlanError> call(std::string_view type,
+                                        const pland::EnvelopeMembers& members,
+                                        const char* result);
 
   int fd_ = -1;
   std::string tenant_;

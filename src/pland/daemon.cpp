@@ -68,34 +68,25 @@ bool fill_addr(const std::string& path, sockaddr_un* addr) {
   return true;
 }
 
-std::string plan_response(std::int64_t id,
-                          const api::Expected<api::Plan, api::PlanError>& out) {
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(kProtocolVersion);
-  w.key("type"); w.value("plan");
-  w.key("id"); w.value(id);
-  w.key("ok"); w.value(out.has_value());
-  if (out.has_value()) {
-    // Spliced verbatim: the artifact on the wire is byte-identical to the
-    // engine's Plan::to_json(), for every client of every process.
-    w.key("plan"); w.raw(out.value().to_json());
-  } else {
-    w.key("error"); w.raw(api::error_to_json(out.error()));
-  }
-  w.end_object();
-  return w.take();
+/// A response envelope: `ok`, then (when `key` is set) one artifact
+/// spliced verbatim — a plan, an error, the stats or the metrics document.
+std::string response(std::string_view type, std::int64_t id, bool ok,
+                     const char* key = nullptr, const std::string& raw = {}) {
+  return write_envelope(type, id, [&](Writer& w) {
+    w.key("ok"); w.value(ok);
+    if (key != nullptr) {
+      w.key(key); w.raw(raw);
+    }
+  });
 }
 
-std::string simple_response(const char* type, std::int64_t id) {
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(kProtocolVersion);
-  w.key("type"); w.value(type);
-  w.key("id"); w.value(id);
-  w.key("ok"); w.value(true);
-  w.end_object();
-  return w.take();
+std::string plan_response(std::int64_t id,
+                          const api::Expected<api::Plan, api::PlanError>& out) {
+  // Spliced verbatim: the artifact on the wire is byte-identical to the
+  // engine's Plan::to_json(), for every client of every process.
+  if (out.has_value())
+    return response("plan", id, true, "plan", out->to_json());
+  return response("plan", id, false, "error", api::error_to_json(out.error()));
 }
 
 std::string protocol_error_response(std::int64_t id,
@@ -103,15 +94,7 @@ std::string protocol_error_response(std::int64_t id,
   api::PlanError e;
   e.code = api::PlanErrorCode::kInvalidRequest;
   e.message = message;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(kProtocolVersion);
-  w.key("type"); w.value("error");
-  w.key("id"); w.value(id);
-  w.key("ok"); w.value(false);
-  w.key("error"); w.raw(api::error_to_json(e));
-  w.end_object();
-  return w.take();
+  return response("error", id, false, "error", api::error_to_json(e));
 }
 
 void write_cache_stats(Writer& w, const cache::CacheStats& c) {
@@ -386,71 +369,35 @@ struct Daemon::Impl {
       std::int64_t id = 0;
       try {
         obs::Span parse_span("frame.parse", "pland");
-        // A plan frame's bytes are dominated by the embedded request (a
-        // model description runs tens of KB). Scan its span out first and
-        // parse the envelope with the request hollowed to null, so the
-        // hit path pays a digest of the span instead of a DOM of the
-        // model. When the scan demurs, the full parse recovers the span.
-        std::string_view request_span =
-            util::json::scan_member(payload, "request");
-        std::string hollowed;
-        if (!request_span.empty()) {
-          const auto off =
-              static_cast<std::size_t>(request_span.data() - payload.data());
-          hollowed.reserve(payload.size() - request_span.size() + 4);
-          hollowed.append(payload, 0, off);
-          hollowed.append("null");
-          hollowed.append(payload, off + request_span.size(),
-                          std::string::npos);
-        }
-        const Value root =
-            util::json::parse(hollowed.empty() ? payload : hollowed);
-        if (request_span.empty() && root.has("request"))
-          request_span = root.at("request").span(payload);
-        if (root.at("v").as_int() != kProtocolVersion)
-          throw std::runtime_error("unsupported protocol version");
-        id = root.at("id").as_int();
-        const std::string& type = root.at("type").as_string();
+        const Envelope env = read_envelope(payload, "request");
+        id = env.id;
+        const std::string& type = env.root.at("type").as_string();
         parse_span.end();
         if (type == "ping") {
-          conn->send(simple_response("pong", id));
+          conn->send(response("pong", id, true));
         } else if (type == "stats") {
-          Writer w;
-          w.begin_object();
-          w.key("v"); w.value(kProtocolVersion);
-          w.key("type"); w.value("stats");
-          w.key("id"); w.value(id);
-          w.key("ok"); w.value(true);
-          w.key("stats"); w.raw(collect_stats().to_json());
-          w.end_object();
-          conn->send(w.take());
+          conn->send(response("stats", id, true, "stats",
+                              collect_stats().to_json()));
         } else if (type == "metrics") {
           // The registry's deterministic JSON snapshot: engine + cache +
           // daemon instruments in one document (DESIGN.md §15).
-          Writer w;
-          w.begin_object();
-          w.key("v"); w.value(kProtocolVersion);
-          w.key("type"); w.value("metrics");
-          w.key("id"); w.value(id);
-          w.key("ok"); w.value(true);
-          w.key("metrics"); w.raw(engine->metrics()->snapshot_json());
-          w.end_object();
-          conn->send(w.take());
+          conn->send(response("metrics", id, true, "metrics",
+                              engine->metrics()->snapshot_json()));
         } else if (type == "shutdown") {
-          conn->send(simple_response("shutdown", id));
+          conn->send(response("shutdown", id, true));
           stop_requested.store(true, std::memory_order_relaxed);
           state_cv.notify_all();
           return;
         } else if (type == "plan") {
-          if (request_span.empty())
+          if (env.lazy.empty())
             throw std::runtime_error("plan frame without a request");
-          handle_plan(conn, id, root, request_span);
+          handle_plan(conn, id, env.root, env.lazy);
         } else if (type == "calibrate") {
-          if (!root.has("table"))
+          if (!env.root.has("table"))
             throw std::runtime_error("calibrate frame without a table");
-          handle_calibrate(conn, id, root.at("table").is_null()
-                                          ? std::string_view()
-                                          : root.at("table").span(payload));
+          const Value& table = env.root.at("table");
+          handle_calibrate(conn, id, table.is_null() ? std::string_view()
+                                                     : table.span(payload));
         } else {
           throw std::runtime_error("unknown request type '" + type + "'");
         }
@@ -543,18 +490,13 @@ struct Daemon::Impl {
       std::lock_guard<std::mutex> lock(digest_mu);
       digests.clear();
     }
-    Writer w;
-    w.begin_object();
-    w.key("v"); w.value(kProtocolVersion);
-    w.key("type"); w.value("calibrate");
-    w.key("id"); w.value(id);
-    w.key("ok"); w.value(true);
-    w.key("calibration"); w.value(engine->calibration_hash());
-    w.key("calibration_version");
-    w.value(table ? static_cast<std::int64_t>(table->version)
-                  : std::int64_t{0});
-    w.end_object();
-    conn->send(w.take());
+    conn->send(write_envelope("calibrate", id, [&](Writer& w) {
+      w.key("ok"); w.value(true);
+      w.key("calibration"); w.value(engine->calibration_hash());
+      w.key("calibration_version");
+      w.value(table ? static_cast<std::int64_t>(table->version)
+                    : std::int64_t{0});
+    }));
   }
 
   void worker_loop() {

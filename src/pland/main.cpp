@@ -52,42 +52,25 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   karma::pland::DaemonOptions options;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; i += 2) {  // every option takes a value
+    if (i + 1 >= argc) return usage(argv[0]);
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
+    const char* v = argv[i + 1];
     if (arg == "--socket") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
       options.socket_path = v;
     } else if (arg == "--cache-dir") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
       options.engine.cache.cache_dir = v;
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
       options.num_workers = static_cast<std::size_t>(std::atol(v));
     } else if (arg == "--max-queue") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
       options.max_queue_per_tenant = static_cast<std::size_t>(std::atol(v));
     } else if (arg == "--retry-after") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
       options.retry_after = std::atof(v);
     } else if (arg == "--calibration") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
       options.engine.cache.calibration_path = v;
     } else if (arg == "--trace-dir") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
       options.trace_dir = v;
     } else if (arg == "--tenant-weight") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
       const char* eq = std::strchr(v, '=');
       if (!eq || eq == v) return usage(argv[0]);
       options.tenant_weights[std::string(v, eq)] = std::atof(eq + 1);

@@ -85,6 +85,23 @@ bool write_file_or_stdout(const std::string& path, const std::string& text) {
   return out.good();
 }
 
+/// Writes a result to `path` (stdout when empty) and returns the exit
+/// code: 0 written, 2 the daemon's PlanError, 3 transport or write failure.
+int finish(const karma::api::Expected<std::string, karma::api::PlanError>& out,
+           const std::string& path = {}) {
+  if (!out) {
+    std::fprintf(stderr, "karma-planctl: %s\n",
+                 out.error().describe().c_str());
+    return out.error().code == karma::api::PlanErrorCode::kUnavailable ? 3
+                                                                        : 2;
+  }
+  if (!write_file_or_stdout(path, out.value())) {
+    std::fprintf(stderr, "karma-planctl: cannot write '%s'\n", path.c_str());
+    return 3;
+  }
+  return 0;
+}
+
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
@@ -102,36 +119,19 @@ int main(int argc, char** argv) {
   std::string socket_path, request_path, out_path, tenant, table_path;
   std::string model_name = "resnet50", fleet_spec;
   std::int64_t batch = 256;
-  for (int i = 2; i < argc; ++i) {
+  for (int i = 2; i < argc; i += 2) {  // every option takes a value
+    if (i + 1 >= argc) return usage();
     const std::string arg = argv[i];
-    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (arg == "--socket" && v) {
-      socket_path = v;
-      ++i;
-    } else if (arg == "--request" && v) {
-      request_path = v;
-      ++i;
-    } else if (arg == "--table" && v) {
-      table_path = v;
-      ++i;
-    } else if (arg == "--out" && v) {
-      out_path = v;
-      ++i;
-    } else if (arg == "--tenant" && v) {
-      tenant = v;
-      ++i;
-    } else if (arg == "--batch" && v) {
-      batch = std::atoll(v);
-      ++i;
-    } else if (arg == "--model" && v) {
-      model_name = v;
-      ++i;
-    } else if (arg == "--fleet" && v) {
-      fleet_spec = v;
-      ++i;
-    } else {
-      return usage();
-    }
+    const char* v = argv[i + 1];
+    if (arg == "--socket") socket_path = v;
+    else if (arg == "--request") request_path = v;
+    else if (arg == "--table") table_path = v;
+    else if (arg == "--out") out_path = v;
+    else if (arg == "--tenant") tenant = v;
+    else if (arg == "--batch") batch = std::atoll(v);
+    else if (arg == "--model") model_name = v;
+    else if (arg == "--fleet") fleet_spec = v;
+    else return usage();
   }
 
   if (cmd == "example-request") {
@@ -156,13 +156,7 @@ int main(int argc, char** argv) {
       request.fleet = karma::place::mixed_generation_fleet(
           strong, weak, /*weak_host_capacity=*/48LL << 30);
     }
-    if (!write_file_or_stdout(out_path,
-                              karma::api::request_to_json(request))) {
-      std::fprintf(stderr, "karma-planctl: cannot write '%s'\n",
-                   out_path.c_str());
-      return 3;
-    }
-    return 0;
+    return finish(karma::api::request_to_json(request), out_path);
   }
 
   if (socket_path.empty()) return usage();
@@ -190,26 +184,8 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (cmd == "stats") {
-    auto stats = session.stats_json();
-    if (!stats) {
-      std::fprintf(stderr, "karma-planctl: %s\n",
-                   stats.error().message.c_str());
-      return 3;
-    }
-    std::printf("%s\n", stats.value().c_str());
-    return 0;
-  }
-  if (cmd == "metrics") {
-    auto metrics = session.metrics_json();
-    if (!metrics) {
-      std::fprintf(stderr, "karma-planctl: %s\n",
-                   metrics.error().message.c_str());
-      return 3;
-    }
-    std::printf("%s\n", metrics.value().c_str());
-    return 0;
-  }
+  if (cmd == "stats") return finish(session.stats_json());
+  if (cmd == "metrics") return finish(session.metrics_json());
   if (cmd == "calibrate") {
     std::string table_json;
     if (!table_path.empty()) {
@@ -230,16 +206,7 @@ int main(int argc, char** argv) {
         return 3;
       }
     }
-    auto hash = session.calibrate(table_json);
-    if (!hash) {
-      std::fprintf(stderr, "karma-planctl: %s\n",
-                   hash.error().message.c_str());
-      return hash.error().code == karma::api::PlanErrorCode::kUnavailable
-                 ? 3
-                 : 2;
-    }
-    std::printf("%s\n", hash.value().c_str());
-    return 0;
+    return finish(session.calibrate(table_json));
   }
   if (cmd != "plan" || request_path.empty()) return usage();
 
@@ -256,23 +223,5 @@ int main(int argc, char** argv) {
     return 3;
   }
 
-  auto plan = session.plan_raw(parsed.value());
-  if (!plan) {
-    const karma::api::PlanError& e = plan.error();
-    std::fprintf(stderr, "%s\n", e.describe().c_str());
-    return e.code == karma::api::PlanErrorCode::kUnavailable ? 3 : 2;
-  }
-  if (out_path.empty()) {
-    std::fwrite(plan.value().data(), 1, plan.value().size(), stdout);
-    std::fputc('\n', stdout);
-  } else {
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "karma-planctl: cannot write '%s'\n",
-                   out_path.c_str());
-      return 3;
-    }
-    out << plan.value() << '\n';
-  }
-  return 0;
+  return finish(session.plan_raw(parsed.value()), out_path);
 }

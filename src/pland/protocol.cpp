@@ -3,12 +3,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstring>
+#include <stdexcept>
 
 namespace karma::pland {
 
 namespace {
+
+using util::json::Value;
+
+/// The first read of a frame's payload, and the least any later read
+/// grows it by. Each read at most doubles what has already arrived, so a
+/// frame's buffer never outgrows twice its received bytes plus this.
+constexpr std::size_t kFrameReadStep = 64 * 1024;
 
 bool write_all(int fd, const char* data, std::size_t size) {
   while (size > 0) {
@@ -68,9 +76,77 @@ ReadStatus read_frame(int fd, std::string* payload) {
                             (static_cast<std::uint32_t>(prefix[2]) << 16) |
                             (static_cast<std::uint32_t>(prefix[3]) << 24);
   if (len > kMaxFrameBytes) return ReadStatus::kTooLarge;
-  payload->resize(len);
-  if (read_all(fd, payload->data(), len) != len) return ReadStatus::kError;
+  // Grown as bytes arrive, never to the announced length up front: four
+  // bytes from a client must not buy a zero-filled 64 MiB buffer.
+  payload->clear();
+  while (payload->size() < len) {
+    const std::size_t have = payload->size();
+    const std::size_t step =
+        std::min<std::size_t>(len - have, std::max(have, kFrameReadStep));
+    payload->resize(have + step);
+    if (read_all(fd, payload->data() + have, step) != step)
+      return ReadStatus::kError;
+  }
   return ReadStatus::kOk;
+}
+
+std::string write_envelope(std::string_view type, std::int64_t id,
+                           const EnvelopeMembers& members) {
+  util::json::Writer w;
+  w.begin_object();
+  w.key("v"); w.value(kProtocolVersion);
+  w.key("type"); w.value(type);
+  w.key("id"); w.value(id);
+  if (members) members(w);
+  w.end_object();
+  return w.take();
+}
+
+namespace {
+
+/// Maps spans parsed from a hollowed copy back onto the original payload:
+/// offsets at or past the end of the "null" stand-in move by the bytes it
+/// replaced (`replaced`, the lazy member's size), so the stand-in itself
+/// spans the lazy member's real bytes.
+void unhollow_spans(Value& v, std::size_t null_end, std::size_t replaced) {
+  if (v.begin >= null_end) v.begin = v.begin - 4 + replaced;
+  if (v.end >= null_end) v.end = v.end - 4 + replaced;
+  for (Value& e : v.array) unhollow_spans(e, null_end, replaced);
+  for (auto& [key, member] : v.object)
+    unhollow_spans(member, null_end, replaced);
+}
+
+}  // namespace
+
+Envelope read_envelope(std::string_view payload,
+                       std::string_view lazy_member) {
+  Envelope env;
+  // A plan frame's bytes are dominated by the embedded request (a model
+  // description runs tens of KB). Scan its span out first and parse the
+  // envelope with the member hollowed to null, so the caller pays for the
+  // bytes it digests instead of a DOM of the model. When the scan demurs,
+  // the full parse recovers the span.
+  if (!lazy_member.empty())
+    env.lazy = util::json::scan_member(payload, lazy_member);
+  if (!env.lazy.empty()) {
+    const auto off = static_cast<std::size_t>(env.lazy.data() - payload.data());
+    std::string hollowed;
+    hollowed.reserve(payload.size() - env.lazy.size() + 4);
+    hollowed.append(payload.substr(0, off));
+    hollowed.append("null");
+    hollowed.append(payload.substr(off + env.lazy.size()));
+    env.root = util::json::parse(hollowed);
+    unhollow_spans(env.root, off + 4, env.lazy.size());
+  } else {
+    env.root = util::json::parse(payload);
+    const std::string key(lazy_member);
+    if (!key.empty() && env.root.has(key))
+      env.lazy = env.root.at(key).span(payload);
+  }
+  if (env.root.at("v").as_int() != kProtocolVersion)
+    throw std::runtime_error("unsupported protocol version");
+  env.id = env.root.at("id").as_int();
+  return env;
 }
 
 }  // namespace karma::pland

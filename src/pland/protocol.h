@@ -40,15 +40,26 @@
 // content hash engine-wide — stale cached plans become repair seeds
 // (calib/repair.h) — and flushes the daemon's request-digest memo.
 //
+// Every envelope either side sends is written by write_envelope and every
+// one it receives is parsed, once, by read_envelope: the format lives in
+// this module alone. The daemon names "request" as read_envelope's lazy
+// member, so a plan frame's model description is sliced out as bytes and
+// never built into a DOM on a connection thread; the client names none,
+// so every response byte is validated by its one parse.
+//
 // Frame reads/writes are blocking with EINTR retry; a frame larger than
 // kMaxFrameBytes is a protocol error (the daemon answers one "error"
 // envelope where it can, then closes — resynchronizing a corrupt length
-// prefix is not possible).
+// prefix is not possible). A frame's buffer grows as its bytes arrive, so
+// a length prefix alone never buys memory.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+
+#include "src/util/json.h"
 
 namespace karma::pland {
 
@@ -75,5 +86,31 @@ enum class ReadStatus {
 /// Reads one whole frame. Blocks until the frame completes, the peer
 /// closes, or an error occurs.
 ReadStatus read_frame(int fd, std::string* payload);
+
+/// Appends an envelope's own members after its v/type/id header.
+using EnvelopeMembers = std::function<void(util::json::Writer&)>;
+
+/// Writes one envelope: {"v":kProtocolVersion,"type":<type>,"id":<id>,
+/// then whatever `members` appends, then }.
+std::string write_envelope(std::string_view type, std::int64_t id,
+                           const EnvelopeMembers& members = nullptr);
+
+/// One received envelope, parsed once. Every span in `root` indexes the
+/// payload read_envelope was given; the caller keeps that payload alive.
+struct Envelope {
+  util::json::Value root;
+  std::int64_t id = 0;
+  /// Exact bytes of the lazy member's value; empty when it is absent.
+  std::string_view lazy;
+};
+
+/// Parses `payload` with one util::json::parse and checks that `v` is
+/// kProtocolVersion and `id` an integer; throws std::runtime_error
+/// otherwise. A named `lazy_member` is located by util::json::scan_member
+/// and parsed as null (its value stays bytes, found in `lazy` and in its
+/// `root` span); when the scan demurs (escaped key, odd formatting) the
+/// whole payload is parsed instead, with the same result.
+Envelope read_envelope(std::string_view payload,
+                       std::string_view lazy_member = {});
 
 }  // namespace karma::pland

@@ -3,7 +3,11 @@
 // Three layers of proof:
 //   - DAEMON PROTOCOL: RemoteSession against an in-process Daemon —
 //     plans byte-identical to the engine's own, hit-path accounting,
-//     admission sheds with retry_after, stats, graceful shutdown.
+//     admission sheds with retry_after, stats, graceful shutdown; the
+//     exact envelope bytes both ways (a fake listener records the
+//     client's); each hostile frame class answered and survived, and
+//     memory that follows the bytes a client sends, not the lengths it
+//     announces.
 //   - FLEET SINGLE-FLIGHT: two Engines sharing one cache dir run ONE
 //     search between them (claim files; flock conflicts across fds even
 //     in one process), and a SIGKILLed claim holder releases followers
@@ -21,13 +25,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -229,13 +236,332 @@ int connect_raw(const std::string& path) {
   return fd;
 }
 
-/// One request frame out, its response frame back, parsed.
-util::json::Value frame_round_trip(int fd, const std::string& frame) {
+/// One request frame out, its response frame's exact bytes back.
+std::string raw_round_trip(int fd, const std::string& frame) {
   std::string reply;
   if (!pland::write_frame(fd, frame) ||
       pland::read_frame(fd, &reply) != pland::ReadStatus::kOk)
     throw std::runtime_error("frame exchange failed");
-  return util::json::parse(reply);
+  return reply;
+}
+
+/// One request frame out, its response frame back, parsed.
+util::json::Value frame_round_trip(int fd, const std::string& frame) {
+  return util::json::parse(raw_round_trip(fd, frame));
+}
+
+/// A fresh RemoteSession's ping: the daemon still accepts and serves.
+bool fresh_ping(const std::string& socket_path) {
+  auto session = api::RemoteSession::connect(socket_path);
+  return session.has_value() && session->ping();
+}
+
+TEST(Daemon, HostileFramesGetTheirPinnedAnswerAndServiceContinues) {
+  // One frame of each hostile class, with the answer the daemon gives it.
+  // The envelope checks run in a fixed order — version, then id, then
+  // type — so a frame rejected before its id is read is answered id 0.
+  struct Case {
+    std::string frame;
+    std::string type;
+    std::int64_t id;
+    std::string code;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"[1]", "error", 0, "invalid-request", "missing key 'v'"},
+      {R"({"v":2,"type":"ping","id":3})", "error", 0, "invalid-request",
+       "unsupported protocol version"},
+      {R"({"v":1,"type":"ping"})", "error", 0, "invalid-request",
+       "missing key 'id'"},
+      {R"({"v":1,"type":"ping","id":"3"})", "error", 0, "invalid-request",
+       "expected integer"},
+      {R"({"v":1,"type":"bogus","id":4})", "error", 4, "invalid-request",
+       "unknown request type 'bogus'"},
+      // A request of the wrong type reaches a plan worker, whose request
+      // reader rejects it as the plan's own error.
+      {R"({"v":1,"type":"plan","id":5,"request":5})", "plan", 5,
+       "parse-error", "request_from_json: missing key 'version'"},
+      {R"({"v":1,"type":"plan","id":6})", "error", 6, "invalid-request",
+       "plan frame without a request"},
+      {R"({"v":1,"type":"ping","id":7,"x":[}})", "error", 0,
+       "invalid-request", "bad number"},
+      // The escaped key misses the byte scan; the full parse still finds
+      // the request, so it is answered exactly like "request":5.
+      {"{\"v\":1,\"type\":\"plan\",\"id\":8,\"req\\u0075est\":5}", "plan", 8,
+       "parse-error", "request_from_json: missing key 'version'"},
+  };
+  DaemonFixture fx("hostile");
+  ASSERT_TRUE(fx.daemon->start());
+  std::uint64_t protocol_errors = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.frame);
+    const int fd = connect_raw(fx.daemon->socket_path());
+    ASSERT_GE(fd, 0);
+    const util::json::Value reply = frame_round_trip(fd, c.frame);
+    ::close(fd);
+    EXPECT_EQ(reply.at("v").as_int(), 1);
+    EXPECT_EQ(reply.at("type").as_string(), c.type);
+    EXPECT_EQ(reply.at("id").as_int(), c.id);
+    EXPECT_FALSE(reply.at("ok").as_bool());
+    EXPECT_EQ(reply.at("error").at("code").as_string(), c.code);
+    EXPECT_EQ(reply.at("error").at("message").as_string(), c.message);
+    if (c.type == "error") ++protocol_errors;
+    EXPECT_TRUE(fresh_ping(fx.daemon->socket_path()));
+  }
+  EXPECT_EQ(fx.daemon->stats().protocol_errors, protocol_errors);
+  EXPECT_TRUE(fx.daemon->running());
+}
+
+TEST(Daemon, ResponseWireBytesArePinned) {
+  DaemonFixture fx("wire");
+  ASSERT_TRUE(fx.daemon->start());
+  const int fd = connect_raw(fx.daemon->socket_path());
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(raw_round_trip(fd, R"({"v":1,"type":"ping","id":5})"),
+            R"({"v":1,"type":"pong","id":5,"ok":true})");
+
+  // A plan response splices the engine's artifact verbatim.
+  const api::PlanRequest request = resnet_request(256);
+  const std::string plan_reply = raw_round_trip(
+      fd, R"({"v":1,"type":"plan","id":7,"tenant":"t","request":)" +
+              api::request_to_json(request) + "}");
+  const auto local = fx.daemon->engine()->plan(request);
+  ASSERT_TRUE(local.has_value());
+  EXPECT_EQ(plan_reply, R"({"v":1,"type":"plan","id":7,"ok":true,"plan":)" +
+                            local.value().to_json() + "}");
+  // "request" is "request" after unescaping: the byte scan misses it, the
+  // full parse recovers its span, and the plan is the same artifact.
+  EXPECT_EQ(raw_round_trip(fd, "{\"v\":1,\"type\":\"plan\",\"id\":8,"
+                               "\"req\\u0075est\":" +
+                                   api::request_to_json(request) + "}"),
+            R"({"v":1,"type":"plan","id":8,"ok":true,"plan":)" +
+                local.value().to_json() + "}");
+
+  EXPECT_EQ(
+      raw_round_trip(fd, R"({"v":1,"type":"bogus","id":4})"),
+      R"({"v":1,"type":"error","id":4,"ok":false,"error":{"code":"invalid-request","message":"unknown request type 'bogus'","model":"","device":"","violating_layer":-1,"violating_block":-1,"deficits":[],"nearest_feasible_batch":-1,"probe_candidates":0,"probe_cache_hits":0,"from_negative_cache":false,"retry_after":0,"partial":null}})");
+
+  EXPECT_EQ(
+      raw_round_trip(
+          fd,
+          R"({"v":1,"type":"calibrate","id":11,"table":{"version":1,"factors":{"*":{"h2d":1.5,"d2h":1.5}},"sample_count":0,"rejected_outliers":0}})"),
+      R"({"v":1,"type":"calibrate","id":11,"ok":true,"calibration":"32eb4bb8f96e706e078ad8451cff977a","calibration_version":1})");
+  EXPECT_EQ(fx.daemon->engine()->calibration_hash(),
+            "32eb4bb8f96e706e078ad8451cff977a");
+  EXPECT_EQ(
+      raw_round_trip(fd, R"({"v":1,"type":"calibrate","id":12,"table":null})"),
+      R"({"v":1,"type":"calibrate","id":12,"ok":true,"calibration":"","calibration_version":0})");
+
+  // Stats and metrics documents vary; their envelopes do not.
+  const std::string stats =
+      raw_round_trip(fd, R"({"v":1,"type":"stats","id":13})");
+  EXPECT_EQ(stats.rfind(R"({"v":1,"type":"stats","id":13,"ok":true,"stats":{)",
+                        0),
+            0u)
+      << stats;
+  const std::string metrics =
+      raw_round_trip(fd, R"({"v":1,"type":"metrics","id":14})");
+  EXPECT_EQ(metrics.rfind(
+                R"({"v":1,"type":"metrics","id":14,"ok":true,"metrics":{)", 0),
+            0u)
+      << metrics;
+  ::close(fd);
+}
+
+TEST(Daemon, StatsDocumentBytesArePinned) {
+  // Every member distinct, so a dropped, reordered or swapped member shows.
+  pland::DaemonStats s;
+  s.connections = 1;
+  s.requests = 2;
+  s.shed = 3;
+  s.protocol_errors = 4;
+  s.engine.requests = 5;
+  s.engine.searches = 6;
+  s.engine.flights_joined = 7;
+  s.engine.cancelled = 8;
+  s.engine.deadlines = 9;
+  s.cache.memory_hits = 10;
+  s.cache.disk_hits = 11;
+  s.cache.misses = 12;
+  s.cache.insertions = 13;
+  s.cache.evictions = 14;
+  s.cache.disk_writes = 15;
+  s.cache.corrupt_entries = 16;
+  s.cache.resident_bytes = 17;
+  s.cache.negative_hits = 18;
+  s.cache.negative_insertions = 19;
+  s.claims_won = 20;
+  s.claims_lost = 21;
+  s.calibration = "abc";
+  s.calibration_version = 22;
+  s.tenants.push_back({"t0", 23, 24, 25, 26, 27});
+  s.tenants.push_back({"t1", 28, 29, 30, 31, 32});
+  EXPECT_EQ(
+      s.to_json(),
+      R"({"connections":1,"requests":2,"shed":3,"protocol_errors":4,)"
+      R"("engine":{"requests":5,"searches":6,"flights_joined":7,"cancelled":8,"deadlines":9},)"
+      R"("cache":{"memory_hits":10,"disk_hits":11,"misses":12,"insertions":13,"evictions":14,)"
+      R"("disk_writes":15,"corrupt_entries":16,"resident_bytes":17,"negative_hits":18,)"
+      R"("negative_insertions":19},"claims_won":20,"claims_lost":21,)"
+      R"("calibration":"abc","calibration_version":22,"tenants":[)"
+      R"({"tenant":"t0","admitted":23,"completed":24,"shed":25,"hits":26,"queue_depth":27},)"
+      R"({"tenant":"t1","admitted":28,"completed":29,"shed":30,"hits":31,"queue_depth":32}]})");
+}
+
+/// A listening socket no daemon serves: it records what RemoteSession
+/// sends and answers with scripted frames.
+struct FakeDaemon {
+  explicit FakeDaemon(const std::string& tag) : dir(tag) {
+    path = dir.path + "/fake.sock";
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
+    listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (listen_fd < 0 ||
+        ::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+            0 ||
+        ::listen(listen_fd, 4) != 0)
+      throw std::runtime_error("fake daemon cannot listen");
+  }
+  ~FakeDaemon() { ::close(listen_fd); }
+
+  /// Runs `verb` on a fresh session. The fake reads the first frame it
+  /// sends, answers each of `replies` (with "$ID" replaced by the
+  /// request's id), then hangs up. Returns the frame the client sent.
+  std::string exchange(const std::function<void(api::RemoteSession&)>& verb,
+                       const std::vector<std::string>& replies = {}) {
+    auto session = api::RemoteSession::connect(path, "t");
+    if (!session) throw std::runtime_error("cannot connect to fake daemon");
+    std::thread client([&] { verb(*session); });
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    std::string sent;
+    if (fd >= 0 &&
+        pland::read_frame(fd, &sent) == pland::ReadStatus::kOk) {
+      const std::string id =
+          std::to_string(util::json::parse(sent).at("id").as_int());
+      for (std::string reply : replies) {
+        const auto at = reply.find("$ID");
+        if (at != std::string::npos) reply.replace(at, 3, id);
+        pland::write_frame(fd, reply);
+      }
+    }
+    if (fd >= 0) ::close(fd);
+    client.join();
+    return sent;
+  }
+
+  TempDir dir;
+  std::string path;
+  int listen_fd = -1;
+};
+
+TEST(RemoteSession, RequestWireBytesArePinned) {
+  FakeDaemon fake("client-wire");
+  EXPECT_EQ(fake.exchange([](api::RemoteSession& s) { s.ping(); }),
+            R"({"v":1,"type":"ping","id":1})");
+  EXPECT_EQ(fake.exchange([](api::RemoteSession& s) { s.stats_json(); }),
+            R"({"v":1,"type":"stats","id":1})");
+  EXPECT_EQ(fake.exchange([](api::RemoteSession& s) { s.metrics_json(); }),
+            R"({"v":1,"type":"metrics","id":1})");
+  EXPECT_EQ(
+      fake.exchange([](api::RemoteSession& s) { s.shutdown_server(); }),
+      R"({"v":1,"type":"shutdown","id":1})");
+  const api::PlanRequest request = resnet_request(256);
+  EXPECT_EQ(fake.exchange([&](api::RemoteSession& s) { s.plan_raw(request); }),
+            R"({"v":1,"type":"plan","id":1,"tenant":"t","request":)" +
+                api::request_to_json(request) + "}");
+  EXPECT_EQ(fake.exchange([](api::RemoteSession& s) { s.calibrate(""); }),
+            R"({"v":1,"type":"calibrate","id":1,"table":null})");
+  const std::string table =
+      R"({"version":1,"factors":{"*":{"h2d":1.5,"d2h":1.5}},"sample_count":0,"rejected_outliers":0})";
+  EXPECT_EQ(fake.exchange([&](api::RemoteSession& s) { s.calibrate(table); }),
+            R"({"v":1,"type":"calibrate","id":1,"table":)" + table + "}");
+}
+
+TEST(RemoteSession, ResponsesAreMatchedByIdAndMalformedOnesAreUnavailable) {
+  FakeDaemon fake("client-read");
+  // A stale pipelined response is skipped; the one echoing the id counts.
+  bool pong = false;
+  fake.exchange([&](api::RemoteSession& s) { pong = s.ping(); },
+                {R"({"v":1,"type":"pong","id":999,"ok":false})",
+                 R"({"v":1,"type":"pong","id":$ID,"ok":true})"});
+  EXPECT_TRUE(pong);
+
+  // The daemon's own error comes back structurally intact.
+  std::optional<api::Expected<std::string, api::PlanError>> stats;
+  fake.exchange(
+      [&](api::RemoteSession& s) { stats.emplace(s.stats_json()); },
+      {R"({"v":1,"type":"stats","id":$ID,"ok":false,"error":{"code":"overloaded","message":"busy","model":"","device":"","violating_layer":-1,"violating_block":-1,"deficits":[],"nearest_feasible_batch":-1,"probe_candidates":0,"probe_cache_hits":0,"from_negative_cache":false,"retry_after":2.5,"partial":null}})"});
+  ASSERT_TRUE(stats.has_value());
+  ASSERT_FALSE(stats->has_value());
+  EXPECT_EQ(stats->error().code, api::PlanErrorCode::kOverloaded);
+  EXPECT_EQ(stats->error().message, "busy");
+  EXPECT_DOUBLE_EQ(stats->error().retry_after, 2.5);
+
+  // Malformed responses and hang-ups are kUnavailable, never a throw.
+  const std::vector<std::vector<std::string>> broken = {
+      {},                                          // hang-up, no answer
+      {"not json"},                                // unparseable
+      {R"({"v":1,"type":"plan","ok":true})"},      // no id
+      {R"({"v":1,"type":"plan","id":$ID})"},       // no ok
+      {R"({"v":1,"type":"plan","id":$ID,"ok":true})"},  // no plan
+  };
+  const api::PlanRequest request = resnet_request(256);
+  for (const auto& replies : broken) {
+    std::optional<api::Expected<std::string, api::PlanError>> plan;
+    fake.exchange(
+        [&](api::RemoteSession& s) { plan.emplace(s.plan_raw(request)); },
+        replies);
+    ASSERT_TRUE(plan.has_value());
+    ASSERT_FALSE(plan->has_value()) << (replies.empty() ? "" : replies[0]);
+    EXPECT_EQ(plan->error().code, api::PlanErrorCode::kUnavailable);
+  }
+}
+
+/// This process's resident set, from /proc/self/status (VmRSS, in kB).
+std::int64_t resident_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6));
+  return -1;
+}
+
+TEST(Daemon, AnnouncedFrameLengthsAllocateNothingUntilBytesArrive) {
+  // Regression: read_frame sized its buffer to the announced length before
+  // any payload byte arrived, so 4 bytes from a client bought a zero-filled
+  // 64 MiB buffer. Memory must follow the bytes received instead.
+  DaemonFixture fx("rss");
+  ASSERT_TRUE(fx.daemon->start());
+  ASSERT_TRUE(fresh_ping(fx.daemon->socket_path()));  // warm the daemon up
+  const std::int64_t before_kb = resident_kb();
+  ASSERT_GT(before_kb, 0);
+
+  constexpr int kConnections = 8;
+  const std::uint32_t len = pland::kMaxFrameBytes - 1;
+  const char prefix[4] = {static_cast<char>(len & 0xff),
+                          static_cast<char>((len >> 8) & 0xff),
+                          static_cast<char>((len >> 16) & 0xff),
+                          static_cast<char>((len >> 24) & 0xff)};
+  std::vector<int> fds;
+  for (int i = 0; i < kConnections; ++i) {
+    const int fd = connect_raw(fx.daemon->socket_path());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::write(fd, prefix, sizeof prefix), 4);
+    fds.push_back(fd);
+  }
+  // The readers take their prefixes as soon as they are scheduled; a ping
+  // answered after them means the accept loop has served every one.
+  ASSERT_TRUE(fresh_ping(fx.daemon->socket_path()));
+  std::int64_t peak_kb = before_kb;
+  for (int i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    peak_kb = std::max(peak_kb, resident_kb());
+  }
+  for (const int fd : fds) ::close(fd);
+  EXPECT_LT(peak_kb - before_kb, 32 * 1024)
+      << "RSS grew from " << before_kb << " kB to " << peak_kb << " kB";
+  EXPECT_TRUE(fresh_ping(fx.daemon->socket_path()));
 }
 
 TEST(Daemon, NestingBombPlanFrameIsAnErrorNotACrash) {
