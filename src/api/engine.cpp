@@ -1350,9 +1350,8 @@ std::optional<Expected<Plan, PlanError>> Engine::try_cached(
 std::optional<Expected<Plan, PlanError>> Engine::try_cached(
     const cache::RequestKey& key, bool probe_feasible_batch) {
   // No validate(): the PlanRequest overload validates before it
-  // delegates, and a caller holding only the key vouches that the bytes
-  // behind it already parsed and validated once (same bytes -> same
-  // outcome).
+  // delegates, and only validated requests insert, so a bare key can
+  // read nothing an invalid request produced.
   if (options_.cache.cache_mode == CacheOptions::CacheMode::kBypass ||
       !impl_->cache)
     return std::nullopt;

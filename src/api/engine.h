@@ -126,11 +126,13 @@ class Engine : public std::enable_shared_from_this<Engine> {
   std::optional<Expected<Plan, PlanError>> try_cached(
       const PlanRequest& request);
 
-  /// Key-addressed variant for callers that already hold the content key
-  /// of a request they have previously parsed and validated (karma-pland
-  /// memoizes wire-bytes -> key, so a warm client's repeats skip the
-  /// model re-parse entirely). `probe_feasible_batch` must be the flag of
-  /// the keyed request — it selects which negative entries are eligible.
+  /// Key-addressed variant for callers that hold only the content key
+  /// (karma-pland's `lookup` verb: the client keys its own request, so a
+  /// warm hit never ships or parses the model). No validation runs, and
+  /// none is needed: every entry was inserted under the key of a request
+  /// that validated, so any key reads only what such a request produced.
+  /// `probe_feasible_batch` must be the flag of the keyed request — it
+  /// selects which negative entries are eligible.
   std::optional<Expected<Plan, PlanError>> try_cached(
       const cache::RequestKey& key, bool probe_feasible_batch);
 
@@ -153,9 +155,7 @@ class Engine : public std::enable_shared_from_this<Engine> {
   std::string calibration_hash() const;
 
   /// Content key of `request` under the engine's ACTIVE calibration —
-  /// what try_cached/plan would key it as right now. karma-pland's
-  /// wire-bytes digest memo stores these; the memo must be flushed when
-  /// the calibration changes (the daemon's calibrate verb does).
+  /// what try_cached/plan would key it as right now.
   cache::RequestKey key_for(const PlanRequest& request) const;
 
   /// Counters of the shared two-level cache (zeros under kBypass).

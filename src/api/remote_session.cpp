@@ -9,6 +9,7 @@
 
 #include "src/api/plan_io.h"
 #include "src/api/request_io.h"
+#include "src/cache/request_key.h"
 
 namespace karma::api {
 
@@ -48,17 +49,22 @@ Expected<RemoteSession, PlanError> RemoteSession::connect(
 RemoteSession::RemoteSession(int fd, std::string tenant)
     : fd_(fd), tenant_(std::move(tenant)) {}
 
-RemoteSession::RemoteSession(RemoteSession&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      tenant_(std::move(other.tenant_)),
-      next_id_(other.next_id_) {}
+RemoteSession::RemoteSession(RemoteSession&& other) noexcept {
+  std::lock_guard<std::mutex> lock(other.mu_);
+  fd_ = std::exchange(other.fd_, -1);
+  tenant_ = std::move(other.tenant_);
+  next_id_ = other.next_id_;
+  calibration_ = std::move(other.calibration_);
+}
 
 RemoteSession& RemoteSession::operator=(RemoteSession&& other) noexcept {
   if (this != &other) {
+    std::scoped_lock lock(mu_, other.mu_);
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
     tenant_ = std::move(other.tenant_);
     next_id_ = other.next_id_;
+    calibration_ = std::move(other.calibration_);
   }
   return *this;
 }
@@ -87,7 +93,10 @@ Expected<std::string, PlanError> RemoteSession::call(
       if (!env.root.at("ok").as_bool())
         return error_from_json(env.root.at("error").span(payload));
       const Value& member = env.root.at(result);
+      if (env.root.has("calibration"))
+        calibration_ = env.root.at("calibration").as_string();
       if (member.type == Value::Type::kString) return member.str;
+      if (member.is_null()) return std::string();
       return std::string(member.span(payload));
     } catch (const std::exception& ex) {
       return unavailable("malformed '" + std::string(type) +
@@ -96,8 +105,31 @@ Expected<std::string, PlanError> RemoteSession::call(
   }
 }
 
+std::string RemoteSession::calibration_hash() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return calibration_;
+}
+
 Expected<std::string, PlanError> RemoteSession::plan_raw(
     const PlanRequest& request) {
+  // Key-first: a hit costs a 32-hex-digit key, never the model. A plan
+  // artifact is never empty, so "" is the daemon's plan:null. The hash is
+  // re-read per attempt: call() adopts the one each lookup answers with.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const std::string calibration = calibration_hash();
+    const std::string key = cache::request_key(request, calibration).hex();
+    auto hit = call(
+        "lookup",
+        [&](Writer& w) {
+          w.key("tenant"); w.value(tenant_);
+          w.key("key"); w.value(key);
+          w.key("calibration"); w.value(calibration);
+          w.key("probe"); w.value(request.probe_feasible_batch);
+        },
+        "plan");
+    if (!hit || !hit.value().empty()) return hit;
+    if (calibration_hash() == calibration) break;  // a miss: send the request
+  }
   // The span IS the leader's Plan::to_json() bytes — byte-identical for
   // every client fleet-wide.
   return call(

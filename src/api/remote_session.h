@@ -16,13 +16,24 @@
 // artifacts (karma-planctl, the storm test) keep byte-identity end to end
 // without a reserialize.
 //
+// plan_raw is key-first: the client keys its own request
+// (cache::request_key under the last calibration hash it has seen, "" at
+// connect) and sends a `lookup` of those 128 bits. A warm hit therefore
+// never serializes, ships or parses the model. The daemon serves the key
+// only under its active calibration; otherwise it answers plan:null with
+// the active hash, which the client adopts before it looks up once more.
+// A miss under the active hash sends the request itself in a `plan` frame,
+// which the daemon keys on its own — a client's key only ever chooses
+// which cached artifact it reads.
+//
 // Every verb is one call(): one envelope out (pland::write_envelope), then
 // frames in until the response echoing its id arrives, each parsed exactly
 // once (pland::read_envelope) — so the client holds no envelope format of
 // its own.
 //
 // Thread-safety: a RemoteSession serializes its calls internally (one
-// in-flight request per connection); open one per thread for parallelism.
+// in-flight request per connection; the calibration hash is guarded by
+// the same mutex); open one per thread for parallelism.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +63,9 @@ class RemoteSession {
   RemoteSession& operator=(const RemoteSession&) = delete;
 
   /// Remote Engine::plan — blocks until the daemon answers (a cold miss
-  /// waits for the fleet-wide search).
+  /// waits for the fleet-wide search). A hit costs one `lookup` round trip
+  /// (two when the session's calibration hash was stale); a miss adds one
+  /// `plan` round trip.
   Expected<Plan, PlanError> plan(const PlanRequest& request);
 
   /// Same, but returns the plan artifact's exact wire bytes.
@@ -70,7 +83,8 @@ class RemoteSession {
   /// the calibrate envelope) on the daemon's engine, node-wide; empty
   /// `table_json` clears back to the analytic model. Returns the daemon's
   /// new active calibration hash ("" when cleared). Malformed tables come
-  /// back as the daemon's kInvalidRequest error.
+  /// back as the daemon's kInvalidRequest error. The session keys its
+  /// next lookups under the returned hash.
   Expected<std::string, PlanError> calibrate(const std::string& table_json);
 
   /// Round-trips a ping.
@@ -86,16 +100,22 @@ class RemoteSession {
 
   /// Sends one `type` envelope carrying `members` and reads frames until
   /// the response echoing its id arrives, parsing each one once. Returns
-  /// response member `result`: a JSON string as its value, anything else
-  /// as its exact bytes. `ok:false` is the daemon's PlanError; a lost
-  /// connection or a malformed response is PlanError{kUnavailable}.
+  /// response member `result`: a JSON string as its value, null as "",
+  /// anything else as its exact bytes. A response's `calibration` member,
+  /// when present, becomes the session's calibration hash. `ok:false` is
+  /// the daemon's PlanError; a lost connection or a malformed response is
+  /// PlanError{kUnavailable}.
   Expected<std::string, PlanError> call(std::string_view type,
                                         const pland::EnvelopeMembers& members,
                                         const char* result);
 
+  /// The calibration hash lookups are keyed under.
+  std::string calibration_hash();
+
   int fd_ = -1;
   std::string tenant_;
   std::int64_t next_id_ = 1;
+  std::string calibration_;  ///< guarded by mu_
   std::mutex mu_;
 };
 

@@ -177,15 +177,15 @@ struct Daemon::Impl {
 
   // ---- Miss queue: per tenant, drained under stride scheduling ----
   // A job carries the RAW request bytes, not a parsed PlanRequest: the
-  // connection threads do only O(digest) work per frame, and everything
-  // model-sized (parse, keying, the search itself) happens on the plan
-  // workers at batch priority. That asymmetry is the fairness mechanism —
-  // a cold storm cannot put parse work in front of another tenant's hits.
+  // connection threads only slice the request out of its frame, and
+  // everything model-sized (parse, keying, the search itself) happens on
+  // the plan workers at batch priority. That asymmetry is the fairness
+  // mechanism — a cold storm cannot put parse work in front of another
+  // tenant's hits.
   struct Job {
     std::shared_ptr<Connection> conn;
     std::int64_t id = 0;
     std::string raw_request;
-    util::Digest128 digest;
     std::string tenant;
     /// Admission timestamp (obs::trace_now_us clock): the queue-wait
     /// histogram and the cross-thread "pland.queue_wait" trace slice both
@@ -272,23 +272,6 @@ struct Daemon::Impl {
     std::ofstream out(path);
     out << obs::chrome_trace_json(events) << "\n";
   }
-
-  // ---- Request-digest memo (performance only, never correctness) ----
-  // request_to_json is byte-stable, so a warm client's repeats arrive as
-  // the exact bytes seen before: digesting the request span and mapping
-  // it to the content key lets the hit path skip re-parsing a model
-  // description that can run tens of KB. Same bytes imply the same
-  // probe flag and the same validation outcome, so the memo carries both
-  // facts the keyed cache probe needs. A memo miss (new bytes, cleared
-  // memo, exotic client formatting) just falls back to the full parse.
-  struct DigestEntry {
-    cache::RequestKey key;
-    bool probe_feasible_batch = false;
-  };
-  static constexpr std::size_t kDigestMemoCap = 1 << 16;
-  std::mutex digest_mu;
-  std::unordered_map<util::Digest128, DigestEntry, util::Digest128Hash>
-      digests;
 
   /// Releases the socket-path flock (closing the fd releases it).
   void release_lock() {
@@ -388,6 +371,8 @@ struct Daemon::Impl {
           stop_requested.store(true, std::memory_order_relaxed);
           state_cv.notify_all();
           return;
+        } else if (type == "lookup") {
+          handle_lookup(conn, id, env.root);
         } else if (type == "plan") {
           if (env.lazy.empty())
             throw std::runtime_error("plan frame without a request");
@@ -408,44 +393,62 @@ struct Daemon::Impl {
     }
   }
 
-  void handle_plan(const std::shared_ptr<Connection>& conn, std::int64_t id,
-                   const Value& root, std::string_view request_span) {
-    requests->inc();
+  /// The hit path: serves a client-computed key straight from the cache
+  /// (DESIGN.md §12). The key only selects which artifact the client
+  /// reads — every insert is keyed by the engine from a parsed request —
+  /// so a wrong key can cost its sender a miss, never poison the cache.
+  /// A key minted under another calibration hash is never served: the
+  /// answer is plan:null with the active hash, which the client adopts.
+  /// A miss counts nothing; the plan frame that follows it is the request.
+  void handle_lookup(const std::shared_ptr<Connection>& conn,
+                     std::int64_t id, const Value& root) {
     const std::uint64_t t0 = obs::trace_now_us();
     const std::string tenant =
         root.has("tenant") ? root.at("tenant").as_string() : std::string();
-
-    // ---- Memoized hit path: bytes seen before skip the parse ----
-    const util::Digest128 digest = util::digest128(request_span);
-    {
-      std::optional<DigestEntry> memo;
-      {
-        std::lock_guard<std::mutex> lock(digest_mu);
-        const auto it = digests.find(digest);
-        if (it != digests.end()) memo = it->second;
-      }
-      if (memo) {
-        // (engine->try_cached emits the "engine.cache_lookup" span.)
-        if (auto outcome =
-                engine->try_cached(memo->key, memo->probe_feasible_batch)) {
-          {
-            std::lock_guard<std::mutex> lock(queue_mu);
-            tenant_queue(tenant).hits++;
-          }
-          conn->send(plan_response(id, std::move(*outcome)));
-          hit_seconds->observe(
-              static_cast<double>(obs::trace_now_us() - t0) * 1e-6);
-          obs::emit_complete("pland.hit", "pland", t0, obs::trace_now_us());
-          return;
-        }
-        // Memoized but not cached (e.g. evicted): take the queue like any
-        // first-sight request.
-      }
+    const auto key = util::Digest128::from_hex(root.at("key").as_string());
+    if (!key)
+      throw std::runtime_error("lookup key is not 32 lowercase hex digits");
+    const std::string& calibration = root.at("calibration").as_string();
+    const bool probe = root.at("probe").as_bool();
+    const std::string active = engine->calibration_hash();
+    // (engine->try_cached emits the "engine.cache_lookup" span.)
+    std::optional<api::Expected<api::Plan, api::PlanError>> outcome;
+    if (calibration == active)
+      outcome = engine->try_cached(cache::RequestKey{*key}, probe);
+    if (outcome) {
+      requests->inc();
+      std::lock_guard<std::mutex> lock(queue_mu);
+      tenant_queue(tenant).hits++;
     }
+    if (outcome && !outcome->has_value()) {
+      conn->send(response("lookup", id, false, "error",
+                          api::error_to_json(outcome->error())));
+    } else {
+      conn->send(write_envelope("lookup", id, [&](Writer& w) {
+        w.key("ok"); w.value(true);
+        w.key("calibration"); w.value(active);
+        w.key("plan");
+        if (outcome) {
+          w.raw(outcome->value().to_json());  // spliced verbatim
+        } else {
+          w.null();
+        }
+      }));
+    }
+    if (!outcome) return;
+    hit_seconds->observe(static_cast<double>(obs::trace_now_us() - t0) *
+                         1e-6);
+    obs::emit_complete("pland.hit", "pland", t0, obs::trace_now_us());
+  }
 
-    // ---- First sight: admission control, then the tenant's queue ----
-    // The model-sized work (parse, keying, search) belongs to the plan
-    // workers; this thread only decides admission and hands the bytes on.
+  /// A request by value: admission control, then the tenant's queue. The
+  /// model-sized work (parse, keying, search) belongs to the plan
+  /// workers; this thread only decides admission and hands the bytes on.
+  void handle_plan(const std::shared_ptr<Connection>& conn, std::int64_t id,
+                   const Value& root, std::string_view request_span) {
+    requests->inc();
+    const std::string tenant =
+        root.has("tenant") ? root.at("tenant").as_string() : std::string();
     {
       std::lock_guard<std::mutex> lock(queue_mu);
       TenantQueue& q = tenant_queue(tenant);
@@ -467,8 +470,8 @@ struct Daemon::Impl {
       // exclusively until its stale pass catches up.
       if (q.jobs.empty()) q.pass = std::max(q.pass, virtual_time);
       q.admitted++;
-      q.jobs.push_back(Job{conn, id, std::string(request_span), digest,
-                           tenant, obs::trace_now_us()});
+      q.jobs.push_back(Job{conn, id, std::string(request_span), tenant,
+                           obs::trace_now_us()});
     }
     queue_cv.notify_one();
   }
@@ -477,8 +480,7 @@ struct Daemon::Impl {
   /// fronted engine, fleet-wide at this node: every subsequent request is
   /// keyed under the new table's hash and searched against the calibrated
   /// device; plans cached under the previous hash become repair seeds.
-  /// The digest memo maps wire bytes to keys computed under the OLD hash,
-  /// so it is flushed — entries rebuild lazily at the new hash.
+  /// Lookups keyed under the old hash miss from here on (handle_lookup).
   void handle_calibrate(const std::shared_ptr<Connection>& conn,
                         std::int64_t id, std::string_view table_span) {
     std::shared_ptr<const calib::CalibrationTable> table;
@@ -486,10 +488,6 @@ struct Daemon::Impl {
       table = std::make_shared<const calib::CalibrationTable>(
           calib::CalibrationTable::from_json(table_span));  // throws -> error
     engine->set_calibration(table);
-    {
-      std::lock_guard<std::mutex> lock(digest_mu);
-      digests.clear();
-    }
     conn->send(write_envelope("calibrate", id, [&](Writer& w) {
       w.key("ok"); w.value(true);
       w.key("calibration"); w.value(engine->calibration_hash());
@@ -563,27 +561,11 @@ struct Daemon::Impl {
         continue;
       }
       const api::PlanRequest request = std::move(parsed).value();
-      {
-        // Keyed under the engine's ACTIVE calibration, and outside
-        // digest_mu: the key walks the whole model, and every connection
-        // thread's hit path takes that lock. handle_calibrate installs a
-        // table BEFORE it flushes this memo under digest_mu, so a key
-        // whose hash is still active once the lock is held cannot be
-        // stale; one minted under a since-replaced table is dropped.
-        const std::string calib_hash = engine->calibration_hash();
-        const cache::RequestKey key = cache::request_key(request, calib_hash);
-        std::lock_guard<std::mutex> lock(digest_mu);
-        if (engine->calibration_hash() == calib_hash) {
-          if (digests.size() >= kDigestMemoCap) digests.clear();
-          digests.emplace(job.digest,
-                          DigestEntry{key, request.probe_feasible_batch});
-        }
-      }
-      // Cached answers (e.g. a warm disk store the memo hasn't seen yet)
-      // settle here without a search; otherwise the search runs on this
-      // worker thread — in-process single-flight collapses identical
-      // concurrent misses, DiskStore claim files collapse them
-      // fleet-wide.
+      // Cached answers (a plan inserted since this client's lookup missed,
+      // or a client that skipped the lookup) settle here without a
+      // search; otherwise the search runs on this worker thread —
+      // in-process single-flight collapses identical concurrent misses,
+      // DiskStore claim files collapse them fleet-wide.
       auto outcome = engine->try_cached(request);
       if (!outcome) outcome = engine->plan(request);
       // Counted BEFORE the response goes out: a client that reacts to its

@@ -12,6 +12,8 @@
 //
 // Request envelopes (client -> daemon), all with a caller-chosen `id`
 // echoed in the response so clients may pipeline:
+//   {"v":1,"type":"lookup","id":N,"tenant":"...","key":"<32 hex>",
+//    "calibration":"<hash>","probe":bool}
 //   {"v":1,"type":"plan","id":N,"tenant":"...","request":{...}}
 //   {"v":1,"type":"stats","id":N}
 //   {"v":1,"type":"metrics","id":N}
@@ -20,6 +22,9 @@
 //   {"v":1,"type":"calibrate","id":N,"table":{...}}   (null table clears)
 //
 // Response envelopes (daemon -> client):
+//   {"v":1,"type":"lookup","id":N,"ok":true,"calibration":"<active hash>",
+//    "plan":{...}|null}
+//   {"v":1,"type":"lookup","id":N,"ok":false,"error":{...}}  (negative hit)
 //   {"v":1,"type":"plan","id":N,"ok":true,"plan":{...}}
 //   {"v":1,"type":"plan","id":N,"ok":false,"error":{...}}
 //   {"v":1,"type":"stats","id":N,"ok":true,"stats":{...}}
@@ -30,6 +35,17 @@
 //    "calibration":"<hash>","calibration_version":V}
 //   {"v":1,"type":"error","id":N,"ok":false,"error":{...}}   (protocol)
 //
+// A lookup asks for the plan cached under a client-computed RequestKey
+// (cache::request_key of the request under `calibration`; its hex()).
+// The daemon answers from its cache only when `calibration` is its
+// active hash. plan:null under the hash sent is a miss: the client then
+// sends the request itself in a `plan` frame, which the daemon keys on
+// its own, so a lookup only ever reads the cache. plan:null under
+// another hash means the key is stale: the client recomputes it under
+// the answer's hash and looks up again. Keys are exactly 32 lowercase
+// hex digits (util::Digest128::from_hex); any other key, a missing
+// `calibration` or a non-bool `probe` is a protocol error.
+//
 // The metrics `metrics` value is the engine registry's deterministic
 // snapshot (obs::Registry::snapshot_json, DESIGN.md §15): every counter,
 // gauge, and latency histogram in the process — engine, cache, and
@@ -38,7 +54,7 @@
 // The calibrate `table` value is a calib::CalibrationTable JSON artifact
 // (table.h). Installing one re-keys every request under the table's
 // content hash engine-wide — stale cached plans become repair seeds
-// (calib/repair.h) — and flushes the daemon's request-digest memo.
+// (calib/repair.h), and lookups keyed under the old hash miss.
 //
 // Every envelope either side sends is written by write_envelope and every
 // one it receives is parsed, once, by read_envelope: the format lives in

@@ -1,13 +1,13 @@
 // Stable content hashing for cache keys.
 //
 // The plan cache (src/cache) keys a PlanRequest by streaming a canonical
-// sequence of 64-bit words into Hasher128 (DESIGN.md §10); the daemon's
-// wire-bytes memo and the calibration table hash byte strings through
-// digest128, which is the same hasher over 8-byte words. The hash must be
-// stable across runs, platforms and library versions — std::hash
-// guarantees none of that — so every constant below is fixed and
-// published, and bytes are always read as little-endian words: a big-
-// endian host computes the same digests as a little-endian one.
+// sequence of 64-bit words into Hasher128 (DESIGN.md §10); the
+// calibration table hashes its bytes through digest128, which is the same
+// hasher over 8-byte words. The hash must be stable across runs,
+// platforms and library versions — std::hash guarantees none of that —
+// so every constant below is fixed and published, and bytes are always
+// read as little-endian words: a big-endian host computes the same
+// digests as a little-endian one.
 //
 // The hasher (non-cryptographic; it guards against accidental collisions,
 // not against a client crafting them):
@@ -30,6 +30,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -86,6 +87,26 @@ struct Digest128 {
     for (int i = 0; i < 16; ++i)
       out[static_cast<std::size_t>(31 - i)] = kHex[(lo >> (4 * i)) & 0xF];
     return out;
+  }
+
+  /// Inverse of hex(): exactly 32 lowercase hex digits, else nullopt.
+  static std::optional<Digest128> from_hex(std::string_view text) {
+    if (text.size() != 32) return std::nullopt;
+    Digest128 d;
+    for (std::size_t i = 0; i < 32; ++i) {
+      const char c = text[i];
+      std::uint64_t nibble;
+      if (c >= '0' && c <= '9') {
+        nibble = static_cast<std::uint64_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        nibble = static_cast<std::uint64_t>(c - 'a' + 10);
+      } else {
+        return std::nullopt;
+      }
+      std::uint64_t& half = i < 16 ? d.hi : d.lo;
+      half = (half << 4) | nibble;
+    }
+    return d;
   }
 };
 

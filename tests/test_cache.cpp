@@ -172,6 +172,24 @@ TEST(RequestKey, Digest128KnownAnswers) {
             util::digest128(std::string("a\0", 2)));
 }
 
+TEST(RequestKey, Digest128FromHexInvertsHexAndRejectsEverythingElse) {
+  for (const char* input : {"", "a", "0123456789abcdef"}) {
+    const util::Digest128 d = util::digest128(input);
+    const auto back = util::Digest128::from_hex(d.hex());
+    ASSERT_TRUE(back.has_value()) << d.hex();
+    EXPECT_EQ(*back, d);
+  }
+  const std::string good = "0123456789abcdef0123456789abcdef";
+  ASSERT_TRUE(util::Digest128::from_hex(good).has_value());
+  EXPECT_EQ(util::Digest128::from_hex(good)->hi, 0x0123456789abcdefULL);
+  const std::string stem = good.substr(0, 31);
+  for (const std::string& bad :
+       {good.substr(1), good + "0", std::string(),
+        "0123456789ABCDEF" + good.substr(16), stem + "g", stem + " ",
+        stem + std::string(1, '\0')})
+    EXPECT_FALSE(util::Digest128::from_hex(bad).has_value()) << bad;
+}
+
 TEST(RequestKey, EveryPlanAffectingFieldChangesTheKey) {
   const api::PlanRequest base = resnet_request();
   const RequestKey base_key = request_key(base);

@@ -256,6 +256,14 @@ bool fresh_ping(const std::string& socket_path) {
   return session.has_value() && session->ping();
 }
 
+/// A lookup frame whose `key` and `probe` members are the given JSON.
+std::string lookup_frame(int id, const std::string& key,
+                         const std::string& probe = "false") {
+  return R"({"v":1,"type":"lookup","id":)" + std::to_string(id) +
+         R"(,"tenant":"t","key":)" + key + R"(,"calibration":"","probe":)" +
+         probe + "}";
+}
+
 TEST(Daemon, HostileFramesGetTheirPinnedAnswerAndServiceContinues) {
   // One frame of each hostile class, with the answer the daemon gives it.
   // The envelope checks run in a fixed order — version, then id, then
@@ -289,6 +297,23 @@ TEST(Daemon, HostileFramesGetTheirPinnedAnswerAndServiceContinues) {
       // the request, so it is answered exactly like "request":5.
       {"{\"v\":1,\"type\":\"plan\",\"id\":8,\"req\\u0075est\":5}", "plan", 8,
        "parse-error", "request_from_json: missing key 'version'"},
+      // Lookup keys are exactly 32 lowercase hex digits, and a lookup
+      // names its calibration hash and probe flag.
+      {lookup_frame(9, "\"" + std::string(31, 'a') + "\""), "error", 9,
+       "invalid-request", "lookup key is not 32 lowercase hex digits"},
+      {lookup_frame(10, "\"" + std::string(33, 'a') + "\""), "error", 10,
+       "invalid-request", "lookup key is not 32 lowercase hex digits"},
+      {lookup_frame(11, "\"" + std::string(31, 'a') + "A\""), "error", 11,
+       "invalid-request", "lookup key is not 32 lowercase hex digits"},
+      {lookup_frame(12, "\"" + std::string(31, 'a') + "g\""), "error", 12,
+       "invalid-request", "lookup key is not 32 lowercase hex digits"},
+      {lookup_frame(13, "5"), "error", 13, "invalid-request",
+       "expected string"},
+      {R"({"v":1,"type":"lookup","id":14,"key":")" + std::string(32, 'a') +
+           R"(","probe":false})",
+       "error", 14, "invalid-request", "missing key 'calibration'"},
+      {lookup_frame(15, "\"" + std::string(32, 'a') + "\"", "1"), "error", 15,
+       "invalid-request", "expected bool"},
   };
   DaemonFixture fx("hostile");
   ASSERT_TRUE(fx.daemon->start());
@@ -336,6 +361,15 @@ TEST(Daemon, ResponseWireBytesArePinned) {
                                    api::request_to_json(request) + "}"),
             R"({"v":1,"type":"plan","id":8,"ok":true,"plan":)" +
                 local.value().to_json() + "}");
+  // A lookup hit splices the same artifact; a miss answers plan:null.
+  const std::string key = cache::request_key(request).hex();
+  EXPECT_EQ(
+      raw_round_trip(fd, lookup_frame(9, '"' + key + '"')),
+      R"({"v":1,"type":"lookup","id":9,"ok":true,"calibration":"","plan":)" +
+          local.value().to_json() + "}");
+  EXPECT_EQ(
+      raw_round_trip(fd, lookup_frame(10, '"' + std::string(32, '0') + '"')),
+      R"({"v":1,"type":"lookup","id":10,"ok":true,"calibration":"","plan":null})");
 
   EXPECT_EQ(
       raw_round_trip(fd, R"({"v":1,"type":"bogus","id":4})"),
@@ -366,6 +400,84 @@ TEST(Daemon, ResponseWireBytesArePinned) {
             0u)
       << metrics;
   ::close(fd);
+}
+
+TEST(Daemon, AStaleCalibrationHashNeverServesAPreCalibrationPlan) {
+  DaemonFixture fx("stale");
+  ASSERT_TRUE(fx.daemon->start());
+  auto a = api::RemoteSession::connect(fx.daemon->socket_path(), "a");
+  auto b = api::RemoteSession::connect(fx.daemon->socket_path(), "b");
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  const api::PlanRequest request = resnet_request();
+  const auto before = a->plan_raw(request);
+  ASSERT_TRUE(before.has_value()) << before.error().describe();
+  const auto hash = a->calibrate(
+      R"({"version":1,"factors":{"*":{"h2d":1.5,"d2h":1.5}},"sample_count":0,"rejected_outliers":0})");
+  ASSERT_TRUE(hash.has_value());
+  ASSERT_FALSE(hash.value().empty());
+
+  // B still keys under "": the daemon must not serve the old entry under
+  // that key, but hand B the active hash, so B's request repairs.
+  const auto after = b->plan_raw(request);
+  ASSERT_TRUE(after.has_value()) << after.error().describe();
+  EXPECT_FALSE(after.value() == before.value())
+      << "a stale key was served the pre-calibration plan";
+  EXPECT_EQ(fx.daemon->stats().engine.searches, 2u);
+  // The artifact is the repair's: its fresh LRU entry still carries the
+  // search's own counters (the wire artifact has no search_stats).
+  const auto repaired = fx.daemon->engine()->try_cached(
+      fx.daemon->engine()->key_for(request), false);
+  ASSERT_TRUE(repaired.has_value());
+  ASSERT_TRUE(repaired->has_value());
+  EXPECT_TRUE(repaired->value().search_stats.warm_started);
+  EXPECT_EQ(repaired->value().to_json(), after.value());
+
+  // The old key under the old hash is still cached (a repair seed), yet a
+  // lookup of it answers plan:null with the active hash.
+  const int fd = connect_raw(fx.daemon->socket_path());
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(
+      raw_round_trip(fd, lookup_frame(
+                             3, '"' + cache::request_key(request).hex() + '"')),
+      R"({"v":1,"type":"lookup","id":3,"ok":true,"calibration":")" +
+          hash.value() + R"(","plan":null})");
+  ::close(fd);
+}
+
+TEST(RemoteSession, CalibrationHashIsSharedSafelyAcrossThreads) {
+  // Two threads plan through one session while a third swaps the
+  // calibration on it; every plan must arrive (run under TSan for the
+  // hash's locking).
+  DaemonFixture fx("threads");
+  ASSERT_TRUE(fx.daemon->start());
+  auto session = api::RemoteSession::connect(fx.daemon->socket_path(), "t");
+  ASSERT_TRUE(session.has_value());
+  const api::PlanRequest request = resnet_request(256);
+  ASSERT_TRUE(session->plan_raw(request).has_value());
+  const std::string table =
+      R"({"version":1,"factors":{"*":{"h2d":1.5,"d2h":1.5}},"sample_count":0,"rejected_outliers":0})";
+  std::atomic<int> failures{0};
+  std::atomic<bool> done{false};
+  auto planner = [&] {
+    for (int i = 0; i < 20; ++i)
+      if (!session->plan_raw(request).has_value()) failures++;
+  };
+  std::thread p1(planner), p2(planner);
+  std::thread calibrator([&] {
+    for (int i = 0; !done.load(); ++i) {
+      if (!session->calibrate(i % 2 == 0 ? table : "").has_value())
+        failures++;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  p1.join();
+  p2.join();
+  done = true;
+  calibrator.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Two calibrations, two plans cached: later swaps all hit.
+  EXPECT_LE(fx.daemon->stats().engine.searches, 2u);
 }
 
 TEST(Daemon, StatsDocumentBytesArePinned) {
@@ -425,21 +537,33 @@ struct FakeDaemon {
   }
   ~FakeDaemon() { ::close(listen_fd); }
 
-  /// Runs `verb` on a fresh session. The fake reads the first frame it
-  /// sends, answers each of `replies` (with "$ID" replaced by the
-  /// request's id), then hangs up. Returns the frame the client sent.
-  std::string exchange(const std::function<void(api::RemoteSession&)>& verb,
-                       const std::vector<std::string>& replies = {}) {
+  /// Runs `verb` on a fresh session. The fake answers the i-th frame the
+  /// client sends with the frames of `replies[i]` (each with "$ID"
+  /// replaced by that frame's id), and hangs up at the first frame it has
+  /// no replies for, or when the client does. Returns every frame the
+  /// client sent.
+  std::vector<std::string> converse(
+      const std::function<void(api::RemoteSession&)>& verb,
+      const std::vector<std::vector<std::string>>& replies) {
     auto session = api::RemoteSession::connect(path, "t");
     if (!session) throw std::runtime_error("cannot connect to fake daemon");
-    std::thread client([&] { verb(*session); });
+    // The session dies with the verb, so a client with nothing more to
+    // send hangs up and ends the fake's read loop.
+    std::thread client([&] {
+      api::RemoteSession s = std::move(session).value();
+      verb(s);
+    });
     const int fd = ::accept(listen_fd, nullptr, nullptr);
-    std::string sent;
-    if (fd >= 0 &&
-        pland::read_frame(fd, &sent) == pland::ReadStatus::kOk) {
+    std::vector<std::string> sent;
+    std::string frame;
+    while (fd >= 0 &&
+           pland::read_frame(fd, &frame) == pland::ReadStatus::kOk) {
+      sent.push_back(frame);
+      if (sent.size() > replies.size() || replies[sent.size() - 1].empty())
+        break;
       const std::string id =
-          std::to_string(util::json::parse(sent).at("id").as_int());
-      for (std::string reply : replies) {
+          std::to_string(util::json::parse(frame).at("id").as_int());
+      for (std::string reply : replies[sent.size() - 1]) {
         const auto at = reply.find("$ID");
         if (at != std::string::npos) reply.replace(at, 3, id);
         pland::write_frame(fd, reply);
@@ -448,6 +572,14 @@ struct FakeDaemon {
     if (fd >= 0) ::close(fd);
     client.join();
     return sent;
+  }
+
+  /// converse() with `replies` for the first frame only; returns that
+  /// frame.
+  std::string exchange(const std::function<void(api::RemoteSession&)>& verb,
+                       const std::vector<std::string>& replies = {}) {
+    const std::vector<std::string> sent = converse(verb, {replies});
+    return sent.empty() ? std::string() : sent.front();
   }
 
   TempDir dir;
@@ -466,10 +598,38 @@ TEST(RemoteSession, RequestWireBytesArePinned) {
   EXPECT_EQ(
       fake.exchange([](api::RemoteSession& s) { s.shutdown_server(); }),
       R"({"v":1,"type":"shutdown","id":1})");
+  // plan_raw looks its key up first; only a miss under the same hash
+  // sends the request itself, as the plan frame.
   const api::PlanRequest request = resnet_request(256);
-  EXPECT_EQ(fake.exchange([&](api::RemoteSession& s) { s.plan_raw(request); }),
-            R"({"v":1,"type":"plan","id":1,"tenant":"t","request":)" +
-                api::request_to_json(request) + "}");
+  const std::string key = "ce4f7f245bda85a76729a449f9530d3f";
+  ASSERT_EQ(cache::request_key(request).hex(), key);
+  const std::string plan_frame = R"(,"tenant":"t","request":)" +
+                                 api::request_to_json(request) + "}";
+  const std::string miss =
+      R"({"v":1,"type":"lookup","id":$ID,"ok":true,"calibration":"","plan":null})";
+  EXPECT_EQ(
+      fake.converse([&](api::RemoteSession& s) { s.plan_raw(request); },
+                    {{miss}}),
+      (std::vector<std::string>{
+          R"({"v":1,"type":"lookup","id":1,"tenant":"t","key":")" + key +
+              R"(","calibration":"","probe":false})",
+          R"({"v":1,"type":"plan","id":2)" + plan_frame}));
+  // plan:null under another hash: the client adopts it and looks up once
+  // more, keyed under it, before it sends the request.
+  const std::string hash = "32eb4bb8f96e706e078ad8451cff977a";
+  const std::string stale =
+      R"({"v":1,"type":"lookup","id":$ID,"ok":true,"calibration":")" +
+      hash + R"(","plan":null})";
+  EXPECT_EQ(
+      fake.converse([&](api::RemoteSession& s) { s.plan_raw(request); },
+                    {{stale}, {stale}}),
+      (std::vector<std::string>{
+          R"({"v":1,"type":"lookup","id":1,"tenant":"t","key":")" + key +
+              R"(","calibration":"","probe":false})",
+          R"({"v":1,"type":"lookup","id":2,"tenant":"t","key":")" +
+              cache::request_key(request, hash).hex() + R"(","calibration":")" +
+              hash + R"(","probe":false})",
+          R"({"v":1,"type":"plan","id":3)" + plan_frame}));
   EXPECT_EQ(fake.exchange([](api::RemoteSession& s) { s.calibrate(""); }),
             R"({"v":1,"type":"calibrate","id":1,"table":null})");
   const std::string table =

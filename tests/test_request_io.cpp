@@ -11,6 +11,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/api/engine.h"
 #include "src/api/plan_io.h"
@@ -400,6 +402,67 @@ TEST(RequestIo, FixtureRequestKeyIsPinned) {
   // bump fp_version in src/cache/request_key.cpp in the same change.
   EXPECT_EQ(cache::request_key(fixture_request()).hex(),
             "089b8d2316e8bd0059582a79b10f2057");
+}
+
+TEST(RequestIo, ClientKeyIsTheDaemonKeyForEveryZooModelAndShape) {
+  // RemoteSession looks a plan up by request_key(request) before it ships
+  // anything; the daemon inserts under the key of the request it parsed
+  // from request_to_json. Were the two ever to differ, every socket hit
+  // of that shape would miss silently, forever.
+  std::vector<std::pair<std::string, PlanRequest>> shapes;
+  const auto model_request = [](graph::Model model) {
+    PlanRequest request;
+    request.model = std::move(model);
+    request.device = sim::v100_abci();
+    return request;
+  };
+  shapes.emplace_back("resnet50", model_request(graph::make_resnet50(256)));
+  shapes.emplace_back("resnet200", model_request(graph::make_resnet200(64)));
+  shapes.emplace_back("vgg16", model_request(graph::make_vgg16(128)));
+  shapes.emplace_back("wrn28_10", model_request(graph::make_wrn28_10(256)));
+  shapes.emplace_back("resnet1001",
+                      model_request(graph::make_resnet1001(128)));
+  shapes.emplace_back("unet", model_request(graph::make_unet(8)));
+  shapes.emplace_back("highres",
+                      model_request(graph::make_highres_segmenter(1, 1024)));
+  shapes.emplace_back("lstm", model_request(graph::make_lstm_seq2seq(32)));
+  for (int i = 0; i < 5; ++i)
+    shapes.emplace_back(
+        "megatron" + std::to_string(i),
+        model_request(graph::make_transformer(graph::megatron_config(i), 4)));
+  shapes.emplace_back("turing_nlg",
+                      model_request(graph::make_transformer(
+                          graph::turing_nlg_config(), 1)));
+  shapes.emplace_back("transformer_chain",
+                      model_request(graph::make_transformer_chain(
+                          graph::megatron_config(0), 4)));
+  {
+    std::ifstream in(std::string(KARMA_SOURCE_DIR) +
+                     "/tests/golden/request_fixture.json");
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    auto fixture = request_from_json(buffer.str());
+    ASSERT_TRUE(fixture.has_value()) << fixture.error().describe();
+    shapes.emplace_back("request_fixture.json", std::move(fixture).value());
+  }
+  PlanRequest data_parallel = resnet_request();
+  data_parallel.distributed = core::DistributedOptions{};
+  data_parallel.distributed->num_gpus = 8;
+  shapes.emplace_back("data_parallel", data_parallel);
+  PlanRequest fleet = model_request(
+      graph::make_transformer_chain(graph::megatron_config(0), 4));
+  fleet.fleet = place::mixed_generation_fleet(2, 2, 64_GiB);
+  shapes.emplace_back("fleet", fleet);
+
+  const std::string table_hash = "32eb4bb8f96e706e078ad8451cff977a";
+  for (const auto& [name, request] : shapes) {
+    SCOPED_TRACE(name);
+    auto back = request_from_json(request_to_json(request));
+    ASSERT_TRUE(back.has_value()) << back.error().describe();
+    for (const std::string& hash : {std::string(), table_hash})
+      EXPECT_EQ(cache::request_key(request, hash).hex(),
+                cache::request_key(back.value(), hash).hex());
+  }
 }
 
 TEST(RequestIo, DeviceWithScaleBeforeContentionStaysReadable) {
