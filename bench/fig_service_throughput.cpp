@@ -87,13 +87,21 @@ int main(int argc, char** argv) {
   const int anneal = argc > 2 ? std::atoi(argv[2]) : 20000;
   bool pass = true;
 
+  const std::string scratch =
+      "/tmp/karma-bench-service-" + std::to_string(::getpid());
+  std::filesystem::remove_all(scratch);
+  std::filesystem::create_directories(scratch);
+
   // ---- Baseline: one cold search, nothing shared ----
-  api::CacheOptions bypass;
-  bypass.cache_mode = api::CacheOptions::CacheMode::kBypass;
+  // No memory level and a fresh empty store, so an exported
+  // KARMA_CACHE_DIR cannot turn the baseline warm.
+  api::CacheOptions cold;
+  cold.cache_memory_bytes = 0;
+  cold.cache_dir = scratch + "/cold-cache";
   const api::PlanRequest hot = resnet_request(512, anneal);
   const double t0 = now_ms();
   const std::string baseline =
-      api::Engine::create({bypass})->plan_or_throw(hot).to_json();
+      api::Engine::create({cold})->plan_or_throw(hot).to_json();
   const double cold_ms = now_ms() - t0;
 
   bench::print_section("service throughput: " + std::to_string(tenants) +
@@ -213,11 +221,6 @@ int main(int argc, char** argv) {
   // =========================================================================
   // karma-pland daemon phases (real unix-socket round trips)
   // =========================================================================
-
-  const std::string scratch =
-      "/tmp/karma-bench-service-" + std::to_string(::getpid());
-  std::filesystem::remove_all(scratch);
-  std::filesystem::create_directories(scratch);
 
   double dedup_factor = 0.0, shed_rate = 0.0;
   std::uint64_t storm_searches = 0, shed_offered = 0, shed_count = 0;

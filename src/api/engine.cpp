@@ -170,7 +170,7 @@ Plan plan_uncached(const PlanRequest& request,
 /// repeated diagnoses reuse intermediate candidates instead of
 /// re-planning them.
 struct ProbeContext {
-  cache::PlanCache* cache = nullptr;  ///< null = uncached probing
+  cache::PlanCache& cache;
   int candidates = 0;  ///< probe plans evaluated (cache hits included)
   int cache_hits = 0;  ///< probes answered by the cache
 };
@@ -198,18 +198,14 @@ std::int64_t bisect_feasible_batch(const PlanRequest& request,
     core::PlannerOptions probe_options = probe_request.planner;
     probe_options.schedule.reserved_host_bytes = reserved_host;
 
-    std::optional<cache::RequestKey> key;
-    if (probe.cache) {
-      key = cache::request_key(probe_request);
-      if (probe.cache->lookup(*key)) {
-        ++probe.cache_hits;
-        return true;  // only successful probes are ever cached
-      }
+    const cache::RequestKey key = cache::request_key(probe_request);
+    if (const auto cached = probe.cache.lookup(key)) {
+      ++probe.cache_hits;
+      return cached->has_value();
     }
     try {
-      const Plan planned =
-          plan_uncached(probe_request, probe_options, reserved_host, control);
-      if (probe.cache) probe.cache->insert(*key, planned);
+      probe.cache.insert(key, plan_uncached(probe_request, probe_options,
+                                            reserved_host, control));
       return true;
     } catch (const std::runtime_error&) {
       // The planners' documented infeasibility channel. logic_error and
@@ -230,25 +226,36 @@ std::int64_t bisect_feasible_batch(const PlanRequest& request,
 }
 
 /// Static feasibility analysis of an infeasible request: names the failing
-/// component and quantifies per-tier shortfalls. `root_message` carries the
-/// planner's own exception text as context; `probe` supplies (and records)
-/// the cache context of the nearest-feasible-batch bisection.
+/// component and quantifies per-tier shortfalls. `failure` is the
+/// planners' infeasibility exception, whose text is the context; `probe`
+/// supplies (and records) the cache context of the nearest-feasible-batch
+/// bisection.
 PlanError diagnose(const PlanRequest& request, Bytes reserved_host,
-                   const std::string& root_message, ProbeContext& probe,
+                   const std::runtime_error& failure, ProbeContext& probe,
                    const CancelToken& control) {
   const graph::Model& model = request.model;
   const sim::DeviceSpec& device = request.device;
   PlanError error;
   error.model = model.name();
   error.device = device.name;
-  error.message = root_message;
+  error.message = failure.what();
 
   const int n = static_cast<int>(model.num_layers());
   const graph::LayerMemory total = graph::range_memory(model, 0, n);
   const Bytes weights = total.weights + total.weight_grads;
   const Bytes capacity = device.memory_capacity;
 
-  if (request.distributed) {
+  if (const auto* fleet =
+          dynamic_cast<const place::FleetInfeasible*>(&failure)) {
+    // Structured fleet infeasibility: placement already knows the binding
+    // NODE and its tier shortfalls; the single-device analysis below
+    // would mis-attribute the failure to request.device.
+    error.code = fleet->deficits.empty() ? PlanErrorCode::kNoFeasibleBlocking
+                                         : PlanErrorCode::kTierOverflow;
+    error.device = fleet->node;
+    for (const place::FleetDeficit& d : fleet->deficits)
+      error.deficits.push_back({d.tier, d.required, d.capacity});
+  } else if (request.distributed) {
     // The distributed planner swaps weights per block and splits its
     // budget differently per regime; the single-GPU residency analysis
     // below would blame an innocent layer. What *is* statically decidable
@@ -457,7 +464,6 @@ using Outcome = Expected<Plan, PlanError>;
 /// atomic and is the only channel the search thread reads.
 struct Flight {
   cache::RequestKey key;
-  bool listed = false;  ///< registered in the engine's single-flight map
   PlanRequest request;  ///< content-identical for every waiter, by key
   core::PlannerOptions planner_options;  ///< reserve already charged
   Bytes reserved_host = 0;
@@ -606,7 +612,7 @@ using detail::Outcome;
 // ---------------------------------------------------------------------------
 
 struct Engine::Impl {
-  std::shared_ptr<cache::PlanCache> cache;  ///< null under kBypass
+  std::shared_ptr<cache::PlanCache> cache;
 
   /// Calibration state (DESIGN.md §13), hot-swappable via
   /// set_calibration. `hash` is table->content_hash() ("" = analytic);
@@ -660,10 +666,9 @@ Engine::Engine(EngineOptions options)
   CacheOptions& cache_options = options_.cache;
 
   // ---- Calibration bootstrap (DESIGN.md §13) ----
-  // Runs even under kBypass: calibration changes what a search produces,
-  // not how it is cached. An explicit path must load or throw; the
-  // $KARMA_CALIB_DIR default is opt-in ambience — absent file is normal,
-  // a corrupt one warns and runs uncalibrated.
+  // An explicit path must load or throw; the $KARMA_CALIB_DIR default is
+  // opt-in ambience — absent file is normal, a corrupt one warns and runs
+  // uncalibrated.
   {
     std::string path = cache_options.calibration_path;
     bool from_env = false;
@@ -699,7 +704,6 @@ Engine::Engine(EngineOptions options)
     }
   }
 
-  if (cache_options.cache_mode == CacheOptions::CacheMode::kBypass) return;
   if (cache_options.cache_dir.empty()) {
     // Opt-in persistent store via the environment (examples, CI): keep
     // shared cache dirs under the build tree — entries are generated
@@ -763,10 +767,10 @@ Engine::~Engine() {
 }
 
 cache::CacheStats Engine::cache_stats() const {
-  return impl_->cache ? impl_->cache->stats() : cache::CacheStats{};
+  return impl_->cache->stats();
 }
 
-cache::PlanCache* Engine::plan_cache() const { return impl_->cache.get(); }
+cache::PlanCache& Engine::plan_cache() const { return *impl_->cache; }
 
 void Engine::set_calibration(
     std::shared_ptr<const calib::CalibrationTable> table) {
@@ -838,18 +842,14 @@ struct Engine::Prepared {
 
 namespace {
 
-/// Builds a fresh flight this caller leads: one construction path for the
-/// listed (single-flight) and unlisted (kBypass) cases, so a new Flight
-/// field initialized from the request cannot silently diverge between
-/// them. Derives the host reserve here, on the lead path only: a cache
-/// hit or a join never walks the model for it. Registers the caller as
-/// the first waiter; `threshold_out` receives its absolute budget
-/// threshold.
-std::shared_ptr<Flight> lead_flight(PlanRequest request, bool listed,
+/// Builds a fresh flight this caller leads. Derives the host reserve
+/// here, on the lead path only: a cache hit or a join never walks the
+/// model for it. Registers the caller as the first waiter;
+/// `threshold_out` receives its absolute budget threshold.
+std::shared_ptr<Flight> lead_flight(PlanRequest request,
                                     Clock::time_point waiter_deadline,
                                     std::int64_t* threshold_out) {
   auto flight = std::make_shared<Flight>();
-  flight->listed = listed;
   flight->reserved_host = derive_reserved_host(request);
   flight->planner_options = request.planner;
   flight->planner_options.schedule.reserved_host_bytes = flight->reserved_host;
@@ -858,7 +858,7 @@ std::shared_ptr<Flight> lead_flight(PlanRequest request, bool listed,
   {
     std::lock_guard<std::mutex> lock(flight->mu);
     *threshold_out = flight->register_waiter_locked(
-        waiter_deadline, request.limits.max_candidates);
+        waiter_deadline, flight->request.limits.max_candidates);
   }
   return flight;
 }
@@ -897,96 +897,70 @@ Engine::Prepared Engine::prepare(const PlanRequest& request) {
     calib_hash = impl_->calib_hash;
     prior_hashes = impl_->prior_calib_hashes;
   }
-  const bool calibrated = calib && !calib->empty();
-  // The request a led flight actually searches: the raw request with the
-  // cost overlay applied. Built lazily — hits and joins never copy it.
-  const auto effective_request = [&] {
-    PlanRequest effective = request;
-    if (calibrated) effective.device = calib::apply(*calib, request.device);
-    return effective;
-  };
 
-  const bool bypass =
-      options_.cache.cache_mode == CacheOptions::CacheMode::kBypass;
-  cache::RequestKey key{};
-  if (!bypass) {
-    // ---- Shared-cache consult (content-addressed; DESIGN.md §10) ----
-    // The key is computed from the raw request: the derived reserve is a
-    // pure function of request fields, so equal keys imply equal
-    // effective options. limits/probe knobs are excluded (error-path and
-    // patience knobs never change a completed artifact).
-    key = cache::request_key(request, calib_hash);
-    if (impl_->cache) {
-      obs::Span lookup_span("engine.cache_lookup", "cache");
-      if (auto hit = impl_->cache->lookup(key)) {
-        prepared.settled = std::make_shared<const Outcome>(std::move(*hit));
-        return prepared;
-      }
-      if (auto negative = impl_->cache->lookup_negative(
-              key, request.probe_feasible_batch)) {
-        prepared.settled =
-            std::make_shared<const Outcome>(std::move(*negative));
-        return prepared;
-      }
+  // ---- Shared-cache consult (content-addressed; DESIGN.md §10) ----
+  // The key is computed from the raw request: the derived reserve is a
+  // pure function of request fields, so equal keys imply equal effective
+  // options. limits/probe knobs are excluded (error-path and patience
+  // knobs never change a completed artifact).
+  const cache::RequestKey key = cache::request_key(request, calib_hash);
+  {
+    obs::Span lookup_span("engine.cache_lookup", "cache");
+    if (auto hit = impl_->cache->lookup(key, request.probe_feasible_batch)) {
+      prepared.settled = std::make_shared<const Outcome>(std::move(*hit));
+      return prepared;
     }
-    // ---- Single-flight join-or-create (DESIGN.md §11) ----
-    std::lock_guard<std::mutex> lock(impl_->flights_mu);
-    auto it = impl_->flights.find(key);
-    if (it != impl_->flights.end()) {
-      bool joinable = false;
-      {
-        std::lock_guard<std::mutex> flight_lock(it->second->mu);
-        joinable = !it->second->abandoned;
-        if (joinable) {
-          prepared.waiter_budget_threshold =
-              it->second->register_waiter_locked(
-                  prepared.waiter_deadline, request.limits.max_candidates);
-          it->second->want_probe |= request.probe_feasible_batch;
-        }
-      }
-      if (joinable) {
-        prepared.flight = it->second;
-        impl_->flights_joined->inc();
-        obs::emit_instant("engine.singleflight.join", "engine");
-        return prepared;
-      }
-      // Abandoned (cancelled with no waiters left, not yet settled):
-      // delist it — its own settle compares pointers before erasing — and
-      // lead a fresh flight for this caller.
-      impl_->flights.erase(it);
-    }
-    prepared.flight = lead_flight(effective_request(), /*listed=*/true,
-                                  prepared.waiter_deadline,
-                                  &prepared.waiter_budget_threshold);
-    prepared.flight->key = key;
-    // Repair seed (DESIGN.md §13): the same request cached under a
-    // superseded calibration is a near-optimal warm start; probe the
-    // short hash history quietly (no hit/miss counter noise) so the led
-    // search re-anneals from it instead of searching cold.
-    if (impl_->cache) {
-      for (const std::string& prior : prior_hashes) {
-        if (prior == calib_hash) continue;
-        if (auto seed = impl_->cache->lookup(cache::request_key(request, prior),
-                                             /*quiet=*/true)) {
-          prepared.flight->repair_seed =
-              std::make_shared<const Plan>(std::move(*seed));
-          break;
-        }
-      }
-    }
-    impl_->flights.emplace(key, prepared.flight);
-    prepared.leader = true;
-    obs::emit_instant("engine.singleflight.lead", "engine");
-    return prepared;
   }
-
-  // kBypass: no cache and no single-flight — a private, unlisted flight;
-  // every request runs its own full search (the mode's contract, used by
-  // tests to force re-searches).
-  prepared.flight = lead_flight(effective_request(), /*listed=*/false,
-                                prepared.waiter_deadline,
+  // ---- Single-flight join-or-create (DESIGN.md §11) ----
+  std::lock_guard<std::mutex> lock(impl_->flights_mu);
+  auto it = impl_->flights.find(key);
+  if (it != impl_->flights.end()) {
+    bool joinable = false;
+    {
+      std::lock_guard<std::mutex> flight_lock(it->second->mu);
+      joinable = !it->second->abandoned;
+      if (joinable) {
+        prepared.waiter_budget_threshold = it->second->register_waiter_locked(
+            prepared.waiter_deadline, request.limits.max_candidates);
+        it->second->want_probe |= request.probe_feasible_batch;
+      }
+    }
+    if (joinable) {
+      prepared.flight = it->second;
+      impl_->flights_joined->inc();
+      obs::emit_instant("engine.singleflight.join", "engine");
+      return prepared;
+    }
+    // Abandoned (cancelled with no waiters left, not yet settled): delist
+    // it — its own settle compares pointers before erasing — and lead a
+    // fresh flight for this caller.
+    impl_->flights.erase(it);
+  }
+  // The request the led flight actually searches: the raw request with
+  // the cost overlay applied. Built here — hits and joins never copy it.
+  PlanRequest effective = request;
+  if (calib && !calib->empty())
+    effective.device = calib::apply(*calib, request.device);
+  prepared.flight = lead_flight(std::move(effective), prepared.waiter_deadline,
                                 &prepared.waiter_budget_threshold);
+  prepared.flight->key = key;
+  // Repair seed (DESIGN.md §13): the same request's plan cached under a
+  // superseded calibration is a near-optimal warm start; probe the short
+  // hash history quietly (no miss counter noise) so the led search
+  // re-anneals from it instead of searching cold. A diagnosis is no seed.
+  for (const std::string& prior : prior_hashes) {
+    if (prior == calib_hash) continue;
+    auto seed = impl_->cache->lookup(cache::request_key(request, prior),
+                                     /*want_probe=*/false, /*quiet=*/true);
+    if (seed && seed->has_value()) {
+      prepared.flight->repair_seed =
+          std::make_shared<const Plan>(std::move(*seed).value());
+      break;
+    }
+  }
+  impl_->flights.emplace(key, prepared.flight);
   prepared.leader = true;
+  obs::emit_instant("engine.singleflight.lead", "engine");
   return prepared;
 }
 
@@ -996,7 +970,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
   // joiner that found the flight before the delist still receives this
   // outcome; any caller arriving after goes through the cache.
   const auto settle = [&](Outcome&& outcome) {
-    if (flight->listed) {
+    {
       std::lock_guard<std::mutex> lock(impl_->flights_mu);
       const auto it = impl_->flights.find(flight->key);
       if (it != impl_->flights.end() && it->second == flight)
@@ -1011,29 +985,23 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
   };
 
   // The waiting set's probe demand at launch; a joiner that arrives
-  // mid-diagnosis is covered by the negative cache's want_probe miss on
-  // its NEXT call (the same eventual-consistency as a late deadline).
+  // mid-diagnosis is covered by the cache's want_probe miss on its NEXT
+  // call (the same eventual-consistency as a late deadline).
   bool want_probe = false;
   {
     std::lock_guard<std::mutex> lock(flight->mu);
     want_probe = flight->want_probe;
   }
 
-  // Double-check both caches: this flight may have been created after an
-  // identical one settled (and cached, positively or negatively) but
-  // before its map entry could be observed — re-simulating would break
-  // the "exactly one search" guarantee sequential callers rely on, and
+  // Double-check the cache: this flight may have been created after an
+  // identical one settled (and cached its plan or diagnosis) but before
+  // its map entry could be observed — re-simulating would break the
+  // "exactly one search" guarantee sequential callers rely on, and
   // re-diagnosing would re-run the multi-probe bisection just memoized.
-  if (flight->listed && impl_->cache) {
-    if (auto hit = impl_->cache->lookup(flight->key, /*quiet=*/true)) {
-      settle(Outcome(std::move(*hit)));
-      return;
-    }
-    if (auto negative =
-            impl_->cache->lookup_negative(flight->key, want_probe)) {
-      settle(Outcome(std::move(*negative)));
-      return;
-    }
+  if (auto hit = impl_->cache->lookup(flight->key, want_probe,
+                                      /*quiet=*/true)) {
+    settle(std::move(*hit));
+    return;
   }
 
   // ---- Cross-process single-flight (DESIGN.md §12) ----
@@ -1044,46 +1012,45 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
   // fails for I/O reasons we fall through and search anyway; correctness
   // never depends on it.
   cache::DiskStore::Claim fleet_claim;  // released (unlink+close) on return
-  if (flight->listed && impl_->cache) {
-    if (cache::DiskStore* disk = impl_->cache->disk()) {
-      obs::Span claim_span("engine.claim_wait", "engine");
-      for (bool waiting = true; waiting;) {
-        if (auto won = disk->try_claim(flight->key)) {
-          fleet_claim = std::move(*won);
-          // Leadership won — but a previous leader may have published
-          // between our double-check above and the claim. One more quiet
-          // re-lookup closes that window.
-          if (auto hit = impl_->cache->lookup(flight->key, /*quiet=*/true)) {
-            settle(Outcome(std::move(*hit)));
+  if (cache::DiskStore* disk = impl_->cache->disk()) {
+    obs::Span claim_span("engine.claim_wait", "engine");
+    for (bool waiting = true; waiting;) {
+      if (auto won = disk->try_claim(flight->key)) {
+        fleet_claim = std::move(*won);
+        // Leadership won — but a previous leader may have published
+        // between our double-check above and the claim. One more quiet
+        // re-lookup closes that window.
+        if (auto hit = impl_->cache->lookup(flight->key, want_probe,
+                                            /*quiet=*/true)) {
+          settle(std::move(*hit));
+          return;
+        }
+        break;  // we lead the fleet-wide search
+      }
+      switch (disk->wait_for_entry(flight->key, flight->control)) {
+        case cache::DiskStore::WaitOutcome::kEntry:
+          // The remote leader published. Serve it through the normal
+          // lookup (counts a disk hit — this process WAS served from
+          // disk) unless the entry fails validation, in which case loop
+          // back and try to lead the re-search ourselves.
+          if (auto hit = impl_->cache->lookup(flight->key, want_probe)) {
+            settle(std::move(*hit));
             return;
           }
-          break;  // we lead the fleet-wide search
-        }
-        switch (disk->wait_for_entry(flight->key, flight->control)) {
-          case cache::DiskStore::WaitOutcome::kEntry:
-            // The remote leader published. Serve it through the normal
-            // lookup (counts a disk hit — this process WAS served from
-            // disk) unless the entry fails validation, in which case loop
-            // back and try to lead the re-search ourselves.
-            if (auto hit = impl_->cache->lookup(flight->key)) {
-              settle(Outcome(std::move(*hit)));
-              return;
-            }
-            break;
-          case cache::DiskStore::WaitOutcome::kReleased:
-            // Leader gone without an artifact: crashed, or its search
-            // ended infeasible/cancelled (negative outcomes are memoized
-            // per-process, never persisted). Take over — one process at a
-            // time re-runs, never a storm.
-            break;
-          case cache::DiskStore::WaitOutcome::kInterrupted:
-            // Our own waiters' limits tripped while waiting on the remote
-            // leader. Fall through to the search loop: its first
-            // should_stop() check settles the interrupt through the one
-            // existing path (or restarts if the trip went stale).
-            waiting = false;
-            break;
-        }
+          break;
+        case cache::DiskStore::WaitOutcome::kReleased:
+          // Leader gone without an artifact: crashed, or its search ended
+          // infeasible/cancelled (diagnoses are memoized per-process,
+          // never persisted). Take over — one process at a time re-runs,
+          // never a storm.
+          break;
+        case cache::DiskStore::WaitOutcome::kInterrupted:
+          // Our own waiters' limits tripped while waiting on the remote
+          // leader. Fall through to the search loop: its first
+          // should_stop() check settles the interrupt through the one
+          // existing path (or restarts if the trip went stale).
+          waiting = false;
+          break;
       }
     }
   }
@@ -1105,8 +1072,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
                           flight->reserved_host, flight->control, on_best,
                           flight->repair_seed.get());
         // Only completed searches are cached.
-        if (flight->listed && impl_->cache)
-          impl_->cache->insert(flight->key, artifact);
+        impl_->cache->insert(flight->key, artifact);
         settle(Outcome(std::move(artifact)));
         return;
       } catch (const core::SearchInterrupted& interrupted) {
@@ -1134,56 +1100,17 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
         return;
       }
     }
-  } catch (const place::FleetInfeasible& ex) {
-    // Structured fleet infeasibility: placement already knows the binding
-    // NODE and its tier shortfalls, so skip the single-device diagnosis
-    // (which would mis-attribute the failure to request.device) and build
-    // the error directly. Must precede the generic runtime_error handler
-    // — FleetInfeasible derives from it precisely so the bisection probes
-    // treat it as any infeasible candidate.
-    PlanError e;
-    e.code = ex.deficits.empty() ? PlanErrorCode::kNoFeasibleBlocking
-                                 : PlanErrorCode::kTierOverflow;
-    e.message = ex.what();
-    e.model = flight->request.model.name();
-    e.device = ex.node;
-    for (const place::FleetDeficit& d : ex.deficits) {
-      TierDeficit deficit;
-      deficit.tier = d.tier;
-      deficit.required = d.required;
-      deficit.capacity = d.capacity;
-      e.deficits.push_back(deficit);
-    }
-    bool diagnosis_complete = true;
-    if (want_probe) {
-      ProbeContext probe;
-      probe.cache = impl_->cache.get();
-      try {
-        e.nearest_feasible_batch = bisect_feasible_batch(
-            flight->request, flight->reserved_host, probe, flight->control);
-        e.probe_candidates = probe.candidates;
-        e.probe_cache_hits = probe.cache_hits;
-      } catch (const core::SearchInterrupted& interrupted) {
-        e = interrupted_error(interrupted.reason, flight->request);
-        diagnosis_complete = false;
-      }
-    }
-    if (diagnosis_complete && flight->listed && impl_->cache &&
-        !flight->control.should_stop())
-      impl_->cache->insert_negative(flight->key, e, want_probe);
-    settle(Outcome(std::move(e)));
   } catch (const std::runtime_error& ex) {
-    // Infeasibility is reported via std::runtime_error by both planners;
+    // Infeasibility is reported via std::runtime_error by the planners;
     // anything else (std::logic_error from plan validation or the sim
     // engine, allocation failure) is a bug and must surface loudly, not
     // be rebranded as a structured planning error.
-    ProbeContext probe;
-    probe.cache = impl_->cache.get();
+    ProbeContext probe{*impl_->cache};
     PlanError e;
     try {
       PlanRequest diagnosed = flight->request;
       diagnosed.probe_feasible_batch = want_probe;
-      e = diagnose(diagnosed, flight->reserved_host, ex.what(), probe,
+      e = diagnose(diagnosed, flight->reserved_host, ex, probe,
                    flight->control);
       // Memoize only COMPLETE diagnoses: a tripped token truncates the
       // feasible-batch bisection (best-effort bracket, possibly -1), and
@@ -1192,8 +1119,8 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
       // token is sticky once tripped (cancel is a flag, the deadline is
       // in the past, candidate counters only grow), so this check covers
       // every truncation the diagnosis could have suffered.
-      if (flight->listed && impl_->cache && !flight->control.should_stop())
-        impl_->cache->insert_negative(flight->key, e, want_probe);
+      if (!flight->control.should_stop())
+        impl_->cache->insert(flight->key, e, want_probe);
     } catch (const core::SearchInterrupted& interrupted) {
       // Cancelled/expired while diagnosing (a probe search can be deep):
       // the caller asked us to stop — the diagnosis is abandoned.
@@ -1250,6 +1177,24 @@ void Engine::worker_loop() {
 
 namespace {
 
+/// Settles THIS waiter with the interrupt outcome for `reason` (its own
+/// cancel, deadline or budget) while the shared search keeps running for
+/// the other waiters. Caller holds the flight's mu.
+void settle_waiter_locked(FutureState& state, StopReason reason) {
+  Flight& flight = *state.flight;
+  PlanError e = interrupted_error(reason, flight.request);
+  e.partial = flight.best;
+  state.outcome = std::make_shared<const Outcome>(std::move(e));
+  if (state.registered) {
+    state.registered = false;
+    flight.deregister_waiter_locked(state.deadline, state.budget_threshold);
+  }
+  (reason == StopReason::kCancelled ? state.cancelled_counter
+                                    : state.deadline_counter)
+      ->inc();
+  flight.cv.notify_all();  // wake copies of this future
+}
+
 /// Settlement helper shared by the synchronous wait and PlanFuture: blocks
 /// on the flight until the search finishes or this caller's own deadline
 /// passes (settling the caller-local kDeadline outcome), bounded by
@@ -1259,20 +1204,6 @@ bool block_until_available(const std::shared_ptr<FutureState>& state,
                            Clock::time_point until) {
   if (!state->flight) return true;  // settled at submission
   Flight& flight = *state->flight;
-  // Settles THIS caller with an interrupt outcome (deadline or budget)
-  // while the shared search keeps running for other waiters.
-  const auto settle_interrupted = [&](StopReason reason) {
-    PlanError e = interrupted_error(reason, state->flight->request);
-    e.partial = flight.best;
-    state->outcome = std::make_shared<const Outcome>(std::move(e));
-    if (state->registered) {
-      state->registered = false;
-      flight.deregister_waiter_locked(state->deadline,
-                                      state->budget_threshold);
-    }
-    state->deadline_counter->inc();
-    flight.cv.notify_all();  // wake copies of this future
-  };
   std::unique_lock<std::mutex> lock(flight.mu);
   for (;;) {
     if (state->outcome) return true;
@@ -1296,7 +1227,7 @@ bool block_until_available(const std::shared_ptr<FutureState>& state,
       return true;
     }
     if (Clock::now() >= state->deadline) {
-      settle_interrupted(StopReason::kDeadline);
+      settle_waiter_locked(*state, StopReason::kDeadline);
       return true;
     }
     // Waiter-local candidate budget: a joiner's budget must settle the
@@ -1306,7 +1237,7 @@ bool block_until_available(const std::shared_ptr<FutureState>& state,
     const bool budgeted =
         state->budget_threshold != Flight::kUnboundedThreshold;
     if (budgeted && flight.control.candidates() >= state->budget_threshold) {
-      settle_interrupted(StopReason::kBudget);
+      settle_waiter_locked(*state, StopReason::kBudget);
       return true;
     }
     if (Clock::now() >= until) return false;
@@ -1352,21 +1283,12 @@ std::optional<Expected<Plan, PlanError>> Engine::try_cached(
   // No validate(): the PlanRequest overload validates before it
   // delegates, and only validated requests insert, so a bare key can
   // read nothing an invalid request produced.
-  if (options_.cache.cache_mode == CacheOptions::CacheMode::kBypass ||
-      !impl_->cache)
-    return std::nullopt;
   obs::Span lookup_span("engine.cache_lookup", "cache");
   // quiet: a nullopt probe flows into plan()/plan_async(), whose own
   // prepare counts the miss — counting it here too would double-bill.
-  if (auto hit = impl_->cache->lookup(key, /*quiet=*/true)) {
-    impl_->requests->inc();
-    return Outcome(std::move(*hit));
-  }
-  if (auto negative = impl_->cache->lookup_negative(key, probe_feasible_batch)) {
-    impl_->requests->inc();
-    return Outcome(std::move(*negative));
-  }
-  return std::nullopt;
+  auto hit = impl_->cache->lookup(key, probe_feasible_batch, /*quiet=*/true);
+  if (hit) impl_->requests->inc();
+  return hit;
 }
 
 Expected<Plan, PlanError> Engine::plan(const PlanRequest& request) {
@@ -1461,17 +1383,7 @@ void PlanFuture::cancel() const {
   Flight& flight = *state_->flight;
   std::lock_guard<std::mutex> lock(flight.mu);
   if (state_->outcome || flight.done) return;  // outcome already available
-  PlanError e =
-      interrupted_error(StopReason::kCancelled, state_->flight->request);
-  e.partial = flight.best;
-  state_->outcome = std::make_shared<const Outcome>(std::move(e));
-  if (state_->registered) {
-    state_->registered = false;
-    flight.deregister_waiter_locked(state_->deadline,
-                                    state_->budget_threshold);
-  }
-  state_->cancelled_counter->inc();
-  flight.cv.notify_all();  // wake copies of this future blocked in get()
+  settle_waiter_locked(*state_, StopReason::kCancelled);
 }
 
 PlanProgress PlanFuture::progress() const {

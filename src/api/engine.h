@@ -4,8 +4,9 @@
 // the search is a deterministic function of it, and the artifact
 // serializes byte-stably. The Engine is the service built on that fact:
 //
-//   - ONE shared two-level plan cache (positive artifacts + memoized
-//     negative results) that every tenant reads and warms;
+//   - ONE shared two-level outcome cache (plan artifacts and memoized
+//     infeasibility diagnoses in one byte-bounded LRU, plans also on
+//     disk) that every tenant reads and warms;
 //   - single-flight collapse: concurrent identical requests (same
 //     cache::RequestKey) share one search — one simulation storm, every
 //     waiter gets the bit-identical artifact;
@@ -52,7 +53,7 @@ struct Flight;
 
 /// Configuration of a planning service.
 struct EngineOptions {
-  /// Shared-cache behavior (mode, byte capacity, disk dir, calibration).
+  /// Shared-cache behavior (byte capacity, disk dir, calibration).
   CacheOptions cache;
   /// Worker threads for plan_async(); 0 = auto (hardware concurrency,
   /// clamped to [1, 8]). Workers start lazily on the first async submit.
@@ -94,8 +95,8 @@ class Engine : public std::enable_shared_from_this<Engine> {
   Engine& operator=(const Engine&) = delete;
 
   /// Plans `request` end to end: charges the optimizer's host residency
-  /// into per-tier admission, consults the shared plan cache (positive
-  /// and negative), collapses into any identical in-flight search
+  /// into per-tier admission, consults the shared outcome cache (plan or
+  /// diagnosis), collapses into any identical in-flight search
   /// (single-flight) or leads a new one on the calling thread — Opt-1/
   /// Opt-2, the 5-stage distributed pipeline when request.distributed is
   /// set, or the per-node fleet search when request.fleet is — and wraps
@@ -117,12 +118,10 @@ class Engine : public std::enable_shared_from_this<Engine> {
   PlanFuture plan_async(const PlanRequest& request);
 
   /// Cache-only probe — never searches, queues, or blocks on a flight:
-  /// validates the request and consults the shared caches. Returns the
-  /// settled outcome for invalid requests and positive/negative hits;
-  /// nullopt = only a search could answer (submit via plan/plan_async).
-  /// This is karma-pland's hit path: connection threads serve warm hits
-  /// directly, so one tenant's cold storm queued at the worker pool can
-  /// never add latency to another tenant's hits.
+  /// validates the request and consults the shared cache. Returns the
+  /// settled outcome for invalid requests and for memoized plans or
+  /// diagnoses; nullopt = only a search could answer (submit via
+  /// plan/plan_async).
   std::optional<Expected<Plan, PlanError>> try_cached(
       const PlanRequest& request);
 
@@ -132,7 +131,10 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// none is needed: every entry was inserted under the key of a request
   /// that validated, so any key reads only what such a request produced.
   /// `probe_feasible_batch` must be the flag of the keyed request — it
-  /// selects which negative entries are eligible.
+  /// selects which memoized diagnoses are eligible. This is karma-pland's
+  /// hit path: connection threads serve warm hits directly, so one
+  /// tenant's cold storm queued at the worker pool can never add latency
+  /// to another tenant's hits.
   std::optional<Expected<Plan, PlanError>> try_cached(
       const cache::RequestKey& key, bool probe_feasible_batch);
 
@@ -158,12 +160,12 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// what try_cached/plan would key it as right now.
   cache::RequestKey key_for(const PlanRequest& request) const;
 
-  /// Counters of the shared two-level cache (zeros under kBypass).
+  /// Counters of the shared two-level cache.
   cache::CacheStats cache_stats() const;
 
-  /// The shared plan cache itself, or nullptr under kBypass. karma-pland's
-  /// stats endpoint reads the fleet claim counters off its DiskStore.
-  cache::PlanCache* plan_cache() const;
+  /// The shared plan cache itself. karma-pland's stats endpoint reads the
+  /// fleet claim counters off its DiskStore.
+  cache::PlanCache& plan_cache() const;
 
   EngineStats stats() const;
 

@@ -190,20 +190,16 @@ struct Plan {
 /// Cache behavior of an Engine (DESIGN.md §10, §11). Planning is pure —
 /// requests are values, plans are deterministic serializable artifacts —
 /// so plan() is memoizable by content: requests are fingerprinted
-/// (cache::RequestKey), answered from an in-memory LRU, then from an
-/// optional on-disk store whose entries are the v2 plan JSON artifacts.
-/// Infeasible outcomes are memoized too (negative-result cache), in memory
-/// only.
+/// (cache::RequestKey), answered from an in-memory LRU of outcomes (plans
+/// and infeasibility diagnoses), then from an optional on-disk store whose
+/// entries are the v2 plan JSON artifacts. A cache that remembers nothing
+/// — every plan() runs the full search — is cache_memory_bytes = 0 with
+/// an empty cache_dir and no KARMA_CACHE_DIR.
 struct CacheOptions {
-  enum class CacheMode {
-    kEnabled,  ///< consult and populate both caches (default)
-    kBypass,   ///< no cache at all: every plan() runs the full search
-  };
-  CacheMode cache_mode = CacheMode::kEnabled;
-  /// Max resident bytes of in-memory plan artifacts, counted as
-  /// serialized (to_json) artifact size — entries are whole plans, so
-  /// capacity is what they actually weigh, not how many there are
-  /// (ROADMAP "eviction by resident bytes"). 0 = no memory level.
+  /// Max resident bytes of the in-memory outcomes, each counted as its
+  /// serialized size (a plan's to_json, a diagnosis's error_to_json) —
+  /// capacity is what entries actually weigh, not how many there are.
+  /// 0 = no memory level.
   Bytes cache_memory_bytes = 256ll * 1024 * 1024;
   /// Directory of the persistent plan store. Empty = use the
   /// KARMA_CACHE_DIR environment variable when set, otherwise cache in

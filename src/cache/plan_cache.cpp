@@ -1,6 +1,9 @@
 #include "src/cache/plan_cache.h"
 
 #include <sstream>
+#include <utility>
+
+#include "src/api/request_io.h"
 
 namespace karma::cache {
 
@@ -21,24 +24,20 @@ PlanCache::PlanCache(Options options) : options_(std::move(options)) {
     disk_ = std::make_unique<DiskStore>(options_.dir);
 }
 
-bool PlanCache::put_locked(const RequestKey& key, const api::Plan& plan,
-                           std::uint64_t bytes) {
+bool PlanCache::put_locked(Entry entry) {
   const auto capacity = static_cast<std::uint64_t>(
       options_.memory_capacity_bytes > 0 ? options_.memory_capacity_bytes : 0);
-  if (capacity == 0) return false;
-  if (bytes > capacity) return false;  // artifact alone exceeds the level
-  const auto it = index_.find(key);
+  if (entry.bytes > capacity) return false;  // disabled, or alone too big
+  stats_.resident_bytes += entry.bytes;
+  const auto it = index_.find(entry.key);
   if (it != index_.end()) {
-    // Refresh: move to the hot end, replace the payload and its weight.
+    // Refresh: move to the hot end, replace the outcome and its weight.
     lru_.splice(lru_.begin(), lru_, it->second);
     stats_.resident_bytes -= lru_.begin()->bytes;
-    stats_.resident_bytes += bytes;
-    lru_.begin()->plan = plan;
-    lru_.begin()->bytes = bytes;
+    lru_.front() = std::move(entry);
   } else {
-    lru_.push_front(Entry{key, plan, bytes});
-    index_.emplace(key, lru_.begin());
-    stats_.resident_bytes += bytes;
+    lru_.push_front(std::move(entry));
+    index_.emplace(lru_.front().key, lru_.begin());
   }
   // Evict cold entries until the bytes fit; the refreshed/new entry sits
   // at the hot end and is never its own victim.
@@ -51,99 +50,74 @@ bool PlanCache::put_locked(const RequestKey& key, const api::Plan& plan,
   return true;
 }
 
-std::optional<api::Plan> PlanCache::lookup(const RequestKey& key,
-                                           bool quiet) {
+std::optional<PlanCache::Outcome> PlanCache::lookup(const RequestKey& key,
+                                                    bool want_probe,
+                                                    bool quiet) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
-    if (it != index_.end()) {
-      ++stats_.memory_hits;
+    // An unprobed diagnosis cannot answer a caller who asked for the
+    // feasible-batch bisection: it misses like an absent entry.
+    if (it != index_.end() && (it->second->outcome.has_value() ||
+                               it->second->probed || !want_probe)) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      return lru_.begin()->plan;
+      Outcome hit = lru_.front().outcome;
+      if (hit.has_value()) {
+        ++stats_.memory_hits;
+      } else {
+        ++stats_.negative_hits;
+        hit.error().from_negative_cache = true;
+      }
+      return hit;
     }
   }
   // Disk I/O and JSON revalidation run outside the lock so concurrent
   // memory hits never wait on a slow load. Two threads may race the same
   // load; both parse identical bytes, so the duplicate work is benign.
-  if (disk_) {
-    DiskStore::LoadResult loaded = disk_->load(key);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (loaded.corrupt && !quiet) ++stats_.corrupt_entries;
-    if (loaded.plan) {
-      ++stats_.disk_hits;
-      // Promote so repeated lookups skip the parse. Not counted as an
-      // insertion: nothing new entered the cache.
-      put_locked(key, *loaded.plan, loaded.serialized_bytes);
-      return std::move(loaded.plan);
-    }
+  DiskStore::LoadResult loaded;
+  if (disk_) loaded = disk_->load(key);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (loaded.corrupt && !quiet) ++stats_.corrupt_entries;
+  if (!loaded.plan) {
     if (!quiet) ++stats_.misses;
     return std::nullopt;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!quiet) ++stats_.misses;
-  return std::nullopt;
+  ++stats_.disk_hits;
+  // Promote so repeated lookups skip the parse. Not counted as an
+  // insertion: nothing new entered the cache.
+  put_locked(Entry{key, *loaded.plan, false, loaded.serialized_bytes});
+  return Outcome(std::move(*loaded.plan));
 }
 
-void PlanCache::insert(const RequestKey& key, const api::Plan& plan) {
-  // One serialization feeds both levels: the LRU's byte accounting and
-  // the disk write. Runs outside the lock (it can be milliseconds on
-  // deep plans).
-  const std::string json = plan.to_json();
+void PlanCache::insert(const RequestKey& key, Outcome outcome, bool probed) {
+  if (!outcome.has_value()) {
+    // Interrupted outcomes describe one caller's patience, not the
+    // request, and internal errors describe a bug: memoizing them would
+    // poison later (uncancelled) callers.
+    const api::PlanErrorCode code = outcome.error().code;
+    if (code == api::PlanErrorCode::kCancelled ||
+        code == api::PlanErrorCode::kDeadline ||
+        code == api::PlanErrorCode::kInternalError)
+      return;
+  }
+  // One serialization weighs the entry and feeds the disk write. Runs
+  // outside the lock (it can be milliseconds on deep plans).
+  const bool plan = outcome.has_value();
+  const std::string json =
+      plan ? outcome->to_json() : api::error_to_json(outcome.error());
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // insertions counts entries actually accepted into the memory level;
-    // a disk-only cache (memory_capacity_bytes 0) reports disk_writes
+    // Counts entries actually accepted into the memory level; a
+    // disk-only cache (memory_capacity_bytes 0) reports disk_writes
     // instead.
-    if (put_locked(key, plan, json.size())) ++stats_.insertions;
+    if (put_locked(Entry{key, std::move(outcome), probed, json.size()}))
+      ++(plan ? stats_.insertions : stats_.negative_insertions);
   }
   // The atomic write happens outside the lock (DiskStore keeps its own
   // state race-free); only the counter update re-locks.
-  if (disk_ && disk_->store_serialized(key, json)) {
+  if (plan && disk_ && disk_->store_serialized(key, json)) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.disk_writes;
-  }
-}
-
-std::optional<api::PlanError> PlanCache::lookup_negative(const RequestKey& key,
-                                                         bool want_probe) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = negative_index_.find(key);
-  if (it == negative_index_.end()) return std::nullopt;
-  // An unprobed diagnosis cannot answer a caller who asked for the
-  // feasible-batch bisection; the re-diagnosis will overwrite the entry
-  // with the richer result.
-  if (want_probe && !it->second->probed) return std::nullopt;
-  ++stats_.negative_hits;
-  negative_lru_.splice(negative_lru_.begin(), negative_lru_, it->second);
-  api::PlanError error = negative_lru_.begin()->error;
-  error.from_negative_cache = true;
-  return error;
-}
-
-void PlanCache::insert_negative(const RequestKey& key,
-                                const api::PlanError& error, bool probed) {
-  if (options_.negative_capacity == 0) return;
-  // Interrupted outcomes describe one caller's patience, not the request
-  // (and internal errors describe a bug): memoizing them would poison
-  // later (uncancelled) callers.
-  if (error.code == api::PlanErrorCode::kCancelled ||
-      error.code == api::PlanErrorCode::kDeadline ||
-      error.code == api::PlanErrorCode::kInternalError)
-    return;
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = negative_index_.find(key);
-  if (it != negative_index_.end()) {
-    negative_lru_.splice(negative_lru_.begin(), negative_lru_, it->second);
-    negative_lru_.begin()->error = error;
-    negative_lru_.begin()->probed = probed;
-    return;
-  }
-  negative_lru_.push_front(NegativeEntry{key, error, probed});
-  negative_index_.emplace(key, negative_lru_.begin());
-  ++stats_.negative_insertions;
-  while (negative_lru_.size() > options_.negative_capacity) {
-    negative_index_.erase(negative_lru_.back().key);
-    negative_lru_.pop_back();
   }
 }
 
@@ -151,8 +125,6 @@ void PlanCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
-  negative_lru_.clear();
-  negative_index_.clear();
   stats_.resident_bytes = 0;
 }
 

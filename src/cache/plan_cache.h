@@ -1,28 +1,24 @@
 // karma::cache::PlanCache — the two-level planning cache (DESIGN.md §10,
 // §11).
 //
-// Level 1 is an in-memory, thread-safe LRU of Plan artifacts keyed by
-// RequestKey and capacity-bounded by RESIDENT BYTES — entries are whole
-// serialized plan artifacts, so capacity counts what they actually weigh
-// (their to_json size), not how many there are. Level 2 is an optional
-// persistent DiskStore sharing the same keys. Lookups consult memory
-// first, then disk (a disk hit is promoted into memory so repeats stay
-// cheap); inserts populate both. Every outcome is counted: the stats are
-// how benches, examples, and CI prove cold-vs-warm behavior.
-//
-// Alongside the positive artifacts, the cache memoizes NEGATIVE results
-// (DESIGN.md §11): an infeasible request's structured PlanError, keyed by
-// the same RequestKey, so repeated probes of a hopeless configuration are
-// answered without re-running the search + diagnosis. Negative entries
-// are memory-only (small, cheap to recompute, and not artifacts worth
-// persisting), count-capped, and never store interrupted outcomes
-// (kCancelled/kDeadline are properties of one caller's patience, not of
-// the request).
+// The cache memoizes OUTCOMES: for a RequestKey, either the Plan artifact
+// the planner produced or the structured PlanError its capacity analysis
+// diagnosed (nothing fits). Level 1 is one in-memory, thread-safe LRU of
+// both kinds, capacity-bounded by RESIDENT BYTES: every entry weighs its
+// serialized size (a plan its to_json(), a diagnosis its error_to_json()),
+// so capacity counts what entries actually weigh, not how many there are.
+// Level 2 is an optional persistent DiskStore of plans sharing the same
+// keys; diagnoses stay in memory (cheap to recompute, not artifacts worth
+// persisting). Lookups consult memory first, then disk (a disk hit is
+// promoted into memory so repeats stay cheap); inserts populate both.
+// Every outcome is counted: the stats are how benches, examples, and CI
+// prove cold-vs-warm behavior.
 //
 // The cache never invents anything: entries are only what the planning
-// service produced, disk entries revalidate through the full
-// plan_from_json gate on load, and a corrupt entry degrades to a miss —
-// planning correctness cannot depend on cache health.
+// service produced, interrupted or crashed outcomes (kCancelled,
+// kDeadline, kInternalError) are never memoized, disk entries revalidate
+// through the full plan_from_json gate on load, and a corrupt entry
+// degrades to a miss — planning correctness cannot depend on cache health.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +28,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "src/api/session.h"
 #include "src/cache/disk_store.h"
@@ -41,18 +36,19 @@
 namespace karma::cache {
 
 struct CacheStats {
-  std::uint64_t memory_hits = 0;     ///< served from the in-memory LRU
+  std::uint64_t memory_hits = 0;     ///< plans served from the memory LRU
   std::uint64_t disk_hits = 0;       ///< served (and revalidated) from disk
-  std::uint64_t misses = 0;          ///< neither level had a valid entry
-  std::uint64_t insertions = 0;      ///< new entries accepted into memory
+  std::uint64_t misses = 0;          ///< no level had an eligible entry
+  std::uint64_t insertions = 0;      ///< plans accepted into memory
   std::uint64_t evictions = 0;       ///< LRU entries displaced by capacity
   std::uint64_t disk_writes = 0;     ///< entries atomically persisted
   std::uint64_t corrupt_entries = 0; ///< disk entries that failed validation
-  /// Serialized bytes currently resident in the memory level — the gauge
-  /// the byte-counted capacity bounds (<= Options::memory_capacity_bytes).
+  /// Serialized bytes currently resident in the memory level, plans and
+  /// diagnoses alike — the gauge the byte-counted capacity bounds
+  /// (<= Options::memory_capacity_bytes).
   std::uint64_t resident_bytes = 0;
   std::uint64_t negative_hits = 0;       ///< infeasibility served memoized
-  std::uint64_t negative_insertions = 0; ///< PlanErrors memoized
+  std::uint64_t negative_insertions = 0; ///< diagnoses accepted into memory
 
   std::uint64_t hits() const { return memory_hits + disk_hits; }
   std::uint64_t lookups() const { return hits() + misses; }
@@ -64,48 +60,41 @@ struct CacheStats {
 
 class PlanCache {
  public:
+  using Outcome = api::Expected<api::Plan, api::PlanError>;
+
   struct Options {
-    /// Max serialized bytes resident in the memory level; an entry's
-    /// weight is its to_json() size. 0 disables the memory level
-    /// (disk-only); a single artifact larger than the whole capacity is
-    /// not admitted.
+    /// Max serialized bytes resident in the memory level. 0 disables the
+    /// memory level (disk-only, or with no dir a cache that remembers
+    /// nothing); an entry larger than the whole capacity is not admitted.
     Bytes memory_capacity_bytes = 256ll * 1024 * 1024;
-    /// Persistent store directory; empty = memory-only cache.
+    /// Persistent plan store directory; empty = memory-only cache.
     std::string dir;
-    /// Max memoized PlanErrors (count-capped: negatives are small).
-    std::size_t negative_capacity = 256;
   };
 
   PlanCache() : PlanCache(Options{}) {}
   explicit PlanCache(Options options);
 
-  /// Memory-then-disk lookup. A disk hit revalidates the artifact and
-  /// promotes it into the LRU. Thread-safe. `quiet` suppresses the miss /
-  /// corruption counters (hits always count — they served a caller): the
-  /// single-flight leader re-checks the cache right before searching, and
-  /// that re-check must not double-count the miss its own prepare already
-  /// recorded.
-  std::optional<api::Plan> lookup(const RequestKey& key, bool quiet = false);
+  /// Memory-then-disk lookup; a diagnosis comes back marked
+  /// from_negative_cache. `want_probe`: the caller wants the
+  /// feasible-batch bisection, so a diagnosis memoized without it misses
+  /// (the re-diagnosis overwrites it with the richer one). A disk hit
+  /// revalidates the artifact and promotes it into the LRU. `quiet`
+  /// suppresses the miss / corruption counters (hits always count — they
+  /// served a caller): the single-flight leader re-checks the cache right
+  /// before searching, and that re-check must not double-count the miss
+  /// its own prepare already recorded. Thread-safe.
+  std::optional<Outcome> lookup(const RequestKey& key, bool want_probe = false,
+                                bool quiet = false);
 
-  /// Inserts into memory and (when configured) persists to disk.
+  /// Memoizes `outcome`: a plan into memory and (when configured) disk, a
+  /// diagnosis into memory only, `probed` = it includes the bisection's
+  /// results. No-op for interrupted and internal-error outcomes — those
+  /// describe one caller's patience or a bug, never the request.
   /// Thread-safe.
-  void insert(const RequestKey& key, const api::Plan& plan);
+  void insert(const RequestKey& key, Outcome outcome, bool probed = false);
 
-  /// Memoized infeasibility for `key`, marked from_negative_cache. A hit
-  /// requires the entry to satisfy the caller: an entry diagnosed without
-  /// the feasible-batch bisection cannot answer a request that wants one
-  /// (`want_probe`), and misses instead.
-  std::optional<api::PlanError> lookup_negative(const RequestKey& key,
-                                                bool want_probe);
-
-  /// Memoizes a diagnosis (`probed` = it includes bisection results).
-  /// No-op for interrupted outcomes (kCancelled/kDeadline) — those are
-  /// never request properties. Thread-safe.
-  void insert_negative(const RequestKey& key, const api::PlanError& error,
-                       bool probed);
-
-  /// Drops every in-memory entry, positive and negative (disk entries
-  /// survive); stats persist except the resident_bytes gauge.
+  /// Drops every in-memory entry (disk entries survive); stats persist
+  /// except the resident_bytes gauge.
   void clear();
 
   CacheStats stats() const;
@@ -120,23 +109,17 @@ class PlanCache {
  private:
   struct Entry {
     RequestKey key;
-    api::Plan plan;
-    std::uint64_t bytes = 0;  ///< serialized (to_json) size
+    Outcome outcome;
+    bool probed = false;      ///< diagnosis carries bisection results
+    std::uint64_t bytes = 0;  ///< serialized size
   };
   using LruList = std::list<Entry>;
-  struct NegativeEntry {
-    RequestKey key;
-    api::PlanError error;
-    bool probed = false;
-  };
-  using NegativeList = std::list<NegativeEntry>;
 
-  /// Inserts or refreshes `key` in the LRU, evicting from the cold end
+  /// Inserts or refreshes `entry` in the LRU, evicting from the cold end
   /// until the byte capacity holds. Returns whether the entry is resident
-  /// afterwards (false when the memory level is disabled or the artifact
+  /// afterwards (false when the memory level is disabled or the entry
   /// alone exceeds capacity). Caller holds mu_.
-  bool put_locked(const RequestKey& key, const api::Plan& plan,
-                  std::uint64_t bytes);
+  bool put_locked(Entry entry);
 
   Options options_;
   std::unique_ptr<DiskStore> disk_;  ///< null when dir is empty
@@ -144,9 +127,6 @@ class PlanCache {
   mutable std::mutex mu_;
   LruList lru_;  ///< most-recently-used at the front
   std::unordered_map<RequestKey, LruList::iterator, RequestKeyHash> index_;
-  NegativeList negative_lru_;
-  std::unordered_map<RequestKey, NegativeList::iterator, RequestKeyHash>
-      negative_index_;
   CacheStats stats_;
 };
 

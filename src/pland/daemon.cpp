@@ -504,17 +504,14 @@ struct Daemon::Impl {
     // granularity (a few ms) behind a long anneal — that granularity is
     // exactly the cross-tenant p99 tail on a single core, and niceness
     // alone cannot remove it. Searches still run at full speed whenever
-    // warm traffic sleeps. Per-thread (pid 0 = calling thread); the nice
-    // delta is kept as a fallback for kernels where the policy switch is
-    // refused. Best-effort: failure means less isolation, not less
-    // service.
-    if (options.worker_nice > 0) {
-      struct sched_param sp = {};
-      if (::sched_setscheduler(0, SCHED_IDLE, &sp) != 0)
-        ::sched_setscheduler(0, SCHED_BATCH, &sp);
-      ::setpriority(PRIO_PROCESS, 0,
-                    ::getpriority(PRIO_PROCESS, 0) + options.worker_nice);
-    }
+    // warm traffic sleeps. Per-thread (pid 0 = calling thread); a nice
+    // delta of 10 is kept as a fallback for kernels where the policy
+    // switch is refused. Lowering priority needs no privilege, and
+    // failure means less isolation, not less service.
+    struct sched_param sp = {};
+    if (::sched_setscheduler(0, SCHED_IDLE, &sp) != 0)
+      ::sched_setscheduler(0, SCHED_BATCH, &sp);
+    ::setpriority(PRIO_PROCESS, 0, ::getpriority(PRIO_PROCESS, 0) + 10);
     for (;;) {
       Job job;
       {
@@ -562,12 +559,11 @@ struct Daemon::Impl {
       }
       const api::PlanRequest request = std::move(parsed).value();
       // Cached answers (a plan inserted since this client's lookup missed,
-      // or a client that skipped the lookup) settle here without a
-      // search; otherwise the search runs on this worker thread —
+      // or a client that skipped the lookup) settle inside plan() without
+      // a search; otherwise the search runs on this worker thread —
       // in-process single-flight collapses identical concurrent misses,
       // DiskStore claim files collapse them fleet-wide.
-      auto outcome = engine->try_cached(request);
-      if (!outcome) outcome = engine->plan(request);
+      auto outcome = engine->plan(request);
       // Counted BEFORE the response goes out: a client that reacts to its
       // plan by reading stats must observe the completion.
       {
@@ -576,7 +572,7 @@ struct Daemon::Impl {
       }
       {
         obs::Span respond_span("pland.respond", "pland");
-        job.conn->send(plan_response(job.id, std::move(*outcome)));
+        job.conn->send(plan_response(job.id, std::move(outcome)));
       }
       miss_seconds->observe(
           static_cast<double>(obs::trace_now_us() - job.enqueue_us) * 1e-6);
@@ -597,12 +593,10 @@ struct Daemon::Impl {
     s.connections = connections->value();
     s.engine = engine->stats();
     s.cache = engine->cache_stats();
-    if (cache::PlanCache* cache = engine->plan_cache()) {
-      if (cache::DiskStore* disk = cache->disk()) {
-        const auto claims = disk->claim_stats();
-        s.claims_won = claims.claims_won;
-        s.claims_lost = claims.claims_lost;
-      }
+    if (cache::DiskStore* disk = engine->plan_cache().disk()) {
+      const auto claims = disk->claim_stats();
+      s.claims_won = claims.claims_won;
+      s.claims_lost = claims.claims_lost;
     }
     s.calibration = engine->calibration_hash();
     if (const auto table = engine->calibration())

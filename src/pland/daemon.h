@@ -8,17 +8,23 @@
 //
 // Request path, designed so a cold storm can never sit in front of a warm
 // hit:
-//   - HIT PATH (connection thread): every plan request is first probed
-//     against the caches with Engine::try_cached — no queue, no worker,
-//     no search. Warm hits and memoized negatives answer in microseconds
-//     regardless of what the worker pool is chewing on.
-//   - MISS PATH (worker pool): misses are enqueued per tenant and drained
-//     by the daemon's plan workers under stride scheduling — weighted
-//     round-robin over the non-empty tenant queues, so K tenants get
-//     capacity proportional to their weights no matter how many requests
-//     any one of them piles up. Identical concurrent misses still
-//     collapse through the Engine's single-flight (in-process) and the
-//     DiskStore claim files (fleet-wide).
+//   - HIT PATH (connection thread): a client first sends a `lookup`
+//     frame carrying the 128-bit key it computed for its request; the
+//     daemon answers it from the cache with Engine::try_cached(key) — no
+//     model on the wire, no queue, no worker, no search. Memoized plans
+//     and diagnoses answer in microseconds regardless of what the worker
+//     pool is chewing on.
+//   - MISS PATH (worker pool): a `plan` frame carries the request by
+//     value. The connection thread only admits it; it is enqueued per
+//     tenant, and a plan worker parses it and calls Engine::plan, which
+//     keys it and answers from the cache if an identical search finished
+//     since the client's lookup. The workers run at SCHED_IDLE and drain
+//     the queues under stride scheduling — weighted round-robin over the
+//     non-empty tenant queues, so K tenants get capacity proportional to
+//     their weights no matter how many requests any one of them piles
+//     up. Identical concurrent misses still collapse through the
+//     Engine's single-flight (in-process) and the DiskStore claim files
+//     (fleet-wide).
 //   - ADMISSION: each tenant's queue is depth-bounded; beyond it the
 //     daemon sheds the request immediately with PlanError{kOverloaded}
 //     and a retry_after hint instead of letting queues (and client
@@ -44,7 +50,7 @@ struct DaemonOptions {
   /// Filesystem path the unix socket binds at. A stale socket file from a
   /// dead daemon is unlinked on start; a live one fails start().
   std::string socket_path;
-  /// The fronted Engine (cache mode/capacity/dir, engine workers).
+  /// The fronted Engine (cache capacity/dir, engine workers).
   api::EngineOptions engine;
   /// Daemon plan workers draining the tenant queues; 0 = auto
   /// (hardware_concurrency clamped to [2, 8]).
@@ -57,14 +63,6 @@ struct DaemonOptions {
   /// A tenant with weight 2 drains twice as often as one with weight 1
   /// when both have backlog.
   std::map<std::string, double> tenant_weights;
-  /// Deprioritize the plan-worker threads (SCHED_IDLE, with this nice
-  /// delta as fallback). Cold searches are batch work; warm hits are
-  /// latency work served on the connection threads — idle-policy workers
-  /// are preempted unconditionally when a hit wakes, which is what keeps
-  /// one tenant's cold storm from inflating another tenant's hit tail
-  /// even on a starved box. Lowering priority needs no privilege; 0
-  /// disables.
-  int worker_nice = 10;
   /// Non-empty enables request-lifecycle tracing (DESIGN.md §15) for the
   /// daemon's lifetime and flushes the trace ring to
   /// `<trace_dir>/plan-<seq>.trace.json` (Chrome trace_event JSON —

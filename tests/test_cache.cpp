@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/api/engine.h"
+#include "src/api/request_io.h"
 #include "src/cache/plan_cache.h"
 #include "src/cache/request_key.h"
 #include "src/graph/model_zoo.h"
@@ -62,6 +63,15 @@ api::PlanRequest resnet_request(std::int64_t batch = 256,
   request.planner.anneal_iterations = anneal_iterations;
   request.probe_feasible_batch = false;
   return request;
+}
+
+/// Options of an engine that remembers nothing: no memory level, no disk
+/// (the env guard above keeps KARMA_CACHE_DIR out), so every plan() runs
+/// the full search.
+api::CacheOptions no_cache() {
+  api::CacheOptions options;
+  options.cache_memory_bytes = 0;
+  return options;
 }
 
 /// Linear chain with controllable activation bytes (test_api idiom).
@@ -378,6 +388,75 @@ TEST(PlanCache, OversizedArtifactIsNotAdmittedToMemory) {
   EXPECT_FALSE(cache.lookup(request_key(resnet_request(128))).has_value());
 }
 
+TEST(PlanCache, PlansAndDiagnosesShareOneByteBoundedLru) {
+  const api::Plan plan =
+      api::Engine::create()->plan_or_throw(resnet_request());
+  api::PlanError diagnosis;
+  diagnosis.code = api::PlanErrorCode::kNoFeasibleBlocking;
+  diagnosis.message = "no deadlock-free blocking found";
+  diagnosis.model = "chain-4";
+  const std::uint64_t plan_bytes = plan.to_json().size();
+  const std::uint64_t diagnosis_bytes =
+      api::error_to_json(diagnosis).size();
+  // Room for the plan and one diagnosis, not a second diagnosis.
+  TempCacheDir dir("outcomes");
+  PlanCache::Options options;
+  options.memory_capacity_bytes =
+      static_cast<Bytes>(plan_bytes + diagnosis_bytes);
+  options.dir = dir.path();
+  PlanCache cache(options);
+  const RequestKey plan_key = request_key(resnet_request(128));
+  const RequestKey quick_key = request_key(resnet_request(256));
+  const RequestKey probed_key = request_key(resnet_request(384));
+
+  cache.insert(plan_key, plan);
+  cache.insert(quick_key, diagnosis, /*probed=*/false);
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.resident_bytes, plan_bytes + diagnosis_bytes);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.negative_insertions, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  // Only the plan is persisted.
+  EXPECT_EQ(stats.disk_writes, 1u);
+  EXPECT_TRUE(fs::exists(DiskStore(dir.path()).entry_path(plan_key)));
+  EXPECT_FALSE(fs::exists(DiskStore(dir.path()).entry_path(quick_key)));
+
+  // The unprobed diagnosis answers a caller that wants no bisection,
+  // marked as memoized, and misses for one that does.
+  const auto quick = cache.lookup(quick_key);
+  ASSERT_TRUE(quick.has_value());
+  ASSERT_FALSE(quick->has_value());
+  EXPECT_TRUE(quick->error().from_negative_cache);
+  EXPECT_EQ(quick->error().message, diagnosis.message);
+  EXPECT_FALSE(cache.lookup(quick_key, /*want_probe=*/true).has_value());
+  stats = cache.stats();
+  EXPECT_EQ(stats.negative_hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  // LRU order is now quick (hot), plan (cold). A second diagnosis
+  // overflows the budget and evicts the colder entry: the plan.
+  cache.insert(probed_key, diagnosis, /*probed=*/true);
+  stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.resident_bytes, 2 * diagnosis_bytes);
+  const auto probed = cache.lookup(probed_key, /*want_probe=*/true);
+  ASSERT_TRUE(probed.has_value());
+  EXPECT_FALSE(probed->has_value());
+  // The evicted plan comes back from disk; promoting it evicts the colder
+  // diagnosis (quick), which no level can answer any more.
+  const auto reloaded = cache.lookup(plan_key);
+  ASSERT_TRUE(reloaded.has_value());
+  ASSERT_TRUE(reloaded->has_value());
+  EXPECT_EQ((*reloaded)->to_json(), plan.to_json());
+  stats = cache.stats();
+  EXPECT_EQ(stats.memory_hits, 0u);
+  EXPECT_EQ(stats.disk_hits, 1u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.resident_bytes, plan_bytes + diagnosis_bytes);
+  EXPECT_FALSE(cache.lookup(quick_key).has_value());
+  EXPECT_TRUE(cache.lookup(probed_key).has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Disk level: persistence, atomicity discipline, corruption tolerance
 // ---------------------------------------------------------------------------
@@ -449,8 +528,6 @@ TEST(PlanCacheDisk, PropertyCachedThenReloadedEqualsFreshlyPlanned) {
   // cache at all.
   TempCacheDir dir("property");
   Rng rng(0xCAFE);
-  api::CacheOptions bypass;
-  bypass.cache_mode = api::CacheOptions::CacheMode::kBypass;
   int planned = 0;
   for (int draw = 0; draw < 8; ++draw) {
     const int layers = 4 + static_cast<int>(rng.next_below(5));
@@ -464,7 +541,7 @@ TEST(PlanCacheDisk, PropertyCachedThenReloadedEqualsFreshlyPlanned) {
     request.planner.seed = rng.next_u64();
     request.probe_feasible_batch = false;
 
-    const auto fresh = api::Engine::create({bypass})->plan(request);
+    const auto fresh = api::Engine::create({no_cache()})->plan(request);
     const auto cached =
         api::Engine::create({with_dir(dir.path())})->plan(request);
     ASSERT_EQ(fresh.has_value(), cached.has_value()) << "draw " << draw;
@@ -483,17 +560,17 @@ TEST(PlanCacheDisk, PropertyCachedThenReloadedEqualsFreshlyPlanned) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine cache modes
+// Engine cache configuration
 // ---------------------------------------------------------------------------
 
-TEST(SessionCache, BypassModeRunsTheFullSearchEveryTime) {
-  api::CacheOptions options;
-  options.cache_mode = api::CacheOptions::CacheMode::kBypass;
-  const auto engine = api::Engine::create({options});
+TEST(SessionCache, ZeroByteDisklessEngineRunsTheFullSearchEveryTime) {
+  const auto engine = api::Engine::create({no_cache()});
   const auto a = engine->plan_or_throw(resnet_request());
   const auto b = engine->plan_or_throw(resnet_request());
   EXPECT_EQ(a.to_json(), b.to_json());  // determinism, not caching
-  EXPECT_EQ(engine->cache_stats().lookups(), 0u);
+  EXPECT_EQ(engine->stats().searches, 2u);
+  EXPECT_EQ(engine->cache_stats().insertions, 0u);
+  EXPECT_EQ(engine->cache_stats().resident_bytes, 0u);
   EXPECT_GT(b.search_stats.simulations, 0);  // really re-searched
 }
 
@@ -633,14 +710,12 @@ TEST(SearchMemo, ResimulationsDropBelowCandidateCount) {
 }
 
 TEST(SearchMemo, MemoizedSearchPlansIdenticallyToUncachedSessions) {
-  // The memo is an exact shortcut: two independent full searches (bypass
-  // mode, no plan-cache involvement) still agree to the byte.
-  api::CacheOptions bypass;
-  bypass.cache_mode = api::CacheOptions::CacheMode::kBypass;
+  // The memo is an exact shortcut: two independent full searches (no
+  // plan-cache involvement) still agree to the byte.
   const auto a =
-      api::Engine::create({bypass})->plan_or_throw(resnet_request(512, 30));
+      api::Engine::create({no_cache()})->plan_or_throw(resnet_request(512, 30));
   const auto b =
-      api::Engine::create({bypass})->plan_or_throw(resnet_request(512, 30));
+      api::Engine::create({no_cache()})->plan_or_throw(resnet_request(512, 30));
   EXPECT_EQ(a.to_json(), b.to_json());
 }
 

@@ -358,6 +358,34 @@ TEST(FleetSession, InfeasibleFleetReportsBindingNodeAsStructuredError) {
   EXPECT_EQ(e.deficits[0].tier, tier::Tier::kHost);
 }
 
+TEST(FleetSession, InfeasibleFleetIsMemoizedOnce) {
+  // The fleet's structured diagnosis goes through the same memoization as
+  // any other: the second plan() is served from the cache with the
+  // binding node and its shortfalls intact, and searches nothing.
+  api::PlanRequest request = fleet_request();
+  for (auto& node : request.fleet->nodes) node.device.host_capacity = 1024;
+  const auto engine = api::Engine::create();
+  const auto first = engine->plan(request);
+  ASSERT_FALSE(first.has_value());
+  EXPECT_FALSE(first.error().from_negative_cache);
+  const auto second = engine->plan(request);
+  ASSERT_FALSE(second.has_value());
+  const api::PlanError& e = second.error();
+  EXPECT_TRUE(e.from_negative_cache);
+  EXPECT_EQ(e.code, api::PlanErrorCode::kTierOverflow);
+  EXPECT_EQ(e.device, first.error().device);
+  EXPECT_NE(e.device, request.device.name);
+  ASSERT_EQ(e.deficits.size(), first.error().deficits.size());
+  ASSERT_FALSE(e.deficits.empty());
+  for (std::size_t i = 0; i < e.deficits.size(); ++i) {
+    EXPECT_EQ(e.deficits[i].tier, first.error().deficits[i].tier);
+    EXPECT_EQ(e.deficits[i].required, first.error().deficits[i].required);
+    EXPECT_EQ(e.deficits[i].capacity, first.error().deficits[i].capacity);
+  }
+  EXPECT_EQ(engine->stats().searches, 1u);
+  EXPECT_EQ(engine->cache_stats().negative_hits, 1u);
+}
+
 TEST(FleetSession, FleetAndDistributedAreMutuallyExclusive) {
   api::PlanRequest request = fleet_request();
   core::DistributedOptions distributed;

@@ -45,12 +45,13 @@ PlanRequest resnet_request(std::int64_t batch, int anneal_iterations) {
   return request;
 }
 
-/// Fresh single-use full search, no cache involvement — the ground truth
-/// the engine's answers must be bit-identical to.
+/// Fresh single-use full search on an engine that remembers nothing (no
+/// memory level, no disk) — the ground truth the engine's answers must be
+/// bit-identical to.
 std::string serial_baseline_json(const PlanRequest& request) {
-  CacheOptions bypass;
-  bypass.cache_mode = CacheOptions::CacheMode::kBypass;
-  return Engine::create({bypass})->plan_or_throw(request).to_json();
+  CacheOptions no_cache;
+  no_cache.cache_memory_bytes = 0;
+  return Engine::create({no_cache})->plan_or_throw(request).to_json();
 }
 
 // ---------------------------------------------------------------------------
