@@ -146,14 +146,12 @@ Plan plan_uncached(const PlanRequest& request,
   // Calib repair (DESIGN.md §13): a plan cached under a superseded
   // calibration seeds a warm-start search (KarmaPlanner::plan_from) with
   // a reduced anneal budget instead of the cold Opt-1 enumeration. The
-  // seed must structurally match this request (same model, so equal
-  // block/policy counts); anything else degrades to the cold search.
+  // seed must tile this request's model; anything else degrades to the
+  // cold search.
   const bool seeded =
       repair_seed && !repair_seed->distributed() &&
-      !repair_seed->policies.empty() &&
-      repair_seed->blocks().size() == repair_seed->policies.size() &&
-      repair_seed->model_layers ==
-          static_cast<std::int64_t>(request.model.num_layers());
+      core::seed_tiles_model(request.model, repair_seed->blocks(),
+                             repair_seed->policies);
   core::PlannerOptions effective = options;
   if (seeded)
     effective.anneal_iterations =

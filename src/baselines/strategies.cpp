@@ -18,11 +18,7 @@ using sim::Block;
 /// residual block's interior is not independently swappable (the skip edge
 /// pins the entry activation), so we use the finest clean partition.
 std::vector<Block> finest_blocks(const graph::Model& model) {
-  const auto cuts = core::candidate_cut_points(model);
-  std::vector<Block> blocks;
-  for (std::size_t i = 0; i + 1 < cuts.size(); ++i)
-    blocks.push_back({cuts[i], cuts[i + 1]});
-  return blocks;
+  return core::blocks_from_boundaries(core::candidate_cut_points(model));
 }
 
 std::optional<PlanResult> evaluate(const graph::Model& model,
@@ -99,31 +95,16 @@ std::optional<PlanResult> plan_superneurons(const graph::Model& model,
 
 std::optional<PlanResult> plan_checkpointing(const graph::Model& model,
                                              const sim::DeviceSpec& device) {
-  // sqrt(N) uniform segments, everything recomputed from checkpoints.
-  const auto cuts = core::candidate_cut_points(model);
+  // sqrt(N) uniform segments over the clean cuts, everything recomputed
+  // from checkpoints but the last segment: it is consumed first in
+  // backward, and every checkpointing implementation keeps it resident.
   const int segments = std::max(
       2, static_cast<int>(std::lround(std::sqrt(
              static_cast<double>(model.num_layers())))));
-  core::PlannerOptions popt;
-  const core::KarmaPlanner planner(model, device, popt);
-  // Reuse the planner's balanced boundary picking via candidate search:
-  // uniform over clean cuts.
-  std::vector<int> boundary;
-  const auto n = cuts.size();
-  for (int k = 0; k <= segments; ++k)
-    boundary.push_back(
-        cuts[std::min(n - 1, static_cast<std::size_t>(k) * (n - 1) /
-                                 static_cast<std::size_t>(segments))]);
-  boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                 boundary.end());
-  std::vector<Block> blocks;
-  for (std::size_t i = 0; i + 1 < boundary.size(); ++i)
-    blocks.push_back({boundary[i], boundary[i + 1]});
-  std::vector<BlockPolicy> policies(blocks.size(), BlockPolicy::kRecompute);
-  // The last segment is consumed first in backward; keeping it resident
-  // is what every checkpointing implementation does.
-  policies.back() = BlockPolicy::kResident;
-  return evaluate(model, device, blocks, policies, "GradCheckpoint", {});
+  const auto blocks = core::blocks_from_boundaries(
+      core::uniform_boundaries(core::candidate_cut_points(model), segments));
+  return evaluate(model, device, blocks, core::remat_policies(blocks.size()),
+                  "GradCheckpoint", {});
 }
 
 std::optional<PlanResult> plan_checkmate(const graph::Model& model,
@@ -137,21 +118,12 @@ std::optional<PlanResult> plan_checkmate(const graph::Model& model,
   const int max_segments =
       std::min<int>(64, static_cast<int>(cuts.size()) - 1);
   for (int segments = 2; segments <= max_segments; ++segments) {
-    std::vector<int> boundary;
-    const auto n = cuts.size();
-    for (int k = 0; k <= segments; ++k)
-      boundary.push_back(
-          cuts[std::min(n - 1, static_cast<std::size_t>(k) * (n - 1) /
-                                   static_cast<std::size_t>(segments))]);
-    boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                   boundary.end());
-    if (boundary.size() < 3) continue;
-    std::vector<Block> blocks;
-    for (std::size_t i = 0; i + 1 < boundary.size(); ++i)
-      blocks.push_back({boundary[i], boundary[i + 1]});
-    std::vector<BlockPolicy> policies(blocks.size(), BlockPolicy::kRecompute);
-    policies.back() = BlockPolicy::kResident;
-    auto result = evaluate(model, device, blocks, policies, "Checkmate", {});
+    const auto blocks = core::blocks_from_boundaries(
+        core::uniform_boundaries(cuts, segments));
+    if (blocks.size() < 2) continue;
+    auto result = evaluate(model, device, blocks,
+                           core::remat_policies(blocks.size()), "Checkmate",
+                           {});
     if (result && (!best || result->iteration_time < best->iteration_time))
       best = std::move(result);
   }

@@ -5,11 +5,12 @@
 // re-searching the whole fleet's plans would be the expensive answer; the
 // cheap one is here: the stale plan is almost certainly still a *good*
 // plan — measured constants drift, they do not teleport — so we re-anneal
-// starting from it under the corrected cost model, reusing the planner's
-// EvalMemo/anneal machinery (KarmaPlanner::plan_from), with a reduced
-// anneal budget justified by the warm seed. The repaired plan reports its
-// wall-clock and, when a cold baseline is supplied, the repair-vs-cold
-// speedup in SearchStats.
+// starting from it under the corrected cost model through the planner's
+// own memoized search (KarmaPlanner::plan_from), with a reduced anneal
+// budget justified by the warm seed. A seed that does not tile `model`
+// gets the cold search instead. The repaired plan reports its wall-clock
+// and, when a cold baseline is supplied, the repair-vs-cold speedup in
+// SearchStats.
 #pragma once
 
 #include "src/calib/table.h"

@@ -280,28 +280,18 @@ PlanResult plan_data_parallel(
     // carve-out.
     const ShardResidency shards = ShardResidency::from_costs(costs, frac);
 
-    // Activation spills route tier-aware exactly like the single-GPU
-    // planner: host DRAM first (pre-charged with the optimizer reserve
-    // plus the shard residency above), overflow to NVMe. Seed devices
-    // (unbounded host) reproduce the original two-tier policy set
-    // bit-identically.
-    const Bytes reserved_host = options.planner.schedule.reserved_host_bytes;
+    // Activation spills route exactly like the single-GPU planner, with
+    // the host pre-charged by the optimizer reserve plus the shard
+    // residency above.
     std::vector<BlockPolicy> policies;
     try {
-      policies = (device.host_capacity > 0 || device.has_nvme())
-                     ? tiered_policies(blocks, costs, act_budget,
-                                       sim::hierarchy_of(device),
-                                       reserved_host + shards.total())
-                     : capacity_based_policies(blocks, costs, act_budget);
+      policies = route_policies(
+          model, device, blocks, costs, act_budget,
+          options.planner.schedule.reserved_host_bytes + shards.total(),
+          options.planner.enable_recompute);
     } catch (const InfeasibleError&) {
       return;  // spill fits no tier at this blocking
     }
-    const auto long_skip = blocks_with_long_skips(model, blocks);
-    for (std::size_t b = 0; b < blocks.size(); ++b)
-      if (long_skip[b] && is_swap_policy(policies[b]))
-        policies[b] = options.planner.enable_recompute
-                          ? BlockPolicy::kRecompute
-                          : BlockPolicy::kResident;
 
     // Opt-2 (constraint 10.1) variant: recompute the swapped blocks whose
     // rematerialization is cheaper than their swap-in. Both variants are
@@ -309,17 +299,10 @@ PlanResult plan_data_parallel(
     std::vector<std::vector<BlockPolicy>> variants = {policies};
     if (options.planner.enable_recompute) {
       auto flipped = policies;
-      bool any = false;
-      for (std::size_t b = 0; b < blocks.size(); ++b) {
-        if (!is_swap_policy(flipped[b])) continue;
-        if (costs[b].fwd_time < device.read_from_tier_time(
-                                    swap_tier_of(flipped[b]),
-                                    costs[b].act_bytes)) {
+      for (std::size_t b = 0; b < blocks.size(); ++b)
+        if (recompute_beats_swap_in(device, costs[b], flipped[b]))
           flipped[b] = BlockPolicy::kRecompute;
-          any = true;
-        }
-      }
-      if (any) variants.push_back(std::move(flipped));
+      if (flipped != policies) variants.push_back(std::move(flipped));
     }
 
     // Gradient-exchange plan (stage 4).
@@ -421,19 +404,8 @@ PlanResult plan_data_parallel(
                                   static_cast<int>(cuts.size()) - 1);
   for (int k = std::max(2, options.planner.min_blocks); k <= max_k;
        k = k < 8 ? k + 1 : k + k / 2) {
-    std::vector<int> boundary;
-    const auto n = cuts.size();
-    for (int j = 0; j <= k; ++j)
-      boundary.push_back(cuts[std::min(
-          n - 1, static_cast<std::size_t>(j) * (n - 1) /
-                     static_cast<std::size_t>(k))]);
-    boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                   boundary.end());
-    if (boundary.size() < 2) continue;
-    std::vector<Block> blocks;
-    for (std::size_t i = 0; i + 1 < boundary.size(); ++i)
-      blocks.push_back({boundary[i], boundary[i + 1]});
-    try_candidate(blocks);
+    const auto blocks = blocks_from_boundaries(uniform_boundaries(cuts, k));
+    if (!blocks.empty()) try_candidate(blocks);
   }
 
   if (!best)

@@ -1,6 +1,7 @@
 #include "src/core/planner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <limits>
@@ -12,7 +13,7 @@
 #include "src/obs/span.h"
 #include "src/sim/device.h"
 #include "src/solver/anneal.h"
-#include "src/solver/exhaustive.h"
+#include "src/solver/memo.h"
 #include "src/util/infeasible.h"
 #include "src/util/par.h"
 #include "src/util/rng.h"
@@ -55,15 +56,52 @@ std::vector<int> candidate_cut_points(const graph::Model& model) {
   return cuts;
 }
 
+std::vector<sim::Block> blocks_from_boundaries(
+    const std::vector<int>& boundaries) {
+  std::vector<sim::Block> blocks;
+  for (std::size_t i = 0; i + 1 < boundaries.size(); ++i)
+    blocks.push_back({boundaries[i], boundaries[i + 1]});
+  return blocks;
+}
+
+std::vector<int> uniform_boundaries(const std::vector<int>& cuts, int k) {
+  std::vector<int> boundaries;
+  const auto n = cuts.size();
+  for (int j = 0; j <= k; ++j)
+    boundaries.push_back(cuts[std::min(
+        n - 1, static_cast<std::size_t>(j) * (n - 1) /
+                   static_cast<std::size_t>(k))]);
+  boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
+                   boundaries.end());
+  return boundaries;
+}
+
+bool seed_tiles_model(const graph::Model& model,
+                      const std::vector<sim::Block>& blocks,
+                      const std::vector<BlockPolicy>& policies) {
+  if (blocks.empty() || blocks.size() != policies.size()) return false;
+  int next = 0;
+  for (const auto& b : blocks) {
+    if (b.first_layer != next || b.last_layer <= b.first_layer) return false;
+    next = b.last_layer;
+  }
+  return next == static_cast<int>(model.num_layers());
+}
+
+/// Sharded + atomic so the portfolio annealing workers share the tables
+/// lock-cheap; values are deterministic functions of their keys, so
+/// concurrent fills cannot diverge (solver::SharedEvalMemo).
+struct KarmaPlanner::SearchMemo {
+  solver::SharedEvalMemo<std::uint64_t, sim::BlockCost> block_costs;
+  solver::SharedEvalMemo<std::string, double> candidates;
+  /// Harvested into SearchStats at the end of the search.
+  std::atomic<std::int64_t> simulations{0};
+  std::atomic<std::int64_t> memo_hits{0};
+};
+
 KarmaPlanner::KarmaPlanner(const graph::Model& model, sim::DeviceSpec device,
                            PlannerOptions options)
-    : model_(model),
-      device_(device),
-      options_(options),
-      block_cost_memo_(std::make_unique<
-                       solver::SharedEvalMemo<std::uint64_t, sim::BlockCost>>()),
-      candidate_memo_(
-          std::make_unique<solver::SharedEvalMemo<std::string, double>>()) {
+    : model_(model), device_(device), options_(options) {
   cut_points_ = candidate_cut_points(model_);
   act_prefix_.assign(model_.num_layers() + 1, 0);
   for (std::size_t i = 0; i < model_.num_layers(); ++i) {
@@ -72,14 +110,6 @@ KarmaPlanner::KarmaPlanner(const graph::Model& model, sim::DeviceSpec device,
         model_.activation_memory_scale());
     act_prefix_[i + 1] = act_prefix_[i] + mem.activations;
   }
-}
-
-std::vector<sim::Block> KarmaPlanner::blocks_from_boundaries(
-    const std::vector<int>& cuts) const {
-  std::vector<sim::Block> blocks;
-  for (std::size_t i = 0; i + 1 < cuts.size(); ++i)
-    blocks.push_back({cuts[i], cuts[i + 1]});
-  return blocks;
 }
 
 std::vector<int> KarmaPlanner::balanced_boundaries(int num_blocks) const {
@@ -114,56 +144,37 @@ std::uint64_t block_key(const sim::Block& block) {
 
 }  // namespace
 
-sim::BlockCost KarmaPlanner::block_cost(const sim::Block& block) const {
-  // Lookups/hits are counted by the sharded memo itself (thread-safe:
-  // the portfolio workers share this table).
-  const std::uint64_t key = block_key(block);
-  if (const auto hit = block_cost_memo_->find(key)) return *hit;
-  const sim::BlockCost cost = sim::compute_block_cost(model_, block, device_);
-  block_cost_memo_->store(key, cost);
-  return cost;
+std::vector<sim::BlockCost> KarmaPlanner::block_costs(
+    SearchMemo* memo, const std::vector<sim::Block>& blocks) const {
+  std::vector<sim::BlockCost> costs;
+  costs.reserve(blocks.size());
+  for (const auto& b : blocks) {
+    const std::uint64_t key = block_key(b);
+    const auto hit = memo ? memo->block_costs.find(key) : std::nullopt;
+    costs.push_back(hit ? *hit : sim::compute_block_cost(model_, b, device_));
+    if (memo && !hit) memo->block_costs.store(key, costs.back());
+  }
+  return costs;
 }
 
 std::vector<BlockPolicy> KarmaPlanner::initial_policies(
-    const std::vector<sim::Block>& blocks) const {
-  std::vector<sim::BlockCost> costs;
-  costs.reserve(blocks.size());
+    SearchMemo& memo, const std::vector<sim::Block>& blocks) const {
+  const auto costs = block_costs(&memo, blocks);
   Bytes weights = 0;
-  for (const auto& b : blocks) {
-    costs.push_back(block_cost(b));
-    weights += costs.back().param_bytes + costs.back().grad_bytes;
-  }
-  const Bytes act_budget = device_.memory_capacity - weights;
-  // Tier-aware routing kicks in only when the device models a bounded host
-  // or an NVMe tier; otherwise this is exactly the seed's two-tier policy
-  // assignment (tiered planning is a strict superset).
-  auto policies =
-      (device_.host_capacity > 0 || device_.has_nvme())
-          ? tiered_policies(blocks, costs, act_budget,
-                            sim::hierarchy_of(device_),
-                            options_.schedule.reserved_host_bytes)
-          : capacity_based_policies(blocks, costs, act_budget);
-
-  // Sec. III-F.4: blocks with outgoing long skips (U-Net contracting path)
-  // must not be swapped out ahead of their consumer; prefer recompute so
-  // the boundary checkpoint stays available.
-  const auto long_skip = blocks_with_long_skips(model_, blocks);
-  for (std::size_t b = 0; b < blocks.size(); ++b)
-    if (long_skip[b] && is_swap_policy(policies[b]))
-      policies[b] = options_.enable_recompute ? BlockPolicy::kRecompute
-                                              : BlockPolicy::kResident;
-  return policies;
+  for (const auto& c : costs) weights += c.param_bytes + c.grad_bytes;
+  return route_policies(model_, device_, blocks, costs,
+                        device_.memory_capacity - weights,
+                        options_.schedule.reserved_host_bytes,
+                        options_.enable_recompute);
 }
 
 PlanResult KarmaPlanner::simulate_candidate(
-    const std::vector<sim::Block>& blocks,
+    SearchMemo* memo, const std::vector<sim::Block>& blocks,
     const std::vector<BlockPolicy>& policies,
     const std::string& strategy) const {
   // Per-block costs come from the memo so a boundary move only re-costs
   // the blocks it changed; the emitted plan is identical either way.
-  std::vector<sim::BlockCost> costs;
-  costs.reserve(blocks.size());
-  for (const auto& b : blocks) costs.push_back(block_cost(b));
+  const auto costs = block_costs(memo, blocks);
   sim::Plan plan = build_training_plan(model_, device_, blocks, policies,
                                        strategy, options_.schedule, &costs);
   PlanResult result;
@@ -181,7 +192,7 @@ std::optional<PlanResult> KarmaPlanner::evaluate(
     const std::vector<BlockPolicy>& policies,
     const std::string& strategy) const {
   try {
-    return simulate_candidate(blocks, policies, strategy);
+    return simulate_candidate(nullptr, blocks, policies, strategy);
   } catch (const InfeasibleError&) {
     return std::nullopt;  // infeasible candidate (deadlock / over-capacity)
   }
@@ -210,23 +221,9 @@ PlanResult KarmaPlanner::run_search(
   std::optional<PlanResult> best;
   constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 
-  // The one cooperative cancellation point, polled at candidate
-  // boundaries only — never mid-simulation — so an interrupt can never
-  // leave a half-evaluated candidate behind. SearchInterrupted tunnels
-  // through the InfeasibleError handlers by design (it is not a
-  // std::exception at all).
-  const auto check_stop = [&] {
-    const StopReason reason = control.stop_reason();
-    if (reason != StopReason::kNone) throw SearchInterrupted{reason};
-  };
-
-  // Fresh memo state per search: the tables are an optimization of this
-  // one deterministic run, never shared across runs.
-  block_cost_memo_ = std::make_unique<
-      solver::SharedEvalMemo<std::uint64_t, sim::BlockCost>>();
-  candidate_memo_ =
-      std::make_unique<solver::SharedEvalMemo<std::string, double>>();
-  counters_.reset();
+  // This call's memo state: the tables are an optimization of this one
+  // deterministic run, never shared across runs or callers.
+  SearchMemo memo;
   bool warm_started = false;
   int anneal_workers_used = 0;
 
@@ -249,84 +246,80 @@ PlanResult KarmaPlanner::run_search(
     return key;
   };
 
-  // Memo-aware candidate evaluation returning only the objective (for the
-  // annealer). Exact: every candidate replays from op 0 on the one engine
-  // path, so a memo value is the deterministic simulation result, which
-  // also makes the table safe to share across portfolio workers — when two
-  // workers race to fill the same key they store the same value. Lookups
-  // are counted by the memo itself; harvested into SearchStats at the end
-  // of the search.
-  const auto cached_objective =
+  // The one memo step behind every candidate: poll the token, look the
+  // candidate up, and either serve the memoized objective (when `serve`
+  // accepts it) or replay it, storing a fresh key's outcome. Returns the
+  // objective and, for a replay, the result (unset when infeasible).
+  // Exact: every candidate replays from op 0 on the one engine path, so a
+  // memo value is the deterministic simulation result, which also makes
+  // the table safe to share across portfolio workers — when two workers
+  // race to fill the same key they store the same value. candidates ==
+  // simulations + memo_hits holds by construction.
+  const auto memo_step =
       [&](const std::vector<sim::Block>& blocks,
-          const std::vector<BlockPolicy>& policies) -> double {
-    check_stop();
+          const std::vector<BlockPolicy>& policies,
+          const auto& serve) -> std::pair<double, std::optional<PlanResult>> {
+    // The one cooperative cancellation point, polled at candidate
+    // boundaries only — never mid-simulation — so an interrupt can never
+    // leave a half-evaluated candidate behind. SearchInterrupted tunnels
+    // through the InfeasibleError handlers by design (it is not a
+    // std::exception at all).
+    if (const StopReason reason = control.stop_reason();
+        reason != StopReason::kNone)
+      throw SearchInterrupted{reason};
     const std::string key = signature(blocks, policies);
-    if (const auto memoized = candidate_memo_->find(key)) {
-      counters_.memo_hits.fetch_add(1, std::memory_order_relaxed);
+    const auto memoized = memo.candidates.find(key);
+    if (memoized && serve(*memoized)) {
+      memo.memo_hits.fetch_add(1, std::memory_order_relaxed);
       control.count_candidate(/*simulated=*/false);
-      return *memoized;
+      return {*memoized, std::nullopt};
     }
-    counters_.simulations.fetch_add(1, std::memory_order_relaxed);
-    control.count_candidate(/*simulated=*/true);
-    double value = kInfeasible;
-    try {
-      value = simulate_candidate(blocks, policies, strategy).iteration_time;
-    } catch (const InfeasibleError&) {
-    }
-    candidate_memo_->store(key, value);
-    return value;
-  };
-
-  // Memo-aware candidate consideration for best-tracking; returns whether
-  // the candidate became the new best. A memoized candidate only needs
-  // re-materialization (one extra replay) when it would actually improve
-  // the incumbent — possible when the annealer scored a state without
-  // promoting it; a revisit that cannot improve is a pure memo hit.
-  // Serial phases only (it moves `best`); the portfolio workers go
-  // through cached_objective.
-  const auto consider = [&](const std::vector<sim::Block>& blocks,
-                            const std::vector<BlockPolicy>& policies) {
-    check_stop();
-    const std::string key = signature(blocks, policies);
-    const auto memoized = candidate_memo_->find(key);
-    if (memoized) {
-      // memo_hits counts only lookups that avoided the replay entirely;
-      // a re-materialized best (the fall-through) counts as a simulation.
-      if ((best && *memoized >= best->iteration_time) ||
-          *memoized == kInfeasible) {
-        counters_.memo_hits.fetch_add(1, std::memory_order_relaxed);
-        control.count_candidate(/*simulated=*/false);
-        return false;
-      }
-    }
-    counters_.simulations.fetch_add(1, std::memory_order_relaxed);
+    memo.simulations.fetch_add(1, std::memory_order_relaxed);
     control.count_candidate(/*simulated=*/true);
     std::optional<PlanResult> result;
     try {
-      result = simulate_candidate(blocks, policies, strategy);
+      result = simulate_candidate(&memo, blocks, policies, strategy);
     } catch (const InfeasibleError&) {
     }
-    if (!memoized)
-      candidate_memo_->store(key,
-                             result ? result->iteration_time : kInfeasible);
-    if (result && (!best || result->iteration_time < best->iteration_time)) {
-      best = std::move(result);
-      // Publish the artifact snapshot BEFORE the progress flag: an
-      // observer that sees best_cost become finite must also find the
-      // best-so-far plan attached.
-      if (on_improved) on_improved(*best);
-      control.report_best(best->iteration_time);
-      return true;
-    }
-    return false;
+    const double value = result ? result->iteration_time : kInfeasible;
+    if (!memoized) memo.candidates.store(key, value);
+    return {value, std::move(result)};
+  };
+
+  // Best-tracking consideration; returns whether the candidate became the
+  // new best. A memoized candidate is replayed again only when it would
+  // improve the incumbent — possible when the annealer scored a state
+  // without promoting it. Serial phases only (it moves `best`); the
+  // portfolio workers call memo_step directly.
+  const auto consider = [&](const std::vector<sim::Block>& blocks,
+                            const std::vector<BlockPolicy>& policies) {
+    auto [value, result] =
+        memo_step(blocks, policies, [&](double memoized) {
+          return (best && memoized >= best->iteration_time) ||
+                 memoized == kInfeasible;
+        });
+    if (!result || (best && value >= best->iteration_time)) return false;
+    best = std::move(result);
+    // Publish the artifact snapshot BEFORE the progress flag: an observer
+    // that sees best_cost become finite must also find the best-so-far
+    // plan attached.
+    if (on_improved) on_improved(*best);
+    control.report_best(best->iteration_time);
+    return true;
   };
   // Policy routing itself can be infeasible for a candidate blocking (its
   // spill fits no offload tier); skip such candidates like any deadlock.
   const auto consider_blocking = [&](const std::vector<sim::Block>& blocks) {
     try {
-      consider(blocks, initial_policies(blocks));
+      consider(blocks, initial_policies(memo, blocks));
     } catch (const InfeasibleError&) {
     }
+  };
+  // Pure-rematerialization corner (keeps KARMA's search a superset of
+  // Checkmate-style checkpoint-density scans).
+  const auto consider_remat = [&](const std::vector<sim::Block>& blocks) {
+    return options_.enable_recompute && blocks.size() >= 2 &&
+           consider(blocks, remat_policies(blocks.size()));
   };
 
   const int max_blocks = std::min<int>(
@@ -353,7 +346,7 @@ PlanResult KarmaPlanner::run_search(
       return sim::compute_block_cost(model_, b, device_);
     });
     for (std::size_t i = 0; i < todo.size(); ++i)
-      block_cost_memo_->store(block_key(todo[i]), costs[i]);
+      memo.block_costs.store(block_key(todo[i]), costs[i]);
   };
 
   const auto enumerate_blockings = [&](int lo, int hi) {
@@ -367,18 +360,11 @@ PlanResult KarmaPlanner::run_search(
       if (!seen.insert(cuts).second) continue;
       const auto blocks = blocks_from_boundaries(cuts);
       consider_blocking(blocks);
-      if (options_.enable_recompute && blocks.size() >= 2) {
-        // Pure-rematerialization corner of the policy space (keeps KARMA's
-        // search a superset of Checkmate-style checkpoint-density scans).
-        std::vector<BlockPolicy> remat(blocks.size(), BlockPolicy::kRecompute);
-        remat.back() = BlockPolicy::kResident;
-        consider(blocks, remat);
-      }
+      consider_remat(blocks);
     }
   };
 
-  if (seed_blocks && seed_policies && !seed_blocks->empty() &&
-      seed_blocks->size() == seed_policies->size()) {
+  if (seed_blocks && seed_tiles_model(model_, *seed_blocks, *seed_policies)) {
     // ---- Warm start (calib::repair): the cached plan is the incumbent.
     warm_started = true;
     consider(*seed_blocks, *seed_policies);
@@ -386,12 +372,7 @@ PlanResult KarmaPlanner::run_search(
     // recalibrated) cost model — the cheapest place a changed table can
     // flip a block's swap/recompute/tier decision.
     consider_blocking(*seed_blocks);
-    if (options_.enable_recompute && seed_blocks->size() >= 2) {
-      std::vector<BlockPolicy> remat(seed_blocks->size(),
-                                     BlockPolicy::kRecompute);
-      remat.back() = BlockPolicy::kResident;
-      consider(*seed_blocks, remat);
-    }
+    consider_remat(*seed_blocks);
     // A small block-count neighborhood instead of the full k scan: cost
     // drift rarely moves the optimal count far, and the anneal below can
     // still slide every boundary the drift did move.
@@ -413,14 +394,10 @@ PlanResult KarmaPlanner::run_search(
       if (k >= seed_k - 2 && k <= seed_k + 2) continue;  // already scanned
       bool improved = false;
       try {
+        // A probe whose routing is infeasible skips its remat corner too.
         const auto blocks = blocks_from_boundaries(balanced_boundaries(k));
-        improved = consider(blocks, initial_policies(blocks));
-        if (options_.enable_recompute && blocks.size() >= 2) {
-          std::vector<BlockPolicy> remat(blocks.size(),
-                                         BlockPolicy::kRecompute);
-          remat.back() = BlockPolicy::kResident;
-          if (consider(blocks, remat)) improved = true;
-        }
+        improved = consider(blocks, initial_policies(memo, blocks));
+        improved = consider_remat(blocks) || improved;
       } catch (const InfeasibleError&) {
       }
       if (improved) best_probe_k = k;
@@ -458,13 +435,14 @@ PlanResult KarmaPlanner::run_search(
     anneal_span.arg("iterations", options_.anneal_iterations);
     const std::function<double(const std::vector<int>&, int)> energy =
         [&](const std::vector<int>& cuts, int) {
-          double value = std::numeric_limits<double>::infinity();
+          const auto blocks = blocks_from_boundaries(cuts);
           try {
-            const auto blocks = blocks_from_boundaries(cuts);
-            value = cached_objective(blocks, initial_policies(blocks));
+            return memo_step(blocks, initial_policies(memo, blocks),
+                             [](double) { return true; })
+                .first;
           } catch (const InfeasibleError&) {
+            return kInfeasible;  // no spill route at this blocking
           }
-          return value;
         };
     const std::function<std::vector<int>(const std::vector<int>&, Rng&)>
         neighbor = [&](const std::vector<int>& cuts, Rng& r) {
@@ -520,7 +498,7 @@ PlanResult KarmaPlanner::run_search(
     solver::AnnealParams params;
     params.iterations = options_.anneal_iterations;
     params.initial_temperature = best->iteration_time * 0.05;
-    // Belt to the energy lambda's check_stop: a tripped token also
+    // Belt to memo_step's token poll: a tripped token also
     // truncates each walk between iterations (e.g. during runs of
     // rejected no-op moves that never call the energy at all).
     if (control.valid())
@@ -538,14 +516,10 @@ PlanResult KarmaPlanner::run_search(
     while (improved) {
       improved = false;
       for (std::size_t b = 0; b < best->policies.size(); ++b) {
-        if (!is_swap_policy(best->policies[b])) continue;
-        const auto& cost = best->plan.costs[b];
-        // Constraint 10.1 pre-filter: recomputing this block must be
-        // cheaper than swapping it back in from wherever it lives (NVMe
-        // reads are slower, so storage-bound blocks flip more readily).
-        const Seconds swap_in_time = device_.read_from_tier_time(
-            swap_tier_of(best->policies[b]), cost.act_bytes);
-        if (cost.fwd_time >= swap_in_time) continue;
+        // Constraint 10.1 pre-filter.
+        if (!recompute_beats_swap_in(device_, best->plan.costs[b],
+                                     best->policies[b]))
+          continue;
         auto policies = best->policies;
         policies[b] = BlockPolicy::kRecompute;
         // After an accepted flip the outer loop restarts, re-trying every
@@ -558,11 +532,11 @@ PlanResult KarmaPlanner::run_search(
   // Every candidate evaluation request either replayed or was served by
   // the memo: candidates == simulations + memo_hits, by construction.
   SearchStats stats;
-  stats.candidates = candidate_memo_->lookups();
-  stats.simulations = counters_.simulations.load(std::memory_order_relaxed);
-  stats.memo_hits = counters_.memo_hits.load(std::memory_order_relaxed);
-  stats.block_cost_lookups = block_cost_memo_->lookups();
-  stats.block_cost_hits = block_cost_memo_->hits();
+  stats.candidates = memo.candidates.lookups();
+  stats.simulations = memo.simulations.load(std::memory_order_relaxed);
+  stats.memo_hits = memo.memo_hits.load(std::memory_order_relaxed);
+  stats.block_cost_lookups = memo.block_costs.lookups();
+  stats.block_cost_hits = memo.block_costs.hits();
   stats.anneal_workers = anneal_workers_used;
   stats.warm_started = warm_started;
   stats.search_seconds =

@@ -22,10 +22,8 @@
 // two-tier search.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,7 +31,6 @@
 #include "src/core/schedule_gen.h"
 #include "src/net/phased_exchange.h"
 #include "src/sim/engine.h"
-#include "src/solver/memo.h"
 #include "src/util/cancel.h"
 
 namespace karma::core {
@@ -131,6 +128,23 @@ std::vector<int> clean_cut_points(const graph::Model& model);
 /// never swapped out early) preserves the dependency instead.
 std::vector<int> candidate_cut_points(const graph::Model& model);
 
+/// The contiguous blocks between consecutive `boundaries`: {b0, b1},
+/// {b1, b2}, ...; empty when there are fewer than two boundaries.
+std::vector<sim::Block> blocks_from_boundaries(
+    const std::vector<int>& boundaries);
+
+/// Boundaries for `k` blocks spread evenly over `cuts` by index, first and
+/// last cut included. A cut picked twice appears once, so fewer than
+/// k + 1 boundaries come back when `cuts` has fewer than k + 1 entries.
+std::vector<int> uniform_boundaries(const std::vector<int>& cuts, int k);
+
+/// True when `blocks` tile [0, model.num_layers()) contiguously with
+/// non-empty blocks and `policies` holds one policy per block: what a plan
+/// must satisfy to seed KarmaPlanner::plan_from for `model`.
+bool seed_tiles_model(const graph::Model& model,
+                      const std::vector<sim::Block>& blocks,
+                      const std::vector<BlockPolicy>& policies);
+
 class KarmaPlanner {
  public:
   KarmaPlanner(const graph::Model& model, sim::DeviceSpec device,
@@ -151,8 +165,8 @@ class KarmaPlanner {
   /// revisits and Opt-2's repeated greedy rounds skip re-simulation —
   /// exactly, never approximately: memo values are the deterministic
   /// evaluation results, so the chosen plan is bit-identical to the
-  /// unmemoized search's. The memos make a planner instance stateful;
-  /// concurrent plan() calls on one instance are not supported.
+  /// unmemoized search's. Each call owns its memos, so concurrent calls
+  /// on one planner are independent.
   ///
   /// `control` (optional) makes the search cooperative: it is polled at
   /// every candidate boundary — the Opt-1 enumeration, each anneal step,
@@ -178,9 +192,10 @@ class KarmaPlanner {
   /// of the count range (refined around any probe that takes the
   /// incumbency) so a calibration that shifts the optimum to a different
   /// blocking regime entirely is still caught. The anneal and Opt-2
-  /// refinements then run exactly as in plan(). Falls back to the full cold search
-  /// when nothing seeded is feasible, so plan_from never fails where
-  /// plan() would succeed. Sets SearchStats::warm_started.
+  /// refinements then run exactly as in plan(). Falls back to the full
+  /// cold search when the seed does not tile this model (seed_tiles_model)
+  /// or nothing seeded is feasible, so plan_from never fails where plan()
+  /// would succeed. Sets SearchStats::warm_started.
   PlanResult plan_from(const std::vector<sim::Block>& seed_blocks,
                        const std::vector<BlockPolicy>& seed_policies,
                        const CancelToken& control = {},
@@ -195,6 +210,9 @@ class KarmaPlanner {
   const graph::Model& model() const { return model_; }
 
  private:
+  /// One run_search call's memo tables and effort counters.
+  struct SearchMemo;
+
   /// Shared search body behind plan() and plan_from(): null seed = cold
   /// Opt-1 enumeration, non-null = warm start from the seed candidate.
   PlanResult run_search(const std::vector<sim::Block>* seed_blocks,
@@ -204,49 +222,27 @@ class KarmaPlanner {
                             on_improved) const;
   /// Builds + replays one candidate; throws karma::InfeasibleError when it
   /// cannot run (deadlock, tier overflow, no spill route).
-  PlanResult simulate_candidate(const std::vector<sim::Block>& blocks,
+  PlanResult simulate_candidate(SearchMemo* memo,
+                                const std::vector<sim::Block>& blocks,
                                 const std::vector<BlockPolicy>& policies,
                                 const std::string& strategy) const;
-  std::vector<sim::Block> blocks_from_boundaries(
-      const std::vector<int>& cuts) const;
   /// Balanced selection of `k` boundaries from the clean cut points,
   /// equalizing activation bytes per block.
   std::vector<int> balanced_boundaries(int num_blocks) const;
   std::vector<BlockPolicy> initial_policies(
-      const std::vector<sim::Block>& blocks) const;
-  /// Memoized compute_block_cost: candidate blockings share almost all
-  /// their blocks (balanced boundaries nest, the anneal moves a single
-  /// boundary), so each extent's analytic cost is computed once per
-  /// plan() run. Lookup/hit totals come from the memo's own counters.
-  sim::BlockCost block_cost(const sim::Block& block) const;
+      SearchMemo& memo, const std::vector<sim::Block>& blocks) const;
+  /// compute_block_cost per block, through `memo` when there is one:
+  /// candidate blockings share almost all their blocks (balanced
+  /// boundaries nest, the anneal moves a single boundary), so each
+  /// extent's analytic cost is computed once per search.
+  std::vector<sim::BlockCost> block_costs(
+      SearchMemo* memo, const std::vector<sim::Block>& blocks) const;
 
   const graph::Model& model_;
   sim::DeviceSpec device_;
   PlannerOptions options_;
   std::vector<int> cut_points_;
   std::vector<Bytes> act_prefix_;  ///< prefix activation bytes per layer
-
-  // ---- Opt-1/Opt-2 memo tables (reset at each plan() entry) ----
-  // Sharded + atomic so the portfolio annealing workers share them
-  // lock-cheap; values are deterministic functions of their keys, so
-  // concurrent fills cannot diverge (solver::SharedEvalMemo). Held by
-  // pointer because the sharded tables are neither movable nor copyable.
-  mutable std::unique_ptr<solver::SharedEvalMemo<std::uint64_t,
-                                                 sim::BlockCost>>
-      block_cost_memo_;
-  mutable std::unique_ptr<solver::SharedEvalMemo<std::string, double>>
-      candidate_memo_;
-  /// Relaxed-atomic stat accumulators, harvested into the plain
-  /// SearchStats returned with the result at the end of each search.
-  struct StatsCounters {
-    std::atomic<std::int64_t> simulations{0};
-    std::atomic<std::int64_t> memo_hits{0};
-    void reset() {
-      simulations = 0;
-      memo_hits = 0;
-    }
-  };
-  mutable StatsCounters counters_;
 };
 
 }  // namespace karma::core

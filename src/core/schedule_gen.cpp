@@ -157,6 +157,41 @@ std::vector<bool> blocks_with_long_skips(
   return mask;
 }
 
+std::vector<BlockPolicy> route_policies(
+    const graph::Model& model, const sim::DeviceSpec& device,
+    const std::vector<sim::Block>& blocks,
+    const std::vector<sim::BlockCost>& costs, Bytes act_budget,
+    Bytes reserved_host, bool enable_recompute) {
+  // Seed devices (unbounded host, no NVMe) keep the two-tier policy set
+  // bit-identically; tiered routing is a strict superset.
+  auto policies = (device.host_capacity > 0 || device.has_nvme())
+                      ? tiered_policies(blocks, costs, act_budget,
+                                        sim::hierarchy_of(device),
+                                        reserved_host)
+                      : capacity_based_policies(blocks, costs, act_budget);
+  // A long skip's source must not be swapped out ahead of its consumer;
+  // recompute keeps the boundary checkpoint available.
+  const auto long_skip = blocks_with_long_skips(model, blocks);
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    if (long_skip[b] && is_swap_policy(policies[b]))
+      policies[b] =
+          enable_recompute ? BlockPolicy::kRecompute : BlockPolicy::kResident;
+  return policies;
+}
+
+bool recompute_beats_swap_in(const sim::DeviceSpec& device,
+                             const sim::BlockCost& cost, BlockPolicy policy) {
+  return is_swap_policy(policy) &&
+         cost.fwd_time <
+             device.read_from_tier_time(swap_tier_of(policy), cost.act_bytes);
+}
+
+std::vector<BlockPolicy> remat_policies(std::size_t num_blocks) {
+  std::vector<BlockPolicy> policies(num_blocks, BlockPolicy::kRecompute);
+  if (!policies.empty()) policies.back() = BlockPolicy::kResident;
+  return policies;
+}
+
 sim::Plan build_training_plan(const graph::Model& model,
                               const sim::DeviceSpec& device,
                               const std::vector<sim::Block>& blocks,

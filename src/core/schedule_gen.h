@@ -115,6 +115,29 @@ std::optional<tier::StorageHierarchy> admit_tiered_plan(
 std::vector<bool> blocks_with_long_skips(const graph::Model& model,
                                          const std::vector<sim::Block>& blocks);
 
+/// The policy routing every planner applies to a candidate blocking:
+/// tiered_policies (with `reserved_host` pre-charged) when the device
+/// bounds its host tier or has NVMe, capacity_based_policies otherwise;
+/// then the Sec. III-F.4 rule moves each swapped block with an outgoing
+/// long skip to recompute (resident when `enable_recompute` is off).
+/// Throws karma::InfeasibleError when a spill fits no tier.
+std::vector<BlockPolicy> route_policies(
+    const graph::Model& model, const sim::DeviceSpec& device,
+    const std::vector<sim::Block>& blocks,
+    const std::vector<sim::BlockCost>& costs, Bytes act_budget,
+    Bytes reserved_host, bool enable_recompute);
+
+/// Constraint 10.1: `policy` swaps the block and recomputing it is
+/// cheaper than swapping its activations back in from that tier (NVMe
+/// reads are slower, so storage-bound blocks qualify more readily).
+bool recompute_beats_swap_in(const sim::DeviceSpec& device,
+                             const sim::BlockCost& cost, BlockPolicy policy);
+
+/// The pure-rematerialization corner of the policy space: every block
+/// recomputed but the last, which stays resident (checkpointing's policy,
+/// and the one KARMA's search adds to stay a superset of it).
+std::vector<BlockPolicy> remat_policies(std::size_t num_blocks);
+
 /// Emits the single-GPU training plan for one iteration. `model` supplies
 /// weights footprint (kept resident; must fit), `device` the capacity.
 /// Throws karma::InfeasibleError when weights alone exceed the device.

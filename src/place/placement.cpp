@@ -80,12 +80,7 @@ std::vector<sim::Block> placement_blocks(const graph::Model& model,
     next = best + 1;
   }
   bounds.push_back(num_layers);
-
-  std::vector<sim::Block> blocks;
-  blocks.reserve(bounds.size() - 1);
-  for (std::size_t i = 0; i + 1 < bounds.size(); ++i)
-    blocks.push_back({bounds[i], bounds[i + 1]});
-  return blocks;
+  return core::blocks_from_boundaries(bounds);
 }
 
 PlacementPlan place_blocks(const graph::Model& model, const FleetSpec& fleet,

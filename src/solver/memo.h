@@ -4,15 +4,17 @@
 // than once: the annealer's random walk revisits boundary vectors, the
 // post-anneal materialization re-evaluates the annealer's best state, and
 // each Opt-2 greedy round re-tries the flips rejected after its last
-// accepted one. Every one of those evaluations used to be a full engine
-// replay. EvalMemo caches the objective value per canonical candidate key
-// so a revisit costs a hash lookup, and counts lookups/hits so the win is
-// measurable (core::SearchStats, bench_fig_plan_cache).
+// accepted one. SharedEvalMemo caches the objective value per canonical
+// candidate key so a revisit costs a hash lookup, and counts lookups/hits
+// so the win is measurable (core::SearchStats, bench_fig_plan_cache).
+// Each KarmaPlanner search creates its own tables and drops them when it
+// returns, so no state outlives one plan() call.
 //
-// The memo stores only the scalar objective, not the full evaluation
-// artifact: a revisited candidate can never beat the incumbent best that
-// already considered it, so the full result is only re-materialized in
-// the rare case a memoized value must become the new best.
+// The planner memoizes only the scalar objective, not the full
+// evaluation artifact: a revisited candidate can never beat the incumbent
+// best that already considered it, so the full result is only
+// re-materialized in the rare case a memoized value must become the new
+// best.
 #pragma once
 
 #include <array>
@@ -20,44 +22,15 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 
 namespace karma::solver {
 
-template <typename Value>
-class EvalMemo {
- public:
-  /// Returns the memoized value for `key`, counting a hit; nullopt (a
-  /// miss) when the candidate has not been evaluated yet.
-  std::optional<Value> find(const std::string& key) {
-    ++lookups_;
-    const auto it = table_.find(key);
-    if (it == table_.end()) return std::nullopt;
-    ++hits_;
-    return it->second;
-  }
-
-  /// Records the objective value of a freshly evaluated candidate.
-  void store(const std::string& key, Value value) {
-    table_.emplace(key, std::move(value));
-  }
-
-  std::int64_t lookups() const { return lookups_; }
-  std::int64_t hits() const { return hits_; }
-  std::size_t size() const { return table_.size(); }
-
- private:
-  std::unordered_map<std::string, Value> table_;
-  std::int64_t lookups_ = 0;
-  std::int64_t hits_ = 0;
-};
-
-/// Thread-safe EvalMemo for the portfolio annealing workers
-/// (DESIGN.md §14): the table is split across `Shards` independently
-/// locked maps (key-hash modulo shard), so N workers hammering the memo
-/// contend only when their keys collide on a shard — lock hold time is
-/// one hash-map operation. Counters are relaxed atomics.
+/// The portfolio annealing workers (DESIGN.md §14) share one table: it is
+/// split across `Shards` independently locked maps (key-hash modulo
+/// shard), so N workers hammering the memo contend only when their keys
+/// collide on a shard — lock hold time is one hash-map operation.
+/// Counters are relaxed atomics.
 ///
 /// Determinism note: two workers can race to evaluate the same key and
 /// both store. That is safe exactly because every value in these memos is
@@ -88,18 +61,10 @@ class SharedEvalMemo {
     return lookups_.load(std::memory_order_relaxed);
   }
   std::int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::size_t size() const {
-    std::size_t n = 0;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      n += s.table.size();
-    }
-    return n;
-  }
 
  private:
   struct Shard {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::unordered_map<Key, Value> table;
   };
   Shard& shard_of(const Key& key) {

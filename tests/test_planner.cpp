@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <thread>
+
 #include "src/graph/memory_model.h"
 #include "src/graph/model_zoo.h"
 
@@ -14,6 +17,17 @@ PlannerOptions fast_options(bool recompute) {
   o.enable_recompute = recompute;
   o.anneal_iterations = 30;
   return o;
+}
+
+/// Same blocks, policies and (bitwise) iteration time.
+void expect_same_plan(const PlanResult& got, const PlanResult& want) {
+  ASSERT_EQ(got.plan.blocks.size(), want.plan.blocks.size());
+  for (std::size_t b = 0; b < got.plan.blocks.size(); ++b) {
+    EXPECT_EQ(got.plan.blocks[b].first_layer, want.plan.blocks[b].first_layer);
+    EXPECT_EQ(got.plan.blocks[b].last_layer, want.plan.blocks[b].last_layer);
+  }
+  EXPECT_EQ(got.policies, want.policies);
+  EXPECT_EQ(got.iteration_time, want.iteration_time);
 }
 
 TEST(CleanCuts, ChainHasAllPositions) {
@@ -142,6 +156,70 @@ TEST(Planner, BlockingRespectsCleanCuts) {
     EXPECT_TRUE(std::binary_search(cuts.begin(), cuts.end(), blk.first_layer))
         << "boundary " << blk.first_layer << " not a clean cut";
   }
+}
+
+TEST(Planner, PlanFromFallsBackToColdWhenTheSeedDoesNotTileTheModel) {
+  // A plan searched for another model is no seed. ResNet-50's plan is
+  // shorter than ResNet-200 (it used to come back as a 2-block plan
+  // ending at layer 172, marked warm-started); ResNet-200's is longer
+  // than ResNet-50 (it used to throw std::out_of_range). Either way
+  // plan_from must run the cold search and return plan()'s result.
+  const graph::Model short_model = graph::make_resnet50(256);
+  const graph::Model long_model = graph::make_resnet200(16);
+  const KarmaPlanner short_planner(short_model, sim::v100_abci(),
+                                   fast_options(true));
+  const KarmaPlanner long_planner(long_model, sim::v100_abci(),
+                                  fast_options(true));
+  const PlanResult short_cold = short_planner.plan();
+  const PlanResult long_cold = long_planner.plan();
+
+  const PlanResult from_short =
+      long_planner.plan_from(short_cold.plan.blocks, short_cold.policies);
+  EXPECT_FALSE(from_short.search.warm_started);
+  expect_same_plan(from_short, long_cold);
+
+  const PlanResult from_long =
+      short_planner.plan_from(long_cold.plan.blocks, long_cold.policies);
+  EXPECT_FALSE(from_long.search.warm_started);
+  expect_same_plan(from_long, short_cold);
+
+  // The model's own plan still warm-starts.
+  EXPECT_TRUE(short_planner.plan_from(short_cold.plan.blocks,
+                                      short_cold.policies)
+                  .search.warm_started);
+}
+
+TEST(Planner, SeedTilesModelOnlyForContiguousFullCoverage) {
+  const graph::Model m = graph::make_resnet50(8);
+  const int n = static_cast<int>(m.num_layers());
+  const std::vector<BlockPolicy> two = {BlockPolicy::kSwap,
+                                        BlockPolicy::kResident};
+  EXPECT_TRUE(seed_tiles_model(m, {{0, 10}, {10, n}}, two));
+  EXPECT_FALSE(seed_tiles_model(m, {}, {}));
+  EXPECT_FALSE(seed_tiles_model(m, {{0, 10}, {10, n}}, {two[0]}));  // policies
+  EXPECT_FALSE(seed_tiles_model(m, {{0, 10}, {12, n}}, two));       // gap
+  EXPECT_FALSE(seed_tiles_model(m, {{0, 10}, {8, n}}, two));        // overlap
+  EXPECT_FALSE(seed_tiles_model(m, {{1, 10}, {10, n}}, two));       // start
+  EXPECT_FALSE(seed_tiles_model(m, {{0, 10}, {10, n - 1}}, two));   // short
+  EXPECT_FALSE(seed_tiles_model(m, {{0, 10}, {10, n + 1}}, two));   // long
+  EXPECT_FALSE(seed_tiles_model(m, {{0, 0}, {0, n}}, two));         // empty
+}
+
+TEST(Planner, ConcurrentPlansOnOneInstanceMatchSerial) {
+  // Each plan() call owns its memo tables, so one const planner is safe to
+  // share between threads (this test runs under TSan in CI).
+  const graph::Model m = graph::make_resnet50(512);
+  const KarmaPlanner planner(m, sim::v100_abci(), fast_options(true));
+  const PlanResult serial = planner.plan();
+  ASSERT_GT(serial.plan.blocks.size(), 2u);  // the portfolio anneal runs
+  std::optional<PlanResult> a;
+  std::optional<PlanResult> b;
+  std::thread ta([&] { a = planner.plan(); });
+  std::thread tb([&] { b = planner.plan(); });
+  ta.join();
+  tb.join();
+  expect_same_plan(*a, serial);
+  expect_same_plan(*b, serial);
 }
 
 }  // namespace

@@ -5,9 +5,6 @@
 #include <cmath>
 #include <string>
 
-#include "src/solver/exhaustive.h"
-#include "src/util/infeasible.h"
-
 namespace karma::solver {
 namespace {
 
@@ -60,145 +57,9 @@ TEST(Anneal, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(ra.second, rb.second);
 }
 
-TEST(ArgminFeasible, PicksMinimum) {
-  const std::vector<int> candidates = {5, 2, 9, 1, 7};
-  const std::function<double(const int&)> objective = [](const int& x) {
-    return static_cast<double>(x);
-  };
-  const auto best = argmin_feasible(candidates, objective);
-  ASSERT_TRUE(best);
-  EXPECT_EQ(*best, 3u);
-}
-
-TEST(ArgminFeasible, SkipsThrowingCandidates) {
-  const std::vector<int> candidates = {1, 2, 3};
-  const std::function<double(const int&)> objective = [](const int& x) {
-    if (x % 2) throw InfeasibleError("infeasible");
-    return static_cast<double>(x);
-  };
-  const auto best = argmin_feasible(candidates, objective);
-  ASSERT_TRUE(best);
-  EXPECT_EQ(*best, 1u);  // the only even candidate
-}
-
-TEST(ArgminFeasible, AllInfeasibleReturnsNullopt) {
-  const std::vector<int> candidates = {1, 3};
-  const std::function<double(const int&)> objective =
-      [](const int&) -> double { throw InfeasibleError("nope"); };
-  EXPECT_FALSE(argmin_feasible(candidates, objective));
-}
-
-TEST(ArgminFeasible, RealErrorsPropagate) {
-  // Regression: the feasibility filter used to swallow EVERY
-  // std::exception, so a bad_alloc or a corrupted-state logic_error would
-  // silently read as "candidate infeasible". Only the typed infeasibility
-  // channel may be absorbed; programming errors must escape.
-  const std::vector<int> candidates = {1, 2};
-  const std::function<double(const int&)> objective =
-      [](const int&) -> double { throw std::logic_error("bug, not infeasible"); };
-  EXPECT_THROW(argmin_feasible(candidates, objective), std::logic_error);
-
-  // Same contract in the descent's flip loop (the initial evaluation was
-  // never guarded; the per-flip one was the swallower).
-  const std::function<double(const int&)> flip_objective =
-      [](const int& x) -> double {
-    if (x != 0) throw std::logic_error("bug, not infeasible");
-    return 1.0;
-  };
-  const std::function<int(const int&, int)> apply = [](const int&, int) {
-    return 1;  // every flip lands on the throwing state
-  };
-  EXPECT_THROW(greedy_descend(0, flip_objective, 1, apply), std::logic_error);
-}
-
-TEST(ArgminFeasible, SkipsNaNAndInfinity) {
-  const std::vector<int> candidates = {0, 1, 2};
-  const std::function<double(const int&)> objective = [](const int& x) {
-    if (x == 0) return std::nan("");
-    if (x == 1) return std::numeric_limits<double>::infinity();
-    return 5.0;
-  };
-  const auto best = argmin_feasible(candidates, objective);
-  ASSERT_TRUE(best);
-  EXPECT_EQ(*best, 2u);
-}
-
-TEST(GreedyDescend, ReachesLocalOptimum) {
-  // State: vector of 4 bits; objective = number of set bits; flips clear
-  // or set one bit. Greedy must reach all-zeros.
-  using State = std::vector<int>;
-  const std::function<double(const State&)> objective = [](const State& s) {
-    double sum = 0;
-    for (int b : s) sum += b;
-    return sum;
-  };
-  const std::function<State(const State&, int)> apply = [](const State& s,
-                                                           int k) {
-    State next = s;
-    next[static_cast<std::size_t>(k)] ^= 1;
-    return next;
-  };
-  const State result = greedy_descend<State>({1, 0, 1, 1}, objective, 4, apply);
-  EXPECT_DOUBLE_EQ(objective(result), 0.0);
-}
-
-TEST(GreedyDescend, StopsWhenNoImprovement) {
-  const std::function<double(const int&)> objective = [](const int&) {
-    return 1.0;
-  };
-  const std::function<int(const int&, int)> apply = [](const int& s, int) {
-    return s + 1;
-  };
-  EXPECT_EQ(greedy_descend(7, objective, 3, apply), 7);
-}
-
 // ---- Cooperative cancellation (the should_stop contract, DESIGN.md §11):
-// tripping the check truncates the scan/descent and yields the best of
-// what was evaluated so far — never an exception, never a worse state.
-
-TEST(ArgminFeasible, ShouldStopTruncatesTheScan) {
-  const std::vector<int> candidates = {5, 2, 9, 1, 7};
-  int evaluated = 0;
-  const std::function<double(const int&)> objective = [&](const int& x) {
-    ++evaluated;
-    return static_cast<double>(x);
-  };
-  // Stop after two evaluations: the scan must return the best of {5, 2}
-  // (index 1), not the global argmin at index 3.
-  const std::function<bool()> stop_after_two = [&] { return evaluated >= 2; };
-  const auto best = argmin_feasible(candidates, objective, stop_after_two);
-  ASSERT_TRUE(best);
-  EXPECT_EQ(*best, 1u);
-  EXPECT_EQ(evaluated, 2);
-
-  // Tripped before anything ran: nothing was feasible-scanned at all.
-  const std::function<bool()> always = [] { return true; };
-  EXPECT_FALSE(argmin_feasible(candidates, objective, always));
-}
-
-TEST(GreedyDescend, ShouldStopReturnsBestStateSoFar) {
-  using State = std::vector<int>;
-  const std::function<double(const State&)> objective = [](const State& s) {
-    double sum = 0;
-    for (int b : s) sum += b;
-    return sum;
-  };
-  int flips_scored = 0;
-  const std::function<State(const State&, int)> apply = [&](const State& s,
-                                                            int k) {
-    ++flips_scored;
-    State next = s;
-    next[static_cast<std::size_t>(k)] ^= 1;
-    return next;
-  };
-  // Budget for one full round only: exactly one accepted flip, then stop —
-  // a partial descent, strictly between the start and the optimum.
-  const std::function<bool()> stop = [&] { return flips_scored >= 4; };
-  const State result =
-      greedy_descend<State>({1, 1, 1, 1}, objective, 4, apply,
-                            /*max_rounds=*/64, stop);
-  EXPECT_DOUBLE_EQ(objective(result), 3.0);
-}
+// tripping the check truncates the walk and yields the best of what was
+// evaluated so far — never an exception, never a worse state.
 
 TEST(Anneal, PollsStopBeforeInitialEvaluation) {
   // Regression: the walk used to evaluate energy(init) — one full
