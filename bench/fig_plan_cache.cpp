@@ -16,8 +16,12 @@
 // warm hit must cost <= 0.5x serializing the same request to JSON (median
 // Engine::key_for vs median api::request_to_json): both walk every field
 // of the model on one core, so the ratio holds on a loaded runner, and it
-// fails if the key ever goes back to building text. The process exits
-// nonzero when any gate fails, so CI can smoke-run it.
+// fails if the key ever goes back to building text. Reading the
+// ResNet-1001 request back must cost <= 4x writing it (median of 11
+// api::request_from_json vs api::request_to_json on the same request; the
+// writer is the yardstick, and a reader that builds a DOM of the model
+// reads 11-14x). The process exits nonzero when any gate fails, so CI can
+// smoke-run it.
 //
 // The default cache dir lives under the build tree (KARMA_DEFAULT_CACHE_DIR,
 // injected by CMake) — cache entries are generated artifacts, kept out of
@@ -39,6 +43,7 @@
 #include "src/cache/disk_store.h"
 #include "src/cache/plan_cache.h"
 #include "src/cache/request_key.h"
+#include "src/graph/model_zoo.h"
 
 #ifndef KARMA_DEFAULT_CACHE_DIR
 #define KARMA_DEFAULT_CACHE_DIR "plan-cache"
@@ -180,12 +185,35 @@ int main(int argc, char** argv) {
               "(gate <= 0.5x; sink %zu)\n",
               to_json_us, key_ratio, sink);
 
+  // ---- Request read vs write, on the deepest zoo model ----
+  api::PlanRequest deep = request;
+  deep.model = graph::make_resnet1001(256);
+  const std::string deep_json = api::request_to_json(deep);
+  constexpr int kParseReps = 11;
+  bool deep_read = true;
+  const double write_us = median_us(kParseReps, [&] {
+    sink += api::request_to_json(deep).size();
+  });
+  const double read_us = median_us(kParseReps, [&] {
+    deep_read = api::request_from_json(deep_json).has_value() && deep_read;
+  });
+  const double read_ratio = read_us / write_us;
+  std::printf("\nResNet-1001 request (%zu KB):\n", deep_json.size() / 1024);
+  std::printf("request_to_json median:  %8.1f us\n", write_us);
+  std::printf("request_from_json median:%8.1f us  (%.1f MB/s) -> "
+              "from/to_json %.2fx (gate <= 4x)\n",
+              read_us, static_cast<double>(deep_json.size()) / read_us,
+              read_ratio);
+
   const bool fast_enough = cold_ms / mem_ms >= 10.0 &&
                            cold_ms / disk_ms >= 10.0;
   const bool key_cheap = key_ratio <= 0.5;
+  const bool read_cheap = deep_read && read_ratio <= 4.0;
   std::printf("\n%s: warm >= 10x cold and bit-identical\n",
               identical && fast_enough ? "PASS" : "FAIL");
   std::printf("%s: key_for <= 0.5x request_to_json\n",
               key_cheap ? "PASS" : "FAIL");
-  return identical && fast_enough && key_cheap ? 0 : 1;
+  std::printf("%s: ResNet-1001 request_from_json <= 4x request_to_json\n",
+              read_cheap ? "PASS" : "FAIL");
+  return identical && fast_enough && key_cheap && read_cheap ? 0 : 1;
 }

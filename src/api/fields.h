@@ -10,9 +10,9 @@
 //   }
 //
 // Three visitors walk the same lists. JsonOut (below) writes util::json,
-// JsonIn (below) reads it back, and the request key's Encoder
-// (src/cache/request_key.cpp) streams the members as 64-bit words and
-// ignores the names. A visitor treats a member by its C++ type — ints,
+// JsonPull (below) reads it back straight from the bytes, and the request
+// key's Encoder (src/cache/request_key.cpp) streams the members as 64-bit
+// words and ignores the names. A visitor treats a member by its C++ type — ints,
 // int64s, doubles, bools, strings, enums, shapes, lists, optionals and
 // nested listed structs — so a member cannot travel two ways, and a field
 // added to a list reaches the writer, the reader and the key together.
@@ -38,18 +38,18 @@
 #pragma once
 
 #include <array>
-#include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/api/errors.h"
@@ -494,14 +494,25 @@ class JsonOut {
   util::json::Writer& w_;
 };
 
-/// Reads each visited member from the current JSON object. Throws
-/// std::runtime_error on a missing member, a wrong type, an int out of
-/// int32 range, an unknown enum name or a disagreeing derived member.
-class JsonIn {
+/// Reads each visited member straight from the JSON bytes into the
+/// struct; util::json::Members matches the names, and members the lists
+/// do not name are skipped. Throws std::runtime_error on a missing member,
+/// a wrong type, an int out of int32 range, an unknown enum name or a
+/// disagreeing derived member.
+class JsonPull {
  public:
-  explicit JsonIn(const util::json::Value& object) : at_(&object) {}
+  /// Opens the object the document `json` holds.
+  explicit JsonPull(std::string_view json) : doc_(json), root_(doc_) {}
+  JsonPull(const JsonPull&) = delete;  // root_ refers to doc_
+  JsonPull& operator=(const JsonPull&) = delete;
 
-  /// Reads x's listed members from the object this reader was made on.
+  /// Skips the members not read; nothing may follow the object.
+  void finish() {
+    root_.finish();
+    doc_.finish();
+  }
+
+  /// Reads x's listed members from the open object.
   template <class T>
   void members(T& x) {
     const std::size_t pending = checks_.size();
@@ -512,106 +523,155 @@ class JsonIn {
     }
   }
 
+  /// Reads member "version"; throws "unsupported <what> version N" unless
+  /// it lies in [oldest, newest].
+  std::int64_t version(int oldest, int newest, const char* what) {
+    std::int64_t v = 0;
+    (*this)("version", v);
+    if (v < oldest || v > newest)
+      throw std::runtime_error("unsupported " + std::string(what) +
+                               " version " + std::to_string(v));
+    return v;
+  }
+
+  /// Runs read(reader) with the reader at member `name`'s value. An
+  /// absent member is an error unless `optional`, when read never runs.
+  template <class F>
+  void at(const char* name, F&& read, bool optional = false) {
+    util::json::Reader* r = optional ? at_->find(name) : &at_->at(name);
+    if (r == nullptr) return;
+    util::json::Reader* outer = std::exchange(r_, r);
+    read(*r);
+    r_ = outer;
+  }
+
   template <class T>
   void operator()(const char* name, T& x) {
-    read(at_->at(name), x, name);
+    at(name, [&](util::json::Reader&) { read(x, name); });
   }
   template <class T>
   void optional(const char* name, T& x) {
-    if (at_->has(name)) (*this)(name, x);
+    at(name, [&](util::json::Reader&) { read(x, name); }, true);
+  }
+  /// Opens the object at the cursor (or at member `name`); visit() reads
+  /// its members.
+  template <class F>
+  void object(F&& visit) {
+    util::json::Members members(*r_);
+    util::json::Members* outer = std::exchange(at_, &members);
+    visit();
+    members.finish();
+    at_ = outer;
   }
   template <class F>
-  void object(const char* name, F&& visit) {
-    const util::json::Value* outer = at_;
-    at_ = &outer->at(name);
-    visit();
-    at_ = outer;
+  void object(const char* name, F&& visit, bool optional = false) {
+    at(name, [&](util::json::Reader&) { object(visit); }, optional);
   }
   /// The stored value is checked once the whole struct has been read.
   template <class F>
   void derived(const char* name, F get) {
     std::decay_t<decltype(get())> stored{};
-    read(at_->at(name), stored, name);
+    (*this)(name, stored);
     checks_.push_back([name, stored, get] {
       if (get() != stored)
         throw std::runtime_error(std::string(name) +
                                  " disagrees with the members it derives from");
     });
   }
+  /// Reads array member `name` one T at a time, handing each to take().
+  template <class T, class F>
+  void each(const char* name, F&& take) {
+    at(name, [&](util::json::Reader&) {
+      elements(name, [&] {
+        T item{};
+        read(item, name);
+        take(std::move(item));
+      });
+    });
+  }
 
  private:
+  /// Calls item() with the cursor at each element of the array there.
+  template <class F>
+  void elements(const char* what, F&& item) {
+    if (r_->peek() != '[')
+      throw std::runtime_error(std::string(what) + ": expected array");
+    if (r_->begin_array()) do {
+        item();
+      } while (r_->more(']'));
+  }
+
   template <class T>
-  void read(const util::json::Value& v, T& x, const char* what) {
-    using util::json::Value;
+  void read(T& x, const char* what) {
+    util::json::Reader& r = *r_;
     if constexpr (std::is_enum_v<T>) {
       if constexpr (NamedEnum<T>) {
-        x = enum_from_name<T>(v.as_string(), what);
+        x = enum_from_name<T>(r.string(buffer_), what);
       } else {
-        const int i = util::json::as_int32(v, what);
+        const int i = r.int32(what);
         if (i < 0 || i >= Enum<T>::kCount)
           throw std::runtime_error(std::string(what) + " out of range");
         x = static_cast<T>(i);
       }
     } else if constexpr (std::is_same_v<T, bool>) {
-      x = v.as_bool();
+      x = r.boolean();
     } else if constexpr (std::is_same_v<T, int>) {
-      x = util::json::as_int32(v, what);
+      x = r.int32(what);
     } else if constexpr (std::is_same_v<T, std::int64_t>) {
-      x = v.as_int();
+      x = r.int64();
     } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-      // Unsigned decimal digits only. strtoull alone is too lax: it
-      // accepts "-1" and wraps it to 2^64-1 without setting ERANGE.
-      const std::string& s = v.as_string();
-      const auto bad = [&] {
-        return std::runtime_error("bad " + std::string(what) + " '" + s + "'");
-      };
-      if (s.empty() || s.front() < '0' || s.front() > '9') throw bad();
-      char* end = nullptr;
-      errno = 0;
-      x = std::strtoull(s.c_str(), &end, 10);
-      if (end != s.c_str() + s.size() || errno == ERANGE) throw bad();
+      // Unsigned decimal digits only, so "-1" and "+1" are errors.
+      const std::string_view s = r.string(buffer_);
+      const char* end = s.data() + s.size();
+      const auto parsed = std::from_chars(s.data(), end, x);
+      if (s.empty() || s.front() < '0' || s.front() > '9' ||
+          parsed.ec != std::errc() || parsed.ptr != end)
+        throw std::runtime_error("bad " + std::string(what) + " '" +
+                                 std::string(s) + "'");
     } else if constexpr (std::is_same_v<T, double>) {
-      x = v.as_double();
+      x = r.number();
     } else if constexpr (std::is_same_v<T, std::string>) {
-      x = v.as_string();
+      x = r.string(buffer_);
     } else if constexpr (std::is_same_v<T, graph::TensorShape>) {
       std::vector<std::int64_t> dims;
-      read(v, dims, what);
+      read(dims, what);
       x = dims.empty() ? graph::TensorShape()
                        : graph::TensorShape(std::move(dims));
     } else if constexpr (std::is_same_v<T, sim::Block>) {
-      if (v.type != Value::Type::kArray || v.array.size() != 2)
-        throw std::runtime_error(std::string("bad ") + what + " range");
-      x.first_layer = util::json::as_int32(v.array[0], what);
-      x.last_layer = util::json::as_int32(v.array[1], what);
+      const auto bad = [what] {
+        return std::runtime_error(std::string("bad ") + what + " range");
+      };
+      if (r.peek() != '[' || !r.begin_array()) throw bad();
+      x.first_layer = r.int32(what);
+      if (!r.more(']')) throw bad();
+      x.last_layer = r.int32(what);
+      if (r.more(']')) throw bad();
     } else if constexpr (std::is_same_v<T, tier::StorageHierarchy>) {
       std::vector<tier::TierSpec> tiers;
-      read(v, tiers, what);
+      read(tiers, what);
       x = tier::StorageHierarchy(std::move(tiers));
     } else if constexpr (std::is_same_v<T, net::ExchangePlan>) {
-      read(v, x.phases, what);
+      read(x.phases, what);
     } else if constexpr (IsVector<T>::value) {
-      if (v.type != Value::Type::kArray)
-        throw std::runtime_error(std::string(what) + ": expected array");
       x.clear();
-      x.reserve(v.array.size());
-      for (const Value& item : v.array) read(item, x.emplace_back(), what);
+      elements(what, [&] { read(x.emplace_back(), what); });
     } else if constexpr (IsOptional<T>::value) {
-      if (v.is_null()) {
+      if (r.null()) {
         x.reset();
       } else {
         x.emplace();
-        read(v, *x, what);
+        read(*x, what);
       }
     } else {
-      const Value* outer = at_;
-      at_ = &v;
-      members(x);
-      at_ = outer;
+      object([&] { members(x); });
     }
   }
 
-  const util::json::Value* at_;
+  util::json::Reader doc_;
+  util::json::Members root_;
+  util::json::Reader* r_ = &doc_;
+  util::json::Members* at_ = &root_;
+  std::string buffer_;
   std::vector<std::function<void()>> checks_;
 };
 

@@ -9,7 +9,6 @@
 namespace karma::api {
 namespace {
 
-using util::json::Value;
 using util::json::Writer;
 
 /// Placement artifact schema version (DESIGN.md §16). Independent of the
@@ -23,13 +22,11 @@ void write_placement(Writer& w, const place::PlacementPlan& p) {
   w.end_object();
 }
 
-place::PlacementPlan read_placement(const Value& v) {
-  const std::int64_t version = v.at("version").as_int();
-  if (version != kPlacementJsonVersion)
-    throw std::runtime_error("unsupported placement schema version " +
-                             std::to_string(version));
+/// Reads the placement members of the object open in `in`.
+place::PlacementPlan read_placement(io::JsonPull& in) {
+  in.version(kPlacementJsonVersion, kPlacementJsonVersion, "placement schema");
   place::PlacementPlan p;
-  io::JsonIn(v).members(p);
+  in.members(p);
   if (p.owner.size() != p.blocks.size())
     throw std::runtime_error("placement owner/blocks length mismatch");
   const int num_nodes = static_cast<int>(p.nodes.size());
@@ -96,15 +93,15 @@ Expected<Plan, PlanError> plan_from_json(std::string_view json) {
     return e;
   };
   try {
-    const Value root = util::json::parse(json);
-    const std::int64_t version = root.at("version").as_int();
-    if (version != kPlanJsonVersion)
-      return fail("unsupported schema version " + std::to_string(version));
+    io::JsonPull in(json);
+    in.version(kPlanJsonVersion, kPlanJsonVersion, "schema");
     Plan plan;
-    io::JsonIn(root).members(plan);
+    in.members(plan);
     if (const std::string why = structural_error(plan); !why.empty())
       return fail(why);
-    if (root.has("fleet")) plan.placement = read_placement(root.at("fleet"));
+    in.object("fleet", [&] { plan.placement = read_placement(in); },
+              /*optional=*/true);
+    in.finish();
     return plan;
   } catch (const std::exception& ex) {
     return fail(ex.what());
@@ -118,7 +115,10 @@ std::string placement_to_json(const place::PlacementPlan& placement) {
 }
 
 place::PlacementPlan placement_from_json(std::string_view json) {
-  return read_placement(util::json::parse(json));
+  io::JsonPull in(json);
+  place::PlacementPlan p = read_placement(in);
+  in.finish();
+  return p;
 }
 
 }  // namespace karma::api

@@ -15,7 +15,6 @@ namespace karma::api {
 
 namespace {
 
-using util::json::Value;
 using util::json::Writer;
 
 PlanError unavailable(std::string message) {
@@ -75,7 +74,7 @@ RemoteSession::~RemoteSession() {
 
 Expected<std::string, PlanError> RemoteSession::call(
     std::string_view type, const pland::EnvelopeMembers& members,
-    const char* result) {
+    pland::Member pland::Envelope::*result) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::int64_t id = next_id_++;
   const std::string failed =
@@ -90,14 +89,14 @@ Expected<std::string, PlanError> RemoteSession::call(
     try {
       const pland::Envelope env = pland::read_envelope(payload);
       if (env.id != id) continue;  // a stale pipelined response: not ours
-      if (!env.root.at("ok").as_bool())
-        return error_from_json(env.root.at("error").span(payload));
-      const Value& member = env.root.at(result);
-      if (env.root.has("calibration"))
-        calibration_ = env.root.at("calibration").as_string();
-      if (member.type == Value::Type::kString) return member.str;
+      if (!env.ok.boolean()) return error_from_json(env.error.value());
+      const pland::Member& member = env.*result;
+      const std::string_view bytes = member.value();
+      if (!env.calibration.absent())
+        calibration_ = env.calibration.string();
+      if (bytes.front() == '"') return member.string();
       if (member.is_null()) return std::string();
-      return std::string(member.span(payload));
+      return std::string(bytes);
     } catch (const std::exception& ex) {
       return unavailable("malformed '" + std::string(type) +
                          "' response from karma-pland: " + ex.what());
@@ -126,7 +125,7 @@ Expected<std::string, PlanError> RemoteSession::plan_raw(
           w.key("calibration"); w.value(calibration);
           w.key("probe"); w.value(request.probe_feasible_batch);
         },
-        "plan");
+        &pland::Envelope::plan);
     if (!hit || !hit.value().empty()) return hit;
     if (calibration_hash() == calibration) break;  // a miss: send the request
   }
@@ -138,7 +137,7 @@ Expected<std::string, PlanError> RemoteSession::plan_raw(
         w.key("tenant"); w.value(tenant_);
         w.key("request"); w.raw(request_to_json(request));
       },
-      "plan");
+      &pland::Envelope::plan);
 }
 
 Expected<Plan, PlanError> RemoteSession::plan(const PlanRequest& request) {
@@ -148,11 +147,11 @@ Expected<Plan, PlanError> RemoteSession::plan(const PlanRequest& request) {
 }
 
 Expected<std::string, PlanError> RemoteSession::stats_json() {
-  return call("stats", nullptr, "stats");
+  return call("stats", nullptr, &pland::Envelope::stats);
 }
 
 Expected<std::string, PlanError> RemoteSession::metrics_json() {
-  return call("metrics", nullptr, "metrics");
+  return call("metrics", nullptr, &pland::Envelope::metrics);
 }
 
 Expected<std::string, PlanError> RemoteSession::calibrate(
@@ -167,16 +166,16 @@ Expected<std::string, PlanError> RemoteSession::calibrate(
           w.raw(table_json);
         }
       },
-      "calibration");
+      &pland::Envelope::calibration);
 }
 
 bool RemoteSession::ping() {
-  const auto type = call("ping", nullptr, "type");
+  const auto type = call("ping", nullptr, &pland::Envelope::type);
   return type && type.value() == "pong";
 }
 
 bool RemoteSession::shutdown_server() {
-  const auto type = call("shutdown", nullptr, "type");
+  const auto type = call("shutdown", nullptr, &pland::Envelope::type);
   return type && type.value() == "shutdown";
 }
 

@@ -27,9 +27,10 @@
 // which cached artifact it reads.
 //
 // Every verb is one call(): one envelope out (pland::write_envelope), then
-// frames in until the response echoing its id arrives, each parsed exactly
-// once (pland::read_envelope) — so the client holds no envelope format of
-// its own.
+// frames in until the response echoing its id arrives, each read exactly
+// once (pland::read_envelope, which validates a plan by skipping it; the
+// plan reader then reads the bytes) — so the client holds no envelope
+// format of its own.
 //
 // Thread-safety: a RemoteSession serializes its calls internally (one
 // in-flight request per connection; the calibration hash is guarded by
@@ -99,15 +100,16 @@ class RemoteSession {
   RemoteSession(int fd, std::string tenant);
 
   /// Sends one `type` envelope carrying `members` and reads frames until
-  /// the response echoing its id arrives, parsing each one once. Returns
+  /// the response echoing its id arrives, reading each one once. Returns
   /// response member `result`: a JSON string as its value, null as "",
-  /// anything else as its exact bytes. A response's `calibration` member,
-  /// when present, becomes the session's calibration hash. `ok:false` is
+  /// anything else as its exact (validated) bytes. A response's
+  /// `calibration` member, when present, becomes the session's
+  /// calibration hash. `ok:false` is
   /// the daemon's PlanError; a lost connection or a malformed response is
   /// PlanError{kUnavailable}.
   Expected<std::string, PlanError> call(std::string_view type,
                                         const pland::EnvelopeMembers& members,
-                                        const char* result);
+                                        pland::Member pland::Envelope::*result);
 
   /// The calibration hash lookups are keyed under.
   std::string calibration_hash();

@@ -10,7 +10,6 @@
 namespace karma::api {
 namespace {
 
-using util::json::Value;
 using util::json::Writer;
 
 // The model is the one request member that is not a field list: it is
@@ -41,20 +40,24 @@ void write_model(Writer& w, const graph::Model& model) {
   w.end_object();
 }
 
-graph::Model read_model(const Value& v) {
-  graph::Model model(v.at("name").as_string(),
-                     util::json::as_int32(v.at("dtype_bytes"), "dtype_bytes"));
-  model.set_activation_memory_scale(v.at("act_scale").as_double());
-  std::vector<graph::Layer> layers;
-  std::vector<std::vector<int>> skips;
-  io::JsonIn in(v);
-  in("layers", layers);
-  in("skips", skips);
-  for (auto& layer : layers) model.add_layer(std::move(layer));
-  for (const auto& edge : skips) {
+/// Reads the model members of the object open in `in`, layers and skips
+/// straight into the add_layer/add_edge rebuild.
+graph::Model read_model(io::JsonPull& in) {
+  std::string name;
+  int dtype_bytes = 0;
+  double act_scale = 0.0;
+  in("name", name);
+  in("dtype_bytes", dtype_bytes);
+  in("act_scale", act_scale);
+  graph::Model model(std::move(name), dtype_bytes);
+  model.set_activation_memory_scale(act_scale);
+  in.each<graph::Layer>("layers", [&](graph::Layer&& layer) {
+    model.add_layer(std::move(layer));
+  });
+  in.each<std::vector<int>>("skips", [&](std::vector<int>&& edge) {
     if (edge.size() != 2) throw std::runtime_error("bad skip edge");
     model.add_edge(edge[0], edge[1]);
-  }
+  });
   model.validate();
   return model;
 }
@@ -70,13 +73,11 @@ void write_fleet(Writer& w, const place::FleetSpec& f) {
   w.end_object();
 }
 
-place::FleetSpec read_fleet(const Value& v) {
-  const std::int64_t version = v.at("version").as_int();
-  if (version != kFleetJsonVersion)
-    throw std::runtime_error("unsupported fleet schema version " +
-                             std::to_string(version));
+/// Reads the fleet members of the object open in `in`.
+place::FleetSpec read_fleet(io::JsonPull& in) {
+  in.version(kFleetJsonVersion, kFleetJsonVersion, "fleet schema");
   place::FleetSpec f;
-  io::JsonIn(v).members(f);
+  in.members(f);
   return f;
 }
 
@@ -110,23 +111,22 @@ std::string request_to_json(const PlanRequest& request) {
 
 Expected<PlanRequest, PlanError> request_from_json(std::string_view json) {
   try {
-    const Value root = util::json::parse(json);
-    const std::int64_t version = root.at("version").as_int();
+    io::JsonPull in(json);
     // v1 (pre-fleet) payloads stay readable: they simply carry no fleet.
-    if (version != 1 && version != kRequestJsonVersion)
-      return parse_fail("request_from_json", "unsupported schema version " +
-                                                 std::to_string(version));
+    const std::int64_t version = in.version(1, kRequestJsonVersion, "schema");
     PlanRequest request;
-    io::JsonIn in(root);
-    request.model = read_model(root.at("model"));
+    in.object("model", [&] { request.model = read_model(in); });
     in("device", request.device);
     in("planner", request.planner);
     in("optimizer", request.optimizer);
     in("distributed", request.distributed);
-    if (version >= 2 && !root.at("fleet").is_null())
-      request.fleet = read_fleet(root.at("fleet"));
+    if (version >= 2)
+      in.at("fleet", [&](util::json::Reader& fleet) {
+        if (!fleet.null()) in.object([&] { request.fleet = read_fleet(in); });
+      });
     in("probe_feasible_batch", request.probe_feasible_batch);
     in("limits", request.limits);
+    in.finish();
     return request;
   } catch (const std::exception& ex) {
     return parse_fail("request_from_json", ex.what());
@@ -149,14 +149,17 @@ std::string error_to_json(const PlanError& error) {
 
 PlanError error_from_json(std::string_view json) {
   try {
-    const Value root = util::json::parse(json);
+    io::JsonPull in(json);
     PlanError error;
-    io::JsonIn(root).members(error);
-    const Value& partial = root.at("partial");
-    if (!partial.is_null()) {
-      // The plan reader wants the artifact's exact text, not a DOM — the
-      // parser's source spans recover it from the envelope verbatim.
-      auto plan = plan_from_json(partial.span(json));
+    in.members(error);
+    std::string_view partial;
+    in.at("partial", [&](util::json::Reader& p) {
+      if (!p.null()) partial = p.skip();
+    });
+    in.finish();
+    if (!partial.empty()) {
+      // The plan reader takes the artifact's exact bytes from the envelope.
+      auto plan = plan_from_json(partial);
       if (!plan)
         return parse_fail("error_from_json",
                           "bad partial plan: " + plan.error().message);
@@ -175,7 +178,10 @@ std::string fleet_to_json(const place::FleetSpec& fleet) {
 }
 
 place::FleetSpec fleet_from_json(std::string_view json) {
-  return read_fleet(util::json::parse(json));
+  io::JsonPull in(json);
+  place::FleetSpec f = read_fleet(in);
+  in.finish();
+  return f;
 }
 
 }  // namespace karma::api

@@ -57,26 +57,34 @@ std::string ProfileArtifact::to_json() const {
 }
 
 ProfileArtifact ProfileArtifact::from_json(std::string_view text) {
-  const json::Value root = json::parse(text);
+  json::Reader r(text);
+  json::Members root(r);
   ProfileArtifact p;
-  p.version = json::as_int32(root.at("version"), "profile version");
+  p.version = root.at("version").int32("profile version");
   if (p.version != kProfileJsonVersion)
     throw std::runtime_error("ProfileArtifact: unsupported version " +
                              std::to_string(p.version));
-  p.device_class = root.at("device_class").as_string();
-  p.model_name = root.at("model_name").as_string();
-  for (const json::Value& s : root.at("samples").array) {
-    // Unknown kinds are skipped, not fatal: a newer recorder may emit op
-    // kinds this build does not know how to calibrate.
-    const auto kind = cost_kind_from(s.at("kind").as_string());
-    if (!kind) continue;
-    ProfileSample sample;
-    sample.kind = *kind;
-    sample.bytes = static_cast<Bytes>(s.at("bytes").as_int());
-    sample.predicted = s.at("predicted").as_double();
-    sample.measured = s.at("measured").as_double();
-    p.samples.push_back(sample);
-  }
+  p.device_class = root.at("device_class").string();
+  p.model_name = root.at("model_name").string();
+  json::Reader& samples = root.at("samples");
+  if (samples.peek() != '[')
+    throw std::runtime_error("ProfileArtifact: samples is not an array");
+  if (samples.begin_array()) do {
+      json::Members s(samples);
+      // Unknown kinds are skipped, not fatal: a newer recorder may emit op
+      // kinds this build does not know how to calibrate.
+      if (const auto kind = cost_kind_from(s.at("kind").string())) {
+        ProfileSample sample;
+        sample.kind = *kind;
+        sample.bytes = static_cast<Bytes>(s.at("bytes").int64());
+        sample.predicted = s.at("predicted").number();
+        sample.measured = s.at("measured").number();
+        p.samples.push_back(sample);
+      }
+      s.finish();
+    } while (samples.more(']'));
+  root.finish();
+  r.finish();
   return p;
 }
 

@@ -52,29 +52,39 @@ std::string CalibrationTable::to_json() const {
 }
 
 CalibrationTable CalibrationTable::from_json(std::string_view text) {
-  const json::Value root = json::parse(text);
+  json::Reader r(text);
+  json::Members root(r);
   CalibrationTable t;
-  t.version = json::as_int32(root.at("version"), "calibration version");
+  t.version = root.at("version").int32("calibration version");
   if (t.version != kCalibrationJsonVersion)
     throw std::runtime_error("CalibrationTable: unsupported version " +
                              std::to_string(t.version));
-  for (const auto& [cls, row] : root.at("factors").object) {
-    if (row.type != json::Value::Type::kObject)
-      throw std::runtime_error("CalibrationTable: factor row is not an object");
-    std::map<std::string, double> cells;
-    for (const auto& [kind, f] : row.object) {
-      const double factor = f.as_double();
-      if (!(factor > 0.0) || !std::isfinite(factor))
+  // Rows and cells are keyed by any name; a duplicate keeps its first.
+  json::Reader& factors = root.at("factors");
+  std::string buffer;
+  if (factors.peek() != '{')
+    throw std::runtime_error("CalibrationTable: factors is not an object");
+  if (factors.begin_object()) do {
+      std::string cls(factors.key(buffer));
+      if (factors.peek() != '{')
         throw std::runtime_error(
-            "CalibrationTable: factor must be finite and positive");
-      cells[kind] = factor;
-    }
-    t.factors[cls] = std::move(cells);
-  }
-  if (root.has("sample_count"))
-    t.sample_count = root.at("sample_count").as_int();
-  if (root.has("rejected_outliers"))
-    t.rejected_outliers = root.at("rejected_outliers").as_int();
+            "CalibrationTable: factor row is not an object");
+      std::map<std::string, double> cells;
+      if (factors.begin_object()) do {
+          std::string kind(factors.key(buffer));
+          const double factor = factors.number();
+          if (!(factor > 0.0) || !std::isfinite(factor))
+            throw std::runtime_error(
+                "CalibrationTable: factor must be finite and positive");
+          cells.emplace(std::move(kind), factor);
+        } while (factors.more('}'));
+      t.factors.emplace(std::move(cls), std::move(cells));
+    } while (factors.more('}'));
+  if (json::Reader* n = root.find("sample_count")) t.sample_count = n->int64();
+  if (json::Reader* n = root.find("rejected_outliers"))
+    t.rejected_outliers = n->int64();
+  root.finish();
+  r.finish();
   return t;
 }
 

@@ -39,7 +39,6 @@ namespace karma::pland {
 
 namespace {
 
-using util::json::Value;
 using util::json::Writer;
 
 /// One accepted client. The reader thread and the plan workers share it;
@@ -170,6 +169,7 @@ struct Daemon::Impl {
     hit_seconds = reg.histogram("pland.hit_seconds");
     miss_seconds = reg.histogram("pland.miss_seconds");
     queue_wait_seconds = reg.histogram("pland.queue_wait_seconds");
+    request_parse_seconds = reg.histogram("pland.request_parse_seconds");
   }
 
   const DaemonOptions& options;  ///< Daemon owns it and outlives Impl
@@ -254,6 +254,7 @@ struct Daemon::Impl {
   obs::Histogram* hit_seconds = nullptr;         ///< hit-path service time
   obs::Histogram* miss_seconds = nullptr;        ///< admission -> response
   obs::Histogram* queue_wait_seconds = nullptr;  ///< admission -> dequeue
+  obs::Histogram* request_parse_seconds = nullptr;  ///< request_from_json
 
   // ---- Per-plan trace flush (options.trace_dir non-empty) ----
   std::mutex trace_mu;
@@ -352,9 +353,9 @@ struct Daemon::Impl {
       std::int64_t id = 0;
       try {
         obs::Span parse_span("frame.parse", "pland");
-        const Envelope env = read_envelope(payload, "request");
+        const Envelope env = read_envelope(payload);
         id = env.id;
-        const std::string& type = env.root.at("type").as_string();
+        const std::string type = env.type.string();
         parse_span.end();
         if (type == "ping") {
           conn->send(response("pong", id, true));
@@ -372,17 +373,16 @@ struct Daemon::Impl {
           state_cv.notify_all();
           return;
         } else if (type == "lookup") {
-          handle_lookup(conn, id, env.root);
+          handle_lookup(conn, id, env);
         } else if (type == "plan") {
-          if (env.lazy.empty())
+          if (env.request.absent())
             throw std::runtime_error("plan frame without a request");
-          handle_plan(conn, id, env.root, env.lazy);
+          handle_plan(conn, id, env);
         } else if (type == "calibrate") {
-          if (!env.root.has("table"))
+          if (env.table.absent())
             throw std::runtime_error("calibrate frame without a table");
-          const Value& table = env.root.at("table");
-          handle_calibrate(conn, id, table.is_null() ? std::string_view()
-                                                     : table.span(payload));
+          handle_calibrate(conn, id, env.table.is_null() ? std::string_view()
+                                                         : env.table.bytes);
         } else {
           throw std::runtime_error("unknown request type '" + type + "'");
         }
@@ -401,15 +401,15 @@ struct Daemon::Impl {
   /// answer is plan:null with the active hash, which the client adopts.
   /// A miss counts nothing; the plan frame that follows it is the request.
   void handle_lookup(const std::shared_ptr<Connection>& conn,
-                     std::int64_t id, const Value& root) {
+                     std::int64_t id, const Envelope& env) {
     const std::uint64_t t0 = obs::trace_now_us();
     const std::string tenant =
-        root.has("tenant") ? root.at("tenant").as_string() : std::string();
-    const auto key = util::Digest128::from_hex(root.at("key").as_string());
+        env.tenant.absent() ? std::string() : env.tenant.string();
+    const auto key = util::Digest128::from_hex(env.key.string());
     if (!key)
       throw std::runtime_error("lookup key is not 32 lowercase hex digits");
-    const std::string& calibration = root.at("calibration").as_string();
-    const bool probe = root.at("probe").as_bool();
+    const std::string calibration = env.calibration.string();
+    const bool probe = env.probe.boolean();
     const std::string active = engine->calibration_hash();
     // (engine->try_cached emits the "engine.cache_lookup" span.)
     std::optional<api::Expected<api::Plan, api::PlanError>> outcome;
@@ -445,10 +445,10 @@ struct Daemon::Impl {
   /// model-sized work (parse, keying, search) belongs to the plan
   /// workers; this thread only decides admission and hands the bytes on.
   void handle_plan(const std::shared_ptr<Connection>& conn, std::int64_t id,
-                   const Value& root, std::string_view request_span) {
+                   const Envelope& env) {
     requests->inc();
     const std::string tenant =
-        root.has("tenant") ? root.at("tenant").as_string() : std::string();
+        env.tenant.absent() ? std::string() : env.tenant.string();
     {
       std::lock_guard<std::mutex> lock(queue_mu);
       TenantQueue& q = tenant_queue(tenant);
@@ -470,7 +470,7 @@ struct Daemon::Impl {
       // exclusively until its stale pass catches up.
       if (q.jobs.empty()) q.pass = std::max(q.pass, virtual_time);
       q.admitted++;
-      q.jobs.push_back(Job{conn, id, std::string(request_span), tenant,
+      q.jobs.push_back(Job{conn, id, std::string(env.request.bytes), tenant,
                            obs::trace_now_us()});
     }
     queue_cv.notify_one();
@@ -545,7 +545,10 @@ struct Daemon::Impl {
       // bytes request_io's round-trip covers — here at batch priority,
       // never on a connection thread.
       obs::Span req_parse_span("request.parse", "pland");
+      const std::uint64_t parse_us = obs::trace_now_us();
       auto parsed = api::request_from_json(job.raw_request);
+      request_parse_seconds->observe(
+          static_cast<double>(obs::trace_now_us() - parse_us) * 1e-6);
       req_parse_span.end();
       if (!parsed) {
         {

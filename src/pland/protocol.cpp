@@ -11,8 +11,6 @@ namespace karma::pland {
 
 namespace {
 
-using util::json::Value;
-
 /// The first read of a frame's payload, and the least any later read
 /// grows it by. Each read at most doubles what has already arrived, so a
 /// frame's buffer never outgrows twice its received bytes plus this.
@@ -102,50 +100,45 @@ std::string write_envelope(std::string_view type, std::int64_t id,
   return w.take();
 }
 
-namespace {
-
-/// Maps spans parsed from a hollowed copy back onto the original payload:
-/// offsets at or past the end of the "null" stand-in move by the bytes it
-/// replaced (`replaced`, the lazy member's size), so the stand-in itself
-/// spans the lazy member's real bytes.
-void unhollow_spans(Value& v, std::size_t null_end, std::size_t replaced) {
-  if (v.begin >= null_end) v.begin = v.begin - 4 + replaced;
-  if (v.end >= null_end) v.end = v.end - 4 + replaced;
-  for (Value& e : v.array) unhollow_spans(e, null_end, replaced);
-  for (auto& [key, member] : v.object)
-    unhollow_spans(member, null_end, replaced);
+std::string_view Member::value() const {
+  if (absent())
+    throw std::runtime_error("missing key '" + std::string(name) + "'");
+  return bytes;
 }
 
-}  // namespace
+std::string Member::string() const {
+  return util::json::Reader(value()).string();
+}
 
-Envelope read_envelope(std::string_view payload,
-                       std::string_view lazy_member) {
+bool Member::boolean() const { return util::json::Reader(value()).boolean(); }
+
+Envelope read_envelope(std::string_view payload) {
   Envelope env;
-  // A plan frame's bytes are dominated by the embedded request (a model
-  // description runs tens of KB). Scan its span out first and parse the
-  // envelope with the member hollowed to null, so the caller pays for the
-  // bytes it digests instead of a DOM of the model. When the scan demurs,
-  // the full parse recovers the span.
-  if (!lazy_member.empty())
-    env.lazy = util::json::scan_member(payload, lazy_member);
-  if (!env.lazy.empty()) {
-    const auto off = static_cast<std::size_t>(env.lazy.data() - payload.data());
-    std::string hollowed;
-    hollowed.reserve(payload.size() - env.lazy.size() + 4);
-    hollowed.append(payload.substr(0, off));
-    hollowed.append("null");
-    hollowed.append(payload.substr(off + env.lazy.size()));
-    env.root = util::json::parse(hollowed);
-    unhollow_spans(env.root, off + 4, env.lazy.size());
-  } else {
-    env.root = util::json::parse(payload);
-    const std::string key(lazy_member);
-    if (!key.empty() && env.root.has(key))
-      env.lazy = env.root.at(key).span(payload);
+  Member version{"v"}, id{"id"};
+  Member* const known[] = {&version,         &id,        &env.type,
+                           &env.ok,          &env.tenant, &env.key,
+                           &env.calibration, &env.probe, &env.request,
+                           &env.plan,        &env.error, &env.table,
+                           &env.stats,       &env.metrics};
+  util::json::Reader r(payload);
+  if (r.peek() != '{') {
+    r.skip();  // a non-object has no members
+  } else if (r.begin_object()) {
+    std::string buffer;
+    do {
+      const std::string_view name = r.key(buffer);
+      Member* member = nullptr;
+      for (Member* m : known)
+        if (name == m->name) member = m;
+      const std::string_view bytes =
+          member == &env.request ? r.delimit() : r.skip();
+      if (member != nullptr && member->absent()) member->bytes = bytes;
+    } while (r.more('}'));
   }
-  if (env.root.at("v").as_int() != kProtocolVersion)
+  r.finish();
+  if (util::json::Reader(version.value()).int64() != kProtocolVersion)
     throw std::runtime_error("unsupported protocol version");
-  env.id = env.root.at("id").as_int();
+  env.id = util::json::Reader(id.value()).int64();
   return env;
 }
 

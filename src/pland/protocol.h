@@ -57,11 +57,16 @@
 // (calib/repair.h), and lookups keyed under the old hash miss.
 //
 // Every envelope either side sends is written by write_envelope and every
-// one it receives is parsed, once, by read_envelope: the format lives in
-// this module alone. The daemon names "request" as read_envelope's lazy
-// member, so a plan frame's model description is sliced out as bytes and
-// never built into a DOM on a connection thread; the client names none,
-// so every response byte is validated by its one parse.
+// one it receives is read, once, by read_envelope: the format lives in
+// this module alone. The reader pulls the members straight from the
+// bytes (util::json::Reader) and hands each one the protocol knows back
+// as its exact bytes. Every member is validated on the way, except a plan
+// frame's `request`: its bytes are only delimited, because the plan
+// worker's request_from_json reads them and reports a bad request as the
+// plan's own error. So a client validates a plan by skipping it, and a
+// daemon connection thread never parses a model description. No DOM is
+// built: util::json::parse and scan_member stay only for the tests and
+// plannerbench (json.h).
 //
 // Frame reads/writes are blocking with EINTR retry; a frame larger than
 // kMaxFrameBytes is a protocol error (the daemon answers one "error"
@@ -111,22 +116,37 @@ using EnvelopeMembers = std::function<void(util::json::Writer&)>;
 std::string write_envelope(std::string_view type, std::int64_t id,
                            const EnvelopeMembers& members = nullptr);
 
-/// One received envelope, parsed once. Every span in `root` indexes the
-/// payload read_envelope was given; the caller keeps that payload alive.
-struct Envelope {
-  util::json::Value root;
-  std::int64_t id = 0;
-  /// Exact bytes of the lazy member's value; empty when it is absent.
-  std::string_view lazy;
+/// One member of a received envelope: its exact bytes, one JSON value
+/// (null included), or empty when the envelope does not carry it.
+struct Member {
+  const char* name;
+  std::string_view bytes = {};
+
+  bool absent() const { return bytes.empty(); }
+  bool is_null() const { return bytes == "null"; }
+  /// The bytes; throws "missing key '<name>'" when absent.
+  std::string_view value() const;
+  /// The member read as a string / a bool; throws when absent or of
+  /// another type.
+  std::string string() const;
+  bool boolean() const;
 };
 
-/// Parses `payload` with one util::json::parse and checks that `v` is
-/// kProtocolVersion and `id` an integer; throws std::runtime_error
-/// otherwise. A named `lazy_member` is located by util::json::scan_member
-/// and parsed as null (its value stays bytes, found in `lazy` and in its
-/// `root` span); when the scan demurs (escaped key, odd formatting) the
-/// whole payload is parsed instead, with the same result.
-Envelope read_envelope(std::string_view payload,
-                       std::string_view lazy_member = {});
+/// One received envelope. The members index the payload read_envelope was
+/// given; the caller keeps that payload alive.
+struct Envelope {
+  std::int64_t id = 0;
+  Member type{"type"}, ok{"ok"}, tenant{"tenant"}, key{"key"},
+      calibration{"calibration"}, probe{"probe"}, request{"request"},
+      plan{"plan"}, error{"error"}, table{"table"}, stats{"stats"},
+      metrics{"metrics"};
+};
+
+/// Reads `payload` in one pass and checks, in this order, that it is
+/// well-formed, that `v` is kProtocolVersion and that `id` is an integer;
+/// throws std::runtime_error otherwise. Members it does not know are
+/// skipped; a duplicate keeps its first value. The checks of the other
+/// members' types are the caller's, once it knows the id.
+Envelope read_envelope(std::string_view payload);
 
 }  // namespace karma::pland

@@ -1,9 +1,6 @@
 #include "src/util/json.h"
 
-#include <cctype>
-#include <cerrno>
 #include <charconv>
-#include <cinttypes>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -72,316 +69,347 @@ void Writer::string(std::string_view s) {
 }
 
 // ---------------------------------------------------------------------------
-// Value accessors
+// Reader
 // ---------------------------------------------------------------------------
 
-const Value& Value::at(const std::string& k) const {
-  const auto it = object.find(k);
-  if (it == object.end())
-    throw std::runtime_error("missing key '" + k + "'");
-  return it->second;
+namespace {
+
+bool is_space(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
 }
 
-std::int64_t Value::as_int() const {
-  if (type != Type::kNumber || !integral)
-    throw std::runtime_error("expected integer");
-  return integer;
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+bool is_number_char(char c) {
+  return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+         c == '-';
 }
 
-double Value::as_double() const {
-  if (type != Type::kNumber) throw std::runtime_error("expected number");
-  return integral ? static_cast<double>(integer) : number;
+[[noreturn]] void fail(const std::string& why) {
+  throw std::runtime_error(why);
 }
 
-const std::string& Value::as_string() const {
-  if (type != Type::kString) throw std::runtime_error("expected string");
-  return str;
+}  // namespace
+
+char Reader::peek_past_space() {
+  while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+  if (pos_ >= text_.size()) fail("unexpected end");
+  return text_[pos_];
 }
 
-bool Value::as_bool() const {
-  if (type != Type::kBool) throw std::runtime_error("expected bool");
-  return boolean;
+void Reader::expected(char c) { fail(std::string("expected '") + c + "'"); }
+
+bool Reader::open(char c, char close) {
+  if (peek() != c) expected(c);
+  if (depth_ >= kMaxParseDepth)
+    fail("JSON nesting deeper than " + std::to_string(kMaxParseDepth));
+  ++pos_;
+  ++depth_;
+  if (peek() != close) return true;
+  ++pos_;
+  --depth_;
+  return false;
 }
 
-int as_int32(const Value& v, const char* what) {
-  const std::int64_t x = v.as_int();
+std::string_view Reader::quoted(std::string* buffer) {
+  if (peek() != '"') fail("expected string");
+  const std::size_t begin = ++pos_;
+  const char* const t = text_.data();  // a local: see delimit()
+  std::size_t i = begin;
+  while (i < text_.size() && t[i] != '"' && t[i] != '\\') ++i;
+  pos_ = i;
+  if (i < text_.size() && t[i] == '"')
+    return text_.substr(begin, pos_++ - begin);
+  // Escapes: decode from the first one on.
+  if (buffer != nullptr) buffer->assign(text_.substr(begin, pos_ - begin));
+  constexpr std::string_view kEscape = "\"\\/bfnrt", kMeaning = "\"\\/\b\f\n\r\t";
+  while (pos_ < text_.size()) {
+    char c = text_[pos_++];
+    if (c == '"') return buffer != nullptr ? *buffer : std::string_view();
+    if (c == '\\') {
+      if (pos_ >= text_.size()) fail("bad escape");
+      const char e = text_[pos_++];
+      if (kEscape.find(e) != std::string_view::npos) {
+        c = kMeaning[kEscape.find(e)];
+      } else if (e != 'u') {
+        fail("bad escape");
+      } else {
+        if (pos_ + 4 > text_.size()) fail("bad \\u");
+        unsigned cp = 0;
+        const char* hex = text_.data() + pos_;
+        if (std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4)
+          fail("bad \\u digits");
+        // The writer only emits \u for ASCII control characters; anything
+        // wider would be silently truncated here, so reject.
+        if (cp > 0x7F) fail("non-ASCII \\u escape unsupported");
+        pos_ += 4;
+        c = static_cast<char>(cp);
+      }
+    }
+    if (buffer != nullptr) *buffer += c;
+  }
+  fail("unexpected end");
+}
+
+Reader::Number Reader::lex_number(const char* type) {
+  const char c = peek();
+  if (c == '{' || c == '[' || c == '"' || c == 't' || c == 'f' || c == 'n')
+    fail(type);
+  const std::size_t start = pos_;
+  // Fast path: up to 18 digits cannot overflow an int64.
+  const bool negative = c == '-';
+  std::size_t p = start + (negative ? 1 : 0);
+  std::int64_t v = 0;
+  while (p < text_.size() && p - start < 18 && is_digit(text_[p]))
+    v = v * 10 + (text_[p++] - '0');
+  if (p > start + (negative ? 1 : 0) &&
+      (p == text_.size() || !is_number_char(text_[p]))) {
+    pos_ = p;
+    v = negative ? -v : v;
+    return {text_.substr(start, p - start), true, v,
+            negative && v == 0 ? -0.0 : static_cast<double>(v)};
+  }
+  // Any other token as strtod reads it: from_chars, less a leading '+',
+  // and strtod itself for what from_chars calls out of range.
+  while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
+  const std::string_view token = text_.substr(start, pos_ - start);
+  if (token.empty()) fail("bad number");
+  const auto bad = [&] { fail("bad number '" + std::string(token) + "'"); };
+  std::string_view digits = token;
+  if (digits.front() == '+') {
+    digits.remove_prefix(1);
+    if (!digits.empty() && (digits.front() == '+' || digits.front() == '-'))
+      bad();  // from_chars would read "+-1" as "-1"; strtod does not
+  }
+  const char* end = digits.data() + digits.size();
+  Number n{token, token.find_first_of(".eE") == std::string_view::npos, 0,
+           0.0};
+  const auto r = n.integral ? std::from_chars(digits.data(), end, n.integer)
+                            : std::from_chars(digits.data(), end, n.value);
+  const bool saturates =
+      !n.integral && r.ec == std::errc::result_out_of_range;
+  if (r.ptr != end || (r.ec != std::errc() && !saturates)) bad();
+  if (saturates) n.value = std::strtod(std::string(token).c_str(), nullptr);
+  if (n.integral)
+    n.value = n.integer == 0 && token.front() == '-'
+                  ? -0.0
+                  : static_cast<double>(n.integer);
+  return n;
+}
+
+std::int64_t Reader::int64() {
+  const Number n = lex_number("expected integer");
+  if (!n.integral) fail("expected integer");
+  return n.integer;
+}
+
+int Reader::int32(const char* what) {
+  const std::int64_t x = int64();
   if (x < INT_MIN || x > INT_MAX)
-    throw std::runtime_error(std::string(what) + " out of int range");
+    fail(std::string(what) + " out of int range");
   return static_cast<int>(x);
 }
 
+double Reader::number() { return lex_number("expected number").value; }
+
+bool Reader::boolean() {
+  const char c = peek();
+  for (const std::string_view word : {"true", "false"}) {
+    if (text_.substr(pos_, word.size()) != word) continue;
+    pos_ += word.size();
+    return word.front() == 't';
+  }
+  fail(c == 't' || c == 'f' ? "bad literal" : "expected bool");
+}
+
+bool Reader::null() {
+  if (peek() != 'n') return false;
+  if (text_.substr(pos_, 4) != "null") fail("bad literal");
+  pos_ += 4;
+  return true;
+}
+
+std::string_view Reader::skip() {
+  const char c = peek();
+  const std::size_t begin = pos_;
+  if (c == '{') {
+    if (begin_object()) do {
+        quoted(nullptr);
+        if (peek() != ':') expected(':');
+        ++pos_;
+        skip();
+      } while (more('}'));
+  } else if (c == '[') {
+    if (begin_array()) do {
+        skip();
+      } while (more(']'));
+  } else if (c == '"') {
+    quoted(nullptr);
+  } else if (c == 't' || c == 'f') {
+    boolean();
+  } else if (!null()) {
+    lex_number("bad number");
+  }
+  return text_.substr(begin, pos_ - begin);
+}
+
+std::string_view Reader::delimit() {
+  const std::size_t begin = (peek(), pos_);
+  if (std::string_view(",:]}").find(text_[pos_]) != std::string_view::npos)
+    fail("bad number");
+  // Locals, not members: a char read may alias *this, so members would be
+  // reloaded on every byte.
+  const char* const t = text_.data();
+  const std::size_t n = text_.size();
+  std::size_t i = pos_, depth = 0;
+  do {
+    if (i >= n) fail("unexpected end");
+    const char c = t[i++];
+    if (c == '"') {
+      while (i < n && t[i] != '"') i += t[i] == '\\' ? 2 : 1;  // skips escapes
+      if (i++ >= n) fail("unexpected end");
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    } else if (depth == 0) {  // a scalar: up to the next delimiter
+      while (i < n && !is_space(t[i]) && t[i] != ',' && t[i] != ']' &&
+             t[i] != '}')
+        ++i;
+    }
+  } while (depth > 0);
+  pos_ = i;
+  return text_.substr(begin, pos_ - begin);
+}
+
+void Reader::finish() {
+  while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+  if (pos_ != text_.size()) fail("trailing characters after JSON value");
+}
+
 // ---------------------------------------------------------------------------
-// Parser
+// Members
+// ---------------------------------------------------------------------------
+
+Members::Members(Reader& r) : r_(r) {
+  if (r.peek() != '{') {
+    r.skip();
+    done_ = true;
+  } else {
+    done_ = !r.begin_object();
+    depth_ = r.depth();
+  }
+}
+
+bool Members::next_key() {
+  if (!pending_ && !done_) {
+    done_ = started_ && !r_.more('}');
+    started_ = true;
+    if (!done_) key_ = r_.key(buffer_);
+    pending_ = !done_;
+  }
+  return pending_;
+}
+
+Reader* Members::find(std::string_view name) {
+  if (!indexed_) {
+    if (!next_key()) return nullptr;
+    if (key_ == name) {
+      pending_ = false;
+      return &r_;
+    }
+    for (indexed_ = true; next_key(); pending_ = false)
+      index_.emplace_back(key_, r_.skip());
+  }
+  for (const auto& [key, span] : index_) {
+    if (key != name) continue;
+    sub_ = Reader(span, depth_);
+    return &sub_;
+  }
+  return nullptr;
+}
+
+Reader& Members::at(std::string_view name) {
+  if (Reader* r = find(name)) return *r;
+  fail("missing key '" + std::string(name) + "'");
+}
+
+void Members::finish() {
+  for (; next_key(); pending_ = false) r_.skip();
+}
+
+// ---------------------------------------------------------------------------
+// Value: a DOM built over the Reader
 // ---------------------------------------------------------------------------
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value parse() {
-    Value v = parse_value(0);
-    skip_ws();
-    if (pos_ != text_.size())
-      throw std::runtime_error("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) throw std::runtime_error("unexpected end");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c)
-      throw std::runtime_error(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  /// `depth` = arrays/objects enclosing this value. The parser recurses
-  /// once per level, so the bound is what keeps hostile input from
-  /// overflowing the stack.
-  Value parse_value(int depth) {
-    const char c = peek();  // skips leading whitespace
-    const std::size_t begin = pos_;
-    if ((c == '{' || c == '[') && depth >= kMaxParseDepth)
-      throw std::runtime_error("JSON nesting deeper than " +
-                               std::to_string(kMaxParseDepth));
-    Value v = [&] {
-      switch (c) {
-        case '{': return parse_object(depth + 1);
-        case '[': return parse_array(depth + 1);
-        case '"': return parse_string();
-        case 't':
-        case 'f': return parse_bool();
-        case 'n': return parse_null();
-        default: return parse_number();
-      }
-    }();
-    v.begin = begin;
-    v.end = pos_;
-    return v;
-  }
-
-  Value parse_object(int depth) {
-    expect('{');
-    Value v;
+Value build(Reader& r, std::string_view text) {
+  Value v;
+  const char c = r.peek();
+  v.begin = r.pos();
+  std::string buffer;
+  if (c == '{') {
     v.type = Value::Type::kObject;
-    if (consume('}')) return v;
-    do {
-      Value key = parse_string();
-      expect(':');
-      v.object.emplace(std::move(key.str), parse_value(depth));
-    } while (consume(','));
-    expect('}');
-    return v;
-  }
-
-  Value parse_array(int depth) {
-    expect('[');
-    Value v;
+    if (r.begin_object()) do {
+        std::string k(r.key(buffer));
+        v.object.emplace(std::move(k), build(r, text));
+      } while (r.more('}'));
+  } else if (c == '[') {
     v.type = Value::Type::kArray;
-    if (consume(']')) return v;
-    do {
-      v.array.push_back(parse_value(depth));
-    } while (consume(','));
-    expect(']');
-    return v;
-  }
-
-  Value parse_string() {
-    expect('"');
-    Value v;
+    if (r.begin_array()) do {
+        v.array.push_back(build(r, text));
+      } while (r.more(']'));
+  } else if (c == '"') {
     v.type = Value::Type::kString;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) throw std::runtime_error("bad escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) throw std::runtime_error("bad \\u");
-            const std::string hex(text_.substr(pos_, 4));
-            for (const char h : hex)
-              if (!std::isxdigit(static_cast<unsigned char>(h)))
-                throw std::runtime_error("bad \\u digits");
-            const unsigned long cp = std::strtoul(hex.c_str(), nullptr, 16);
-            // The writer only emits \u for ASCII control characters;
-            // anything wider would be silently truncated here, so reject.
-            if (cp > 0x7F)
-              throw std::runtime_error("non-ASCII \\u escape unsupported");
-            pos_ += 4;
-            c = static_cast<char>(cp);
-            break;
-          }
-          default: throw std::runtime_error("bad escape");
-        }
-      }
-      v.str += c;
-    }
-    expect('"');
-    return v;
-  }
-
-  Value parse_bool() {
-    Value v;
+    v.str = r.string(buffer);
+  } else if (c == 't' || c == 'f') {
     v.type = Value::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      throw std::runtime_error("bad literal");
-    }
-    return v;
-  }
-
-  Value parse_null() {
-    if (text_.compare(pos_, 4, "null") != 0)
-      throw std::runtime_error("bad literal");
-    pos_ += 4;
-    return {};
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    const std::string tok(text_.substr(start, pos_ - start));
-    if (tok.empty()) throw std::runtime_error("bad number");
-    Value v;
+    v.boolean = r.boolean();
+  } else if (!r.null()) {
     v.type = Value::Type::kNumber;
-    v.integral = tok.find_first_of(".eE") == std::string::npos;
-    char* end = nullptr;
-    if (v.integral) {
-      errno = 0;
-      v.integer = std::strtoll(tok.c_str(), &end, 10);
-      if (end != tok.c_str() + tok.size() || errno == ERANGE)
-        throw std::runtime_error("bad number '" + tok + "'");
-    }
-    v.number = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size())
-      throw std::runtime_error("bad number '" + tok + "'");
-    return v;
+    v.number = r.number();
+    const std::string_view token = text.substr(v.begin, r.pos() - v.begin);
+    v.integral = token.find_first_of(".eE") == std::string_view::npos;
+    if (v.integral) v.integer = Reader(token).int64();
   }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Value parse(std::string_view text) { return Parser(text).parse(); }
-
-// ---------------------------------------------------------------------------
-// scan_member
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::size_t kNpos = std::string_view::npos;
-
-std::size_t scan_ws(std::string_view t, std::size_t p) {
-  while (p < t.size() && std::isspace(static_cast<unsigned char>(t[p]))) ++p;
-  return p;
-}
-
-/// `p` at the opening quote; returns one past the closing quote.
-std::size_t scan_string(std::string_view t, std::size_t p) {
-  for (++p; p < t.size(); ++p) {
-    if (t[p] == '\\') {
-      ++p;  // whatever follows is escaped, including '"'
-    } else if (t[p] == '"') {
-      return p + 1;
-    }
-  }
-  return kNpos;
-}
-
-/// `p` at the first byte of a value; returns one past its last byte.
-std::size_t scan_value(std::string_view t, std::size_t p) {
-  if (p >= t.size()) return kNpos;
-  const char c = t[p];
-  if (c == '"') return scan_string(t, p);
-  if (c == '{' || c == '[') {
-    int depth = 0;
-    while (p < t.size()) {
-      const char d = t[p];
-      if (d == '"') {
-        p = scan_string(t, p);
-        if (p == kNpos) return kNpos;
-        continue;
-      }
-      if (d == '{' || d == '[') {
-        ++depth;
-      } else if (d == '}' || d == ']') {
-        if (--depth == 0) return p + 1;
-      }
-      ++p;
-    }
-    return kNpos;
-  }
-  // number / true / false / null: up to the next structural delimiter
-  while (p < t.size() && t[p] != ',' && t[p] != '}' && t[p] != ']' &&
-         !std::isspace(static_cast<unsigned char>(t[p])))
-    ++p;
-  return p;
+  v.end = r.pos();
+  return v;
 }
 
 }  // namespace
+
+Value parse(std::string_view text) {
+  Reader r(text);
+  Value v = build(r, text);
+  r.finish();
+  return v;
+}
+
+const Value& Value::at(const std::string& k) const {
+  const auto it = object.find(k);
+  if (it == object.end()) fail("missing key '" + k + "'");
+  return it->second;
+}
+
+const Value& Value::expect(Type t, bool ok, const char* what) const {
+  if (type != t || !ok) fail(what);
+  return *this;
+}
 
 std::string_view scan_member(std::string_view text, std::string_view key) {
-  std::size_t p = scan_ws(text, 0);
-  if (p >= text.size() || text[p] != '{') return {};
-  ++p;
-  while (true) {
-    p = scan_ws(text, p);
-    if (p >= text.size() || text[p] != '"') return {};
-    const std::size_t key_begin = p + 1;
-    const std::size_t key_close = scan_string(text, p);
-    if (key_close == kNpos) return {};
-    // Compared against the RAW key bytes: a key that needs unescaping to
-    // match simply misses, and the caller's full parse handles it.
-    const std::string_view raw_key =
-        text.substr(key_begin, key_close - 1 - key_begin);
-    p = scan_ws(text, key_close);
-    if (p >= text.size() || text[p] != ':') return {};
-    p = scan_ws(text, p + 1);
-    const std::size_t value_begin = p;
-    const std::size_t value_end = scan_value(text, p);
-    if (value_end == kNpos) return {};
-    if (raw_key == key)
-      return text.substr(value_begin, value_end - value_begin);
-    p = scan_ws(text, value_end);
-    if (p >= text.size() || text[p] != ',') return {};
-    ++p;
+  try {
+    Reader r(text);
+    std::string buffer;
+    if (r.peek() == '{' && r.begin_object()) do {
+        const bool match = r.key(buffer) == key;
+        const std::string_view value = r.delimit();
+        if (match) return value;
+      } while (r.more('}'));
+  } catch (const std::runtime_error&) {
   }
+  return {};
 }
 
 }  // namespace karma::util::json

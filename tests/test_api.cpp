@@ -5,6 +5,8 @@
 // KARMA_REGEN_GOLDEN=1 ./test_api).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -183,6 +185,23 @@ TEST(PlanIo, RoundTripIsByteStableAndReplaysIdentically) {
   EXPECT_EQ(reloaded->policies, planned->policies);
   EXPECT_EQ(reloaded->model_name, planned->model_name);
   EXPECT_EQ(reloaded->batch, planned->batch);
+}
+
+TEST(PlanIo, NegativeZeroSurvivesTheRoundTripByteForByte) {
+  // A double member written as "-0" is an integral token; reading it as
+  // +0.0 changed the artifact's bytes after one round trip.
+  auto planned = Engine::create()->plan(resnet_request(256));
+  ASSERT_TRUE(planned.has_value());
+  Plan plan = std::move(planned).value();
+  plan.device.swap_latency = -0.0;
+  plan.schedule.costs.front().fwd_time = -0.0;
+  const std::string json = plan.to_json();
+  ASSERT_NE(json.find("\"swap_latency\":-0,"), std::string::npos);
+  const auto reloaded = Plan::from_json(json);
+  ASSERT_TRUE(reloaded.has_value()) << reloaded.error().describe();
+  EXPECT_TRUE(std::signbit(reloaded->device.swap_latency));
+  EXPECT_TRUE(std::signbit(reloaded->schedule.costs.front().fwd_time));
+  EXPECT_EQ(reloaded->to_json(), json);
 }
 
 TEST(PlanIo, RejectsGarbageAndWrongVersions) {

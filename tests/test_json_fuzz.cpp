@@ -3,15 +3,19 @@
 // content-hash / golden-fixture guarantees assume emit -> parse -> emit is
 // bit-exact. This test drives random IEEE-754 bit patterns (deterministic
 // seed, so CI failures reproduce) through a Writer array and back through
-// parse(), comparing the raw bits of the parsed double view. It also pins
-// the parser's nesting bound against stack-overflow bombs.
+// both the pull Reader and parse(), comparing the raw bits of every
+// double view. It also pins the number edges the Reader reads as strtod
+// does, the escapes it accepts and rejects, and the nesting bound against
+// stack-overflow bombs.
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,6 +47,32 @@ Value round_trip(const std::vector<double>& values, std::string* text) {
   return parse(*text);
 }
 
+/// The array in `text` read by the pull Reader, one double per element.
+std::vector<double> pull_doubles(const std::string& text) {
+  Reader r(text);
+  std::vector<double> out;
+  if (r.begin_array()) do {
+      out.push_back(r.number());
+    } while (r.more(']'));
+  r.finish();
+  return out;
+}
+
+/// Asserts that every double view of `text` holds exactly `values`.
+void expect_bit_exact(const std::vector<double>& values, const Value& root,
+                      const std::string& text) {
+  const std::vector<double> pulled = pull_doubles(text);
+  ASSERT_EQ(root.array.size(), values.size());
+  ASSERT_EQ(pulled.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    // "-0" is an integral token; each view must still keep its sign.
+    ASSERT_EQ(bits_of(root.array[i].number), bits_of(values[i]))
+        << "value " << i << " drifted through '" << text << "'";
+    ASSERT_EQ(bits_of(root.array[i].as_double()), bits_of(values[i])) << i;
+    ASSERT_EQ(bits_of(pulled[i]), bits_of(values[i])) << i;
+  }
+}
+
 TEST(JsonFuzz, RandomBitPatternDoublesRoundTripBitExact) {
   // Fixed seed: a failure here must reproduce, not flake.
   std::mt19937_64 rng(0xD0B1E5EEDULL);
@@ -60,15 +90,8 @@ TEST(JsonFuzz, RandomBitPatternDoublesRoundTripBitExact) {
     }
     std::string text;
     const Value root = round_trip(values, &text);
-    ASSERT_EQ(root.array.size(), values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      // Compare the strtod view (`number`), not as_double(): a token
-      // like "-0" parses as integral and as_double() returns the int
-      // cast (+0.0), but the double view preserves the sign bit.
-      ASSERT_EQ(bits_of(root.array[i].number), bits_of(values[i]))
-          << "value " << i << " drifted through '" << text << "'";
-      ++tested;
-    }
+    expect_bit_exact(values, root, text);
+    tested += static_cast<int>(values.size());
   }
   EXPECT_EQ(tested, kBatches * kPerBatch);
 }
@@ -93,9 +116,7 @@ TEST(JsonFuzz, UniformMagnitudeDoublesRoundTripBitExact) {
 
   std::string text;
   const Value root = round_trip(values, &text);
-  ASSERT_EQ(root.array.size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    ASSERT_EQ(bits_of(root.array[i].number), bits_of(values[i])) << i;
+  expect_bit_exact(values, root, text);
 }
 
 TEST(JsonFuzz, SecondEmitIsByteIdentical) {
@@ -158,6 +179,84 @@ TEST(JsonFuzz, NanIsRejectedInfinitiesOverflowBack) {
   EXPECT_EQ(root.array[1].number, -std::numeric_limits<double>::infinity());
 }
 
+TEST(JsonFuzz, ReaderReadsNumberEdgesAsStrtodDoes) {
+  for (const char* token :
+       {"1e999", "-1e999", "1e-400", "-1e-400", "4.9406564584124654e-324",
+        "2.2250738585072009e-308", "-2.2250738585072009e-308", "+1.5",
+        "+7", "-0", "+0", "-0.0", "007", "1.", ".5", "-.5e-3", "1E+2"}) {
+    Reader r(token);
+    const double pulled = r.number();
+    r.finish();
+    EXPECT_EQ(bits_of(pulled), bits_of(std::strtod(token, nullptr))) << token;
+    EXPECT_EQ(bits_of(parse(token).as_double()), bits_of(pulled)) << token;
+  }
+  EXPECT_EQ(Reader("1e999").number(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Reader("1e-400").number(), 0.0);
+  EXPECT_EQ(Reader("4.9406564584124654e-324").number(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(Reader("+7").int64(), 7);
+  for (const char* bad : {"+-1", "--1", "-", "+", "1e", "1e+", "1.5.2", "1-2",
+                          "e5", ".", "0x10", "1ee2"}) {
+    Reader r(bad);
+    EXPECT_THROW((r.number(), r.finish()), std::runtime_error) << bad;
+    EXPECT_THROW(parse(bad), std::runtime_error) << bad;
+  }
+}
+
+TEST(JsonFuzz, ReaderIntegersRejectOverflowAndFractions) {
+  EXPECT_EQ(Reader("9223372036854775807").int64(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(Reader("-9223372036854775808").int64(),
+            std::numeric_limits<std::int64_t>::min());
+  for (const char* bad : {"9223372036854775808", "-9223372036854775809",
+                          "99999999999999999999999999", "1.0", "1e3", "\"1\""})
+    EXPECT_THROW(Reader(bad).int64(), std::runtime_error) << bad;
+  EXPECT_EQ(Reader("2147483647").int32("x"), 2147483647);
+  EXPECT_THROW(Reader("2147483648").int32("x"), std::runtime_error);
+  EXPECT_THROW(Reader("-2147483649").int32("x"), std::runtime_error);
+}
+
+TEST(JsonFuzz, RfcEscapesIncludingBackspaceAndFormFeedRead) {
+  // Python's json.dumps writes \b and \f; the writer itself emits \u00XX.
+  const std::string text = R"("a\b\f\n\r\t\/\\\"\u0001\u007f")";
+  const std::string expected = "a\b\f\n\r\t/\\\"\x01\x7f";
+  EXPECT_EQ(parse(text).as_string(), expected);
+  EXPECT_EQ(Reader(text).string(), expected);
+  Writer w;
+  w.value(expected);
+  EXPECT_EQ(Reader(w.take()).string(), expected);
+  for (const char* bad : {R"("\u0080")", R"("\u00e9")", R"("\uffff")",
+                          R"("\x")", R"("\u12")", R"("\u12g4")", R"("\)"})
+    EXPECT_THROW(Reader(bad).string(), std::runtime_error) << bad;
+}
+
+TEST(JsonFuzz, MembersMatchInOrderThenFallBackToAnIndex) {
+  const auto read = [](const std::string& text,
+                       std::vector<std::string_view> names) {
+    Reader r(text);
+    Members m(r);
+    std::string got;
+    for (const std::string_view name : names) {
+      Reader* v = m.find(name);
+      got += v == nullptr ? "-" : std::to_string(v->int64());
+    }
+    m.finish();
+    r.finish();
+    return got;
+  };
+  EXPECT_EQ(read(R"({"a":1,"b":2,"c":3})", {"a", "b", "c"}), "123");
+  EXPECT_EQ(read(R"({"c":3,"a":1,"b":2})", {"a", "b", "c"}), "123");
+  EXPECT_EQ(read(R"({"a":1,"x":[{}],"b":2})", {"a", "b", "c"}), "12-");
+  EXPECT_EQ(read(R"({"a":1,"a":9,"b":2})", {"a", "b"}), "12");
+  EXPECT_EQ(read(R"({"b":2,"a":1,"a":9})", {"a", "b"}), "12");
+  EXPECT_EQ(read(R"({"a":1})", {}), "");
+  EXPECT_EQ(read(R"([1,2])", {"a"}), "-");  // a non-object has no members
+  EXPECT_THROW(read(R"({"a":1,"b":[}})", {"a"}), std::runtime_error);
+  Reader r(R"({"a":1})");
+  Members m(r);
+  EXPECT_THROW(m.at("b"), std::runtime_error);
+}
+
 std::string nested_arrays(std::size_t depth) {
   return std::string(depth, '[') + std::string(depth, ']');
 }
@@ -167,6 +266,13 @@ TEST(JsonFuzz, NestingBombThrowsInsteadOfOverflowingTheStack) {
   // used to segfault on it.
   EXPECT_THROW(parse(nested_arrays(100000)), std::runtime_error);
   EXPECT_THROW(parse(nested_arrays(kMaxParseDepth + 1)), std::runtime_error);
+  EXPECT_THROW(Reader(nested_arrays(100000)).skip(), std::runtime_error);
+  EXPECT_THROW(Reader(nested_arrays(kMaxParseDepth + 1)).skip(),
+               std::runtime_error);
+  EXPECT_EQ(Reader(nested_arrays(kMaxParseDepth)).skip().size(),
+            2u * kMaxParseDepth);
+  // A reader over a nested span counts the levels around it.
+  EXPECT_THROW(Reader("[[]]", kMaxParseDepth - 1).skip(), std::runtime_error);
   // Objects count toward the same bound as arrays.
   std::string objects;
   for (int i = 0; i <= kMaxParseDepth; ++i) objects += "{\"k\":";

@@ -1,8 +1,8 @@
 // The karma-pland wire codec (src/pland/protocol).
 //
-// The envelope writer and reader: exact header bytes, and the reader's
-// lazy member — sliced out as bytes, with every other span still indexing
-// the payload — plus the checks every frame must pass.
+// The envelope writer and reader: exact header bytes, the reader's
+// members as spans of the payload (every one validated but the request,
+// which is only delimited), and the checks every frame must pass.
 //
 // read_frame fuzz: the frame decoder is the first code every byte a
 // client sends reaches, so each way a frame can be cut short or lie about
@@ -42,53 +42,87 @@ TEST(Envelope, WriterEmitsTheHeaderThenTheMembers) {
             R"({"v":1,"type":"pong","id":-2,"ok":true,"plan":{"a":[1]}})");
 }
 
-TEST(Envelope, LazyMemberIsBytesAndOtherSpansIndexThePayload) {
+TEST(Envelope, MembersAreSpansOfThePayload) {
   const std::string payload =
       R"({"v":1,"type":"plan","id":7,"request":{"m":[1,2,{"k":"}"}]},)"
       R"("table":{"x":[3]},"tenant":"t"})";
-  const Envelope env = read_envelope(payload, "request");
+  const Envelope env = read_envelope(payload);
   EXPECT_EQ(env.id, 7);
-  EXPECT_EQ(env.lazy, R"({"m":[1,2,{"k":"}"}]})");
-  EXPECT_TRUE(env.root.at("request").is_null());  // never built as a DOM
-  EXPECT_EQ(env.root.at("request").span(payload), env.lazy);
-  EXPECT_EQ(env.root.at("table").span(payload), R"({"x":[3]})");
-  EXPECT_EQ(env.root.at("table").at("x").span(payload), "[3]");
-  EXPECT_EQ(env.root.at("tenant").as_string(), "t");
-  EXPECT_EQ(env.root.span(payload), payload);
+  EXPECT_EQ(env.type.string(), "plan");
+  EXPECT_EQ(env.request.bytes, R"({"m":[1,2,{"k":"}"}]})");
+  // Views into the payload, not copies.
+  EXPECT_EQ(env.request.bytes.data(), payload.data() + payload.find("{\"m\""));
+  EXPECT_EQ(env.table.bytes, R"({"x":[3]})");
+  EXPECT_EQ(util::json::scan_member(env.table.bytes, "x"), "[3]");
+  EXPECT_EQ(env.tenant.bytes, R"("t")");
+  EXPECT_EQ(env.tenant.string(), "t");
+  EXPECT_TRUE(env.plan.absent());
 
-  // Members shorter than their "null" stand-in map back too.
+  // Members shorter than "null" are spans too.
   const std::string short_member =
       R"({"v":1,"type":"plan","id":8,"request":5,"tenant":"u"})";
-  const Envelope s = read_envelope(short_member, "request");
-  EXPECT_EQ(s.lazy, "5");
-  EXPECT_EQ(s.root.at("tenant").span(short_member), R"("u")");
+  const Envelope s = read_envelope(short_member);
+  EXPECT_EQ(s.request.bytes, "5");
+  EXPECT_EQ(s.tenant.bytes, R"("u")");
 }
 
-TEST(Envelope, LazyMemberFallsBackToTheFullParse) {
-  // An escaped key misses the byte scan; the full parse still finds it.
+TEST(Envelope, NamesAreUnescapedAndOnlyTheRequestIsLeftUnvalidated) {
+  // "request" is "request" after unescaping.
   const std::string escaped =
       "{\"v\":1,\"type\":\"plan\",\"id\":9,\"req\\u0075est\":{\"a\":1}}";
-  const Envelope env = read_envelope(escaped, "request");
-  EXPECT_EQ(env.lazy, R"({"a":1})");
-  EXPECT_EQ(env.root.at("request").at("a").as_int(), 1);
+  const Envelope env = read_envelope(escaped);
+  EXPECT_EQ(env.request.bytes, R"({"a":1})");
+  util::json::Reader request(env.request.bytes);
+  util::json::Members members(request);
+  EXPECT_EQ(members.at("a").int64(), 1);
   // Absent member: empty bytes, not an error.
-  EXPECT_TRUE(read_envelope(R"({"v":1,"type":"ping","id":1})", "request")
-                  .lazy.empty());
-  // No lazy member named: the whole payload is parsed and validated.
+  EXPECT_TRUE(read_envelope(R"({"v":1,"type":"ping","id":1})").request.absent());
+  // Every other member is validated while it is skipped.
   const std::string plan = R"({"v":1,"type":"plan","id":2,"plan":{"b":2}})";
-  const Envelope whole = read_envelope(plan);
-  EXPECT_TRUE(whole.lazy.empty());
-  EXPECT_EQ(whole.root.at("plan").span(plan), R"({"b":2})");
+  EXPECT_EQ(read_envelope(plan).plan.bytes, R"({"b":2})");
   EXPECT_THROW(read_envelope(R"({"v":1,"type":"plan","id":2,"plan":[}})"),
                std::runtime_error);
+  // A request's bytes are only delimited: the plan worker's reader
+  // validates them and answers a bad one as the plan's own error.
+  EXPECT_EQ(read_envelope(R"({"v":1,"type":"plan","id":3,"request":[}})")
+                .request.bytes,
+            "[}");
+  const std::string bomb = std::string(100000, '[') + std::string(100000, ']');
+  EXPECT_EQ(read_envelope(R"({"v":1,"type":"plan","id":4,"request":)" + bomb +
+                          "}")
+                .request.bytes,
+            bomb);
+  // A duplicate keeps its first value.
+  EXPECT_EQ(read_envelope(R"({"v":1,"id":5,"plan":1,"plan":2})").plan.bytes,
+            "1");
+}
+
+TEST(Envelope, MemberReadsCheckPresenceAndType) {
+  const Envelope env = read_envelope(
+      R"({"v":1,"type":"lookup","id":6,"key":5,"probe":"1","ok":true})");
+  EXPECT_EQ(env.id, 6);
+  EXPECT_TRUE(env.ok.boolean());
+  const auto message = [](auto read) {
+    try {
+      read();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { env.key.string(); }), "expected string");
+  EXPECT_EQ(message([&] { env.probe.boolean(); }), "expected bool");
+  EXPECT_EQ(message([&] { env.calibration.string(); }),
+            "missing key 'calibration'");
+  EXPECT_EQ(message([&] { env.error.value(); }), "missing key 'error'");
 }
 
 TEST(Envelope, ReaderRejectsBadVersionIdAndRoot) {
   for (const char* bad :
        {"[1]", R"({"v":2,"type":"ping","id":1})", R"({"type":"ping","id":1})",
         R"({"v":1,"type":"ping"})", R"({"v":1,"type":"ping","id":"1"})",
-        R"({"v":1,"type":"ping","id":1.5})", "not json"}) {
-    EXPECT_THROW(read_envelope(bad, "request"), std::runtime_error) << bad;
+        R"({"v":1,"type":"ping","id":1.5})", "not json",
+        R"({"v":1,"type":"ping","id":1} x)"}) {
     EXPECT_THROW(read_envelope(bad), std::runtime_error) << bad;
   }
 }

@@ -453,16 +453,58 @@ TEST(RequestIo, ClientKeyIsTheDaemonKeyForEveryZooModelAndShape) {
       graph::make_transformer_chain(graph::megatron_config(0), 4));
   fleet.fleet = place::mixed_generation_fleet(2, 2, 64_GiB);
   shapes.emplace_back("fleet", fleet);
+  // "-0" is an integral token: a reader that takes it as +0.0 re-keys the
+  // request, and every socket hit of it falls through to a plan frame.
+  PlanRequest negative_zero = resnet_request();
+  negative_zero.device.swap_latency = -0.0;
+  shapes.emplace_back("swap_latency=-0.0", negative_zero);
 
   const std::string table_hash = "32eb4bb8f96e706e078ad8451cff977a";
   for (const auto& [name, request] : shapes) {
     SCOPED_TRACE(name);
     auto back = request_from_json(request_to_json(request));
     ASSERT_TRUE(back.has_value()) << back.error().describe();
+    EXPECT_EQ(request_to_json(back.value()), request_to_json(request));
     for (const std::string& hash : {std::string(), table_hash})
       EXPECT_EQ(cache::request_key(request, hash).hex(),
                 cache::request_key(back.value(), hash).hex());
   }
+}
+
+TEST(RequestIo, TypedReaderRejectsOverflowWideEscapesAndDeepNesting) {
+  const std::string json = request_to_json(resnet_request());
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string s = json;
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return s.replace(at, from.size(), to);
+  };
+  const auto rejects = [](const std::string& bad, const std::string& why) {
+    const auto parsed = request_from_json(bad);
+    ASSERT_FALSE(parsed.has_value()) << why;
+    EXPECT_EQ(parsed.error().code, PlanErrorCode::kParseError);
+    EXPECT_NE(parsed.error().message.find(why), std::string::npos)
+        << parsed.error().message;
+  };
+  // An int field past int32, an int64 field past int64.
+  rejects(with("\"max_blocks\":48", "\"max_blocks\":2147483648"),
+          "max_blocks out of int range");
+  rejects(with("\"weight_elems\":0", "\"weight_elems\":9223372036854775808"),
+          "bad number '9223372036854775808'");
+  // A \u escape past ASCII, in a name the reader would otherwise keep.
+  rejects(with("\"name\":\"input\"", "\"name\":\"\\u00e9\""),
+          "non-ASCII \\u escape unsupported");
+  // Nesting past the bound, in a member the reader skips.
+  rejects(with("\"version\":2,", "\"version\":2,\"x\":" +
+                                     std::string(300, '[') +
+                                     std::string(300, ']') + ","),
+          "JSON nesting deeper than 256");
+  // Within the bound, an unknown member is skipped.
+  const auto deep = request_from_json(with(
+      "\"version\":2,", "\"version\":2,\"x\":" + std::string(200, '[') +
+                            std::string(200, ']') + ","));
+  ASSERT_TRUE(deep.has_value()) << deep.error().describe();
+  EXPECT_EQ(request_to_json(deep.value()), json);
 }
 
 TEST(RequestIo, DeviceWithScaleBeforeContentionStaysReadable) {
