@@ -20,6 +20,12 @@
 //   2. equal-budget quality: the portfolio at 4000 iters is <= the
 //      baseline's simulated iteration time (never trades quality for speed)
 //   3. determinism: two N-worker runs produce bit-identical plans
+//   4. layer scaling: a cold ResNet-1001/256 plan (3,340 layers, 4
+//      blocks) costs <= 4x a cold ResNet-50/512 plan (172 layers, 5
+//      blocks) in wall time per candidate, at anneal_workers = 1 and as
+//      the median of kScalingReps runs each. Routing a candidate reads
+//      per-block entries of the planner's per-layer cost table, so its
+//      cost follows the block count, not the layer count.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -45,6 +51,8 @@ double now_seconds() {
 
 constexpr int kIterations = 4000;  // the deep-anneal budget
 constexpr int kReps = 5;           // min-of-N wall-clock per leg
+constexpr int kScalingReps = 7;    // median-of-N for the layer-scaling leg
+constexpr double kScalingGate = 4.0;
 
 core::PlannerOptions leg_options(int workers, int iterations) {
   core::PlannerOptions o;
@@ -87,6 +95,52 @@ void write_leg(util::json::Writer& w, const char* name, const LegResult& leg) {
   w.key("iteration_time_s"); w.value(leg.result.iteration_time);
   w.key("simulations"); w.value(leg.result.search.simulations);
   w.key("memo_hits"); w.value(leg.result.search.memo_hits);
+  w.end_object();
+}
+
+struct ScalingLeg {
+  double wall = 0.0;  // median over kScalingReps, planner build included
+  core::PlanResult result;
+  double us_per_candidate() const {
+    return wall * 1e6 / static_cast<double>(result.search.candidates);
+  }
+};
+
+ScalingLeg run_scaling_leg(const graph::Model& model,
+                           const sim::DeviceSpec& device) {
+  ScalingLeg leg;
+  std::vector<double> walls;
+  for (int rep = 0; rep < kScalingReps; ++rep) {
+    const double t0 = now_seconds();
+    const core::KarmaPlanner planner(
+        model, device, leg_options(1, core::PlannerOptions{}.anneal_iterations));
+    leg.result = planner.plan();
+    walls.push_back(now_seconds() - t0);
+  }
+  std::sort(walls.begin(), walls.end());
+  leg.wall = walls[walls.size() / 2];
+  return leg;
+}
+
+void print_scaling_leg(const char* name, const graph::Model& model,
+                       const ScalingLeg& leg) {
+  std::printf("  %-16s %5zu layers  %2zu blocks  %5lld candidates  "
+              "%8.3f ms  %7.2f us/candidate\n",
+              name, model.num_layers(), leg.result.plan.blocks.size(),
+              static_cast<long long>(leg.result.search.candidates),
+              leg.wall * 1e3, leg.us_per_candidate());
+}
+
+void write_scaling_leg(util::json::Writer& w, const char* name,
+                       const graph::Model& model, const ScalingLeg& leg) {
+  w.key(name);
+  w.begin_object();
+  w.key("layers"); w.value(static_cast<std::int64_t>(model.num_layers()));
+  w.key("blocks");
+  w.value(static_cast<std::int64_t>(leg.result.plan.blocks.size()));
+  w.key("candidates"); w.value(leg.result.search.candidates);
+  w.key("median_wall_s"); w.value(leg.wall);
+  w.key("us_per_candidate"); w.value(leg.us_per_candidate());
   w.end_object();
 }
 
@@ -167,7 +221,25 @@ int main() {
   std::printf("time-to-target: %.2fx (%d of %d iterations)\n", speedup_ttt,
               ttt_budget, kIterations);
 
-  const bool pass = deterministic && quality_ok && ttt_ok;
+  // ---- Gate 4: layer scaling of a cold plan's per-candidate cost ----
+  const graph::Model deep = graph::make_resnet1001(256);
+  const graph::Model shallow = graph::make_resnet50(512);
+  const ScalingLeg deep_leg = run_scaling_leg(deep, device);
+  const ScalingLeg shallow_leg = run_scaling_leg(shallow, device);
+  const double scaling =
+      deep_leg.us_per_candidate() / shallow_leg.us_per_candidate();
+  const bool scaling_ok = scaling <= kScalingGate;
+  std::printf("\nlayer scaling (cold plans, workers=1, median of %d):\n",
+              kScalingReps);
+  print_scaling_leg("ResNet-1001/256", deep, deep_leg);
+  print_scaling_leg("ResNet-50/512", shallow, shallow_leg);
+  std::printf("per-candidate ratio: %.2fx (gate <= %.1fx)\n", scaling,
+              kScalingGate);
+  if (!scaling_ok)
+    std::printf("FAIL: ResNet-1001 costs %.2fx ResNet-50 per candidate\n",
+                scaling);
+
+  const bool pass = deterministic && quality_ok && ttt_ok && scaling_ok;
 
   // ---- BENCH_search.json (the CI artifact) ----
   {
@@ -200,11 +272,18 @@ int main() {
     w.key("speedup"); w.value(speedup_ttt);
     w.end_object();
     w.key("equal_budget_speedup"); w.value(speedup_equal_budget);
+    w.key("layer_scaling");
+    w.begin_object();
+    write_scaling_leg(w, "resnet1001_256", deep, deep_leg);
+    write_scaling_leg(w, "resnet50_512", shallow, shallow_leg);
+    w.key("per_candidate_ratio"); w.value(scaling);
+    w.end_object();
     w.key("gates");
     w.begin_object();
     w.key("time_to_target_speedup_ge_3x"); w.value(ttt_ok);
     w.key("equal_budget_quality"); w.value(quality_ok);
     w.key("deterministic"); w.value(deterministic);
+    w.key("layer_scaling_le_4x"); w.value(scaling_ok);
     w.end_object();
     w.key("pass"); w.value(pass);
     w.end_object();
@@ -213,7 +292,10 @@ int main() {
   }
 
   std::printf("\n%s: deep-anneal search reaches baseline quality %.1fx "
-              "faster (gate >= 3.0x), bit-identical across runs\n",
-              pass ? "PASS" : "FAIL", speedup_ttt);
+              "faster (gate >= 3.0x), bit-identical across runs; a "
+              "candidate on %zu layers costs %.2fx one on %zu (gate <= "
+              "%.1fx)\n",
+              pass ? "PASS" : "FAIL", speedup_ttt, deep.num_layers(),
+              scaling, shallow.num_layers(), kScalingGate);
   return pass ? 0 : 1;
 }

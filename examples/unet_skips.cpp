@@ -6,6 +6,7 @@
 //   $ ./unet_skips [batch]
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "src/api/engine.h"
 #include "src/graph/memory_model.h"
@@ -31,7 +32,10 @@ int main(int argc, char** argv) {
   request.device = device;
   request.planner.enable_recompute = true;
   const api::Plan plan = api::Engine::create()->plan_or_throw(request);
-  const auto long_skip = core::blocks_with_long_skips(model, plan.blocks());
+  const sim::LayerCostTable cost_table(model, device);
+  std::vector<int> reach;
+  for (const auto& b : plan.blocks()) reach.push_back(cost_table.reach(b));
+  const auto long_skip = core::blocks_with_long_skips(plan.blocks(), reach);
 
   Table table({"block", "layers", "has outgoing skip", "policy"});
   int skip_blocks = 0, skip_swapped = 0;

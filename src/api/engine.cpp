@@ -392,6 +392,15 @@ std::optional<PlanError> validate(const PlanRequest& request) {
     e.model = request.model.name();
     return e;
   }
+  if (request.planner.anneal_workers > core::kMaxAnnealWorkers) {
+    PlanError e;
+    e.code = PlanErrorCode::kInvalidRequest;
+    e.message = "planner.anneal_workers exceeds the cap of " +
+                std::to_string(core::kMaxAnnealWorkers);
+    e.model = request.model.name();
+    e.device = request.device.name;
+    return e;
+  }
   if (request.distributed && request.distributed->num_gpus < 2) {
     PlanError e;
     e.code = PlanErrorCode::kInvalidRequest;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/graph/memory_model.h"
 #include "src/util/infeasible.h"
 
 namespace karma::core {
@@ -230,11 +229,12 @@ PlanResult plan_data_parallel(
     const DistributedOptions& options, const CancelToken& control,
     const std::function<void(const PlanResult&)>& on_improved) {
   // Decide the weight regime.
-  const graph::LayerMemory total = graph::range_memory(
-      model, 0, static_cast<int>(model.num_layers()));
+  const sim::LayerCostTable table(model, device);
+  const BlockCost total =
+      table.cost({0, static_cast<int>(model.num_layers())});
   const double frac = options.weight_shard_fraction;
   const Bytes weight_state = static_cast<Bytes>(
-      std::llround(static_cast<double>(total.weights + total.weight_grads) *
+      std::llround(static_cast<double>(total.param_bytes + total.grad_bytes) *
                    frac));
   const bool weights_resident =
       weight_state < device.memory_capacity / 2;
@@ -248,10 +248,7 @@ PlanResult plan_data_parallel(
     if (const StopReason reason = control.stop_reason();
         reason != StopReason::kNone)
       throw SearchInterrupted{reason};
-    std::vector<BlockCost> costs;
-    costs.reserve(blocks.size());
-    for (const auto& blk : blocks)
-      costs.push_back(sim::compute_block_cost(model, blk, device));
+    const std::vector<BlockCost> costs = table.costs(blocks);
 
     // Activation budget: capacity minus resident weight state (resident
     // regime) or minus the in-flight weight shards (swapping regime).
@@ -285,8 +282,10 @@ PlanResult plan_data_parallel(
     // residency above.
     std::vector<BlockPolicy> policies;
     try {
+      std::vector<int> reach;
+      for (const auto& blk : blocks) reach.push_back(table.reach(blk));
       policies = route_policies(
-          model, device, blocks, costs, act_budget,
+          device, blocks, costs, reach, act_budget,
           options.planner.schedule.reserved_host_bytes + shards.total(),
           options.planner.enable_recompute);
     } catch (const InfeasibleError&) {

@@ -7,15 +7,14 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
-#include "src/graph/memory_model.h"
 #include "src/obs/span.h"
 #include "src/sim/device.h"
 #include "src/solver/anneal.h"
 #include "src/solver/memo.h"
 #include "src/util/infeasible.h"
-#include "src/util/par.h"
 #include "src/util/rng.h"
 
 namespace karma::core {
@@ -88,52 +87,13 @@ bool seed_tiles_model(const graph::Model& model,
   return next == static_cast<int>(model.num_layers());
 }
 
-/// Sharded + atomic so the portfolio annealing workers share the tables
-/// lock-cheap; values are deterministic functions of their keys, so
-/// concurrent fills cannot diverge (solver::SharedEvalMemo).
-struct KarmaPlanner::SearchMemo {
-  solver::SharedEvalMemo<std::uint64_t, sim::BlockCost> block_costs;
-  solver::SharedEvalMemo<std::string, double> candidates;
-  /// Harvested into SearchStats at the end of the search.
-  std::atomic<std::int64_t> simulations{0};
-  std::atomic<std::int64_t> memo_hits{0};
-};
-
-KarmaPlanner::KarmaPlanner(const graph::Model& model, sim::DeviceSpec device,
-                           PlannerOptions options)
-    : model_(model), device_(device), options_(options) {
-  cut_points_ = candidate_cut_points(model_);
-  act_prefix_.assign(model_.num_layers() + 1, 0);
-  for (std::size_t i = 0; i < model_.num_layers(); ++i) {
-    const auto mem = graph::layer_memory(
-        model_.layer(static_cast<int>(i)), model_.dtype_bytes(), {},
-        model_.activation_memory_scale());
-    act_prefix_[i + 1] = act_prefix_[i] + mem.activations;
-  }
-}
-
-std::vector<int> KarmaPlanner::balanced_boundaries(int num_blocks) const {
-  // Greedily pick clean cut points closest to the activation-byte
-  // quantiles so blocks carry comparable swap payloads.
-  const Bytes total = act_prefix_.back();
-  std::vector<int> cuts = {0};
-  std::size_t cursor = 1;  // index into cut_points_
-  for (int k = 1; k < num_blocks; ++k) {
-    const Bytes target =
-        total * static_cast<Bytes>(k) / static_cast<Bytes>(num_blocks);
-    // First clean cut whose prefix meets the target.
-    while (cursor + 1 < cut_points_.size() &&
-           act_prefix_[static_cast<std::size_t>(cut_points_[cursor])] < target)
-      ++cursor;
-    const int cut = cut_points_[std::min(cursor, cut_points_.size() - 2)];
-    if (cut > cuts.back() && cut < static_cast<int>(model_.num_layers()))
-      cuts.push_back(cut);
-  }
-  cuts.push_back(static_cast<int>(model_.num_layers()));
-  return cuts;
-}
-
 namespace {
+
+/// One block extent's memoized table reads.
+struct ExtentCost {
+  sim::BlockCost cost;
+  int reach = 0;
+};
 
 std::uint64_t block_key(const sim::Block& block) {
   return (static_cast<std::uint64_t>(
@@ -144,37 +104,95 @@ std::uint64_t block_key(const sim::Block& block) {
 
 }  // namespace
 
+/// One thread's block-extent memo. The serial phases use lane 0 and
+/// portfolio worker w lane w, so a lookup takes no lock: the workers walk
+/// neighbouring blockings, and a shared table would queue them all on the
+/// same few shards. Each lane sits on its own cache lines.
+struct alignas(64) KarmaPlanner::ExtentMemo {
+  std::unordered_map<std::uint64_t, ExtentCost> table;
+  std::int64_t lookups = 0;
+  std::int64_t hits = 0;
+};
+
+/// The candidate table is sharded so the portfolio workers share it
+/// lock-cheap; its values are deterministic functions of their keys, so
+/// concurrent fills cannot diverge (solver::SharedEvalMemo).
+struct KarmaPlanner::SearchMemo {
+  explicit SearchMemo(int lanes) : extents(static_cast<std::size_t>(lanes)) {}
+  std::vector<ExtentMemo> extents;
+  solver::SharedEvalMemo<std::string, double> candidates;
+  /// Harvested into SearchStats at the end of the search.
+  std::atomic<std::int64_t> simulations{0};
+  std::atomic<std::int64_t> memo_hits{0};
+};
+
+KarmaPlanner::KarmaPlanner(const graph::Model& model, sim::DeviceSpec device,
+                           PlannerOptions options)
+    : model_(model),
+      device_(std::move(device)),
+      options_(options),
+      cut_points_(candidate_cut_points(model_)),
+      table_(model_, device_) {}
+
+std::vector<int> KarmaPlanner::balanced_boundaries(int num_blocks) const {
+  // Greedily pick clean cut points closest to the activation-byte
+  // quantiles so blocks carry comparable swap payloads.
+  const Bytes total =
+      table_.activations_before(static_cast<int>(model_.num_layers()));
+  std::vector<int> cuts = {0};
+  std::size_t cursor = 1;  // index into cut_points_
+  for (int k = 1; k < num_blocks; ++k) {
+    const Bytes target =
+        total * static_cast<Bytes>(k) / static_cast<Bytes>(num_blocks);
+    // First clean cut whose prefix meets the target.
+    while (cursor + 1 < cut_points_.size() &&
+           table_.activations_before(cut_points_[cursor]) < target)
+      ++cursor;
+    const int cut = cut_points_[std::min(cursor, cut_points_.size() - 2)];
+    if (cut > cuts.back() && cut < static_cast<int>(model_.num_layers()))
+      cuts.push_back(cut);
+  }
+  cuts.push_back(static_cast<int>(model_.num_layers()));
+  return cuts;
+}
+
 std::vector<sim::BlockCost> KarmaPlanner::block_costs(
-    SearchMemo* memo, const std::vector<sim::Block>& blocks) const {
+    ExtentMemo& lane, const std::vector<sim::Block>& blocks,
+    std::vector<int>* reach) const {
   std::vector<sim::BlockCost> costs;
   costs.reserve(blocks.size());
   for (const auto& b : blocks) {
-    const std::uint64_t key = block_key(b);
-    const auto hit = memo ? memo->block_costs.find(key) : std::nullopt;
-    costs.push_back(hit ? *hit : sim::compute_block_cost(model_, b, device_));
-    if (memo && !hit) memo->block_costs.store(key, costs.back());
+    ++lane.lookups;
+    const auto [it, fresh] = lane.table.try_emplace(block_key(b));
+    if (fresh)
+      it->second = {table_.cost(b), table_.reach(b)};
+    else
+      ++lane.hits;
+    costs.push_back(it->second.cost);
+    if (reach) reach->push_back(it->second.reach);
   }
   return costs;
 }
 
 std::vector<BlockPolicy> KarmaPlanner::initial_policies(
-    SearchMemo& memo, const std::vector<sim::Block>& blocks) const {
-  const auto costs = block_costs(&memo, blocks);
+    ExtentMemo& lane, const std::vector<sim::Block>& blocks) const {
+  std::vector<int> reach;
+  const auto costs = block_costs(lane, blocks, &reach);
   Bytes weights = 0;
   for (const auto& c : costs) weights += c.param_bytes + c.grad_bytes;
-  return route_policies(model_, device_, blocks, costs,
+  return route_policies(device_, blocks, costs, reach,
                         device_.memory_capacity - weights,
                         options_.schedule.reserved_host_bytes,
                         options_.enable_recompute);
 }
 
 PlanResult KarmaPlanner::simulate_candidate(
-    SearchMemo* memo, const std::vector<sim::Block>& blocks,
+    ExtentMemo& lane, const std::vector<sim::Block>& blocks,
     const std::vector<BlockPolicy>& policies,
     const std::string& strategy) const {
   // Per-block costs come from the memo so a boundary move only re-costs
   // the blocks it changed; the emitted plan is identical either way.
-  const auto costs = block_costs(memo, blocks);
+  const auto costs = block_costs(lane, blocks);
   sim::Plan plan = build_training_plan(model_, device_, blocks, policies,
                                        strategy, options_.schedule, &costs);
   PlanResult result;
@@ -192,7 +210,8 @@ std::optional<PlanResult> KarmaPlanner::evaluate(
     const std::vector<BlockPolicy>& policies,
     const std::string& strategy) const {
   try {
-    return simulate_candidate(nullptr, blocks, policies, strategy);
+    ExtentMemo lane;
+    return simulate_candidate(lane, blocks, policies, strategy);
   } catch (const InfeasibleError&) {
     return std::nullopt;  // infeasible candidate (deadlock / over-capacity)
   }
@@ -223,7 +242,8 @@ PlanResult KarmaPlanner::run_search(
 
   // This call's memo state: the tables are an optimization of this one
   // deterministic run, never shared across runs or callers.
-  SearchMemo memo;
+  SearchMemo memo(std::max(1, options_.anneal_workers));
+  ExtentMemo& serial_lane = memo.extents[0];
   bool warm_started = false;
   int anneal_workers_used = 0;
 
@@ -256,7 +276,7 @@ PlanResult KarmaPlanner::run_search(
   // race to fill the same key they store the same value. candidates ==
   // simulations + memo_hits holds by construction.
   const auto memo_step =
-      [&](const std::vector<sim::Block>& blocks,
+      [&](ExtentMemo& lane, const std::vector<sim::Block>& blocks,
           const std::vector<BlockPolicy>& policies,
           const auto& serve) -> std::pair<double, std::optional<PlanResult>> {
     // The one cooperative cancellation point, polled at candidate
@@ -278,7 +298,7 @@ PlanResult KarmaPlanner::run_search(
     control.count_candidate(/*simulated=*/true);
     std::optional<PlanResult> result;
     try {
-      result = simulate_candidate(&memo, blocks, policies, strategy);
+      result = simulate_candidate(lane, blocks, policies, strategy);
     } catch (const InfeasibleError&) {
     }
     const double value = result ? result->iteration_time : kInfeasible;
@@ -294,7 +314,7 @@ PlanResult KarmaPlanner::run_search(
   const auto consider = [&](const std::vector<sim::Block>& blocks,
                             const std::vector<BlockPolicy>& policies) {
     auto [value, result] =
-        memo_step(blocks, policies, [&](double memoized) {
+        memo_step(serial_lane, blocks, policies, [&](double memoized) {
           return (best && memoized >= best->iteration_time) ||
                  memoized == kInfeasible;
         });
@@ -311,7 +331,7 @@ PlanResult KarmaPlanner::run_search(
   // spill fits no offload tier); skip such candidates like any deadlock.
   const auto consider_blocking = [&](const std::vector<sim::Block>& blocks) {
     try {
-      consider(blocks, initial_policies(memo, blocks));
+      consider(blocks, initial_policies(serial_lane, blocks));
     } catch (const InfeasibleError&) {
     }
   };
@@ -325,35 +345,10 @@ PlanResult KarmaPlanner::run_search(
   const int max_blocks = std::min<int>(
       options_.max_blocks, static_cast<int>(cut_points_.size()) - 1);
 
-  // Per-block cost precompute for an enumeration range: the balanced
-  // blockings for k in [lo, hi] share extents heavily, so collect the
-  // union once and cost it with par_transform (the std::execution::par
-  // graph-cost idiom; a thread-chunk loop on builds whose parallel STL is
-  // serial). compute_block_cost is pure, so this is a warm-up of the
-  // memo, not a semantic change.
-  const auto precompute_block_costs = [&](int lo, int hi) {
-    std::set<std::uint64_t> seen_extents;
-    std::vector<sim::Block> todo;
-    std::set<std::vector<int>> seen_cuts;
-    for (int k = lo; k <= hi; ++k) {
-      auto cuts = balanced_boundaries(k);
-      if (!seen_cuts.insert(cuts).second) continue;
-      for (const auto& b : blocks_from_boundaries(cuts))
-        if (seen_extents.insert(block_key(b)).second) todo.push_back(b);
-    }
-    std::vector<sim::BlockCost> costs;
-    par_transform(todo, costs, [&](const sim::Block& b) {
-      return sim::compute_block_cost(model_, b, device_);
-    });
-    for (std::size_t i = 0; i < todo.size(); ++i)
-      memo.block_costs.store(block_key(todo[i]), costs[i]);
-  };
-
   const auto enumerate_blockings = [&](int lo, int hi) {
     obs::Span span("opt1.enumerate", "search");
     span.arg("lo", lo);
     span.arg("hi", hi);
-    precompute_block_costs(lo, hi);
     std::set<std::vector<int>> seen;
     for (int k = lo; k <= hi; ++k) {
       auto cuts = balanced_boundaries(k);
@@ -396,7 +391,7 @@ PlanResult KarmaPlanner::run_search(
       try {
         // A probe whose routing is infeasible skips its remat corner too.
         const auto blocks = blocks_from_boundaries(balanced_boundaries(k));
-        improved = consider(blocks, initial_policies(memo, blocks));
+        improved = consider(blocks, initial_policies(serial_lane, blocks));
         improved = consider_remat(blocks) || improved;
       } catch (const InfeasibleError&) {
       }
@@ -434,10 +429,11 @@ PlanResult KarmaPlanner::run_search(
     anneal_span.arg("workers", workers);
     anneal_span.arg("iterations", options_.anneal_iterations);
     const std::function<double(const std::vector<int>&, int)> energy =
-        [&](const std::vector<int>& cuts, int) {
+        [&](const std::vector<int>& cuts, int w) {
           const auto blocks = blocks_from_boundaries(cuts);
+          ExtentMemo& lane = memo.extents[static_cast<std::size_t>(w)];
           try {
-            return memo_step(blocks, initial_policies(memo, blocks),
+            return memo_step(lane, blocks, initial_policies(lane, blocks),
                              [](double) { return true; })
                 .first;
           } catch (const InfeasibleError&) {
@@ -535,8 +531,10 @@ PlanResult KarmaPlanner::run_search(
   stats.candidates = memo.candidates.lookups();
   stats.simulations = memo.simulations.load(std::memory_order_relaxed);
   stats.memo_hits = memo.memo_hits.load(std::memory_order_relaxed);
-  stats.block_cost_lookups = memo.block_costs.lookups();
-  stats.block_cost_hits = memo.block_costs.hits();
+  for (const ExtentMemo& lane : memo.extents) {
+    stats.block_cost_lookups += lane.lookups;
+    stats.block_cost_hits += lane.hits;
+  }
   stats.anneal_workers = anneal_workers_used;
   stats.warm_started = warm_started;
   stats.search_seconds =

@@ -48,6 +48,9 @@ struct SearchInterrupted {
   StopReason reason = StopReason::kCancelled;
 };
 
+/// The widest anneal portfolio a request may ask for.
+inline constexpr int kMaxAnnealWorkers = 64;
+
 struct PlannerOptions {
   bool enable_recompute = true;  ///< false = pure capacity-based KARMA
   int min_blocks = 2;
@@ -57,7 +60,9 @@ struct PlannerOptions {
   /// lazy-SMP workers split anneal_iterations between them, diversified
   /// by rng stream and temperature, reduced with the stable (energy, key)
   /// tie-break. Plan-affecting (it reshapes the explored walk), so it is
-  /// part of the request fingerprint. 1 = one serial walk.
+  /// part of the request fingerprint. 1 = one serial walk; <= 0 means 1.
+  /// Each worker is a thread, so api::Engine rejects requests above
+  /// kMaxAnnealWorkers.
   int anneal_workers = 4;
   std::uint64_t seed = 0x5eed;
   ScheduleOptions schedule;
@@ -159,7 +164,7 @@ class KarmaPlanner {
   /// the baselines' KARMA rows, fleet legs and calib::repair call it
   /// directly.
   ///
-  /// Memoized: per-block simulated costs (keyed by block extent) and
+  /// Memoized: per-block table costs and reaches (keyed by block extent) and
   /// whole-candidate makespans (keyed by blocking + tier-routed policy
   /// vector) are cached for the duration of the call, so the annealer's
   /// revisits and Opt-2's repeated greedy rounds skip re-simulation —
@@ -212,6 +217,8 @@ class KarmaPlanner {
  private:
   /// One run_search call's memo tables and effort counters.
   struct SearchMemo;
+  /// One thread's memo of block-extent costs and reaches.
+  struct ExtentMemo;
 
   /// Shared search body behind plan() and plan_from(): null seed = cold
   /// Opt-1 enumeration, non-null = warm start from the seed candidate.
@@ -222,7 +229,7 @@ class KarmaPlanner {
                             on_improved) const;
   /// Builds + replays one candidate; throws karma::InfeasibleError when it
   /// cannot run (deadlock, tier overflow, no spill route).
-  PlanResult simulate_candidate(SearchMemo* memo,
+  PlanResult simulate_candidate(ExtentMemo& lane,
                                 const std::vector<sim::Block>& blocks,
                                 const std::vector<BlockPolicy>& policies,
                                 const std::string& strategy) const;
@@ -230,19 +237,21 @@ class KarmaPlanner {
   /// equalizing activation bytes per block.
   std::vector<int> balanced_boundaries(int num_blocks) const;
   std::vector<BlockPolicy> initial_policies(
-      SearchMemo& memo, const std::vector<sim::Block>& blocks) const;
-  /// compute_block_cost per block, through `memo` when there is one:
-  /// candidate blockings share almost all their blocks (balanced
-  /// boundaries nest, the anneal moves a single boundary), so each
-  /// extent's analytic cost is computed once per search.
+      ExtentMemo& lane, const std::vector<sim::Block>& blocks) const;
+  /// Each block's cost from `table_` and, when `reach` is given, its
+  /// LayerCostTable::reach, through `lane`: candidate blockings share
+  /// almost all their blocks (balanced boundaries nest, the anneal moves
+  /// a single boundary), so each extent is summed once per lane and
+  /// routing a candidate is O(blocks).
   std::vector<sim::BlockCost> block_costs(
-      SearchMemo* memo, const std::vector<sim::Block>& blocks) const;
+      ExtentMemo& lane, const std::vector<sim::Block>& blocks,
+      std::vector<int>* reach = nullptr) const;
 
   const graph::Model& model_;
   sim::DeviceSpec device_;
   PlannerOptions options_;
   std::vector<int> cut_points_;
-  std::vector<Bytes> act_prefix_;  ///< prefix activation bytes per layer
+  sim::LayerCostTable table_;  ///< built once per planner
 };
 
 }  // namespace karma::core

@@ -138,30 +138,20 @@ std::optional<tier::StorageHierarchy> admit_tiered_plan(
   return tier::StorageHierarchy(std::move(tiers));
 }
 
-std::vector<bool> blocks_with_long_skips(
-    const graph::Model& model, const std::vector<sim::Block>& blocks) {
-  const auto nb = blocks.size();
-  std::vector<bool> mask(nb, false);
-  // block_of[layer] lookup.
-  std::vector<int> block_of(model.num_layers(), 0);
-  for (std::size_t b = 0; b < nb; ++b)
-    for (int l = blocks[b].first_layer; l < blocks[b].last_layer; ++l)
-      block_of[static_cast<std::size_t>(l)] = static_cast<int>(b);
-  for (const auto& layer : model.layers()) {
-    for (int succ : model.succs(layer.id)) {
-      const int from = block_of[static_cast<std::size_t>(layer.id)];
-      const int to = block_of[static_cast<std::size_t>(succ)];
-      if (to > from + 1) mask[static_cast<std::size_t>(from)] = true;
-    }
-  }
+std::vector<bool> blocks_with_long_skips(const std::vector<sim::Block>& blocks,
+                                         const std::vector<int>& reach) {
+  // Blocks tile the layers in order, so a successor lands past block
+  // b + 1 exactly when it reaches block b + 1's last layer or beyond.
+  std::vector<bool> mask(blocks.size(), false);
+  for (std::size_t b = 0; b + 1 < blocks.size(); ++b)
+    mask[b] = reach[b] >= blocks[b + 1].last_layer;
   return mask;
 }
 
 std::vector<BlockPolicy> route_policies(
-    const graph::Model& model, const sim::DeviceSpec& device,
-    const std::vector<sim::Block>& blocks,
-    const std::vector<sim::BlockCost>& costs, Bytes act_budget,
-    Bytes reserved_host, bool enable_recompute) {
+    const sim::DeviceSpec& device, const std::vector<sim::Block>& blocks,
+    const std::vector<sim::BlockCost>& costs, const std::vector<int>& reach,
+    Bytes act_budget, Bytes reserved_host, bool enable_recompute) {
   // Seed devices (unbounded host, no NVMe) keep the two-tier policy set
   // bit-identically; tiered routing is a strict superset.
   auto policies = (device.host_capacity > 0 || device.has_nvme())
@@ -171,7 +161,7 @@ std::vector<BlockPolicy> route_policies(
                       : capacity_based_policies(blocks, costs, act_budget);
   // A long skip's source must not be swapped out ahead of its consumer;
   // recompute keeps the boundary checkpoint available.
-  const auto long_skip = blocks_with_long_skips(model, blocks);
+  const auto long_skip = blocks_with_long_skips(blocks, reach);
   for (std::size_t b = 0; b < blocks.size(); ++b)
     if (long_skip[b] && is_swap_policy(policies[b]))
       policies[b] =
@@ -210,13 +200,9 @@ sim::Plan build_training_plan(const graph::Model& model,
   sim::Plan plan;
   plan.strategy = strategy;
   plan.blocks = blocks;
-  if (precomputed_costs) {
-    plan.costs = *precomputed_costs;
-  } else {
-    plan.costs.reserve(blocks.size());
-    for (const auto& b : blocks)
-      plan.costs.push_back(sim::compute_block_cost(model, b, device));
-  }
+  plan.costs = precomputed_costs
+                   ? *precomputed_costs
+                   : sim::LayerCostTable(model, device).costs(blocks);
 
   // Weights and weight gradients stay on the device for single-GPU plans
   // (the distributed planner handles weight swapping separately).

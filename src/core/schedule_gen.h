@@ -111,21 +111,22 @@ std::optional<tier::StorageHierarchy> admit_tiered_plan(
 
 /// Blocks with an outgoing skip edge into a non-adjacent block (U-Net's
 /// contracting path, Sec. III-F.4) must not be swapped out before their
-/// consumer runs; returns the per-block mask.
-std::vector<bool> blocks_with_long_skips(const graph::Model& model,
-                                         const std::vector<sim::Block>& blocks);
+/// consumer runs; returns the per-block mask. `reach[b]` is block b's
+/// sim::LayerCostTable::reach, so the test is O(blocks).
+std::vector<bool> blocks_with_long_skips(const std::vector<sim::Block>& blocks,
+                                         const std::vector<int>& reach);
 
 /// The policy routing every planner applies to a candidate blocking:
 /// tiered_policies (with `reserved_host` pre-charged) when the device
 /// bounds its host tier or has NVMe, capacity_based_policies otherwise;
 /// then the Sec. III-F.4 rule moves each swapped block with an outgoing
-/// long skip to recompute (resident when `enable_recompute` is off).
-/// Throws karma::InfeasibleError when a spill fits no tier.
+/// long skip (blocks_with_long_skips over `reach`) to recompute (resident
+/// when `enable_recompute` is off). Throws karma::InfeasibleError when a
+/// spill fits no tier.
 std::vector<BlockPolicy> route_policies(
-    const graph::Model& model, const sim::DeviceSpec& device,
-    const std::vector<sim::Block>& blocks,
-    const std::vector<sim::BlockCost>& costs, Bytes act_budget,
-    Bytes reserved_host, bool enable_recompute);
+    const sim::DeviceSpec& device, const std::vector<sim::Block>& blocks,
+    const std::vector<sim::BlockCost>& costs, const std::vector<int>& reach,
+    Bytes act_budget, Bytes reserved_host, bool enable_recompute);
 
 /// Constraint 10.1: `policy` swaps the block and recomputing it is
 /// cheaper than swapping its activations back in from that tier (NVMe
@@ -141,9 +142,9 @@ std::vector<BlockPolicy> remat_policies(std::size_t num_blocks);
 /// Emits the single-GPU training plan for one iteration. `model` supplies
 /// weights footprint (kept resident; must fit), `device` the capacity.
 /// Throws karma::InfeasibleError when weights alone exceed the device.
-/// `precomputed_costs`, when given, must be compute_block_cost for each
-/// block in order (the planner passes its memoized costs so candidate
-/// evaluation skips the analytic models); nullptr computes them here.
+/// `precomputed_costs`, when given, must be the sim::LayerCostTable cost
+/// of each block in order (the planner passes its memoized costs);
+/// nullptr builds a table here.
 sim::Plan build_training_plan(const graph::Model& model,
                               const sim::DeviceSpec& device,
                               const std::vector<sim::Block>& blocks,

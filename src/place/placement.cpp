@@ -16,7 +16,7 @@ namespace karma::place {
 namespace {
 
 /// Simulated per-block costs on one device class. Ranks of the same
-/// generation share a table — compute_block_cost is pure in the device,
+/// generation share a table — a block's cost is pure in the device,
 /// so one simulation per class covers every node of that class.
 struct DeviceClass {
   const sim::DeviceSpec* device = nullptr;
@@ -105,9 +105,7 @@ PlacementPlan place_blocks(const graph::Model& model, const FleetSpec& fleet,
     if (fresh) {
       DeviceClass cls;
       cls.device = &device;
-      cls.costs.reserve(blocks.size());
-      for (const sim::Block& b : blocks)
-        cls.costs.push_back(sim::compute_block_cost(model, b, device));
+      cls.costs = sim::LayerCostTable(model, device).costs(blocks);
       for (const sim::BlockCost& c : cls.costs)
         cls.pipe_time += c.fwd_time + c.bwd_time;
       classes.push_back(std::move(cls));

@@ -1,5 +1,6 @@
 #include "src/sim/plan.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -67,32 +68,64 @@ std::string Plan::schedule_string() const {
   return os.str();
 }
 
-BlockCost compute_block_cost(const graph::Model& model, const Block& block,
-                             const DeviceSpec& device) {
-  BlockCost cost;
+LayerCostTable::LayerCostTable(const graph::Model& model,
+                               const DeviceSpec& device) {
+  const std::size_t n = model.num_layers();
   const int dtype = model.dtype_bytes();
-  for (int i = block.first_layer; i < block.last_layer; ++i) {
-    const graph::Layer& l = model.layer(i);
+  layers_.reserve(n);
+  prefix_.assign(n + 1, {});
+  for (std::size_t i = 0; i < n; ++i) {
+    const graph::Layer& l = model.layer(static_cast<int>(i));
     const Bytes in_bytes = l.in_shape.rank()
                                ? static_cast<Bytes>(l.in_shape.numel()) * dtype
                                : 0;
     const Bytes out_bytes = static_cast<Bytes>(l.out_shape.numel()) * dtype;
-    cost.fwd_time += device.kernel_time(l.kind, graph::forward_flops(l),
-                                        in_bytes + out_bytes);
+    int reach = static_cast<int>(i);
+    for (const int succ : model.succs(l.id)) reach = std::max(reach, succ);
     // Backward touches the saved input, the incoming gradient, and writes
     // the outgoing gradient: ~3x the activation traffic.
-    cost.bwd_time += device.kernel_time(l.kind, graph::backward_flops(l),
-                                        2 * in_bytes + out_bytes);
+    layers_.push_back({device.kernel_time(l.kind, graph::forward_flops(l),
+                                          in_bytes + out_bytes),
+                       device.kernel_time(l.kind, graph::backward_flops(l),
+                                          2 * in_bytes + out_bytes),
+                       out_bytes, reach});
+    const graph::LayerMemory mem = graph::layer_memory(
+        l, dtype, {}, model.activation_memory_scale());
+    graph::LayerMemory& sum = prefix_[i + 1];
+    sum.activations = prefix_[i].activations + mem.activations;
+    sum.weights = prefix_[i].weights + mem.weights;
+    sum.weight_grads = prefix_[i].weight_grads + mem.weight_grads;
   }
-  const graph::LayerMemory mem =
-      graph::range_memory(model, block.first_layer, block.last_layer);
-  cost.act_bytes = mem.activations;
-  cost.param_bytes = mem.weights;
-  cost.grad_bytes = mem.weight_grads;
-  const graph::Layer& last = model.layer(block.last_layer - 1);
-  cost.boundary_bytes =
-      static_cast<Bytes>(last.out_shape.numel()) * dtype;
+}
+
+BlockCost LayerCostTable::cost(const Block& block) const {
+  const auto first = static_cast<std::size_t>(block.first_layer);
+  const auto last = static_cast<std::size_t>(block.last_layer);
+  BlockCost cost;
+  for (std::size_t i = first; i < last; ++i) {
+    cost.fwd_time += layers_[i].fwd_time;
+    cost.bwd_time += layers_[i].bwd_time;
+  }
+  cost.act_bytes = prefix_[last].activations - prefix_[first].activations;
+  cost.param_bytes = prefix_[last].weights - prefix_[first].weights;
+  cost.grad_bytes = prefix_[last].weight_grads - prefix_[first].weight_grads;
+  cost.boundary_bytes = layers_[last - 1].out_bytes;
   return cost;
+}
+
+std::vector<BlockCost> LayerCostTable::costs(
+    const std::vector<Block>& blocks) const {
+  std::vector<BlockCost> out;
+  out.reserve(blocks.size());
+  for (const Block& b : blocks) out.push_back(cost(b));
+  return out;
+}
+
+int LayerCostTable::reach(const Block& block) const {
+  int reach = 0;
+  for (int i = block.first_layer; i < block.last_layer; ++i)
+    reach = std::max(reach, layers_[static_cast<std::size_t>(i)].reach);
+  return reach;
 }
 
 std::vector<Block> uniform_blocks(const graph::Model& model, int max_layers) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/graph/memory_model.h"
 #include "src/graph/model.h"
 #include "src/sim/device.h"
 #include "src/tier/hierarchy.h"
@@ -28,8 +29,7 @@ struct Block {
   int num_layers() const { return last_layer - first_layer; }
 };
 
-/// Per-block costs, precomputed by the planner from the analytic models
-/// and the device spec.
+/// Per-block costs, read from the LayerCostTable of the model and device.
 struct BlockCost {
   Seconds fwd_time = 0.0;    ///< forward compute time on-device
   Seconds bwd_time = 0.0;    ///< backward compute time on-device
@@ -147,9 +147,36 @@ struct Plan {
   std::string schedule_string() const;
 };
 
-/// Computes a block's cost from the analytic models + device spec.
-BlockCost compute_block_cost(const graph::Model& model, const Block& block,
-                             const DeviceSpec& device);
+/// Per-layer cost table of one (model, device), built once and then read
+/// per block (DESIGN.md §14). Each layer's forward/backward kernel time
+/// comes from the analytic models; weight, gradient and activation bytes
+/// are prefix sums. A block's times are its layers' cached times summed in
+/// layer order, so they are bit-identical to re-deriving each layer, and
+/// its bytes are prefix differences.
+class LayerCostTable {
+ public:
+  LayerCostTable(const graph::Model& model, const DeviceSpec& device);
+
+  BlockCost cost(const Block& block) const;
+  std::vector<BlockCost> costs(const std::vector<Block>& blocks) const;
+  /// The farthest layer any layer of `block` feeds (at least its own last
+  /// layer): the block has a long skip when this lands two blocks on.
+  int reach(const Block& block) const;
+  /// Retained activation bytes of the layers before `layer`.
+  Bytes activations_before(int layer) const {
+    return prefix_[static_cast<std::size_t>(layer)].activations;
+  }
+
+ private:
+  struct Layer {
+    Seconds fwd_time = 0.0;
+    Seconds bwd_time = 0.0;
+    Bytes out_bytes = 0;  ///< the layer's output (a checkpoint)
+    int reach = 0;        ///< the layer's farthest successor
+  };
+  std::vector<Layer> layers_;
+  std::vector<graph::LayerMemory> prefix_;  ///< sums over layers [0, i)
+};
 
 /// Uniform partition of a model into blocks of at most `max_layers` layers.
 std::vector<Block> uniform_blocks(const graph::Model& model, int max_layers);

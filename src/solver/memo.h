@@ -18,7 +18,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -29,8 +28,10 @@ namespace karma::solver {
 /// The portfolio annealing workers (DESIGN.md §14) share one table: it is
 /// split across `Shards` independently locked maps (key-hash modulo
 /// shard), so N workers hammering the memo contend only when their keys
-/// collide on a shard — lock hold time is one hash-map operation.
-/// Counters are relaxed atomics.
+/// collide on a shard — lock hold time is one hash-map operation. Each
+/// shard counts its own lookups and hits under the lock `find` already
+/// holds, and shards sit on their own cache lines, so workers on different
+/// shards share no written line; lookups()/hits() sum the shards.
 ///
 /// Determinism note: two workers can race to evaluate the same key and
 /// both store. That is safe exactly because every value in these memos is
@@ -42,12 +43,12 @@ template <typename Key, typename Value, std::size_t Shards = 16>
 class SharedEvalMemo {
  public:
   std::optional<Value> find(const Key& key) {
-    lookups_.fetch_add(1, std::memory_order_relaxed);
     Shard& s = shard_of(key);
     std::lock_guard<std::mutex> lock(s.mu);
+    ++s.lookups;
     const auto it = s.table.find(key);
     if (it == s.table.end()) return std::nullopt;
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++s.hits;
     return it->second;
   }
 
@@ -57,23 +58,29 @@ class SharedEvalMemo {
     s.table.emplace(key, std::move(value));
   }
 
-  std::int64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
-  std::int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  std::int64_t lookups() const { return total(&Shard::lookups); }
+  std::int64_t hits() const { return total(&Shard::hits); }
 
  private:
-  struct Shard {
-    std::mutex mu;
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
     std::unordered_map<Key, Value> table;
+    std::int64_t lookups = 0;
+    std::int64_t hits = 0;
   };
   Shard& shard_of(const Key& key) {
     return shards_[std::hash<Key>{}(key) % Shards];
   }
+  std::int64_t total(std::int64_t Shard::*counter) const {
+    std::int64_t sum = 0;
+    for (const Shard& s : shards_) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      sum += s.*counter;
+    }
+    return sum;
+  }
 
   std::array<Shard, Shards> shards_;
-  std::atomic<std::int64_t> lookups_{0};
-  std::atomic<std::int64_t> hits_{0};
 };
 
 }  // namespace karma::solver

@@ -284,6 +284,31 @@ TEST(Session, EmptyModelIsInvalidRequest) {
   EXPECT_EQ(planned.error().code, PlanErrorCode::kInvalidRequest);
 }
 
+TEST(Session, AnnealWorkersAboveTheCapAreInvalidAndStartNoSearch) {
+  // Each portfolio worker is a thread: a request must not size the pool.
+  PlanRequest request;
+  request.model = graph::make_resnet50(64);
+  request.device = sim::v100_abci();
+  request.probe_feasible_batch = false;
+  request.planner.anneal_iterations = 0;
+  request.planner.anneal_workers = 1000000;
+  const auto engine = Engine::create();
+  const auto planned = engine->plan(request);
+  ASSERT_FALSE(planned.has_value());
+  EXPECT_EQ(planned.error().code, PlanErrorCode::kInvalidRequest);
+  EXPECT_NE(planned.error().message.find("planner.anneal_workers"),
+            std::string::npos)
+      << planned.error().message;
+  request.planner.anneal_workers = core::kMaxAnnealWorkers + 1;
+  EXPECT_FALSE(engine->plan_async(request).get().has_value());
+  EXPECT_EQ(engine->stats().searches, 0u);
+  // The cap itself is valid, and a count <= 0 still means one walk.
+  for (const int workers : {core::kMaxAnnealWorkers, 0, -3}) {
+    request.planner.anneal_workers = workers;
+    EXPECT_TRUE(engine->plan(request).has_value()) << workers;
+  }
+}
+
 TEST(Session, SingleLayerOverflowNamesLayerBlockAndDeficit) {
   PlanRequest request;
   // One FC layer's activations (~16 MiB with allocator overhead) dwarf the

@@ -693,20 +693,26 @@ TEST(SearchMemo, ResimulationsDropBelowCandidateCount) {
   // Pre-memoization every candidate was one full engine replay, i.e.
   // simulations == candidates. The memo must remove some replays on the
   // standard ResNet-50 search (annealer revisits + Opt-2 greedy rounds)
-  // without changing the chosen plan.
-  const api::Plan plan =
-      api::Engine::create()->plan_or_throw(resnet_request(512, /*anneal=*/30));
-  const core::SearchStats& s = plan.search_stats;
-  EXPECT_GT(s.candidates, 0);
-  EXPECT_GT(s.memo_hits, 0);
-  EXPECT_LT(s.simulations, s.candidates);
-  // Every candidate evaluation request was either a replay or a pure memo
-  // serve — exact partition, no double counting.
-  EXPECT_EQ(s.simulations + s.memo_hits, s.candidates);
-  // The per-block cost memo fires heavily: candidate blockings share
-  // almost all their block extents.
-  EXPECT_GT(s.block_cost_hits, 0);
-  EXPECT_LT(s.block_cost_hits, s.block_cost_lookups);
+  // without changing the chosen plan — on one walk and on the 4-worker
+  // portfolio, whose workers share the memo.
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    api::PlanRequest request = resnet_request(512, /*anneal=*/30);
+    request.planner.anneal_workers = workers;
+    const api::Plan plan = api::Engine::create()->plan_or_throw(request);
+    const core::SearchStats& s = plan.search_stats;
+    EXPECT_EQ(s.anneal_workers, workers);
+    EXPECT_GT(s.candidates, 0);
+    EXPECT_GT(s.memo_hits, 0);
+    EXPECT_LT(s.simulations, s.candidates);
+    // Every candidate evaluation request was either a replay or a pure
+    // memo serve — exact partition, no double counting.
+    EXPECT_EQ(s.simulations + s.memo_hits, s.candidates);
+    // The per-block cost memo fires heavily: candidate blockings share
+    // almost all their block extents.
+    EXPECT_GT(s.block_cost_hits, 0);
+    EXPECT_LT(s.block_cost_hits, s.block_cost_lookups);
+  }
 }
 
 TEST(SearchMemo, MemoizedSearchPlansIdenticallyToUncachedSessions) {

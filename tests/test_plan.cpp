@@ -149,10 +149,10 @@ TEST(Plan, MultiIterationStateIsolated) {
   EXPECT_NO_THROW(validate_plan(plan));
 }
 
-TEST(Plan, ComputeBlockCostSane) {
+TEST(Plan, LayerCostTableBlockCostSane) {
   const graph::Model m = graph::make_vgg16(2);
   const Block blk{0, static_cast<int>(m.num_layers())};
-  const BlockCost c = compute_block_cost(m, blk, v100_abci());
+  const BlockCost c = LayerCostTable(m, v100_abci()).cost(blk);
   EXPECT_GT(c.fwd_time, 0.0);
   EXPECT_GT(c.bwd_time, c.fwd_time);  // backward costs more
   EXPECT_GT(c.act_bytes, 0);
@@ -165,10 +165,10 @@ TEST(Plan, ComputeBlockCostSane) {
 TEST(Plan, BlockCostsAreAdditiveOverSplits) {
   const graph::Model m = graph::make_vgg16(2);
   const int n = static_cast<int>(m.num_layers());
-  const DeviceSpec dev = v100_abci();
-  const BlockCost whole = compute_block_cost(m, {0, n}, dev);
-  const BlockCost a = compute_block_cost(m, {0, n / 2}, dev);
-  const BlockCost b = compute_block_cost(m, {n / 2, n}, dev);
+  const LayerCostTable table(m, v100_abci());
+  const BlockCost whole = table.cost({0, n});
+  const BlockCost a = table.cost({0, n / 2});
+  const BlockCost b = table.cost({n / 2, n});
   EXPECT_NEAR(whole.fwd_time, a.fwd_time + b.fwd_time, 1e-9);
   EXPECT_EQ(whole.act_bytes, a.act_bytes + b.act_bytes);
   EXPECT_EQ(whole.param_bytes, a.param_bytes + b.param_bytes);

@@ -749,6 +749,31 @@ TEST(Daemon, NestingBombPlanFrameIsAnErrorNotACrash) {
   EXPECT_TRUE(fx.daemon->running());
 }
 
+TEST(Daemon, AnnealWorkersAboveTheCapAreRefusedBeforeAnySearch) {
+  // A plan frame must not size a plan worker's thread pool: the request
+  // is the plan's own invalid-request error, and no search starts.
+  DaemonFixture fx("workers");
+  ASSERT_TRUE(fx.daemon->start());
+  api::PlanRequest request = resnet_request(64, 0);
+  request.planner.anneal_workers = 1000000;
+  const int fd = connect_raw(fx.daemon->socket_path());
+  ASSERT_GE(fd, 0);
+  const util::json::Value plan = frame_round_trip(
+      fd, R"({"v":1,"type":"plan","id":3,"tenant":"t","request":)" +
+              api::request_to_json(request) + "}");
+  ::close(fd);
+  EXPECT_EQ(plan.at("type").as_string(), "plan");
+  EXPECT_EQ(plan.at("id").as_int(), 3);
+  EXPECT_FALSE(plan.at("ok").as_bool());
+  EXPECT_EQ(plan.at("error").at("code").as_string(), "invalid-request");
+  EXPECT_NE(plan.at("error").at("message").as_string().find(
+                "planner.anneal_workers"),
+            std::string::npos);
+  EXPECT_TRUE(fresh_ping(fx.daemon->socket_path()));
+  EXPECT_EQ(fx.daemon->stats().engine.searches, 0u);
+  EXPECT_TRUE(fx.daemon->running());
+}
+
 TEST(Daemon, StopWithIdleWorkersNeverHangs) {
   // Regression: stop() must publish its stop flag under the queue mutex.
   // A plan worker caught between its wait predicate and its wait used to

@@ -107,7 +107,10 @@ TEST(Planner, UnetLongSkipBlocksNotSwapped) {
   const graph::Model unet = graph::make_unet(16);  // out-of-core
   const KarmaPlanner planner(unet, sim::v100_abci(), fast_options(true));
   const PlanResult r = planner.plan();
-  const auto mask = blocks_with_long_skips(unet, r.plan.blocks);
+  const sim::LayerCostTable table(unet, sim::v100_abci());
+  std::vector<int> reach;
+  for (const auto& b : r.plan.blocks) reach.push_back(table.reach(b));
+  const auto mask = blocks_with_long_skips(r.plan.blocks, reach);
   for (std::size_t b = 0; b < r.plan.blocks.size(); ++b) {
     if (mask[b]) {
       EXPECT_FALSE(is_swap_policy(r.policies[b]))

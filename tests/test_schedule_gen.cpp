@@ -28,6 +28,14 @@ std::vector<BlockCost> unit_costs(int nb, Bytes act) {
   return costs;
 }
 
+std::vector<int> reach_of(const graph::Model& model,
+                          const std::vector<Block>& blocks) {
+  const sim::LayerCostTable table(model, sim::v100_abci());
+  std::vector<int> reach;
+  for (const auto& b : blocks) reach.push_back(table.reach(b));
+  return reach;
+}
+
 std::vector<Block> unit_blocks(int nb) {
   std::vector<Block> blocks;
   for (int b = 0; b < nb; ++b) blocks.push_back({b, b + 1});
@@ -75,7 +83,7 @@ TEST(LongSkips, UnetContractingPathDetected) {
   // the planner's fallback uses every position — see
   // candidate_cut_points); contracting-path blocks must carry the mask.
   const auto blocks = sim::uniform_blocks(unet, 6);
-  const auto mask = blocks_with_long_skips(unet, blocks);
+  const auto mask = blocks_with_long_skips(blocks, reach_of(unet, blocks));
   int flagged = 0;
   for (bool m : mask) flagged += m ? 1 : 0;
   EXPECT_GT(flagged, 0);
@@ -105,7 +113,8 @@ TEST(LongSkips, ResnetKeepsCleanCuts) {
 TEST(LongSkips, ChainModelHasNone) {
   const graph::Model vgg = graph::make_vgg16(1);
   const auto blocks = sim::uniform_blocks(vgg, 5);
-  for (bool m : blocks_with_long_skips(vgg, blocks)) EXPECT_FALSE(m);
+  for (bool m : blocks_with_long_skips(blocks, reach_of(vgg, blocks)))
+    EXPECT_FALSE(m);
 }
 
 // ---- End-to-end plan emission on a real model ----

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
+
+#include "src/solver/memo.h"
 
 namespace karma::solver {
 namespace {
@@ -237,6 +242,41 @@ TEST(PortfolioAnneal, NonStdExceptionsPropagateAfterJoin) {
     EXPECT_EQ(i.worker, 2);
   }
   EXPECT_TRUE(caught);
+}
+
+TEST(SharedEvalMemo, CountsAreExactUnderContention) {
+  // Four threads hammer overlapping keys: every lookup and every hit is
+  // counted once, whichever shard it lands on and whoever stored first.
+  SharedEvalMemo<std::uint64_t, double> memo;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 20000;
+  std::vector<std::int64_t> lookups(kThreads, 0), hits(kThreads, 0);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t)
+    pool.emplace_back([&, t] {
+      Rng rng(100 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kOps; ++i) {
+        const std::uint64_t key = rng.next_below(512);
+        ++lookups[static_cast<std::size_t>(t)];
+        if (const auto value = memo.find(key)) {
+          ++hits[static_cast<std::size_t>(t)];
+          EXPECT_EQ(*value, static_cast<double>(key) * 0.5);
+        } else {
+          memo.store(key, static_cast<double>(key) * 0.5);
+        }
+      }
+    });
+  for (auto& th : pool) th.join();
+  std::int64_t want_lookups = 0, want_hits = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    want_lookups += lookups[static_cast<std::size_t>(t)];
+    want_hits += hits[static_cast<std::size_t>(t)];
+  }
+  EXPECT_EQ(memo.lookups(), want_lookups);
+  EXPECT_EQ(memo.hits(), want_hits);
+  EXPECT_EQ(want_lookups, kThreads * kOps);
+  // At most one miss per key per thread: the racing stores hold one value.
+  EXPECT_GE(want_hits, want_lookups - 512 * kThreads);
 }
 
 }  // namespace

@@ -25,9 +25,7 @@ TEST(TieredPolicies, UnboundedHostMatchesSeedPolicies) {
   const graph::Model m = graph::make_resnet50(512);
   const sim::DeviceSpec device = sim::v100_abci();
   const auto blocks = sim::uniform_blocks(m, 20);
-  std::vector<sim::BlockCost> costs;
-  for (const auto& b : blocks)
-    costs.push_back(sim::compute_block_cost(m, b, device));
+  const auto costs = sim::LayerCostTable(m, device).costs(blocks);
   const Bytes budget = device.memory_capacity / 2;
   const auto seed = capacity_based_policies(blocks, costs, budget);
   const auto tiered = tiered_policies(blocks, costs, budget,
