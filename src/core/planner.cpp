@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <set>
@@ -104,22 +105,49 @@ std::uint64_t block_key(const sim::Block& block) {
 
 }  // namespace
 
-/// One thread's block-extent memo. The serial phases use lane 0 and
-/// portfolio worker w lane w, so a lookup takes no lock: the workers walk
-/// neighbouring blockings, and a shared table would queue them all on the
-/// same few shards. Each lane sits on its own cache lines.
-struct alignas(64) KarmaPlanner::ExtentMemo {
-  std::unordered_map<std::uint64_t, ExtentCost> table;
+void pack_candidate_key(const std::vector<sim::Block>& blocks,
+                        const std::vector<BlockPolicy>& policies,
+                        std::string& key) {
+  key.resize(blocks.size() * sizeof(std::uint32_t) + policies.size());
+  char* out = key.data();
+  for (const auto& b : blocks) {
+    const auto last = static_cast<std::uint32_t>(b.last_layer);
+    std::memcpy(out, &last, sizeof last);
+    out += sizeof last;
+  }
+  for (const BlockPolicy p : policies) *out++ = static_cast<char>(p);
+}
+
+/// One search lane: the serial phases use lane 0 and portfolio worker w
+/// lane w. A lane owns its block-extent memo and the buffers scoring a
+/// candidate writes — the engine, its replay scratch, the one Plan every
+/// candidate is emitted into, the candidate's costs, reaches and memo key
+/// — so a lane takes no lock and its buffers grow to the largest
+/// candidate once instead of being allocated per candidate. The workers
+/// walk neighbouring blockings, and a shared extent table would queue them
+/// all on the same few shards. Each lane sits on its own cache lines.
+struct alignas(64) KarmaPlanner::SearchLane {
+  explicit SearchLane(const sim::DeviceSpec& device) : engine(device) {}
+  std::unordered_map<std::uint64_t, ExtentCost> extents;
   std::int64_t lookups = 0;
   std::int64_t hits = 0;
+  sim::Engine engine;
+  sim::ReplayScratch scratch;
+  sim::Plan plan;
+  std::vector<sim::BlockCost> costs;
+  std::vector<int> reach;
+  std::string key;
 };
 
 /// The candidate table is sharded so the portfolio workers share it
 /// lock-cheap; its values are deterministic functions of their keys, so
 /// concurrent fills cannot diverge (solver::SharedEvalMemo).
 struct KarmaPlanner::SearchMemo {
-  explicit SearchMemo(int lanes) : extents(static_cast<std::size_t>(lanes)) {}
-  std::vector<ExtentMemo> extents;
+  SearchMemo(int num_lanes, const sim::DeviceSpec& device) {
+    lanes.reserve(static_cast<std::size_t>(num_lanes));
+    for (int w = 0; w < num_lanes; ++w) lanes.emplace_back(device);
+  }
+  std::vector<SearchLane> lanes;
   solver::SharedEvalMemo<std::string, double> candidates;
   /// Harvested into SearchStats at the end of the search.
   std::atomic<std::int64_t> simulations{0};
@@ -156,28 +184,27 @@ std::vector<int> KarmaPlanner::balanced_boundaries(int num_blocks) const {
   return cuts;
 }
 
-std::vector<sim::BlockCost> KarmaPlanner::block_costs(
-    ExtentMemo& lane, const std::vector<sim::Block>& blocks,
-    std::vector<int>* reach) const {
-  std::vector<sim::BlockCost> costs;
-  costs.reserve(blocks.size());
+const std::vector<sim::BlockCost>& KarmaPlanner::block_costs(
+    SearchLane& lane, const std::vector<sim::Block>& blocks) const {
+  lane.costs.clear();
+  lane.reach.clear();
   for (const auto& b : blocks) {
     ++lane.lookups;
-    const auto [it, fresh] = lane.table.try_emplace(block_key(b));
+    const auto [it, fresh] = lane.extents.try_emplace(block_key(b));
     if (fresh)
       it->second = {table_.cost(b), table_.reach(b)};
     else
       ++lane.hits;
-    costs.push_back(it->second.cost);
-    if (reach) reach->push_back(it->second.reach);
+    lane.costs.push_back(it->second.cost);
+    lane.reach.push_back(it->second.reach);
   }
-  return costs;
+  return lane.costs;
 }
 
 std::vector<BlockPolicy> KarmaPlanner::initial_policies(
-    ExtentMemo& lane, const std::vector<sim::Block>& blocks) const {
-  std::vector<int> reach;
-  const auto costs = block_costs(lane, blocks, &reach);
+    const std::vector<sim::Block>& blocks,
+    const std::vector<sim::BlockCost>& costs,
+    const std::vector<int>& reach) const {
   Bytes weights = 0;
   for (const auto& c : costs) weights += c.param_bytes + c.grad_bytes;
   return route_policies(device_, blocks, costs, reach,
@@ -186,18 +213,25 @@ std::vector<BlockPolicy> KarmaPlanner::initial_policies(
                         options_.enable_recompute);
 }
 
+Seconds KarmaPlanner::score(SearchLane& lane,
+                            const std::vector<sim::Block>& blocks,
+                            const std::vector<sim::BlockCost>& costs,
+                            const std::vector<BlockPolicy>& policies,
+                            const std::string& strategy) const {
+  emit_training_plan(lane.plan, device_, blocks, costs, policies, strategy,
+                     options_.schedule);
+  return lane.engine.makespan(lane.plan, lane.scratch);
+}
+
 PlanResult KarmaPlanner::simulate_candidate(
-    ExtentMemo& lane, const std::vector<sim::Block>& blocks,
+    SearchLane& lane, const std::vector<sim::Block>& blocks,
+    const std::vector<sim::BlockCost>& costs,
     const std::vector<BlockPolicy>& policies,
     const std::string& strategy) const {
-  // Per-block costs come from the memo so a boundary move only re-costs
-  // the blocks it changed; the emitted plan is identical either way.
-  const auto costs = block_costs(lane, blocks);
-  sim::Plan plan = build_training_plan(model_, device_, blocks, policies,
-                                       strategy, options_.schedule, &costs);
   PlanResult result;
-  result.trace = sim::Engine(device_).run(plan);
-  result.plan = std::move(plan);
+  emit_training_plan(result.plan, device_, blocks, costs, policies, strategy,
+                     options_.schedule);
+  result.trace = lane.engine.run(result.plan);
   result.policies = policies;
   result.iteration_time = result.trace.makespan;
   result.first_iteration_time = result.iteration_time;
@@ -210,8 +244,9 @@ std::optional<PlanResult> KarmaPlanner::evaluate(
     const std::vector<BlockPolicy>& policies,
     const std::string& strategy) const {
   try {
-    ExtentMemo lane;
-    return simulate_candidate(lane, blocks, policies, strategy);
+    SearchLane lane(device_);
+    return simulate_candidate(lane, blocks, block_costs(lane, blocks),
+                              policies, strategy);
   } catch (const InfeasibleError&) {
     return std::nullopt;  // infeasible candidate (deadlock / over-capacity)
   }
@@ -242,43 +277,22 @@ PlanResult KarmaPlanner::run_search(
 
   // This call's memo state: the tables are an optimization of this one
   // deterministic run, never shared across runs or callers.
-  SearchMemo memo(std::max(1, options_.anneal_workers));
-  ExtentMemo& serial_lane = memo.extents[0];
+  SearchMemo memo(std::max(1, options_.anneal_workers), device_);
+  SearchLane& serial_lane = memo.lanes[0];
   bool warm_started = false;
   int anneal_workers_used = 0;
 
-  // Canonical candidate key: blocking + tier-routed policy vector. The
-  // strategy string and all planner knobs are fixed for this run, so the
-  // pair fully determines the (deterministic) evaluation result.
-  const auto signature = [](const std::vector<sim::Block>& blocks,
-                            const std::vector<BlockPolicy>& policies) {
-    std::string key;
-    key.reserve(blocks.size() * 8 + policies.size() + 1);
-    for (const auto& b : blocks) {
-      key += std::to_string(b.first_layer);
-      key += ',';
-      key += std::to_string(b.last_layer);
-      key += ';';
-    }
-    key += '|';
-    for (const auto p : policies)
-      key += static_cast<char>('0' + static_cast<int>(p));
-    return key;
-  };
-
   // The one memo step behind every candidate: poll the token, look the
-  // candidate up, and either serve the memoized objective (when `serve`
-  // accepts it) or replay it, storing a fresh key's outcome. Returns the
-  // objective and, for a replay, the result (unset when infeasible).
-  // Exact: every candidate replays from op 0 on the one engine path, so a
-  // memo value is the deterministic simulation result, which also makes
-  // the table safe to share across portfolio workers — when two workers
-  // race to fill the same key they store the same value. candidates ==
-  // simulations + memo_hits holds by construction.
-  const auto memo_step =
-      [&](ExtentMemo& lane, const std::vector<sim::Block>& blocks,
-          const std::vector<BlockPolicy>& policies,
-          const auto& serve) -> std::pair<double, std::optional<PlanResult>> {
+  // candidate up by its packed key, and either serve the memoized makespan
+  // or score it with a lean replay and store the outcome. Exact: a score
+  // is the deterministic makespan of the candidate's plan, which also
+  // makes the table safe to share across portfolio workers — when two
+  // workers race to fill the same key they store the same value.
+  // candidates == simulations + memo_hits holds by construction.
+  const auto memo_step = [&](SearchLane& lane,
+                             const std::vector<sim::Block>& blocks,
+                             const std::vector<sim::BlockCost>& costs,
+                             const std::vector<BlockPolicy>& policies) {
     // The one cooperative cancellation point, polled at candidate
     // boundaries only — never mid-simulation — so an interrupt can never
     // leave a half-evaluated candidate behind. SearchInterrupted tunnels
@@ -287,39 +301,34 @@ PlanResult KarmaPlanner::run_search(
     if (const StopReason reason = control.stop_reason();
         reason != StopReason::kNone)
       throw SearchInterrupted{reason};
-    const std::string key = signature(blocks, policies);
-    const auto memoized = memo.candidates.find(key);
-    if (memoized && serve(*memoized)) {
+    pack_candidate_key(blocks, policies, lane.key);
+    if (const auto memoized = memo.candidates.find(lane.key)) {
       memo.memo_hits.fetch_add(1, std::memory_order_relaxed);
       control.count_candidate(/*simulated=*/false);
-      return {*memoized, std::nullopt};
+      return *memoized;
     }
     memo.simulations.fetch_add(1, std::memory_order_relaxed);
     control.count_candidate(/*simulated=*/true);
-    std::optional<PlanResult> result;
+    double value = kInfeasible;
     try {
-      result = simulate_candidate(lane, blocks, policies, strategy);
+      value = score(lane, blocks, costs, policies, strategy);
     } catch (const InfeasibleError&) {
     }
-    const double value = result ? result->iteration_time : kInfeasible;
-    if (!memoized) memo.candidates.store(key, value);
-    return {value, std::move(result)};
+    memo.candidates.store(lane.key, value);
+    return value;
   };
 
   // Best-tracking consideration; returns whether the candidate became the
-  // new best. A memoized candidate is replayed again only when it would
-  // improve the incumbent — possible when the annealer scored a state
-  // without promoting it. Serial phases only (it moves `best`); the
-  // portfolio workers call memo_step directly.
+  // new best. Only a score that beats the incumbent is materialized into a
+  // full PlanResult (plan, trace, policies). Serial phases only (it moves
+  // `best`); the portfolio workers call memo_step directly.
   const auto consider = [&](const std::vector<sim::Block>& blocks,
+                            const std::vector<sim::BlockCost>& costs,
                             const std::vector<BlockPolicy>& policies) {
-    auto [value, result] =
-        memo_step(serial_lane, blocks, policies, [&](double memoized) {
-          return (best && memoized >= best->iteration_time) ||
-                 memoized == kInfeasible;
-        });
-    if (!result || (best && value >= best->iteration_time)) return false;
-    best = std::move(result);
+    const double value = memo_step(serial_lane, blocks, costs, policies);
+    if (value == kInfeasible || (best && value >= best->iteration_time))
+      return false;
+    best = simulate_candidate(serial_lane, blocks, costs, policies, strategy);
     // Publish the artifact snapshot BEFORE the progress flag: an observer
     // that sees best_cost become finite must also find the best-so-far
     // plan attached.
@@ -327,19 +336,31 @@ PlanResult KarmaPlanner::run_search(
     control.report_best(best->iteration_time);
     return true;
   };
-  // Policy routing itself can be infeasible for a candidate blocking (its
-  // spill fits no offload tier); skip such candidates like any deadlock.
-  const auto consider_blocking = [&](const std::vector<sim::Block>& blocks) {
-    try {
-      consider(blocks, initial_policies(serial_lane, blocks));
-    } catch (const InfeasibleError&) {
-    }
+  // A blocking's tier-routed candidate, with `costs` its block_costs
+  // through the serial lane (which also left the reaches there). Policy
+  // routing itself can be infeasible for a blocking (its spill fits no
+  // offload tier): that throws InfeasibleError, and callers skip the
+  // blocking like any deadlock.
+  const auto consider_routed = [&](const std::vector<sim::Block>& blocks,
+                                   const std::vector<sim::BlockCost>& costs) {
+    return consider(blocks, costs,
+                    initial_policies(blocks, costs, serial_lane.reach));
   };
   // Pure-rematerialization corner (keeps KARMA's search a superset of
   // Checkmate-style checkpoint-density scans).
-  const auto consider_remat = [&](const std::vector<sim::Block>& blocks) {
+  const auto consider_remat = [&](const std::vector<sim::Block>& blocks,
+                                  const std::vector<sim::BlockCost>& costs) {
     return options_.enable_recompute && blocks.size() >= 2 &&
-           consider(blocks, remat_policies(blocks.size()));
+           consider(blocks, costs, remat_policies(blocks.size()));
+  };
+  // Both candidates of one blocking, costed once.
+  const auto consider_blocking = [&](const std::vector<sim::Block>& blocks) {
+    const auto& costs = block_costs(serial_lane, blocks);
+    try {
+      consider_routed(blocks, costs);
+    } catch (const InfeasibleError&) {
+    }
+    consider_remat(blocks, costs);
   };
 
   const int max_blocks = std::min<int>(
@@ -353,21 +374,19 @@ PlanResult KarmaPlanner::run_search(
     for (int k = lo; k <= hi; ++k) {
       auto cuts = balanced_boundaries(k);
       if (!seen.insert(cuts).second) continue;
-      const auto blocks = blocks_from_boundaries(cuts);
-      consider_blocking(blocks);
-      consider_remat(blocks);
+      consider_blocking(blocks_from_boundaries(cuts));
     }
   };
 
   if (seed_blocks && seed_tiles_model(model_, *seed_blocks, *seed_policies)) {
     // ---- Warm start (calib::repair): the cached plan is the incumbent.
     warm_started = true;
-    consider(*seed_blocks, *seed_policies);
+    consider(*seed_blocks, block_costs(serial_lane, *seed_blocks),
+             *seed_policies);
     // Re-route the seed blocking under THIS planner's (possibly
     // recalibrated) cost model — the cheapest place a changed table can
     // flip a block's swap/recompute/tier decision.
     consider_blocking(*seed_blocks);
-    consider_remat(*seed_blocks);
     // A small block-count neighborhood instead of the full k scan: cost
     // drift rarely moves the optimal count far, and the anneal below can
     // still slide every boundary the drift did move.
@@ -391,8 +410,9 @@ PlanResult KarmaPlanner::run_search(
       try {
         // A probe whose routing is infeasible skips its remat corner too.
         const auto blocks = blocks_from_boundaries(balanced_boundaries(k));
-        improved = consider(blocks, initial_policies(serial_lane, blocks));
-        improved = consider_remat(blocks) || improved;
+        const auto& costs = block_costs(serial_lane, blocks);
+        improved = consider_routed(blocks, costs);
+        improved = consider_remat(blocks, costs) || improved;
       } catch (const InfeasibleError&) {
       }
       if (improved) best_probe_k = k;
@@ -431,11 +451,11 @@ PlanResult KarmaPlanner::run_search(
     const std::function<double(const std::vector<int>&, int)> energy =
         [&](const std::vector<int>& cuts, int w) {
           const auto blocks = blocks_from_boundaries(cuts);
-          ExtentMemo& lane = memo.extents[static_cast<std::size_t>(w)];
+          SearchLane& lane = memo.lanes[static_cast<std::size_t>(w)];
+          const auto& costs = block_costs(lane, blocks);
           try {
-            return memo_step(lane, blocks, initial_policies(lane, blocks),
-                             [](double) { return true; })
-                .first;
+            return memo_step(lane, blocks, costs,
+                             initial_policies(blocks, costs, lane.reach));
           } catch (const InfeasibleError&) {
             return kInfeasible;  // no spill route at this blocking
           }
@@ -502,7 +522,11 @@ PlanResult KarmaPlanner::run_search(
     const auto reduced = solver::portfolio_anneal<std::vector<int>>(
         init_cuts, energy, neighbor, params, workers, rng, reduce_key,
         worker_gauge);
-    consider_blocking(blocks_from_boundaries(reduced.state));
+    const auto blocks = blocks_from_boundaries(reduced.state);
+    try {
+      consider_routed(blocks, block_costs(serial_lane, blocks));
+    } catch (const InfeasibleError&) {
+    }
   }
 
   // ---- Opt-2: greedy recompute interleave (constraint 10.1). ----
@@ -521,7 +545,8 @@ PlanResult KarmaPlanner::run_search(
         // After an accepted flip the outer loop restarts, re-trying every
         // flip it already scored against the same base — those repeats
         // are memo hits inside consider(), not fresh replays.
-        if (consider(best->plan.blocks, policies)) improved = true;
+        if (consider(best->plan.blocks, best->plan.costs, policies))
+          improved = true;
       }
     }
   }
@@ -531,7 +556,7 @@ PlanResult KarmaPlanner::run_search(
   stats.candidates = memo.candidates.lookups();
   stats.simulations = memo.simulations.load(std::memory_order_relaxed);
   stats.memo_hits = memo.memo_hits.load(std::memory_order_relaxed);
-  for (const ExtentMemo& lane : memo.extents) {
+  for (const SearchLane& lane : memo.lanes) {
     stats.block_cost_lookups += lane.lookups;
     stats.block_cost_hits += lane.hits;
   }

@@ -72,14 +72,16 @@ struct PlannerOptions {
 /// §10). Pre-memoization, every candidate the Opt-1/Opt-2 searches looked
 /// at was a full engine replay (simulations == candidates); with the
 /// candidate memo and the per-block cost memo, revisited candidates cost
-/// a hash lookup and a boundary move only re-costs the two blocks it
-/// actually changed. The counters make that win measurable
-/// (bench_fig_plan_cache prints them cold vs warm).
+/// a hash lookup and a blocking costs its blocks once per lane. The
+/// counters make that win measurable (bench_fig_plan_cache prints them
+/// cold vs warm).
 struct SearchStats {
   std::int64_t candidates = 0;         ///< candidate evaluations requested
-  std::int64_t simulations = 0;        ///< full engine replays actually run
-  /// Candidates served by the memo with NO replay at all (a memoized best
-  /// that must be re-materialized counts as a simulation instead), so
+  /// Candidates scored by a makespan-only engine replay. Materializing a
+  /// new incumbent (a second, full replay that builds the plan's trace) is
+  /// not a candidate simulation and is not counted here.
+  std::int64_t simulations = 0;
+  /// Candidates served by the memo with no replay at all, so
   /// candidates == simulations + memo_hits holds by construction.
   std::int64_t memo_hits = 0;
   std::int64_t block_cost_lookups = 0; ///< per-block cost requests
@@ -150,6 +152,15 @@ bool seed_tiles_model(const graph::Model& model,
                       const std::vector<sim::Block>& blocks,
                       const std::vector<BlockPolicy>& policies);
 
+/// The search's candidate memo key, written into `key` (its buffer is
+/// reused): each block's last layer as a 4-byte word, then one byte per
+/// policy. Candidate blockings tile the model from layer 0, so the last
+/// layers fix the blocking, and the key's length fixes the block count:
+/// distinct candidates get distinct keys.
+void pack_candidate_key(const std::vector<sim::Block>& blocks,
+                        const std::vector<BlockPolicy>& policies,
+                        std::string& key);
+
 class KarmaPlanner {
  public:
   KarmaPlanner(const graph::Model& model, sim::DeviceSpec device,
@@ -217,8 +228,8 @@ class KarmaPlanner {
  private:
   /// One run_search call's memo tables and effort counters.
   struct SearchMemo;
-  /// One thread's memo of block-extent costs and reaches.
-  struct ExtentMemo;
+  /// One thread's block-extent memo and candidate-scoring buffers.
+  struct SearchLane;
 
   /// Shared search body behind plan() and plan_from(): null seed = cold
   /// Opt-1 enumeration, non-null = warm start from the seed candidate.
@@ -227,25 +238,36 @@ class KarmaPlanner {
                         const CancelToken& control,
                         const std::function<void(const PlanResult&)>&
                             on_improved) const;
-  /// Builds + replays one candidate; throws karma::InfeasibleError when it
-  /// cannot run (deadlock, tier overflow, no spill route).
-  PlanResult simulate_candidate(ExtentMemo& lane,
+  /// Emits one candidate into `lane`'s plan and returns its makespan from
+  /// a lean replay (no trace); throws karma::InfeasibleError when it
+  /// cannot run (deadlock, tier overflow). `costs` are the blocks' costs.
+  Seconds score(SearchLane& lane, const std::vector<sim::Block>& blocks,
+                const std::vector<sim::BlockCost>& costs,
+                const std::vector<BlockPolicy>& policies,
+                const std::string& strategy) const;
+  /// Builds + fully replays one candidate into a PlanResult with its
+  /// trace; throws like score(), and reports the same makespan.
+  PlanResult simulate_candidate(SearchLane& lane,
                                 const std::vector<sim::Block>& blocks,
+                                const std::vector<sim::BlockCost>& costs,
                                 const std::vector<BlockPolicy>& policies,
                                 const std::string& strategy) const;
   /// Balanced selection of `k` boundaries from the clean cut points,
   /// equalizing activation bytes per block.
   std::vector<int> balanced_boundaries(int num_blocks) const;
+  /// The routed policies of `blocks` (route_policies) from their costs
+  /// and reaches. Throws karma::InfeasibleError when a spill fits no tier.
   std::vector<BlockPolicy> initial_policies(
-      ExtentMemo& lane, const std::vector<sim::Block>& blocks) const;
-  /// Each block's cost from `table_` and, when `reach` is given, its
-  /// LayerCostTable::reach, through `lane`: candidate blockings share
-  /// almost all their blocks (balanced boundaries nest, the anneal moves
-  /// a single boundary), so each extent is summed once per lane and
-  /// routing a candidate is O(blocks).
-  std::vector<sim::BlockCost> block_costs(
-      ExtentMemo& lane, const std::vector<sim::Block>& blocks,
-      std::vector<int>* reach = nullptr) const;
+      const std::vector<sim::Block>& blocks,
+      const std::vector<sim::BlockCost>& costs,
+      const std::vector<int>& reach) const;
+  /// Each block's cost from `table_` and its LayerCostTable::reach, through
+  /// `lane`'s extent memo, left in lane.costs (returned) and lane.reach:
+  /// candidate blockings share almost all their blocks (balanced
+  /// boundaries nest, the anneal moves a single boundary), so each extent
+  /// is summed once per lane and routing a candidate is O(blocks).
+  const std::vector<sim::BlockCost>& block_costs(
+      SearchLane& lane, const std::vector<sim::Block>& blocks) const;
 
   const graph::Model& model_;
   sim::DeviceSpec device_;

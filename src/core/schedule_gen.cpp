@@ -190,19 +190,34 @@ sim::Plan build_training_plan(const graph::Model& model,
                               const ScheduleOptions& options,
                               const std::vector<sim::BlockCost>*
                                   precomputed_costs) {
+  sim::Plan plan;
+  emit_training_plan(plan, device, blocks,
+                     precomputed_costs
+                         ? *precomputed_costs
+                         : sim::LayerCostTable(model, device).costs(blocks),
+                     policies, strategy, options);
+  return plan;
+}
+
+void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
+                        const std::vector<sim::Block>& blocks,
+                        const std::vector<sim::BlockCost>& costs,
+                        const std::vector<BlockPolicy>& policies,
+                        const std::string& strategy,
+                        const ScheduleOptions& options) {
   if (blocks.size() != policies.size())
     throw std::invalid_argument("build_training_plan: size mismatch");
-  if (precomputed_costs && precomputed_costs->size() != blocks.size())
+  if (costs.size() != blocks.size())
     throw std::invalid_argument(
         "build_training_plan: precomputed costs/blocks size mismatch");
   const int nb = static_cast<int>(blocks.size());
 
-  sim::Plan plan;
   plan.strategy = strategy;
   plan.blocks = blocks;
-  plan.costs = precomputed_costs
-                   ? *precomputed_costs
-                   : sim::LayerCostTable(model, device).costs(blocks);
+  plan.costs = costs;
+  plan.ops.clear();
+  plan.stage_of.clear();
+  plan.host_baseline_resident = 0;
 
   // Weights and weight gradients stay on the device for single-GPU plans
   // (the distributed planner handles weight swapping separately).
@@ -317,8 +332,6 @@ sim::Plan build_training_plan(const graph::Model& model,
     // Each completed backward opens the next prefetch slot.
     issue_swap_ins(backward_index[static_cast<std::size_t>(b)], 1, stage);
   }
-
-  return plan;
 }
 
 sim::Plan build_incore_plan(const graph::Model& model,

@@ -154,6 +154,17 @@ sim::Plan build_training_plan(const graph::Model& model,
                               const std::vector<sim::BlockCost>*
                                   precomputed_costs = nullptr);
 
+/// build_training_plan into `plan`, reusing its buffers, with `costs` the
+/// sim::LayerCostTable cost of each block in order. The planner's search
+/// lanes emit every candidate into one Plan this way. Throws like
+/// build_training_plan.
+void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
+                        const std::vector<sim::Block>& blocks,
+                        const std::vector<sim::BlockCost>& costs,
+                        const std::vector<BlockPolicy>& policies,
+                        const std::string& strategy,
+                        const ScheduleOptions& options = {});
+
 /// In-core baseline: everything resident, no swaps. Deadlocks in the
 /// engine (by design) when the model does not fit.
 sim::Plan build_incore_plan(const graph::Model& model,

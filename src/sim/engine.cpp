@@ -4,10 +4,8 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "src/tier/accountant.h"
@@ -42,18 +40,7 @@ Seconds Engine::op_duration(const Plan& plan, const Op& op) const {
   throw std::logic_error("engine: unhandled op kind");
 }
 
-namespace {
-
-/// Per-op progress inside one replay.
-struct EngineOpState {
-  bool done = false;
-  Seconds start = 0.0;
-  Seconds end = 0.0;
-};
-
-}  // namespace
-
-ExecutionTrace Engine::run(const Plan& plan) const {
+Engine::Totals Engine::replay(const Plan& plan, ReplayScratch& scratch) const {
   validate_plan(plan);
   const int n = static_cast<int>(plan.ops.size());
   const auto op_at = [&](int i) -> const Op& {
@@ -64,10 +51,13 @@ ExecutionTrace Engine::run(const Plan& plan) const {
   //  dep1[i]: latest earlier op on the same block (producer/consumer).
   //  dep2[i]: for Recompute ops, the latest earlier op touching the
   //           predecessor block (its output is the recompute's input).
-  std::vector<int> dep1(static_cast<std::size_t>(n), -1);
-  std::vector<int> dep2(static_cast<std::size_t>(n), -1);
+  std::vector<int>& dep1 = scratch.dep1;
+  std::vector<int>& dep2 = scratch.dep2;
+  dep1.assign(static_cast<std::size_t>(n), -1);
+  dep2.assign(static_cast<std::size_t>(n), -1);
   {
-    std::vector<int> last(plan.blocks.size(), -1);
+    std::vector<int>& last = scratch.last_on_block;
+    last.assign(plan.blocks.size(), -1);
     for (int i = 0; i < n; ++i) {
       const Op& op = op_at(i);
       const auto b = static_cast<std::size_t>(op.block);
@@ -79,13 +69,15 @@ ExecutionTrace Engine::run(const Plan& plan) const {
   }
 
   // Stream FIFO queues (tier-aware: NVMe swaps bind to the NVMe streams).
-  std::array<std::vector<int>, kNumStreams> queue;
+  std::array<std::vector<int>, kNumStreams>& queue = scratch.queue;
+  for (auto& q : queue) q.clear();
   for (int i = 0; i < n; ++i)
     queue[static_cast<std::size_t>(stream_of_op(op_at(i)))].push_back(i);
   std::array<std::size_t, kNumStreams> head{};
   std::array<Seconds, kNumStreams> stream_free_at{};
 
-  std::vector<EngineOpState> state(static_cast<std::size_t>(n));
+  std::vector<ReplayScratch::OpState>& state = scratch.ops;
+  state.assign(static_cast<std::size_t>(n), ReplayScratch::OpState{});
 
   const auto resolve = [](Bytes v, Bytes fallback) {
     return v == Op::kDefault ? fallback : v;
@@ -132,11 +124,17 @@ ExecutionTrace Engine::run(const Plan& plan) const {
   if (plan.host_baseline_resident > 0)
     ledger.charge(tier::Tier::kHost, tier::Residency::kWeightShard,
                   plan.host_baseline_resident);
-  // (block, tier) -> offloaded activation bytes; a swap-in only releases
-  // what some earlier swap-out actually charged.
-  std::map<std::pair<int, int>, Bytes> spilled;
-  // (block, tier) -> gradient bytes awaiting their update.
-  std::map<std::pair<int, int>, Bytes> grad_in_flight;
+  // [block * kNumTiers + tier] -> offloaded activation bytes; a swap-in
+  // only releases what some earlier swap-out actually charged.
+  std::vector<Bytes>& spilled = scratch.spilled;
+  // [block * kNumTiers + tier] -> gradient bytes awaiting their update.
+  std::vector<Bytes>& grad_in_flight = scratch.grad_in_flight;
+  spilled.assign(plan.blocks.size() * tier::kNumTiers, Bytes{0});
+  grad_in_flight.assign(plan.blocks.size() * tier::kNumTiers, Bytes{0});
+  const auto slot = [](int block, tier::Tier t) {
+    return static_cast<std::size_t>(block) * tier::kNumTiers +
+           static_cast<std::size_t>(t);
+  };
 
   Bytes free_mem = plan.capacity;
   Bytes min_free = free_mem;
@@ -190,9 +188,9 @@ ExecutionTrace Engine::run(const Plan& plan) const {
           auto& outstanding = op.residency == tier::Residency::kGradient
                                   ? grad_in_flight
                                   : spilled;
-          outstanding[{op.block, static_cast<int>(op.tier)}] += payload;
+          outstanding[slot(op.block, op.tier)] += payload;
         }
-        EngineOpState& st = state[ii];
+        ReplayScratch::OpState& st = state[ii];
         st.start = now;
         Seconds dur = op_duration(plan, op);
         // Mixed-load NVMe asymmetry (DESIGN.md §16): an IO issued while
@@ -247,7 +245,7 @@ ExecutionTrace Engine::run(const Plan& plan) const {
     now = next_end;
     const auto retire = [&](int i) {
       const auto ii = static_cast<std::size_t>(i);
-      EngineOpState& st = state[ii];
+      ReplayScratch::OpState& st = state[ii];
       st.done = true;
       ++completed;
       const Op& done_op = op_at(i);
@@ -259,28 +257,26 @@ ExecutionTrace Engine::run(const Plan& plan) const {
         // the matching swap-out charged (and no more). Weight-shard
         // swap-ins stream the pinned host master copy and release
         // nothing — that copy stays authoritative in DRAM.
-        const auto key =
-            std::make_pair(done_op.block, static_cast<int>(done_op.tier));
-        const auto it = spilled.find(key);
-        if (it != spilled.end()) {
-          const Bytes back = std::min(it->second, op_bytes(plan, done_op));
-          ledger.release(done_op.tier, done_op.residency, back);
-          it->second -= back;
-        }
+        Bytes& outstanding = spilled[slot(done_op.block, done_op.tier)];
+        const Bytes back = std::min(outstanding, op_bytes(plan, done_op));
+        ledger.release(done_op.tier, done_op.residency, back);
+        outstanding -= back;
       }
       if (done_op.kind == OpKind::kCpuUpdate ||
           done_op.kind == OpKind::kDeviceUpdate) {
         // The update consumed this block's gradients: their host (or
         // NVMe) bytes return to the ledger — the gradient-out/update
         // pairing that keeps multi-iteration pipelines bounded. An
-        // explicit op.bytes caps how much one update consumes.
+        // explicit op.bytes caps how much one update consumes; tiers
+        // release in index order.
         Bytes budget =
             done_op.bytes > 0 ? done_op.bytes : tier::TierSpec::kUnbounded;
-        for (auto& [key, outstanding] : grad_in_flight) {
-          if (key.first != done_op.block || outstanding <= 0) continue;
+        for (int t = 0; t < tier::kNumTiers; ++t) {
+          const auto tt = static_cast<tier::Tier>(t);
+          Bytes& outstanding = grad_in_flight[slot(done_op.block, tt)];
+          if (outstanding <= 0) continue;
           const Bytes consume = std::min(outstanding, budget);
-          ledger.release(static_cast<tier::Tier>(key.second),
-                         tier::Residency::kGradient, consume);
+          ledger.release(tt, tier::Residency::kGradient, consume);
           outstanding -= consume;
           budget -= consume;
           if (budget <= 0) break;
@@ -291,18 +287,37 @@ ExecutionTrace Engine::run(const Plan& plan) const {
     };
     // At most one op per stream is in flight; gather the ones ending now
     // and retire them in op-index order (free-memory and ledger updates
-    // are order-sensitive, so the order is part of the model).
+    // are order-sensitive, so the order is part of the model). At most
+    // kNumStreams entries, so an insertion sort.
     std::array<int, kNumStreams> ending;
-    int num_ending = 0;
+    std::size_t num_ending = 0;
     for (int s = 0; s < kNumStreams; ++s) {
       const int i = running[static_cast<std::size_t>(s)];
-      if (i >= 0 && state[static_cast<std::size_t>(i)].end <= now)
-        ending[static_cast<std::size_t>(num_ending++)] = i;
+      if (i < 0 || state[static_cast<std::size_t>(i)].end > now) continue;
+      std::size_t at = num_ending++;
+      for (; at > 0 && ending[at - 1] > i; --at) ending[at] = ending[at - 1];
+      ending[at] = i;
     }
-    std::sort(ending.begin(), ending.begin() + num_ending);
-    for (int e = 0; e < num_ending; ++e)
-      retire(ending[static_cast<std::size_t>(e)]);
+    for (std::size_t e = 0; e < num_ending; ++e) retire(ending[e]);
   }
+
+  Totals totals;
+  totals.makespan = now;
+  totals.compute_busy = compute_busy;
+  totals.min_free = min_free;
+  totals.peak_host = ledger.peak(tier::Tier::kHost);
+  totals.peak_nvme = ledger.peak(tier::Tier::kNvme);
+  return totals;
+}
+
+Seconds Engine::makespan(const Plan& plan, ReplayScratch& scratch) const {
+  return replay(plan, scratch).makespan;
+}
+
+ExecutionTrace Engine::run(const Plan& plan) const {
+  ReplayScratch scratch;
+  const Totals totals = replay(plan, scratch);
+  const int n = static_cast<int>(plan.ops.size());
 
   // Build records with stall accounting: stall = start minus the end of
   // the previous op on the same stream (time the stream sat idle).
@@ -312,24 +327,25 @@ ExecutionTrace Engine::run(const Plan& plan) const {
   std::array<bool, kNumStreams> seen{};
   for (int i = 0; i < n; ++i) {
     const auto ii = static_cast<std::size_t>(i);
-    const Op& op = op_at(i);
+    const Op& op = plan.ops[ii];
     const auto si = static_cast<std::size_t>(stream_of_op(op));
     OpRecord& r = trace.records[ii];
     r.op_index = i;
     r.kind = op.kind;
     r.block = op.block;
     r.iteration = op.iteration;
-    r.start = state[ii].start;
-    r.end = state[ii].end;
+    r.start = scratch.ops[ii].start;
+    r.end = scratch.ops[ii].end;
     r.stall = seen[si] ? std::max(0.0, r.start - prev_end[si]) : r.start;
     prev_end[si] = r.end;
     seen[si] = true;
   }
-  trace.makespan = now;
-  trace.compute_busy = compute_busy;
-  trace.peak_resident = (plan.capacity - min_free) + plan.baseline_resident;
-  trace.peak_host_resident = ledger.peak(tier::Tier::kHost);
-  trace.peak_nvme_resident = ledger.peak(tier::Tier::kNvme);
+  trace.makespan = totals.makespan;
+  trace.compute_busy = totals.compute_busy;
+  trace.peak_resident =
+      (plan.capacity - totals.min_free) + plan.baseline_resident;
+  trace.peak_host_resident = totals.peak_host;
+  trace.peak_nvme_resident = totals.peak_nvme;
   return trace;
 }
 

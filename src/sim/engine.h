@@ -1,7 +1,7 @@
 // Discrete-event engine with CUDA-stream semantics.
 //
-// Ops are issued in plan order onto five streams (compute, H2D DMA, D2H
-// DMA, NIC, host CPU). An op starts when
+// Ops are issued in plan order onto seven streams (compute, H2D DMA, D2H
+// DMA, NIC, host CPU, NVMe read, NVMe write). An op starts when
 //   (1) it is at the head of its stream's FIFO queue,
 //   (2) the most recently issued earlier op touching the same block has
 //       completed (per-block producer/consumer chain),
@@ -11,20 +11,54 @@
 // evicts). The engine is single-threaded and fully deterministic: ties are
 // broken by stream id, then op index.
 //
+// One event loop, two outputs (DESIGN.md §14): run() returns the per-op
+// trace, makespan() only the iteration time. makespan() is what the
+// planner's search scores every candidate by; it writes no OpRecords and
+// keeps the loop's working arrays in a ReplayScratch the caller reuses,
+// so they grow to the largest plan once instead of being allocated per
+// replay. Both outputs come from the same loop, so
+// makespan(plan) == run(plan).makespan bit for bit.
+//
 // This mirrors how KARMA's generated script behaves on real hardware
 // (Sec. III-H): prefetches are cudaMemPrefetchAsync on a side stream,
 // compute waits on events, and stalls appear exactly when a dependency or
 // the capacity limit blocks the compute queue.
 #pragma once
 
+#include <array>
+#include <utility>
+#include <vector>
+
 #include "src/sim/plan.h"
 #include "src/sim/trace.h"
 
 namespace karma::sim {
 
+/// The working arrays of one replay. A caller that replays many plans
+/// keeps one and passes it to every makespan() call; each replay resets
+/// everything it reads, so a scratch reused across plans of any size gives
+/// the same answers as a fresh one.
+struct ReplayScratch {
+  struct OpState {
+    bool done = false;
+    Seconds start = 0.0;
+    Seconds end = 0.0;
+  };
+  std::vector<int> dep1;          ///< latest earlier op on the same block
+  std::vector<int> dep2;          ///< recompute: latest op on block - 1
+  std::vector<int> last_on_block;
+  std::array<std::vector<int>, kNumStreams> queue;  ///< stream FIFOs
+  std::vector<OpState> ops;
+  /// Offload ledgers indexed [block * tier::kNumTiers + tier]: activation
+  /// bytes some swap-out spilled, and gradient bytes awaiting the block's
+  /// update.
+  std::vector<Bytes> spilled;
+  std::vector<Bytes> grad_in_flight;
+};
+
 class Engine {
  public:
-  explicit Engine(DeviceSpec device) : device_(device) {}
+  explicit Engine(DeviceSpec device) : device_(std::move(device)) {}
 
   /// Replays `plan` from op 0 and returns the trace. Throws
   /// karma::InfeasibleError with a state dump if the plan deadlocks (e.g.
@@ -32,9 +66,25 @@ class Engine {
   /// validation.
   ExecutionTrace run(const Plan& plan) const;
 
+  /// The same replay, returning only run(plan).makespan (bit-identical)
+  /// and throwing exactly where run() throws. Writes no OpRecords, and
+  /// works in `scratch` instead of allocating its own arrays.
+  Seconds makespan(const Plan& plan, ReplayScratch& scratch) const;
+
   const DeviceSpec& device() const { return device_; }
 
  private:
+  /// What the event loop reports besides each op's start and end (left in
+  /// ReplayScratch::ops).
+  struct Totals {
+    Seconds makespan = 0.0;
+    Seconds compute_busy = 0.0;
+    Bytes min_free = 0;
+    Bytes peak_host = 0;
+    Bytes peak_nvme = 0;
+  };
+  /// The one event loop behind run() and makespan().
+  Totals replay(const Plan& plan, ReplayScratch& scratch) const;
   Seconds op_duration(const Plan& plan, const Op& op) const;
   Bytes op_bytes(const Plan& plan, const Op& op) const;
 

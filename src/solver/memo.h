@@ -10,11 +10,9 @@
 // Each KarmaPlanner search creates its own tables and drops them when it
 // returns, so no state outlives one plan() call.
 //
-// The planner memoizes only the scalar objective, not the full
-// evaluation artifact: a revisited candidate can never beat the incumbent
-// best that already considered it, so the full result is only
-// re-materialized in the rare case a memoized value must become the new
-// best.
+// The planner memoizes only the scalar objective (the makespan), not the
+// full evaluation artifact: it materializes a full result only for a
+// candidate, memoized or not, whose makespan beats the incumbent.
 #pragma once
 
 #include <array>

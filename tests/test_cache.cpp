@@ -705,8 +705,9 @@ TEST(SearchMemo, ResimulationsDropBelowCandidateCount) {
     EXPECT_GT(s.candidates, 0);
     EXPECT_GT(s.memo_hits, 0);
     EXPECT_LT(s.simulations, s.candidates);
-    // Every candidate evaluation request was either a replay or a pure
-    // memo serve — exact partition, no double counting.
+    // Every candidate evaluation request was either a lean replay or a
+    // pure memo serve — exact partition, no double counting; the full
+    // replay that materializes a new incumbent is not a candidate.
     EXPECT_EQ(s.simulations + s.memo_hits, s.candidates);
     // The per-block cost memo fires heavily: candidate blockings share
     // almost all their block extents.

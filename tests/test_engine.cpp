@@ -1,8 +1,21 @@
 // The discrete-event engine: stream FIFO semantics, dependency chains,
-// capacity accounting, overlap, stalls, deadlock detection, determinism.
+// capacity accounting, overlap, stalls, deadlock detection, determinism,
+// and the makespan-only replay agreeing with the full one.
 #include "src/sim/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "src/core/distributed.h"
+#include "src/core/schedule_gen.h"
+#include "src/graph/model_zoo.h"
+#include "src/util/infeasible.h"
+#include "src/util/rng.h"
 
 namespace karma::sim {
 namespace {
@@ -378,6 +391,175 @@ TEST(Engine, RejectsMissingDurations) {
   Op ar = op(OpKind::kAllReduce, 0);
   plan.ops = {op(OpKind::kForward, 0), op(OpKind::kBackward, 0), ar};
   EXPECT_THROW(Engine(unit_device()).run(plan), std::logic_error);
+}
+
+/// A replay's makespan, or which error it threw.
+struct Outcome {
+  enum Error { kNone, kInfeasible, kInvalid };
+  Seconds makespan = 0.0;
+  Error error = kNone;
+};
+
+template <typename Replay>
+Outcome outcome_of(const Replay& replay) {
+  try {
+    return {replay(), Outcome::kNone};
+  } catch (const InfeasibleError&) {
+    return {0.0, Outcome::kInfeasible};
+  } catch (const std::logic_error&) {
+    return {0.0, Outcome::kInvalid};
+  }
+}
+
+/// Random blocking of `model` into 1..`max_blocks` contiguous blocks.
+std::vector<Block> random_blocking(const graph::Model& model, Rng& rng,
+                                   int max_blocks) {
+  const int n = static_cast<int>(model.num_layers());
+  const int k = 1 + static_cast<int>(rng.next_below(
+                        static_cast<std::uint64_t>(std::min(max_blocks, n))));
+  std::vector<bool> cut(static_cast<std::size_t>(n), false);
+  for (int c = 1; c < k; ++c)
+    cut[1 + rng.next_below(static_cast<std::uint64_t>(n - 1))] = true;
+  std::vector<Block> blocks;
+  int first = 0;
+  for (int p = 1; p <= n; ++p)
+    if (p == n || cut[static_cast<std::size_t>(p)]) {
+      blocks.push_back({first, p});
+      first = p;
+    }
+  return blocks;
+}
+
+TEST(Engine, MakespanMatchesFullReplayBitForBit) {
+  DeviceSpec bounded = v100_abci_nvme();
+  bounded.name = "v100-bounded-host";
+  bounded.host_capacity = 4_GiB;
+  const std::vector<DeviceSpec> devices = {v100_abci(), v100_abci_nvme(),
+                                           bounded};
+  const std::vector<graph::Model> zoo = {
+      graph::make_resnet50(512),
+      graph::make_resnet200(128),
+      graph::make_vgg16(256),
+      graph::make_wrn28_10(512),
+      graph::make_resnet1001(128),
+      graph::make_unet(16),
+      graph::make_highres_segmenter(1, 4096),
+      graph::make_lstm_seq2seq(256, 128, 1024, 2),
+      graph::make_transformer(graph::megatron_config(0), 8),
+      graph::make_transformer_chain(graph::megatron_config(0), 8),
+  };
+  Rng rng(0x5c0e);
+  // One scratch for every replay below: plans of every size pass through
+  // it, some of them throwing mid-replay, so stale state would show as a
+  // lean result that differs from a fresh scratch's.
+  ReplayScratch shared;
+  int compared = 0;
+  int infeasible = 0;
+  const auto check = [&](const Engine& engine, const Plan& plan,
+                         const std::string& where) {
+    const Outcome full = outcome_of([&] { return engine.run(plan).makespan; });
+    const Outcome lean =
+        outcome_of([&] { return engine.makespan(plan, shared); });
+    const Outcome fresh = outcome_of([&] {
+      ReplayScratch scratch;
+      return engine.makespan(plan, scratch);
+    });
+    EXPECT_EQ(lean.error, full.error) << where;
+    EXPECT_EQ(fresh.error, full.error) << where;
+    EXPECT_EQ(std::memcmp(&lean.makespan, &full.makespan, sizeof(Seconds)), 0)
+        << where << ": " << lean.makespan << " vs " << full.makespan;
+    EXPECT_EQ(std::memcmp(&fresh.makespan, &full.makespan, sizeof(Seconds)),
+              0)
+        << where << ": " << fresh.makespan << " vs " << full.makespan;
+    if (full.error == Outcome::kNone) ++compared;
+    if (full.error == Outcome::kInfeasible) ++infeasible;
+  };
+
+  // A plan that deadlocks throws on both paths. This one stops with an
+  // activation spill and a gradient payload of block 0 still on the host
+  // ledger; the next plan's custom-payload swap-in and update of block 0
+  // would release them from a stale scratch (a ledger underflow).
+  const Engine unit(unit_device());
+  Plan dead = skeleton(2);
+  Op grad_out = op(OpKind::kSwapOut, 0);
+  grad_out.residency = tier::Residency::kGradient;
+  grad_out.bytes = 50;
+  Op too_big = op(OpKind::kForward, 1);
+  too_big.alloc = 5000;
+  dead.ops = {op(OpKind::kForward, 0), op(OpKind::kSwapOut, 0), grad_out,
+              too_big};
+  EXPECT_THROW(unit.run(dead), InfeasibleError);
+  EXPECT_THROW(unit.makespan(dead, shared), InfeasibleError);
+  Plan after = skeleton(1);
+  Op in = op(OpKind::kSwapIn, 0);
+  in.bytes = 100;
+  Op update = op(OpKind::kCpuUpdate, 0);
+  update.duration = 1.0;
+  after.ops = {op(OpKind::kForward, 0), in, op(OpKind::kBackward, 0), update};
+  check(unit, after, "custom swap-in after a deadlock");
+
+  for (const auto& model : zoo) {
+    const int n = static_cast<int>(model.num_layers());
+    for (const auto& device : devices) {
+      const Engine engine(device);
+      const LayerCostTable table(model, device);
+      const std::vector<std::vector<Block>> blockings = {
+          uniform_blocks(model, std::max(1, n / 6)),
+          uniform_blocks(model, std::max(1, n / 24)),
+          random_blocking(model, rng, 40), random_blocking(model, rng, 40),
+          random_blocking(model, rng, 40)};
+      for (const auto& blocks : blockings) {
+        const std::vector<BlockCost> costs = table.costs(blocks);
+        std::vector<int> reach;
+        Bytes weights = 0;
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+          reach.push_back(table.reach(blocks[b]));
+          weights += costs[b].param_bytes + costs[b].grad_bytes;
+        }
+        std::vector<std::vector<core::BlockPolicy>> policy_sets = {
+            core::remat_policies(blocks.size())};
+        try {
+          policy_sets.push_back(core::route_policies(
+              device, blocks, costs, reach, device.memory_capacity - weights,
+              0, /*enable_recompute=*/true));
+        } catch (const InfeasibleError&) {
+        }
+        std::vector<core::BlockPolicy> random(blocks.size());
+        for (auto& p : random)
+          p = static_cast<core::BlockPolicy>(rng.next_below(4));
+        policy_sets.push_back(random);
+        for (const auto& policies : policy_sets) {
+          Plan plan;
+          try {
+            plan = core::build_training_plan(model, device, blocks, policies,
+                                             "replay-check", {}, &costs);
+          } catch (const InfeasibleError&) {
+            continue;  // admission refused it before any replay
+          }
+          check(engine, plan,
+                model.name() + " on " + device.name + ", " +
+                    std::to_string(blocks.size()) + " blocks");
+        }
+      }
+    }
+  }
+
+  // Data-parallel plans: gradient swap-outs and CPU updates drive the
+  // gradient ledger, and weight shards pin the host.
+  for (const auto& device : devices) {
+    core::DistributedOptions options;
+    options.planner.anneal_iterations = 0;
+    for (const auto& model :
+         {graph::make_resnet50(256),
+          graph::make_transformer(graph::megatron_config(0), 4)}) {
+      const core::PlanResult dp =
+          core::plan_data_parallel(model, device, options);
+      check(Engine(device), dp.plan,
+            model.name() + " data-parallel on " + device.name);
+    }
+  }
+  EXPECT_GT(compared, 250);
+  EXPECT_GT(infeasible, 50);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "src/graph/memory_model.h"
@@ -223,6 +225,45 @@ TEST(Planner, ConcurrentPlansOnOneInstanceMatchSerial) {
   tb.join();
   expect_same_plan(*a, serial);
   expect_same_plan(*b, serial);
+}
+
+TEST(Planner, PackedCandidateKeysAreDistinct) {
+  // Blockings of a 12-layer model: nested prefixes that differ only in
+  // block count, same counts with moved boundaries, and layer indices
+  // whose bytes would collide in a narrower encoding.
+  const std::vector<std::vector<sim::Block>> blockings = {
+      {{0, 12}},
+      {{0, 4}, {4, 12}},
+      {{0, 4}, {4, 8}},
+      {{0, 4}, {4, 8}, {8, 12}},
+      {{0, 4}, {4, 8}, {8, 10}, {10, 12}},
+      {{0, 5}, {5, 12}},
+      {{0, 256}, {256, 300}},
+      {{0, 1}, {1, 300}},
+      {{0, 300}},
+  };
+  const std::vector<BlockPolicy> vocabulary = {
+      BlockPolicy::kResident, BlockPolicy::kSwap, BlockPolicy::kRecompute,
+      BlockPolicy::kSwapNvme};
+  std::set<std::string> keys;
+  std::size_t candidates = 0;
+  std::string key;
+  for (const auto& blocks : blockings) {
+    // Every policy vector over the blocking (4^blocks of them).
+    std::vector<std::size_t> digit(blocks.size(), 0);
+    while (true) {
+      std::vector<BlockPolicy> policies;
+      for (const std::size_t d : digit) policies.push_back(vocabulary[d]);
+      pack_candidate_key(blocks, policies, key);
+      EXPECT_EQ(key.size(), 5 * blocks.size());
+      keys.insert(key);
+      ++candidates;
+      std::size_t i = 0;
+      while (i < digit.size() && ++digit[i] == vocabulary.size()) digit[i++] = 0;
+      if (i == digit.size()) break;
+    }
+  }
+  EXPECT_EQ(keys.size(), candidates);
 }
 
 }  // namespace
