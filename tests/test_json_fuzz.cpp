@@ -9,6 +9,7 @@
 // stack-overflow bombs.
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -135,6 +136,38 @@ TEST(JsonFuzz, SecondEmitIsByteIdentical) {
   for (const Value& v : root.array) again.value(v.number);
   again.end_array();
   EXPECT_EQ(again.take(), first);
+}
+
+TEST(JsonFuzz, DoublesEmitTheBytesOfPrintfPercent17g) {
+  // The writer's to_chars emission must stay byte-identical to the
+  // snprintf("%.17g") it replaced: every stored artifact and content hash
+  // was written with those bytes.
+  std::mt19937_64 rng(0x17C0FFEEULL);
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      1e21,
+      -1e21,
+      1e-7,
+      0.1,
+      100.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::epsilon()};
+  while (values.size() < 20000) {
+    const double d = double_of(rng());
+    if (!std::isnan(d) && !std::isinf(d)) values.push_back(d);
+  }
+  for (const double d : values) {
+    Writer w;
+    w.value(d);
+    char expected[40];
+    std::snprintf(expected, sizeof expected, "%.17g", d);
+    ASSERT_EQ(w.take(), expected) << "bits " << bits_of(d);
+  }
 }
 
 TEST(JsonFuzz, RandomInt64RoundTripsThroughTheIntegerView) {
