@@ -432,13 +432,15 @@ std::optional<PlanError> validate(const PlanRequest& request) {
   return std::nullopt;
 }
 
-/// The structured outcome of an interrupted search for one waiter.
-PlanError interrupted_error(StopReason reason, const PlanRequest& request) {
+/// The structured outcome of an interrupted search of `model` on `device`
+/// for one waiter.
+PlanError interrupted_error(StopReason reason, const std::string& model,
+                            const std::string& device) {
   PlanError e;
   e.code = reason == StopReason::kCancelled ? PlanErrorCode::kCancelled
                                             : PlanErrorCode::kDeadline;
-  e.model = request.model.name();
-  e.device = request.device.name;
+  e.model = model;
+  e.device = device;
   switch (reason) {
     case StopReason::kCancelled:
       e.message = "search cancelled before completion";
@@ -471,7 +473,17 @@ using Outcome = Expected<Plan, PlanError>;
 /// atomic and is the only channel the search thread reads.
 struct Flight {
   cache::RequestKey key;
-  PlanRequest request;  ///< content-identical for every waiter, by key
+  /// The request the search reads, content-identical for every waiter (by
+  /// key). A flight owns a copy when a worker runs it (plan_async) or a
+  /// calibration overlay changed its device. A synchronous leader's
+  /// flight instead points at the leader's own request: the leader runs
+  /// the search on its thread and returns only after the flight settled,
+  /// and nothing reads the request once it has.
+  std::shared_ptr<const PlanRequest> request;
+  /// What a waiter's interrupt outcome names; a waiter can settle while
+  /// the search runs, so these are the flight's own copies.
+  std::string model_name;
+  std::string device_name;
   core::PlannerOptions planner_options;  ///< reserve already charged
   Bytes reserved_host = 0;
   /// OR over the waiting set's probe_feasible_batch (the knob is excluded
@@ -764,7 +776,8 @@ Engine::~Engine() {
     leftover.swap(impl_->queue);
   }
   for (const auto& flight : leftover) {
-    PlanError e = interrupted_error(StopReason::kCancelled, flight->request);
+    PlanError e = interrupted_error(StopReason::kCancelled,
+                                    flight->model_name, flight->device_name);
     e.message = "engine shut down before the search started";
     std::lock_guard<std::mutex> lock(flight->mu);
     flight->outcome = std::make_shared<const Outcome>(std::move(e));
@@ -849,30 +862,33 @@ struct Engine::Prepared {
 
 namespace {
 
-/// Builds a fresh flight this caller leads. Derives the host reserve
-/// here, on the lead path only: a cache hit or a join never walks the
-/// model for it. Registers the caller as the first waiter;
-/// `threshold_out` receives its absolute budget threshold.
-std::shared_ptr<Flight> lead_flight(PlanRequest request,
+/// Builds a fresh flight this caller leads, searching `request`. Derives
+/// the host reserve here, on the lead path only: a cache hit or a join
+/// never walks the model for it. Registers the caller as the first
+/// waiter; `threshold_out` receives its absolute budget threshold.
+std::shared_ptr<Flight> lead_flight(std::shared_ptr<const PlanRequest> request,
                                     Clock::time_point waiter_deadline,
                                     std::int64_t* threshold_out) {
   auto flight = std::make_shared<Flight>();
-  flight->reserved_host = derive_reserved_host(request);
-  flight->planner_options = request.planner;
+  flight->reserved_host = derive_reserved_host(*request);
+  flight->planner_options = request->planner;
   flight->planner_options.schedule.reserved_host_bytes = flight->reserved_host;
-  flight->want_probe = request.probe_feasible_batch;
-  flight->request = std::move(request);
+  flight->want_probe = request->probe_feasible_batch;
+  flight->model_name = request->model.name();
+  flight->device_name = request->device.name;
   {
     std::lock_guard<std::mutex> lock(flight->mu);
     *threshold_out = flight->register_waiter_locked(
-        waiter_deadline, flight->request.limits.max_candidates);
+        waiter_deadline, request->limits.max_candidates);
   }
+  flight->request = std::move(request);
   return flight;
 }
 
 }  // namespace
 
-Engine::Prepared Engine::prepare(const PlanRequest& request) {
+Engine::Prepared Engine::prepare(const PlanRequest& request,
+                                 bool runs_on_caller) {
   impl_->requests->inc();
 
   Prepared prepared;
@@ -944,11 +960,22 @@ Engine::Prepared Engine::prepare(const PlanRequest& request) {
     impl_->flights.erase(it);
   }
   // The request the led flight actually searches: the raw request with
-  // the cost overlay applied. Built here — hits and joins never copy it.
-  PlanRequest effective = request;
-  if (calib && !calib->empty())
-    effective.device = calib::apply(*calib, request.device);
-  prepared.flight = lead_flight(std::move(effective), prepared.waiter_deadline,
+  // the cost overlay applied. Only a lead copies it — hits and joins never
+  // do — and a lead on the caller's thread without an overlay searches the
+  // caller's request in place (a non-owning pointer: the caller outlives
+  // its own search).
+  std::shared_ptr<const PlanRequest> searched;
+  if (calib && !calib->empty()) {
+    auto effective = std::make_shared<PlanRequest>(request);
+    effective->device = calib::apply(*calib, request.device);
+    searched = std::move(effective);
+  } else if (runs_on_caller) {
+    searched = std::shared_ptr<const PlanRequest>(
+        std::shared_ptr<const PlanRequest>(), &request);
+  } else {
+    searched = std::make_shared<const PlanRequest>(request);
+  }
+  prepared.flight = lead_flight(std::move(searched), prepared.waiter_deadline,
                                 &prepared.waiter_budget_threshold);
   prepared.flight->key = key;
   // Repair seed (DESIGN.md §13): the same request's plan cached under a
@@ -1075,7 +1102,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
     for (;;) {
       try {
         Plan artifact =
-            plan_uncached(flight->request, flight->planner_options,
+            plan_uncached(*flight->request, flight->planner_options,
                           flight->reserved_host, flight->control, on_best,
                           flight->repair_seed.get());
         // Only completed searches are cached.
@@ -1096,7 +1123,9 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
         if (interrupted.reason != StopReason::kCancelled &&
             !flight->control.should_stop())
           continue;
-        PlanError e = interrupted_error(interrupted.reason, flight->request);
+        PlanError e = interrupted_error(interrupted.reason,
+                                        flight->model_name,
+                                        flight->device_name);
         {
           std::lock_guard<std::mutex> lock(flight->mu);
           e.partial = flight->best;
@@ -1115,7 +1144,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
     ProbeContext probe{*impl_->cache};
     PlanError e;
     try {
-      PlanRequest diagnosed = flight->request;
+      PlanRequest diagnosed = *flight->request;
       diagnosed.probe_feasible_batch = want_probe;
       e = diagnose(diagnosed, flight->reserved_host, ex, probe,
                    flight->control);
@@ -1131,7 +1160,8 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
     } catch (const core::SearchInterrupted& interrupted) {
       // Cancelled/expired while diagnosing (a probe search can be deep):
       // the caller asked us to stop — the diagnosis is abandoned.
-      e = interrupted_error(interrupted.reason, flight->request);
+      e = interrupted_error(interrupted.reason, flight->model_name,
+                            flight->device_name);
     }
     settle(Outcome(std::move(e)));
   } catch (const std::exception& ex) {
@@ -1145,8 +1175,8 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
     PlanError e;
     e.code = PlanErrorCode::kInternalError;
     e.message = std::string("internal error during planning: ") + ex.what();
-    e.model = flight->request.model.name();
-    e.device = flight->request.device.name;
+    e.model = flight->model_name;
+    e.device = flight->device_name;
     settle(Outcome(std::move(e)));
     throw;
   }
@@ -1189,7 +1219,8 @@ namespace {
 /// the other waiters. Caller holds the flight's mu.
 void settle_waiter_locked(FutureState& state, StopReason reason) {
   Flight& flight = *state.flight;
-  PlanError e = interrupted_error(reason, flight.request);
+  PlanError e =
+      interrupted_error(reason, flight.model_name, flight.device_name);
   e.partial = flight.best;
   state.outcome = std::make_shared<const Outcome>(std::move(e));
   if (state.registered) {
@@ -1309,7 +1340,7 @@ Expected<Plan, PlanError> Engine::plan(const PlanRequest& request) {
   if (request.limits.deadline > 0 || request.limits.max_candidates > 0)
     return plan_async(request).get();
 
-  Prepared prepared = prepare(request);
+  Prepared prepared = prepare(request, /*runs_on_caller=*/true);
   if (prepared.settled) return *prepared.settled;
 
   auto state = std::make_shared<FutureState>();
@@ -1337,7 +1368,7 @@ Plan Engine::plan_or_throw(const PlanRequest& request) {
 }
 
 PlanFuture Engine::plan_async(const PlanRequest& request) {
-  Prepared prepared = prepare(request);
+  Prepared prepared = prepare(request, /*runs_on_caller=*/false);
   auto state = std::make_shared<FutureState>();
   state->engine = shared_from_this();
   state->deadline_counter = impl_->deadlines;

@@ -187,8 +187,11 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// Validation + cache consult + single-flight join-or-create. Exactly
   /// one of the results: a settled outcome, or a flight this caller is
   /// registered with (`leader` = this caller must run/enqueue it).
+  /// `runs_on_caller`: a flight this caller leads runs on its own thread
+  /// before it returns, so the flight may read `request` in place instead
+  /// of copying it.
   struct Prepared;
-  Prepared prepare(const PlanRequest& request);
+  Prepared prepare(const PlanRequest& request, bool runs_on_caller);
 
   /// Executes a flight's search end to end and settles it (worker thread
   /// or synchronous leader). Re-consults the cache first, so a flight

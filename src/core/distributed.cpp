@@ -284,10 +284,10 @@ PlanResult plan_data_parallel(
     try {
       std::vector<int> reach;
       for (const auto& blk : blocks) reach.push_back(table.reach(blk));
-      policies = route_policies(
+      route_policies(
           device, blocks, costs, reach, act_budget,
           options.planner.schedule.reserved_host_bytes + shards.total(),
-          options.planner.enable_recompute);
+          options.planner.enable_recompute, policies);
     } catch (const InfeasibleError&) {
       return;  // spill fits no tier at this blocking
     }

@@ -59,9 +59,15 @@ std::vector<int> candidate_cut_points(const graph::Model& model) {
 std::vector<sim::Block> blocks_from_boundaries(
     const std::vector<int>& boundaries) {
   std::vector<sim::Block> blocks;
+  blocks_from_boundaries(boundaries, blocks);
+  return blocks;
+}
+
+void blocks_from_boundaries(const std::vector<int>& boundaries,
+                            std::vector<sim::Block>& blocks) {
+  blocks.clear();
   for (std::size_t i = 0; i + 1 < boundaries.size(); ++i)
     blocks.push_back({boundaries[i], boundaries[i + 1]});
-  return blocks;
 }
 
 std::vector<int> uniform_boundaries(const std::vector<int>& cuts, int k) {
@@ -119,11 +125,12 @@ void pack_candidate_key(const std::vector<sim::Block>& blocks,
 }
 
 /// One search lane: the serial phases use lane 0 and portfolio worker w
-/// lane w. A lane owns its block-extent memo and the buffers scoring a
-/// candidate writes — the engine, its replay scratch, the one Plan every
-/// candidate is emitted into, the candidate's costs, reaches and memo key
-/// — so a lane takes no lock and its buffers grow to the largest
-/// candidate once instead of being allocated per candidate. The workers
+/// lane w. A lane owns its block-extent memo and the buffers building and
+/// scoring a candidate writes — the engine, its replay scratch, the one
+/// Plan every candidate is emitted into, the candidate's boundaries,
+/// blocks, costs, reaches, policies and memo key — so a lane takes no
+/// lock and its buffers grow to the largest candidate once instead of
+/// being allocated per candidate. The workers
 /// walk neighbouring blockings, and a shared extent table would queue them
 /// all on the same few shards. Each lane sits on its own cache lines.
 struct alignas(64) KarmaPlanner::SearchLane {
@@ -134,8 +141,11 @@ struct alignas(64) KarmaPlanner::SearchLane {
   sim::Engine engine;
   sim::ReplayScratch scratch;
   sim::Plan plan;
+  std::vector<int> boundaries;
+  std::vector<sim::Block> blocks;
   std::vector<sim::BlockCost> costs;
   std::vector<int> reach;
+  std::vector<BlockPolicy> policies;
   std::string key;
 };
 
@@ -162,12 +172,13 @@ KarmaPlanner::KarmaPlanner(const graph::Model& model, sim::DeviceSpec device,
       cut_points_(candidate_cut_points(model_)),
       table_(model_, device_) {}
 
-std::vector<int> KarmaPlanner::balanced_boundaries(int num_blocks) const {
+void KarmaPlanner::balanced_boundaries(int num_blocks,
+                                       std::vector<int>& cuts) const {
   // Greedily pick clean cut points closest to the activation-byte
   // quantiles so blocks carry comparable swap payloads.
   const Bytes total =
       table_.activations_before(static_cast<int>(model_.num_layers()));
-  std::vector<int> cuts = {0};
+  cuts.assign(1, 0);
   std::size_t cursor = 1;  // index into cut_points_
   for (int k = 1; k < num_blocks; ++k) {
     const Bytes target =
@@ -181,7 +192,6 @@ std::vector<int> KarmaPlanner::balanced_boundaries(int num_blocks) const {
       cuts.push_back(cut);
   }
   cuts.push_back(static_cast<int>(model_.num_layers()));
-  return cuts;
 }
 
 const std::vector<sim::BlockCost>& KarmaPlanner::block_costs(
@@ -201,16 +211,16 @@ const std::vector<sim::BlockCost>& KarmaPlanner::block_costs(
   return lane.costs;
 }
 
-std::vector<BlockPolicy> KarmaPlanner::initial_policies(
-    const std::vector<sim::Block>& blocks,
-    const std::vector<sim::BlockCost>& costs,
-    const std::vector<int>& reach) const {
+const std::vector<BlockPolicy>& KarmaPlanner::initial_policies(
+    SearchLane& lane, const std::vector<sim::Block>& blocks,
+    const std::vector<sim::BlockCost>& costs) const {
   Bytes weights = 0;
   for (const auto& c : costs) weights += c.param_bytes + c.grad_bytes;
-  return route_policies(device_, blocks, costs, reach,
-                        device_.memory_capacity - weights,
-                        options_.schedule.reserved_host_bytes,
-                        options_.enable_recompute);
+  route_policies(device_, blocks, costs, lane.reach,
+                 device_.memory_capacity - weights,
+                 options_.schedule.reserved_host_bytes,
+                 options_.enable_recompute, lane.policies);
+  return lane.policies;
 }
 
 Seconds KarmaPlanner::score(SearchLane& lane,
@@ -344,7 +354,7 @@ PlanResult KarmaPlanner::run_search(
   const auto consider_routed = [&](const std::vector<sim::Block>& blocks,
                                    const std::vector<sim::BlockCost>& costs) {
     return consider(blocks, costs,
-                    initial_policies(blocks, costs, serial_lane.reach));
+                    initial_policies(serial_lane, blocks, costs));
   };
   // Pure-rematerialization corner (keeps KARMA's search a superset of
   // Checkmate-style checkpoint-density scans).
@@ -372,9 +382,10 @@ PlanResult KarmaPlanner::run_search(
     span.arg("hi", hi);
     std::set<std::vector<int>> seen;
     for (int k = lo; k <= hi; ++k) {
-      auto cuts = balanced_boundaries(k);
-      if (!seen.insert(cuts).second) continue;
-      consider_blocking(blocks_from_boundaries(cuts));
+      balanced_boundaries(k, serial_lane.boundaries);
+      if (!seen.insert(serial_lane.boundaries).second) continue;
+      blocks_from_boundaries(serial_lane.boundaries, serial_lane.blocks);
+      consider_blocking(serial_lane.blocks);
     }
   };
 
@@ -409,7 +420,9 @@ PlanResult KarmaPlanner::run_search(
       bool improved = false;
       try {
         // A probe whose routing is infeasible skips its remat corner too.
-        const auto blocks = blocks_from_boundaries(balanced_boundaries(k));
+        balanced_boundaries(k, serial_lane.boundaries);
+        blocks_from_boundaries(serial_lane.boundaries, serial_lane.blocks);
+        const auto& blocks = serial_lane.blocks;
         const auto& costs = block_costs(serial_lane, blocks);
         improved = consider_routed(blocks, costs);
         improved = consider_remat(blocks, costs) || improved;
@@ -450,12 +463,12 @@ PlanResult KarmaPlanner::run_search(
     anneal_span.arg("iterations", options_.anneal_iterations);
     const std::function<double(const std::vector<int>&, int)> energy =
         [&](const std::vector<int>& cuts, int w) {
-          const auto blocks = blocks_from_boundaries(cuts);
           SearchLane& lane = memo.lanes[static_cast<std::size_t>(w)];
-          const auto& costs = block_costs(lane, blocks);
+          blocks_from_boundaries(cuts, lane.blocks);
+          const auto& costs = block_costs(lane, lane.blocks);
           try {
-            return memo_step(lane, blocks, costs,
-                             initial_policies(blocks, costs, lane.reach));
+            return memo_step(lane, lane.blocks, costs,
+                             initial_policies(lane, lane.blocks, costs));
           } catch (const InfeasibleError&) {
             return kInfeasible;  // no spill route at this blocking
           }
@@ -522,9 +535,10 @@ PlanResult KarmaPlanner::run_search(
     const auto reduced = solver::portfolio_anneal<std::vector<int>>(
         init_cuts, energy, neighbor, params, workers, rng, reduce_key,
         worker_gauge);
-    const auto blocks = blocks_from_boundaries(reduced.state);
+    blocks_from_boundaries(reduced.state, serial_lane.blocks);
     try {
-      consider_routed(blocks, block_costs(serial_lane, blocks));
+      consider_routed(serial_lane.blocks,
+                      block_costs(serial_lane, serial_lane.blocks));
     } catch (const InfeasibleError&) {
     }
   }
@@ -540,7 +554,8 @@ PlanResult KarmaPlanner::run_search(
         if (!recompute_beats_swap_in(device_, best->plan.costs[b],
                                      best->policies[b]))
           continue;
-        auto policies = best->policies;
+        std::vector<BlockPolicy>& policies = serial_lane.policies;
+        policies = best->policies;
         policies[b] = BlockPolicy::kRecompute;
         // After an accepted flip the outer loop restarts, re-trying every
         // flip it already scored against the same base — those repeats

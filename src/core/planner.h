@@ -139,6 +139,9 @@ std::vector<int> candidate_cut_points(const graph::Model& model);
 /// {b1, b2}, ...; empty when there are fewer than two boundaries.
 std::vector<sim::Block> blocks_from_boundaries(
     const std::vector<int>& boundaries);
+/// The same blocks, written into `blocks` (its buffer is reused).
+void blocks_from_boundaries(const std::vector<int>& boundaries,
+                            std::vector<sim::Block>& blocks);
 
 /// Boundaries for `k` blocks spread evenly over `cuts` by index, first and
 /// last cut included. A cut picked twice appears once, so fewer than
@@ -252,15 +255,15 @@ class KarmaPlanner {
                                 const std::vector<sim::BlockCost>& costs,
                                 const std::vector<BlockPolicy>& policies,
                                 const std::string& strategy) const;
-  /// Balanced selection of `k` boundaries from the clean cut points,
-  /// equalizing activation bytes per block.
-  std::vector<int> balanced_boundaries(int num_blocks) const;
+  /// Balanced selection of `num_blocks` boundaries from the clean cut
+  /// points, equalizing activation bytes per block, written into `cuts`.
+  void balanced_boundaries(int num_blocks, std::vector<int>& cuts) const;
   /// The routed policies of `blocks` (route_policies) from their costs
-  /// and reaches. Throws karma::InfeasibleError when a spill fits no tier.
-  std::vector<BlockPolicy> initial_policies(
-      const std::vector<sim::Block>& blocks,
-      const std::vector<sim::BlockCost>& costs,
-      const std::vector<int>& reach) const;
+  /// and the reaches block_costs left in `lane`, left in lane.policies
+  /// (returned). Throws karma::InfeasibleError when a spill fits no tier.
+  const std::vector<BlockPolicy>& initial_policies(
+      SearchLane& lane, const std::vector<sim::Block>& blocks,
+      const std::vector<sim::BlockCost>& costs) const;
   /// Each block's cost from `table_` and its LayerCostTable::reach, through
   /// `lane`'s extent memo, left in lane.costs (returned) and lane.reach:
   /// candidate blockings share almost all their blocks (balanced

@@ -25,12 +25,16 @@ tier::Tier swap_tier_of(BlockPolicy policy) {
   return tier::Tier::kHost;
 }
 
-std::vector<BlockPolicy> capacity_based_policies(
-    const std::vector<sim::Block>& blocks,
-    const std::vector<sim::BlockCost>& costs, Bytes act_budget) {
+namespace {
+
+/// capacity_based_policies into `policies`, reusing its buffer.
+void assign_capacity_policies(const std::vector<sim::Block>& blocks,
+                              const std::vector<sim::BlockCost>& costs,
+                              Bytes act_budget,
+                              std::vector<BlockPolicy>& policies) {
   const auto nb = blocks.size();
-  std::vector<BlockPolicy> policies(nb, BlockPolicy::kSwap);
-  if (nb == 0) return policies;
+  policies.assign(nb, BlockPolicy::kSwap);
+  if (nb == 0) return;
 
   // Headroom that must stay free for staging: the two largest swapped
   // blocks could be in flight (one swapping in, one being consumed) plus
@@ -52,6 +56,23 @@ std::vector<BlockPolicy> capacity_based_policies(
       break;  // a non-suffix resident set would not help the phase switch
     }
   }
+}
+
+/// Block b has an outgoing skip into a non-adjacent block. Blocks tile the
+/// layers in order, so a successor lands past block b + 1 exactly when it
+/// reaches block b + 1's last layer or beyond.
+bool has_long_skip(const std::vector<sim::Block>& blocks,
+                   const std::vector<int>& reach, std::size_t b) {
+  return b + 1 < blocks.size() && reach[b] >= blocks[b + 1].last_layer;
+}
+
+}  // namespace
+
+std::vector<BlockPolicy> capacity_based_policies(
+    const std::vector<sim::Block>& blocks,
+    const std::vector<sim::BlockCost>& costs, Bytes act_budget) {
+  std::vector<BlockPolicy> policies;
+  assign_capacity_policies(blocks, costs, act_budget, policies);
   return policies;
 }
 
@@ -140,33 +161,31 @@ std::optional<tier::StorageHierarchy> admit_tiered_plan(
 
 std::vector<bool> blocks_with_long_skips(const std::vector<sim::Block>& blocks,
                                          const std::vector<int>& reach) {
-  // Blocks tile the layers in order, so a successor lands past block
-  // b + 1 exactly when it reaches block b + 1's last layer or beyond.
   std::vector<bool> mask(blocks.size(), false);
-  for (std::size_t b = 0; b + 1 < blocks.size(); ++b)
-    mask[b] = reach[b] >= blocks[b + 1].last_layer;
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    mask[b] = has_long_skip(blocks, reach, b);
   return mask;
 }
 
-std::vector<BlockPolicy> route_policies(
-    const sim::DeviceSpec& device, const std::vector<sim::Block>& blocks,
-    const std::vector<sim::BlockCost>& costs, const std::vector<int>& reach,
-    Bytes act_budget, Bytes reserved_host, bool enable_recompute) {
+void route_policies(const sim::DeviceSpec& device,
+                    const std::vector<sim::Block>& blocks,
+                    const std::vector<sim::BlockCost>& costs,
+                    const std::vector<int>& reach, Bytes act_budget,
+                    Bytes reserved_host, bool enable_recompute,
+                    std::vector<BlockPolicy>& policies) {
   // Seed devices (unbounded host, no NVMe) keep the two-tier policy set
   // bit-identically; tiered routing is a strict superset.
-  auto policies = (device.host_capacity > 0 || device.has_nvme())
-                      ? tiered_policies(blocks, costs, act_budget,
-                                        sim::hierarchy_of(device),
-                                        reserved_host)
-                      : capacity_based_policies(blocks, costs, act_budget);
+  if (device.host_capacity > 0 || device.has_nvme())
+    policies = tiered_policies(blocks, costs, act_budget,
+                               sim::hierarchy_of(device), reserved_host);
+  else
+    assign_capacity_policies(blocks, costs, act_budget, policies);
   // A long skip's source must not be swapped out ahead of its consumer;
   // recompute keeps the boundary checkpoint available.
-  const auto long_skip = blocks_with_long_skips(blocks, reach);
   for (std::size_t b = 0; b < blocks.size(); ++b)
-    if (long_skip[b] && is_swap_policy(policies[b]))
+    if (is_swap_policy(policies[b]) && has_long_skip(blocks, reach, b))
       policies[b] =
           enable_recompute ? BlockPolicy::kRecompute : BlockPolicy::kResident;
-  return policies;
 }
 
 bool recompute_beats_swap_in(const sim::DeviceSpec& device,
@@ -271,24 +290,24 @@ void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
   // The first `prefetch_window` of them may start as soon as the forward
   // pass tail completes and memory frees (capacity-based greediness); the
   // rest are gated on backward progress to guarantee liveness.
-  std::vector<int> swapped;  // descending block ids (host and NVMe alike)
-  for (int b = nb - 1; b >= 0; --b)
-    if (is_swap_policy(policies[static_cast<std::size_t>(b)]))
-      swapped.push_back(b);
-
-  std::vector<int> backward_index(static_cast<std::size_t>(nb), -1);
-  std::size_t next_swap = 0;  // index into `swapped` not yet issued
+  // `next_swap` is the highest swapped block (host and NVMe alike) whose
+  // swap-in is not issued yet, -1 once all are.
+  const auto swapped_below = [&](int b) {
+    while (b >= 0 && !is_swap_policy(policies[static_cast<std::size_t>(b)]))
+      --b;
+    return b;
+  };
+  int next_swap = swapped_below(nb - 1);
 
   const auto issue_swap_ins = [&](int gate_op, int count, int display_stage) {
-    for (int k = 0; k < count && next_swap < swapped.size(); ++k) {
+    for (int k = 0; k < count && next_swap >= 0; ++k) {
       sim::Op in;
       in.kind = sim::OpKind::kSwapIn;
-      in.block = swapped[next_swap];
-      in.tier = swap_tier_of(
-          policies[static_cast<std::size_t>(swapped[next_swap])]);
+      in.block = next_swap;
+      in.tier = swap_tier_of(policies[static_cast<std::size_t>(next_swap)]);
       in.after_op = gate_op;
       push(in, display_stage);
-      ++next_swap;
+      next_swap = swapped_below(next_swap - 1);
     }
   };
 
@@ -302,7 +321,7 @@ void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
       // predecessor is swap-policy its swap-in must be *issued* by now
       // (the engine still decides when it actually runs). Fast-forward
       // the prefetch queue to cover it.
-      while (next_swap < swapped.size() && swapped[next_swap] >= b - 1) {
+      while (next_swap >= 0 && next_swap >= b - 1) {
         issue_swap_ins(last_backward_pushed >= 0 ? last_backward_pushed
                                                  : last_forward_index,
                        1, stage);
@@ -324,13 +343,12 @@ void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
     // consumed within the block (documented approximation, DESIGN.md §5).
     bwd.alloc = 0;
     bwd.free = plan.costs[static_cast<std::size_t>(b)].act_bytes;
-    backward_index[static_cast<std::size_t>(b)] =
+    last_backward_pushed =
         push(bwd, is_swap_policy(policies[static_cast<std::size_t>(b)])
                       ? ++stage
                       : stage);
-    last_backward_pushed = backward_index[static_cast<std::size_t>(b)];
     // Each completed backward opens the next prefetch slot.
-    issue_swap_ins(backward_index[static_cast<std::size_t>(b)], 1, stage);
+    issue_swap_ins(last_backward_pushed, 1, stage);
   }
 }
 

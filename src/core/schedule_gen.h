@@ -122,11 +122,14 @@ std::vector<bool> blocks_with_long_skips(const std::vector<sim::Block>& blocks,
 /// then the Sec. III-F.4 rule moves each swapped block with an outgoing
 /// long skip (blocks_with_long_skips over `reach`) to recompute (resident
 /// when `enable_recompute` is off). Throws karma::InfeasibleError when a
-/// spill fits no tier.
-std::vector<BlockPolicy> route_policies(
-    const sim::DeviceSpec& device, const std::vector<sim::Block>& blocks,
-    const std::vector<sim::BlockCost>& costs, const std::vector<int>& reach,
-    Bytes act_budget, Bytes reserved_host, bool enable_recompute);
+/// spill fits no tier. The policies go into `policies`, whose buffer is
+/// reused (a search lane routes every candidate into one).
+void route_policies(const sim::DeviceSpec& device,
+                    const std::vector<sim::Block>& blocks,
+                    const std::vector<sim::BlockCost>& costs,
+                    const std::vector<int>& reach, Bytes act_budget,
+                    Bytes reserved_host, bool enable_recompute,
+                    std::vector<BlockPolicy>& policies);
 
 /// Constraint 10.1: `policy` swaps the block and recomputing it is
 /// cheaper than swapping its activations back in from that tier (NVMe

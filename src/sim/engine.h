@@ -39,16 +39,44 @@ namespace karma::sim {
 /// everything it reads, so a scratch reused across plans of any size gives
 /// the same answers as a fresh one.
 struct ReplayScratch {
+  /// One op: the constants the walk over the ops derives once, then the
+  /// event loop's state.
   struct OpState {
+    int dep1 = -1;    ///< latest earlier op on the same block
+    int dep2 = -1;    ///< recompute: latest earlier op on block - 1
+    int after = -1;   ///< Op::after_op
+    int stream = 0;   ///< stream_of_op
+    Bytes payload = 0;  ///< Op::bytes, or the block's activations
+    Bytes alloc = 0;    ///< device bytes reserved when the op starts
+    Bytes free = 0;     ///< device bytes released when it completes
+    Bytes charge = 0;   ///< offload-tier bytes a swap-out reserves at start
     bool done = false;
     Seconds start = 0.0;
     Seconds end = 0.0;
   };
-  std::vector<int> dep1;          ///< latest earlier op on the same block
-  std::vector<int> dep2;          ///< recompute: latest op on block - 1
+  /// validate_plan's residency replay of one block in one iteration:
+  /// whether its activations are usable for the backward pass, whether
+  /// its output checkpoint (what a following recompute reads) is, and the
+  /// offload tier an evicted block's activations went to.
+  struct BlockResidency {
+    bool acts = false;
+    bool boundary = false;
+    bool evicted = false;
+    tier::Tier evicted_to = tier::Tier::kHost;
+  };
+  /// validate_plan's forward and backward cursors of one iteration.
+  struct IterationCursor {
+    int iteration = 0;  ///< Op::iteration
+    int next_fwd = 0;
+    int next_bwd = 0;
+  };
+  std::vector<OpState> ops;
   std::vector<int> last_on_block;
   std::array<std::vector<int>, kNumStreams> queue;  ///< stream FIFOs
-  std::vector<OpState> ops;
+  /// The iterations the plan's ops name, in order of first appearance,
+  /// and their blocks' residency, [slot * num_blocks + block].
+  std::vector<IterationCursor> iterations;
+  std::vector<BlockResidency> residency;
   /// Offload ledgers indexed [block * tier::kNumTiers + tier]: activation
   /// bytes some swap-out spilled, and gradient bytes awaiting the block's
   /// update.
@@ -85,8 +113,7 @@ class Engine {
   };
   /// The one event loop behind run() and makespan().
   Totals replay(const Plan& plan, ReplayScratch& scratch) const;
-  Seconds op_duration(const Plan& plan, const Op& op) const;
-  Bytes op_bytes(const Plan& plan, const Op& op) const;
+  Seconds op_duration(const Plan& plan, const Op& op, Bytes payload) const;
 
   DeviceSpec device_;
 };

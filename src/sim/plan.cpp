@@ -1,7 +1,6 @@
 #include "src/sim/plan.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -136,120 +135,6 @@ std::vector<Block> uniform_blocks(const graph::Model& model, int max_layers) {
     blocks.push_back({first, std::min(first + max_layers, n)});
   }
   return blocks;
-}
-
-void validate_plan(const Plan& plan) {
-  const auto fail = [&](const std::string& why) {
-    throw std::logic_error("validate_plan(" + plan.strategy + "): " + why);
-  };
-  if (plan.blocks.empty()) fail("no blocks");
-  if (plan.costs.size() != plan.blocks.size()) fail("costs size mismatch");
-  if (!plan.stage_of.empty() && plan.stage_of.size() != plan.ops.size())
-    fail("stage_of size mismatch");
-
-  // Blocks must be a disjoint, complete, ordered cover (9.1 / 9.2).
-  int expect = 0;
-  for (const auto& b : plan.blocks) {
-    if (b.first_layer != expect) fail("blocks not contiguous");
-    if (b.last_layer <= b.first_layer) fail("empty block");
-    expect = b.last_layer;
-  }
-
-  const int nb = plan.num_blocks();
-  // Per-iteration residency replay. `acts[b]`: activations usable for the
-  // backward pass; `boundary[b]`: the block-output checkpoint a following
-  // block's recompute reads.
-  struct IterState {
-    std::vector<bool> acts, boundary;
-    /// Offload tier holding each evicted block's activations (valid only
-    /// while `evicted` is set): a swap-in must read from where the
-    /// swap-out wrote.
-    std::vector<tier::Tier> evicted_to;
-    std::vector<bool> evicted;
-    int next_fwd = 0;
-    int next_bwd = 0;
-    explicit IterState(int n)
-        : acts(static_cast<std::size_t>(n), false),
-          boundary(static_cast<std::size_t>(n), false),
-          evicted_to(static_cast<std::size_t>(n), tier::Tier::kHost),
-          evicted(static_cast<std::size_t>(n), false),
-          next_bwd(n - 1) {}
-  };
-  std::map<int, IterState> iters;
-  const auto iter_state = [&](int it) -> IterState& {
-    return iters.try_emplace(it, nb).first->second;
-  };
-
-  int op_index = -1;
-  for (const Op& op : plan.ops) {
-    ++op_index;
-    if (op.block < 0 || op.block >= nb) fail("op block out of range");
-    if (op.after_op >= op_index) fail("after_op must reference an earlier op");
-    IterState& st = iter_state(op.iteration);
-    const auto b = static_cast<std::size_t>(op.block);
-    switch (op.kind) {
-      case OpKind::kForward:
-        if (op.block != st.next_fwd) fail("forwards out of order");
-        ++st.next_fwd;
-        st.acts[b] = op.retains;
-        st.boundary[b] = true;
-        break;
-      case OpKind::kBackward:
-        if (op.block != st.next_bwd)
-          fail("backwards out of order (block " + std::to_string(op.block) +
-               ", expected " + std::to_string(st.next_bwd) + ")");
-        --st.next_bwd;
-        if (!st.acts[b])
-          fail("backward of block " + std::to_string(op.block) +
-               " without resident activations (missing SwapIn/Recompute)");
-        st.acts[b] = false;  // consumed
-        break;
-      case OpKind::kRecompute:
-        if (op.block > 0 && !st.acts[b - 1] && !st.boundary[b - 1])
-          fail("recompute of block " + std::to_string(op.block) +
-               " without predecessor output available");
-        st.acts[b] = true;
-        st.boundary[b] = true;
-        break;
-      case OpKind::kSwapOut:
-        if (op.tier == tier::Tier::kNvme &&
-            (!plan.hierarchy || !plan.hierarchy->has(tier::Tier::kNvme)))
-          fail("NVMe-tier swap-out without an NVMe tier in the hierarchy");
-        // Default-payload swap-outs evict the block's activations; custom
-        // payloads (gradients in the distributed pipeline) do not.
-        if (op.bytes == Op::kDefault) {
-          st.acts[b] = false;
-          st.boundary[b] = false;
-          st.evicted[b] = true;
-          st.evicted_to[b] = op.tier;
-        }
-        break;
-      case OpKind::kSwapIn:
-        if (op.tier == tier::Tier::kNvme &&
-            (!plan.hierarchy || !plan.hierarchy->has(tier::Tier::kNvme)))
-          fail("NVMe-tier swap-in without an NVMe tier in the hierarchy");
-        if (op.bytes == Op::kDefault) {
-          if (st.evicted[b] && st.evicted_to[b] != op.tier)
-            fail("swap-in of block " + std::to_string(op.block) + " from '" +
-                 tier::tier_name(op.tier) + "' but it was evicted to '" +
-                 tier::tier_name(st.evicted_to[b]) + "'");
-          st.acts[b] = true;
-          st.boundary[b] = true;
-          st.evicted[b] = false;
-        }
-        break;
-      case OpKind::kAllReduce:
-      case OpKind::kCpuUpdate:
-      case OpKind::kDeviceUpdate:
-        if (op.duration < 0.0)
-          fail("AllReduce/CpuUpdate/DeviceUpdate requires an explicit duration");
-        break;
-    }
-  }
-  for (const auto& [it, st] : iters) {
-    if (st.next_fwd != 0 && st.next_fwd != nb)
-      fail("iteration " + std::to_string(it) + ": incomplete forward pass");
-  }
 }
 
 }  // namespace karma::sim

@@ -189,6 +189,8 @@ std::vector<Block> uniform_blocks(const graph::Model& model, int max_layers);
 ///    recompute after the last eviction),
 ///  - a recompute runs without its predecessor block's output available,
 ///  - an AllReduce / CpuUpdate lacks an explicit duration.
+/// These are the checks every Engine replay runs in its one walk over the
+/// ops (engine.cpp); this entry runs that walk on its own.
 void validate_plan(const Plan& plan);
 
 }  // namespace karma::sim

@@ -18,21 +18,30 @@ const char* residency_name(Residency r) {
   return "?";
 }
 
-TierAccountant::TierAccountant(const StorageHierarchy& hierarchy)
-    : hierarchy_(hierarchy) {}
+TierAccountant::TierAccountant(const StorageHierarchy& hierarchy) {
+  for (const TierSpec& spec : hierarchy.tiers()) {
+    const auto i = static_cast<std::size_t>(spec.tier);
+    specs_[i] = spec;
+    present_[i] = true;
+  }
+}
 
-int TierAccountant::index_of(Tier t) const {
-  for (int i = 0; i < hierarchy_.num_tiers(); ++i)
-    if (hierarchy_.tiers()[static_cast<std::size_t>(i)].tier == t) return i;
-  return -1;
+const TierSpec* TierAccountant::find(Tier t) const {
+  const auto i = static_cast<std::size_t>(t);
+  return present_[i] ? &specs_[i] : nullptr;
+}
+
+const TierSpec& TierAccountant::spec(Tier t) const {
+  if (const TierSpec* s = find(t)) return *s;
+  throw std::out_of_range(std::string("TierAccountant: no tier '") +
+                          tier_name(t) + "'");
 }
 
 bool TierAccountant::fits(Tier t, Bytes bytes) const {
-  const int i = index_of(t);
-  if (i < 0) return false;
-  const TierSpec& s = hierarchy_.tiers()[static_cast<std::size_t>(i)];
-  if (s.unbounded()) return true;
-  return used(t) + bytes <= s.capacity;
+  const TierSpec* s = find(t);
+  if (!s) return false;
+  if (s->unbounded()) return true;
+  return used(t) + bytes <= s->capacity;
 }
 
 void TierAccountant::charge(Tier t, Residency r, Bytes bytes) {
@@ -71,11 +80,10 @@ Bytes TierAccountant::used(Tier t, Residency r) const {
 }
 
 Bytes TierAccountant::free_bytes(Tier t) const {
-  const int i = index_of(t);
-  if (i < 0) return 0;
-  const TierSpec& s = hierarchy_.tiers()[static_cast<std::size_t>(i)];
-  if (s.unbounded()) return TierSpec::kUnbounded;
-  return s.capacity - used(t);
+  const TierSpec* s = find(t);
+  if (!s) return 0;
+  if (s->unbounded()) return TierSpec::kUnbounded;
+  return s->capacity - used(t);
 }
 
 Bytes TierAccountant::peak(Tier t) const { return peak_[static_cast<int>(t)]; }
@@ -83,7 +91,9 @@ Bytes TierAccountant::peak(Tier t) const { return peak_[static_cast<int>(t)]; }
 std::string TierAccountant::dump() const {
   std::ostringstream os;
   os << "ledger:";
-  for (const auto& s : hierarchy_.tiers()) {
+  for (int i = 0; i < kNumTiers; ++i) {
+    if (!present_[i]) continue;
+    const TierSpec& s = specs_[i];
     os << " " << tier_name(s.tier) << " " << used(s.tier) << "B/";
     if (s.unbounded())
       os << "inf";

@@ -38,6 +38,8 @@ namespace karma::tier {
 
 class TierAccountant {
  public:
+  /// Copies the hierarchy's tier specs into the accountant itself, so
+  /// building one allocates nothing and the hierarchy need not outlive it.
   explicit TierAccountant(const StorageHierarchy& hierarchy);
 
   /// True when `bytes` more would still fit on `t`. Tiers absent from the
@@ -62,7 +64,8 @@ class TierAccountant {
   Bytes free_bytes(Tier t) const;
   Bytes peak(Tier t) const;
 
-  const StorageHierarchy& hierarchy() const { return hierarchy_; }
+  /// The spec of tier `t`; throws std::out_of_range when it is absent.
+  const TierSpec& spec(Tier t) const;
 
   /// One-line ledger state with a per-class breakdown for occupied tiers,
   /// e.g. "ledger: device 800B/1000B host 700B/2000B (act 500B grad 200B)",
@@ -70,9 +73,13 @@ class TierAccountant {
   std::string dump() const;
 
  private:
-  int index_of(Tier t) const;  ///< -1 when absent
+  /// The spec of `t`, or nullptr when the hierarchy has no such tier.
+  const TierSpec* find(Tier t) const;
 
-  StorageHierarchy hierarchy_;
+  /// Indexed by tier; a hierarchy orders its tiers outward, so index order
+  /// is hierarchy order.
+  TierSpec specs_[kNumTiers] = {};
+  bool present_[kNumTiers] = {};
   Bytes used_[kNumTiers][kNumResidencyClasses] = {};
   Bytes peak_[kNumTiers] = {0, 0, 0};
 };

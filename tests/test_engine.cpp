@@ -519,9 +519,11 @@ TEST(Engine, MakespanMatchesFullReplayBitForBit) {
         std::vector<std::vector<core::BlockPolicy>> policy_sets = {
             core::remat_policies(blocks.size())};
         try {
-          policy_sets.push_back(core::route_policies(
-              device, blocks, costs, reach, device.memory_capacity - weights,
-              0, /*enable_recompute=*/true));
+          std::vector<core::BlockPolicy> routed;
+          core::route_policies(device, blocks, costs, reach,
+                               device.memory_capacity - weights, 0,
+                               /*enable_recompute=*/true, routed);
+          policy_sets.push_back(routed);
         } catch (const InfeasibleError&) {
         }
         std::vector<core::BlockPolicy> random(blocks.size());

@@ -234,7 +234,7 @@ TEST(LedgerConservation, RandomizedAccountantTrafficBalances) {
       }
       EXPECT_EQ(ledger.used(t), total);
       EXPECT_LE(total,
-                ledger.hierarchy().spec(t).capacity);
+                ledger.spec(t).capacity);
       peak_seen[ti] = std::max(peak_seen[ti], total);
       EXPECT_EQ(ledger.peak(t), peak_seen[ti]);
     }
