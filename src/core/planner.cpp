@@ -489,7 +489,10 @@ PlanResult KarmaPlanner::run_search(
             next[pick] = *(it - 1);
           // Keep strictly increasing; otherwise return unchanged.
           for (std::size_t i = 1; i < next.size(); ++i)
-            if (next[i] <= next[i - 1]) return cuts;
+            if (next[i] <= next[i - 1]) {
+              next[pick] = cuts[pick];
+              break;
+            }
           return next;
         };
     // The documented stable-reduction key: the boundary vector rendered
