@@ -285,62 +285,59 @@ Engine::Totals Engine::replay(const Plan& plan, ReplayScratch& scratch) const {
   Seconds compute_busy = 0.0;
   int completed = 0;
 
-  // One op occupies a stream from start to end (start requires
-  // stream_free_at <= now), so the in-flight set is at most one op per
-  // stream, and the next-event scan and retire pass are O(#streams).
+  // One op occupies a stream from its start until it retires, so the
+  // in-flight set is at most one op per stream, and the next-event scan
+  // and retire pass are O(#streams).
   std::array<int, kNumStreams> running;
   running.fill(-1);
 
   while (completed < n) {
-    // Start every op that can start at the current instant. A start never
-    // completes a dependency and never frees memory, so it can let
-    // another op start at this instant only by leaving its own stream
-    // free: an op that took zero time. Only then is the pass repeated.
-    bool zero_duration_started = true;
-    while (zero_duration_started) {
-      zero_duration_started = false;
-      for (std::size_t a = 0; a < num_active; ++a) {
-        const int s = active[a];
-        const auto si = static_cast<std::size_t>(s);
-        if (head[si] >= queue[si].size()) continue;
-        if (stream_free_at[si] > now) continue;  // stream busy
-        const int i = queue[si][head[si]];
-        ReplayScratch::OpState& st = state[static_cast<std::size_t>(i)];
-        if (!done(st.dep1) || !done(st.dep2) || !done(st.after)) continue;
-        if (st.alloc > free_mem) continue;
-        const Op& op = op_at(i);
-        if (st.charge > 0 && !ledger.fits(op.tier, st.charge))
-          continue;  // destination tier full: eviction has nowhere to go
-        free_mem -= st.alloc;
-        min_free = std::min(min_free, free_mem);
-        if (st.charge > 0) {
-          ledger.charge(op.tier, op.residency, st.charge);
-          auto& outstanding = op.residency == tier::Residency::kGradient
-                                  ? grad_in_flight
-                                  : spilled;
-          outstanding[slot(op.block, op.tier)] += st.charge;
-        }
-        st.start = now;
-        Seconds dur = op_duration(plan, op, st.payload);
-        // Mixed-load NVMe asymmetry (DESIGN.md §16): an IO issued while
-        // the opposite direction is in flight pays its penalty factor.
-        // The identity guard keeps the uncontended model bit-exact.
-        if (!device_.nvme_contention.identity()) {
-          if (s == static_cast<int>(Stream::kNvmeRead) &&
-              stream_free_at[static_cast<std::size_t>(Stream::kNvmeWrite)] >
-                  now)
-            dur *= device_.nvme_contention.mixed_read_penalty;
-          else if (s == static_cast<int>(Stream::kNvmeWrite) &&
-                   stream_free_at[static_cast<std::size_t>(
-                       Stream::kNvmeRead)] > now)
-            dur *= device_.nvme_contention.mixed_write_penalty;
-        }
-        st.end = now + dur;
-        stream_free_at[si] = st.end;
-        running[si] = i;
-        ++head[si];
-        if (st.end <= now) zero_duration_started = true;
+    // Start every op that can start at the current instant, one pass over
+    // the streams. A stream starts nothing while its op is not retired,
+    // even one that took zero time and so ends at this very instant: it
+    // retires at the next event, at the same time, and only then may its
+    // successor start. A start never completes a dependency and never
+    // frees memory, so no start can let another stream start an op at
+    // this instant either; one pass per event is enough.
+    for (std::size_t a = 0; a < num_active; ++a) {
+      const int s = active[a];
+      const auto si = static_cast<std::size_t>(s);
+      if (running[si] >= 0) continue;  // stream busy
+      if (head[si] >= queue[si].size()) continue;
+      const int i = queue[si][head[si]];
+      ReplayScratch::OpState& st = state[static_cast<std::size_t>(i)];
+      if (!done(st.dep1) || !done(st.dep2) || !done(st.after)) continue;
+      if (st.alloc > free_mem) continue;
+      const Op& op = op_at(i);
+      if (st.charge > 0 && !ledger.fits(op.tier, st.charge))
+        continue;  // destination tier full: eviction has nowhere to go
+      free_mem -= st.alloc;
+      min_free = std::min(min_free, free_mem);
+      if (st.charge > 0) {
+        ledger.charge(op.tier, op.residency, st.charge);
+        auto& outstanding = op.residency == tier::Residency::kGradient
+                                ? grad_in_flight
+                                : spilled;
+        outstanding[slot(op.block, op.tier)] += st.charge;
       }
+      st.start = now;
+      Seconds dur = op_duration(plan, op, st.payload);
+      // Mixed-load NVMe asymmetry (DESIGN.md §16): an IO issued while
+      // the opposite direction is in flight pays its penalty factor.
+      // The identity guard keeps the uncontended model bit-exact.
+      if (!device_.nvme_contention.identity()) {
+        if (s == static_cast<int>(Stream::kNvmeRead) &&
+            stream_free_at[static_cast<std::size_t>(Stream::kNvmeWrite)] > now)
+          dur *= device_.nvme_contention.mixed_read_penalty;
+        else if (s == static_cast<int>(Stream::kNvmeWrite) &&
+                 stream_free_at[static_cast<std::size_t>(Stream::kNvmeRead)] >
+                     now)
+          dur *= device_.nvme_contention.mixed_write_penalty;
+      }
+      st.end = now + dur;
+      stream_free_at[si] = st.end;
+      running[si] = i;
+      ++head[si];
     }
 
     Seconds next_end = std::numeric_limits<Seconds>::infinity();

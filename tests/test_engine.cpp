@@ -189,6 +189,24 @@ TEST(Engine, ExplicitDurationOverrides) {
   EXPECT_DOUBLE_EQ(trace.makespan, 1.0 + 1.0 + 7.5 + 2.5);
 }
 
+TEST(Engine, ZeroDurationOpsAllRetire) {
+  // An op that takes no time ends at the instant it starts. Its stream's
+  // next op must still wait for it to retire: starting it at once would
+  // drop the first op from the in-flight set, so it never retired and its
+  // dependents read as a deadlock.
+  Plan plan = skeleton(2);
+  plan.ops = {op(OpKind::kForward, 0), op(OpKind::kForward, 1),
+              op(OpKind::kBackward, 1), op(OpKind::kBackward, 0)};
+  for (Op& o : plan.ops) o.duration = 0.0;
+  const Engine engine(unit_device());
+  const ExecutionTrace trace = engine.run(plan);
+  EXPECT_EQ(trace.makespan, 0.0);
+  ASSERT_EQ(trace.records.size(), plan.ops.size());
+  for (const OpRecord& r : trace.records) EXPECT_EQ(r.end, 0.0);
+  ReplayScratch scratch;
+  EXPECT_EQ(engine.makespan(plan, scratch), 0.0);
+}
+
 TEST(Engine, RecomputeDependsOnPredecessorBlock) {
   // R1 must wait for Sin0 (its input is block 0's boundary), even though
   // the compute stream would otherwise be free.
