@@ -29,12 +29,17 @@
 //
 // Reported, not gated: the 4-worker portfolio's wall at the equal
 // 4000-iteration budget (median and range of kReps alternating pairs: one
-// pair is two ~5-20 ms walls and moves with whatever else the host runs),
-// and one replay of the chosen plan, makespan-only (what scoring a
-// candidate costs) vs traced (what materializing an incumbent costs).
+// pair is two ~5-20 ms walls and moves with whatever else the host runs)
+// next to that leg's process CPU time over its wall (how many cores its
+// workers actually kept busy; EXPERIMENTS.md explains why a short burst
+// of threads keeps it low), the serial leg's operator-new calls per
+// candidate, and one replay of the chosen plan, makespan-only (what
+// scoring a candidate costs) vs traced (what materializing an incumbent
+// costs).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -44,6 +49,7 @@
 #include "src/graph/model_zoo.h"
 #include "src/sim/device.h"
 #include "src/sim/engine.h"
+#include "src/util/alloc_counter.h"
 #include "src/util/json.h"
 
 using namespace karma;
@@ -72,9 +78,15 @@ core::PlannerOptions leg_options(int workers, int iterations) {
   return o;
 }
 
+double cpu_seconds() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
+
 struct LegResult {
   double wall = 1e100;  // min over kReps
   core::PlanResult result;
+  std::vector<double> cpu_wall_ratios;  // one per run
+  double allocations_per_candidate = 0.0;  // of the last run
 };
 
 /// One timed plan() into `leg` (which keeps the minimum wall); returns
@@ -82,9 +94,15 @@ struct LegResult {
 double run_once(const graph::Model& model, const sim::DeviceSpec& device,
                 const core::PlannerOptions& options, LegResult& leg) {
   const core::KarmaPlanner planner(model, device, options);
+  const std::uint64_t allocations = util::allocations();
+  const double cpu0 = cpu_seconds();
   const double t0 = now_seconds();
   core::PlanResult r = planner.plan();
   const double wall = now_seconds() - t0;
+  leg.cpu_wall_ratios.push_back((cpu_seconds() - cpu0) / wall);
+  leg.allocations_per_candidate =
+      static_cast<double>(util::allocations() - allocations) /
+      static_cast<double>(std::max<std::int64_t>(1, r.search.candidates));
   leg.wall = std::min(leg.wall, wall);
   leg.result = std::move(r);
   return wall;
@@ -230,6 +248,7 @@ int main() {
       *std::min_element(pair_ratios.begin(), pair_ratios.end());
   const double speedup_equal_budget_max =
       *std::max_element(pair_ratios.begin(), pair_ratios.end());
+  const double portfolio_cpu_wall = median(portfolio.cpu_wall_ratios);
 
   // ---- Gate 1: time-to-target ----
   const double target = serial.result.iteration_time;
@@ -260,10 +279,13 @@ int main() {
 
   std::printf("\n4-worker portfolio at equal 4000-iteration budget: %.2fx "
               "wall (median of %d alternating pairs, %.2f-%.2fx; "
-              "hardware_concurrency=%u); its real contribution is quality "
-              "per iteration — see the sweep above\n",
+              "hardware_concurrency=%u) at CPU/wall %.2f; its real "
+              "contribution is quality per iteration — see the sweep "
+              "above\n",
               speedup_equal_budget, kReps, speedup_equal_budget_min,
-              speedup_equal_budget_max, hw);
+              speedup_equal_budget_max, hw, portfolio_cpu_wall);
+  std::printf("serial search: %.2f allocations per candidate\n",
+              serial.allocations_per_candidate);
   std::printf("time-to-target: %.2fx (%d of %d iterations)\n", speedup_ttt,
               ttt_budget, kIterations);
 
@@ -335,6 +357,9 @@ int main() {
     w.key("equal_budget_speedup_min"); w.value(speedup_equal_budget_min);
     w.key("equal_budget_speedup_max"); w.value(speedup_equal_budget_max);
     w.key("equal_budget_pairs"); w.value(std::int64_t{kReps});
+    w.key("portfolio_w4_cpu_wall_ratio"); w.value(portfolio_cpu_wall);
+    w.key("serial_allocations_per_candidate");
+    w.value(serial.allocations_per_candidate);
     w.key("replay");
     w.begin_object();
     w.key("plan_ops"); w.value(static_cast<std::int64_t>(chosen.ops.size()));
