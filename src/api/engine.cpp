@@ -477,8 +477,8 @@ struct Flight {
   /// key). A flight owns a copy when a worker runs it (plan_async) or a
   /// calibration overlay changed its device. A synchronous leader's
   /// flight instead points at the leader's own request: the leader runs
-  /// the search on its thread and returns only after the flight settled,
-  /// and nothing reads the request once it has.
+  /// the search on its thread, and run_flight drops the pointer before
+  /// the leader returns. Read and reset only by the search's thread.
   std::shared_ptr<const PlanRequest> request;
   /// What a waiter's interrupt outcome names; a waiter can settle while
   /// the search runs, so these are the flight's own copies.
@@ -999,6 +999,14 @@ Engine::Prepared Engine::prepare(const PlanRequest& request,
 }
 
 void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
+  // The search is the request's only reader. Drop it on every way out, so
+  // no flight outlives a synchronous leader still pointing at the
+  // leader's own request, and an owned copy is freed as soon as possible.
+  struct DropRequest {
+    Flight& flight;
+    ~DropRequest() { flight.request.reset(); }
+  } drop_request{*flight};
+
   // Settling: delist first (flights_mu), THEN publish done (flight->mu) —
   // the consistent flights_mu > flight->mu order used everywhere. Any
   // joiner that found the flight before the delist still receives this
