@@ -244,7 +244,6 @@ Engine::Totals Engine::replay(const Plan& plan, ReplayScratch& scratch) const {
   std::vector<ReplayScratch::OpState>& state = scratch.ops;
   const std::array<std::vector<int>, kNumStreams>& queue = scratch.queue;
   std::array<std::size_t, kNumStreams> head{};
-  std::array<Seconds, kNumStreams> stream_free_at{};
   // The streams that have ops, ascending: the only ones a scan visits.
   std::array<int, kNumStreams> active{};
   std::size_t num_active = 0;
@@ -290,6 +289,10 @@ Engine::Totals Engine::replay(const Plan& plan, ReplayScratch& scratch) const {
   // and retire pass are O(#streams).
   std::array<int, kNumStreams> running;
   running.fill(-1);
+  const auto busy_after_now = [&](Stream s) {
+    const int i = running[static_cast<std::size_t>(s)];
+    return i >= 0 && state[static_cast<std::size_t>(i)].end > now;
+  };
 
   while (completed < n) {
     // Start every op that can start at the current instant, one pass over
@@ -327,15 +330,13 @@ Engine::Totals Engine::replay(const Plan& plan, ReplayScratch& scratch) const {
       // The identity guard keeps the uncontended model bit-exact.
       if (!device_.nvme_contention.identity()) {
         if (s == static_cast<int>(Stream::kNvmeRead) &&
-            stream_free_at[static_cast<std::size_t>(Stream::kNvmeWrite)] > now)
+            busy_after_now(Stream::kNvmeWrite))
           dur *= device_.nvme_contention.mixed_read_penalty;
         else if (s == static_cast<int>(Stream::kNvmeWrite) &&
-                 stream_free_at[static_cast<std::size_t>(Stream::kNvmeRead)] >
-                     now)
+                 busy_after_now(Stream::kNvmeRead))
           dur *= device_.nvme_contention.mixed_write_penalty;
       }
       st.end = now + dur;
-      stream_free_at[si] = st.end;
       running[si] = i;
       ++head[si];
     }
