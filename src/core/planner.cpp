@@ -130,9 +130,9 @@ void pack_candidate_key(const std::vector<sim::Block>& blocks,
 /// Plan every candidate is emitted into, the candidate's boundaries,
 /// blocks, costs, reaches, policies and memo key — so a lane takes no
 /// lock and its buffers grow to the largest candidate once instead of
-/// being allocated per candidate. The workers
-/// walk neighbouring blockings, and a shared extent table would queue them
-/// all on the same few shards. Each lane sits on its own cache lines.
+/// being allocated per candidate. The workers walk neighbouring
+/// blockings, and a shared extent table would queue them all on the same
+/// few shards. Each lane sits on its own cache lines.
 struct alignas(64) KarmaPlanner::SearchLane {
   explicit SearchLane(const sim::DeviceSpec& device) : engine(device) {}
   std::unordered_map<std::uint64_t, ExtentCost> extents;

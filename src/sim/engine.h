@@ -6,17 +6,26 @@
 //   (2) the most recently issued earlier op touching the same block has
 //       completed (per-block producer/consumer chain),
 //   (3) for ops that allocate device memory (forward/recompute/backward
-//       transients, swap-ins), enough capacity is free.
+//       transients, swap-ins), enough capacity is free,
+//   (4) its stream's previous op has retired. An op that takes zero time
+//       ends at the instant it starts and retires at the next event, at
+//       the same time; only then may its successor on the stream start.
 // Completion events free memory (backward consumes activations, swap-out
-// evicts). The engine is single-threaded and fully deterministic: ties are
-// broken by stream id, then op index.
+// evicts). A start never completes a dependency and never frees memory,
+// so one start pass per event, over the streams that have ops, starts
+// everything that can start. The engine is single-threaded and fully
+// deterministic: ties are broken by stream id, then op index.
+//
+// A replay first walks the ops once: that walk runs every validate_plan
+// check, builds the dependency chains and stream queues, and computes
+// each op's stream, payload, device alloc and free and tier charge.
 //
 // One event loop, two outputs (DESIGN.md §14): run() returns the per-op
 // trace, makespan() only the iteration time. makespan() is what the
 // planner's search scores every candidate by; it writes no OpRecords and
-// keeps the loop's working arrays in a ReplayScratch the caller reuses,
-// so they grow to the largest plan once instead of being allocated per
-// replay. Both outputs come from the same loop, so
+// keeps the walk's and the loop's arrays in a ReplayScratch the caller
+// reuses, so they grow to the largest plan once and a warm makespan()
+// allocates nothing. Both outputs come from the same loop, so
 // makespan(plan) == run(plan).makespan bit for bit.
 //
 // This mirrors how KARMA's generated script behaves on real hardware
