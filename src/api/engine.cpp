@@ -1190,6 +1190,10 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
   }
 }
 
+// The pool threads inherit the scheduling policy of the first caller
+// (plan_async; plan() takes it for a request with limits). In karma-pland
+// that is a SCHED_IDLE plan worker: idle priority for bounded remote
+// searches by accident of which thread asked first (test_pland pins it).
 void Engine::ensure_workers() {
   std::lock_guard<std::mutex> lock(impl_->jobs_mu);
   if (impl_->workers_started) return;

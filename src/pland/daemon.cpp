@@ -1,18 +1,17 @@
 #include "src/pland/daemon.h"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sched.h>
 #include <sys/file.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -22,7 +21,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "src/api/request_io.h"
 #include "src/calib/table.h"
@@ -46,15 +45,26 @@ using util::json::Writer;
 /// worker's plan response can race the reader thread's pong).
 struct Connection {
   explicit Connection(int fd) : fd(fd) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-  int fd;
+  ~Connection() { ::close(fd); }
+  const int fd;
   std::mutex write_mu;
+  /// Set once the stream is shut down: plan jobs still queued for it then
+  /// settle without a search, and nothing more is sent.
+  std::atomic<bool> broken{false};
 
+  /// A response not sent within kIoDeadline shuts the connection down.
   bool send(const std::string& payload) {
     std::lock_guard<std::mutex> lock(write_mu);
-    return write_frame(fd, payload);
+    if (broken.load(std::memory_order_relaxed)) return false;
+    if (write_frame(fd, payload, kIoDeadline)) return true;
+    shut_down();
+    return false;
+  }
+
+  /// Ends the stream both ways: the reader reads EOF, sends fail at once.
+  void shut_down() {
+    broken.store(true, std::memory_order_relaxed);
+    ::shutdown(fd, SHUT_RDWR);
   }
 };
 
@@ -88,54 +98,52 @@ std::string plan_response(std::int64_t id,
   return response("plan", id, false, "error", api::error_to_json(out.error()));
 }
 
-std::string protocol_error_response(std::int64_t id,
-                                    const std::string& message) {
+/// An ok:false envelope carrying a PlanError of `code`.
+std::string error_response(std::string_view type, std::int64_t id,
+                           api::PlanErrorCode code, std::string message,
+                           double retry_after = 0.0) {
   api::PlanError e;
-  e.code = api::PlanErrorCode::kInvalidRequest;
-  e.message = message;
-  return response("error", id, false, "error", api::error_to_json(e));
-}
-
-void write_cache_stats(Writer& w, const cache::CacheStats& c) {
-  w.begin_object();
-  w.key("memory_hits"); w.value(static_cast<std::int64_t>(c.memory_hits));
-  w.key("disk_hits"); w.value(static_cast<std::int64_t>(c.disk_hits));
-  w.key("misses"); w.value(static_cast<std::int64_t>(c.misses));
-  w.key("insertions"); w.value(static_cast<std::int64_t>(c.insertions));
-  w.key("evictions"); w.value(static_cast<std::int64_t>(c.evictions));
-  w.key("disk_writes"); w.value(static_cast<std::int64_t>(c.disk_writes));
-  w.key("corrupt_entries");
-  w.value(static_cast<std::int64_t>(c.corrupt_entries));
-  w.key("resident_bytes"); w.value(static_cast<std::int64_t>(c.resident_bytes));
-  w.key("negative_hits"); w.value(static_cast<std::int64_t>(c.negative_hits));
-  w.key("negative_insertions");
-  w.value(static_cast<std::int64_t>(c.negative_insertions));
-  w.end_object();
+  e.code = code;
+  e.message = std::move(message);
+  e.retry_after = retry_after;
+  return response(type, id, false, "error", api::error_to_json(e));
 }
 
 }  // namespace
 
 std::string DaemonStats::to_json() const {
   Writer w;
+  const auto count = [&w](const char* key, std::uint64_t n) {
+    w.key(key); w.value(static_cast<std::int64_t>(n));
+  };
   w.begin_object();
-  w.key("connections"); w.value(static_cast<std::int64_t>(connections));
-  w.key("requests"); w.value(static_cast<std::int64_t>(requests));
-  w.key("shed"); w.value(static_cast<std::int64_t>(shed));
-  w.key("protocol_errors");
-  w.value(static_cast<std::int64_t>(protocol_errors));
+  count("connections", connections);
+  count("requests", requests);
+  count("shed", shed);
+  count("protocol_errors", protocol_errors);
   w.key("engine");
   w.begin_object();
-  w.key("requests"); w.value(static_cast<std::int64_t>(engine.requests));
-  w.key("searches"); w.value(static_cast<std::int64_t>(engine.searches));
-  w.key("flights_joined");
-  w.value(static_cast<std::int64_t>(engine.flights_joined));
-  w.key("cancelled"); w.value(static_cast<std::int64_t>(engine.cancelled));
-  w.key("deadlines"); w.value(static_cast<std::int64_t>(engine.deadlines));
+  count("requests", engine.requests);
+  count("searches", engine.searches);
+  count("flights_joined", engine.flights_joined);
+  count("cancelled", engine.cancelled);
+  count("deadlines", engine.deadlines);
   w.end_object();
   w.key("cache");
-  write_cache_stats(w, cache);
-  w.key("claims_won"); w.value(static_cast<std::int64_t>(claims_won));
-  w.key("claims_lost"); w.value(static_cast<std::int64_t>(claims_lost));
+  w.begin_object();
+  count("memory_hits", cache.memory_hits);
+  count("disk_hits", cache.disk_hits);
+  count("misses", cache.misses);
+  count("insertions", cache.insertions);
+  count("evictions", cache.evictions);
+  count("disk_writes", cache.disk_writes);
+  count("corrupt_entries", cache.corrupt_entries);
+  count("resident_bytes", cache.resident_bytes);
+  count("negative_hits", cache.negative_hits);
+  count("negative_insertions", cache.negative_insertions);
+  w.end_object();
+  count("claims_won", claims_won);
+  count("claims_lost", claims_lost);
   w.key("calibration"); w.value(calibration);
   w.key("calibration_version"); w.value(calibration_version);
   w.key("tenants");
@@ -143,11 +151,11 @@ std::string DaemonStats::to_json() const {
   for (const auto& t : tenants) {
     w.begin_object();
     w.key("tenant"); w.value(t.tenant);
-    w.key("admitted"); w.value(static_cast<std::int64_t>(t.admitted));
-    w.key("completed"); w.value(static_cast<std::int64_t>(t.completed));
-    w.key("shed"); w.value(static_cast<std::int64_t>(t.shed));
-    w.key("hits"); w.value(static_cast<std::int64_t>(t.hits));
-    w.key("queue_depth"); w.value(static_cast<std::int64_t>(t.queue_depth));
+    count("admitted", t.admitted);
+    count("completed", t.completed);
+    count("shed", t.shed);
+    count("hits", t.hits);
+    count("queue_depth", t.queue_depth);
     w.end_object();
   }
   w.end_array();
@@ -157,31 +165,31 @@ std::string DaemonStats::to_json() const {
 
 struct Daemon::Impl {
   Impl(const DaemonOptions& options, std::shared_ptr<api::Engine> engine)
-      : options(options), engine(std::move(engine)) {
-    // Daemon instruments live in the ENGINE's registry, so one `metrics`
-    // verb (or RemoteSession::metrics_json) exports the whole process:
-    // engine counters + cache gauges + these (DESIGN.md §15).
-    obs::Registry& reg = *this->engine->metrics();
-    connections = reg.counter("pland.connections");
-    requests = reg.counter("pland.requests");
-    shed = reg.counter("pland.shed");
-    protocol_errors = reg.counter("pland.protocol_errors");
-    hit_seconds = reg.histogram("pland.hit_seconds");
-    miss_seconds = reg.histogram("pland.miss_seconds");
-    queue_wait_seconds = reg.histogram("pland.queue_wait_seconds");
-    request_parse_seconds = reg.histogram("pland.request_parse_seconds");
-  }
+      : options(options), engine(std::move(engine)) {}
 
   const DaemonOptions& options;  ///< Daemon owns it and outlives Impl
   std::shared_ptr<api::Engine> engine;
 
+  // Lifetime counters and latency histograms live in the ENGINE's
+  // registry, so one `metrics` verb exports the whole process (DESIGN.md
+  // §15): hits' service time, misses' admission to response and to
+  // dequeue, and the plan workers' request_from_json.
+  obs::Registry& reg = *engine->metrics();
+  obs::Counter* const connections = reg.counter("pland.connections");
+  obs::Counter* const requests = reg.counter("pland.requests");
+  obs::Counter* const shed = reg.counter("pland.shed");
+  obs::Counter* const protocol_errors = reg.counter("pland.protocol_errors");
+  obs::Histogram* const hit_seconds = reg.histogram("pland.hit_seconds");
+  obs::Histogram* const miss_seconds = reg.histogram("pland.miss_seconds");
+  obs::Histogram* const queue_wait_seconds =
+      reg.histogram("pland.queue_wait_seconds");
+  obs::Histogram* const request_parse_seconds =
+      reg.histogram("pland.request_parse_seconds");
+
   // ---- Miss queue: per tenant, drained under stride scheduling ----
-  // A job carries the RAW request bytes, not a parsed PlanRequest: the
-  // connection threads only slice the request out of its frame, and
-  // everything model-sized (parse, keying, the search itself) happens on
-  // the plan workers at batch priority. That asymmetry is the fairness
-  // mechanism — a cold storm cannot put parse work in front of another
-  // tenant's hits.
+  // A job carries the raw request bytes: everything model-sized (parse,
+  // keying, search) runs on the plan workers at idle priority, so a cold
+  // storm never puts parse work in front of another tenant's hits.
   struct Job {
     std::shared_ptr<Connection> conn;
     std::int64_t id = 0;
@@ -194,11 +202,9 @@ struct Daemon::Impl {
   };
   struct TenantQueue {
     std::deque<Job> jobs;
-    /// Stride pass: the virtual time this tenant is next served at.
-    /// Workers always pick the minimum pass among non-empty queues and
-    /// advance the picked tenant by 1/weight — so a weight-2 tenant
-    /// drains twice per unit of virtual time for every once of a
-    /// weight-1 tenant, regardless of backlog sizes.
+    /// Stride pass: the virtual time this tenant is next served at. The
+    /// workers pick the least pass and advance it by 1/weight, so a
+    /// weight-2 tenant drains twice as often, whatever the backlogs.
     double pass = 0.0;
     double weight = 1.0;
     std::uint64_t admitted = 0;
@@ -216,19 +222,13 @@ struct Daemon::Impl {
   std::thread accept_thread;
   std::vector<std::thread> worker_threads;
 
-  // ---- Connection bookkeeping, reaped as connections close ----
-  // A long-running daemon serves many short-lived connections; finished
-  // reader threads and dead Connection references must not accumulate.
-  // Each reader pushes its id onto `finished_conns` as its last act, and
-  // the accept loop joins + erases those slots on every poll tick.
-  struct ConnSlot {
-    std::thread thread;
-    std::weak_ptr<Connection> conn;  ///< stop() shutdowns live readers
-  };
-  std::mutex conns_mu;
-  std::uint64_t next_conn_id = 0;
-  std::unordered_map<std::uint64_t, ConnSlot> conn_slots;
-  std::vector<std::uint64_t> finished_conns;
+  // ---- Live connections, one detached reader thread each ----
+  // A reader erases its connection and notifies under conns_mu as its
+  // last act: stop() shuts every live fd down and waits for the set to
+  // empty, and nothing is left to join.
+  mutable std::mutex conns_mu;
+  std::condition_variable conns_cv;
+  std::unordered_set<Connection*> conns;
 
   mutable std::mutex queue_mu;
   std::condition_variable queue_cv;
@@ -244,17 +244,6 @@ struct Daemon::Impl {
   std::condition_variable state_cv;
   bool started = false;
   bool stopped = false;
-
-  // Registry-backed lifetime counters + latency histograms (set in the
-  // constructor; the registry owns them and outlives Impl via `engine`).
-  obs::Counter* connections = nullptr;
-  obs::Counter* requests = nullptr;
-  obs::Counter* shed = nullptr;
-  obs::Counter* protocol_errors = nullptr;
-  obs::Histogram* hit_seconds = nullptr;         ///< hit-path service time
-  obs::Histogram* miss_seconds = nullptr;        ///< admission -> response
-  obs::Histogram* queue_wait_seconds = nullptr;  ///< admission -> dequeue
-  obs::Histogram* request_parse_seconds = nullptr;  ///< request_from_json
 
   // ---- Per-plan trace flush (options.trace_dir non-empty) ----
   std::mutex trace_mu;
@@ -297,58 +286,52 @@ struct Daemon::Impl {
     return it->second;
   }
 
+  /// Blocks in accept() until stop() shuts the listening socket down. Up
+  /// to kMaxConnections, each connection gets kIoDeadline both ways and a
+  /// reader thread; past the cap, one kOverloaded envelope and a close.
   void accept_loop() {
+    const timeval deadline{kIoDeadline.count() / 1000,
+                           kIoDeadline.count() % 1000 * 1000};
     while (!stopping.load(std::memory_order_relaxed)) {
-      reap_connections();
-      pollfd pfd{listen_fd, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
-      if (ready < 0 && errno != EINTR) break;
-      if (ready <= 0) continue;
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) continue;
       connections->inc();
       obs::emit_instant("pland.accept", "pland");
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof deadline);
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof deadline);
       auto conn = std::make_shared<Connection>(fd);
-      std::lock_guard<std::mutex> lock(conns_mu);
-      const std::uint64_t cid = next_conn_id++;
-      ConnSlot& slot = conn_slots[cid];
-      slot.conn = conn;
-      slot.thread = std::thread([this, conn, cid] {
-        serve_connection(conn);
+      {
         std::lock_guard<std::mutex> lock(conns_mu);
-        finished_conns.push_back(cid);
-      });
-    }
-  }
-
-  /// Joins reader threads whose connections have closed and drops their
-  /// slots. Joining happens outside conns_mu so a concurrently-finishing
-  /// reader (whose last act takes the mutex) is never held up.
-  void reap_connections() {
-    std::vector<std::thread> done;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu);
-      if (finished_conns.empty()) return;
-      for (const std::uint64_t cid : finished_conns) {
-        const auto it = conn_slots.find(cid);
-        if (it == conn_slots.end()) continue;  // stop() already took it
-        done.push_back(std::move(it->second.thread));
-        conn_slots.erase(it);
+        if (conns.size() < kMaxConnections) {
+          conns.insert(conn.get());
+          std::thread([this, conn] {
+            serve_connection(conn);
+            std::lock_guard<std::mutex> lock(conns_mu);
+            conns.erase(conn.get());
+            conns_cv.notify_all();
+          }).detach();
+          continue;
+        }
       }
-      finished_conns.clear();
+      obs::emit_instant("pland.refuse", "pland");
+      conn->send(error_response(
+          "error", 0, api::PlanErrorCode::kOverloaded,
+          "karma-pland serves at most " + std::to_string(kMaxConnections) +
+              " connections at once; retry later",
+          options.retry_after));
     }
-    for (auto& t : done)
-      if (t.joinable()) t.join();
   }
 
   void serve_connection(const std::shared_ptr<Connection>& conn) {
     std::string payload;
     while (!stopping.load(std::memory_order_relaxed)) {
-      const ReadStatus status = read_frame(conn->fd, &payload);
+      const ReadStatus status = read_frame(conn->fd, &payload, kIoDeadline);
       if (status == ReadStatus::kEof) return;
       if (status != ReadStatus::kOk) {
+        // Framing is unrecoverable once desynced, or the frame was late.
         protocol_errors->inc();
-        return;  // length framing is unrecoverable once desynced
+        conn->shut_down();
+        return;
       }
       std::int64_t id = 0;
       try {
@@ -363,8 +346,7 @@ struct Daemon::Impl {
           conn->send(response("stats", id, true, "stats",
                               collect_stats().to_json()));
         } else if (type == "metrics") {
-          // The registry's deterministic JSON snapshot: engine + cache +
-          // daemon instruments in one document (DESIGN.md §15).
+          // Engine, cache and daemon instruments (DESIGN.md §15).
           conn->send(response("metrics", id, true, "metrics",
                               engine->metrics()->snapshot_json()));
         } else if (type == "shutdown") {
@@ -388,7 +370,10 @@ struct Daemon::Impl {
         }
       } catch (const std::exception& ex) {
         protocol_errors->inc();
-        if (!conn->send(protocol_error_response(id, ex.what()))) return;
+        if (!conn->send(error_response("error", id,
+                                       api::PlanErrorCode::kInvalidRequest,
+                                       ex.what())))
+          return;
       }
     }
   }
@@ -456,12 +441,11 @@ struct Daemon::Impl {
         q.shed++;
         shed->inc();
         obs::emit_instant("pland.shed", "pland");
-        api::PlanError e;
-        e.code = api::PlanErrorCode::kOverloaded;
-        e.message = "tenant '" + tenant + "' planning queue is full (" +
-                    std::to_string(q.jobs.size()) + " queued); retry later";
-        e.retry_after = options.retry_after;
-        conn->send(plan_response(id, std::move(e)));
+        conn->send(error_response(
+            "plan", id, api::PlanErrorCode::kOverloaded,
+            "tenant '" + tenant + "' planning queue is full (" +
+                std::to_string(q.jobs.size()) + " queued); retry later",
+            options.retry_after));
         return;
       }
       // A tenant whose queue drained keeps its last pass, which falls
@@ -476,11 +460,9 @@ struct Daemon::Impl {
     queue_cv.notify_one();
   }
 
-  /// Installs (empty span / JSON null clears) a CalibrationTable on the
-  /// fronted engine, fleet-wide at this node: every subsequent request is
-  /// keyed under the new table's hash and searched against the calibrated
-  /// device; plans cached under the previous hash become repair seeds.
-  /// Lookups keyed under the old hash miss from here on (handle_lookup).
+  /// Installs (empty span / JSON null clears) a CalibrationTable node-wide:
+  /// requests are keyed and searched under it from here on, and plans
+  /// cached under the previous hash become repair seeds (DESIGN.md §13).
   void handle_calibrate(const std::shared_ptr<Connection>& conn,
                         std::int64_t id, std::string_view table_span) {
     std::shared_ptr<const calib::CalibrationTable> table;
@@ -499,7 +481,7 @@ struct Daemon::Impl {
 
   void worker_loop() {
     // Plan workers run at SCHED_IDLE: CFS preempts an idle-policy task
-    // UNCONDITIONALLY when a normal task wakes, so a connection thread
+    // UNCONDITIONALLY when a normal task wakes, so a reader thread
     // answering a warm hit never waits out the wakeup-preemption
     // granularity (a few ms) behind a long anneal — that granularity is
     // exactly the cross-tenant p99 tail on a single core, and niceness
@@ -508,6 +490,12 @@ struct Daemon::Impl {
     // delta of 10 is kept as a fallback for kernels where the policy
     // switch is refused. Lowering priority needs no privilege, and
     // failure means less isolation, not less service.
+    //
+    // A request with limits searches on the Engine's pool (plan_async).
+    // Those pool threads run at this policy only because a new thread
+    // inherits its creator's, and a plan worker was the first to call
+    // Engine::ensure_workers: an accident of which thread asked first
+    // (Daemon.BoundedRemoteSearchesRunAtThePlanWorkersPolicy pins it).
     struct sched_param sp = {};
     if (::sched_setscheduler(0, SCHED_IDLE, &sp) != 0)
       ::sched_setscheduler(0, SCHED_BATCH, &sp);
@@ -530,43 +518,35 @@ struct Daemon::Impl {
         pick->jobs.pop_front();
         virtual_time = pick->pass;
         pick->pass += 1.0 / pick->weight;
+        if (job.conn->broken.load(std::memory_order_relaxed)) {
+          pick->completed++;  // nobody is left to answer: no search
+          continue;
+        }
       }
-      // Queue wait = admission to dequeue; the trace slice is emitted
-      // here (worker thread) from the enqueue timestamp recorded on the
-      // connection thread — the documented cross-thread emit_complete
-      // shape.
+      // Queue wait = admission to dequeue, emitted here from the reader
+      // thread's enqueue timestamp (the cross-thread emit_complete shape).
       const std::uint64_t dequeue_us = obs::trace_now_us();
       queue_wait_seconds->observe(
           static_cast<double>(dequeue_us - job.enqueue_us) * 1e-6);
       obs::emit_complete("pland.queue_wait", "pland", job.enqueue_us,
                          dequeue_us);
       obs::Span miss_span("pland.plan_miss", "pland");
-      // The request artifact parses from its exact wire bytes — the same
-      // bytes request_io's round-trip covers — here at batch priority,
-      // never on a connection thread.
+      // The request parses from its exact wire bytes, here at idle
+      // priority, never on a reader thread.
       obs::Span req_parse_span("request.parse", "pland");
       const std::uint64_t parse_us = obs::trace_now_us();
       auto parsed = api::request_from_json(job.raw_request);
       request_parse_seconds->observe(
           static_cast<double>(obs::trace_now_us() - parse_us) * 1e-6);
       req_parse_span.end();
-      if (!parsed) {
-        {
-          std::lock_guard<std::mutex> lock(queue_mu);
-          tenants[job.tenant].completed++;
-        }
-        job.conn->send(plan_response(job.id, std::move(parsed).error()));
-        miss_span.end();
-        flush_trace();
-        continue;
-      }
-      const api::PlanRequest request = std::move(parsed).value();
+      // A request that does not parse is answered with its own error.
       // Cached answers (a plan inserted since this client's lookup missed,
       // or a client that skipped the lookup) settle inside plan() without
       // a search; otherwise the search runs on this worker thread —
       // in-process single-flight collapses identical concurrent misses,
       // DiskStore claim files collapse them fleet-wide.
-      auto outcome = engine->plan(request);
+      const api::Expected<api::Plan, api::PlanError> outcome =
+          parsed ? engine->plan(*parsed) : parsed.error();
       // Counted BEFORE the response goes out: a client that reacts to its
       // plan by reading stats must observe the completion.
       {
@@ -575,7 +555,7 @@ struct Daemon::Impl {
       }
       {
         obs::Span respond_span("pland.respond", "pland");
-        job.conn->send(plan_response(job.id, std::move(outcome)));
+        job.conn->send(plan_response(job.id, outcome));
       }
       miss_seconds->observe(
           static_cast<double>(obs::trace_now_us() - job.enqueue_us) * 1e-6);
@@ -606,16 +586,9 @@ struct Daemon::Impl {
       s.calibration_version = table->version;
     {
       std::lock_guard<std::mutex> lock(queue_mu);
-      for (const auto& [name, q] : tenants) {
-        TenantStats t;
-        t.tenant = name;
-        t.admitted = q.admitted;
-        t.completed = q.completed;
-        t.shed = q.shed;
-        t.hits = q.hits;
-        t.queue_depth = q.jobs.size();
-        s.tenants.push_back(std::move(t));
-      }
+      for (const auto& [name, q] : tenants)
+        s.tenants.push_back(TenantStats{name, q.admitted, q.completed, q.shed,
+                                        q.hits, q.jobs.size()});
     }
     return s;
   }
@@ -649,8 +622,7 @@ bool Daemon::start() {
       ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0600);
   if (impl_->lock_fd >= 0 &&
       ::flock(impl_->lock_fd, LOCK_EX | LOCK_NB) != 0) {
-    ::close(impl_->lock_fd);
-    impl_->lock_fd = -1;
+    impl_->release_lock();
     return false;  // another daemon is starting or serving here
   }
 
@@ -658,27 +630,17 @@ bool Daemon::start() {
   // connectable path means a live daemon owns it (e.g. one started before
   // lock files existed) — refuse; a refused connection means it is stale
   // — reclaim it.
-  int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (probe >= 0) {
-    if (::connect(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
-        0) {
-      ::close(probe);
-      impl_->release_lock();
-      return false;  // live daemon
-    }
-    ::close(probe);
-  }
-  ::unlink(options_.socket_path.c_str());
+  const auto* sa = reinterpret_cast<const sockaddr*>(&addr);
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const bool live = probe >= 0 && ::connect(probe, sa, sizeof addr) == 0;
+  if (probe >= 0) ::close(probe);
+  if (!live) ::unlink(options_.socket_path.c_str());
 
   impl_->listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (impl_->listen_fd < 0) {
-    impl_->release_lock();
-    return false;
-  }
-  if (::bind(impl_->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof addr) != 0 ||
+  if (live || impl_->listen_fd < 0 ||
+      ::bind(impl_->listen_fd, sa, sizeof addr) != 0 ||
       ::listen(impl_->listen_fd, 64) != 0) {
-    ::close(impl_->listen_fd);
+    if (impl_->listen_fd >= 0) ::close(impl_->listen_fd);
     impl_->listen_fd = -1;
     impl_->release_lock();
     return false;
@@ -727,51 +689,36 @@ void Daemon::stop() {
   }
   impl_->queue_cv.notify_all();
 
-  // Shutting the listening socket down wakes the accept loop's poll now
-  // instead of at its next tick.
-  if (impl_->listen_fd >= 0) ::shutdown(impl_->listen_fd, SHUT_RDWR);
-  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
-  if (impl_->listen_fd >= 0) {
-    ::close(impl_->listen_fd);
-    impl_->listen_fd = -1;
-  }
+  // Shutting the listening socket down ends the accept loop's accept().
+  ::shutdown(impl_->listen_fd, SHUT_RDWR);
+  impl_->accept_thread.join();
+  ::close(impl_->listen_fd);
+  impl_->listen_fd = -1;
   ::unlink(options_.socket_path.c_str());
   impl_->release_lock();  // a later daemon may serve this path again
 
-  // Wake blocked readers: shutdown() forces their read_frame to return.
-  // Then join every reader still tracked — finished ones the accept loop
-  // had not reaped yet, and live ones the shutdown just woke.
-  std::vector<std::thread> readers;
+  // Wake every reader: shutdown() ends its read_frame (or a send it is
+  // blocked in), and each erases itself from the set as its last act.
   {
-    std::lock_guard<std::mutex> lock(impl_->conns_mu);
-    for (auto& [cid, slot] : impl_->conn_slots) {
-      if (auto conn = slot.conn.lock()) ::shutdown(conn->fd, SHUT_RDWR);
-      readers.push_back(std::move(slot.thread));
-    }
-    impl_->conn_slots.clear();
+    std::unique_lock<std::mutex> lock(impl_->conns_mu);
+    for (Connection* conn : impl_->conns) ::shutdown(conn->fd, SHUT_RDWR);
+    impl_->conns_cv.wait(lock, [this] { return impl_->conns.empty(); });
   }
-  for (auto& t : readers)
-    if (t.joinable()) t.join();
   for (auto& t : impl_->worker_threads)
     if (t.joinable()) t.join();
 
-  // Settle misses still queued: their clients are owed a response. The
-  // sends race the SHUT_RDWR above; failures are ignored — the client
-  // sees kUnavailable or a closed socket either way.
-  std::vector<Impl::Job> leftover;
+  // Settle misses still queued: their clients are owed a response. Sends
+  // to the connections shut down above fail at once — the client sees
+  // kUnavailable or a closed socket either way.
   {
     std::lock_guard<std::mutex> lock(impl_->queue_mu);
-    for (auto& [name, q] : impl_->tenants)
-      while (!q.jobs.empty()) {
-        leftover.push_back(std::move(q.jobs.front()));
-        q.jobs.pop_front();
-      }
-  }
-  for (auto& job : leftover) {
-    api::PlanError e;
-    e.code = api::PlanErrorCode::kUnavailable;
-    e.message = "daemon shutting down before the search started";
-    job.conn->send(plan_response(job.id, std::move(e)));
+    for (auto& [name, q] : impl_->tenants) {
+      for (const Impl::Job& job : q.jobs)
+        job.conn->send(error_response(
+            "plan", job.id, api::PlanErrorCode::kUnavailable,
+            "daemon shutting down before the search started"));
+      q.jobs.clear();
+    }
   }
 
   if (!options_.trace_dir.empty()) {
@@ -792,9 +739,8 @@ void Daemon::wait() {
     // Polling (not pure wait) so an async-signal-safe stop request — a
     // bare atomic store from a signal handler, no notify — still lands.
     while (!impl_->stopped &&
-           !impl_->stop_requested.load(std::memory_order_relaxed)) {
+           !impl_->stop_requested.load(std::memory_order_relaxed))
       impl_->state_cv.wait_for(lock, std::chrono::milliseconds(100));
-    }
     if (impl_->stopped) return;
   }
   stop();
@@ -808,7 +754,7 @@ DaemonStats Daemon::stats() const { return impl_->collect_stats(); }
 
 std::size_t Daemon::open_connections() const {
   std::lock_guard<std::mutex> lock(impl_->conns_mu);
-  return impl_->conn_slots.size();
+  return impl_->conns.size();
 }
 
 }  // namespace karma::pland

@@ -1,38 +1,26 @@
 // karma::pland::Daemon — the cross-process fleet planning service
 // (DESIGN.md §12).
 //
-// One daemon per node fronts one api::Engine (and therefore ONE shared
-// two-level plan cache) for every training job on the machine. Clients
-// speak the length-prefixed JSON protocol (protocol.h) over a unix domain
-// socket, via api::RemoteSession or the karma-planctl CLI.
-//
-// Request path, designed so a cold storm can never sit in front of a warm
-// hit:
-//   - HIT PATH (connection thread): a client first sends a `lookup`
-//     frame carrying the 128-bit key it computed for its request; the
-//     daemon answers it from the cache with Engine::try_cached(key) — no
-//     model on the wire, no queue, no worker, no search. Memoized plans
-//     and diagnoses answer in microseconds regardless of what the worker
-//     pool is chewing on.
-//   - MISS PATH (worker pool): a `plan` frame carries the request by
-//     value. The connection thread only admits it; it is enqueued per
-//     tenant, and a plan worker parses it and calls Engine::plan, which
-//     keys it and answers from the cache if an identical search finished
-//     since the client's lookup. The workers run at SCHED_IDLE and drain
-//     the queues under stride scheduling — weighted round-robin over the
-//     non-empty tenant queues, so K tenants get capacity proportional to
-//     their weights no matter how many requests any one of them piles
-//     up. Identical concurrent misses still collapse through the
-//     Engine's single-flight (in-process) and the DiskStore claim files
-//     (fleet-wide).
-//   - ADMISSION: each tenant's queue is depth-bounded; beyond it the
-//     daemon sheds the request immediately with PlanError{kOverloaded}
-//     and a retry_after hint instead of letting queues (and client
-//     latency) grow without bound.
-//
-// Stats: the "stats" request exports EngineStats + CacheStats + claim
-// counters + per-tenant admission/completion/shed counters as JSON — the
-// observable surface BENCH_service.json and the CI smoke job read.
+// One daemon per node fronts one api::Engine (one shared plan cache) for
+// every training job on the machine, over the length-prefixed JSON
+// protocol (protocol.h) on a unix socket, via api::RemoteSession or
+// karma-planctl. A cold storm never sits in front of a warm hit:
+//   - HIT PATH (reader thread): a `lookup` frame carries the client's
+//     128-bit request key and is answered from Engine::try_cached(key):
+//     no model on the wire, no queue, no worker, no search.
+//   - MISS PATH (plan workers): a `plan` frame's request bytes join its
+//     tenant's queue; SCHED_IDLE workers drain the queues under stride
+//     scheduling (capacity in proportion to tenant weights), parse the
+//     request and call Engine::plan. Identical misses collapse in the
+//     Engine's single-flight, and fleet-wide in the DiskStore claims.
+//   - ADMISSION: a full tenant queue sheds the request at once with
+//     PlanError{kOverloaded} and a retry_after hint.
+//   - BOUNDS: at most kMaxConnections reader threads, and every socket
+//     reads and writes under kIoDeadline (protocol.h): a client that
+//     stalls mid-frame or stops reading its responses loses its
+//     connection, and holds no thread or plan worker for long.
+// The "stats" request exports engine, cache, claim and per-tenant counters
+// as JSON (DaemonStats).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +33,10 @@
 #include "src/cache/plan_cache.h"
 
 namespace karma::pland {
+
+/// Most connections served at once, each by a reader thread (DESIGN.md §12);
+/// a client past the cap gets one kOverloaded envelope, then EOF.
+inline constexpr std::size_t kMaxConnections = 64;
 
 struct DaemonOptions {
   /// Filesystem path the unix socket binds at. A stale socket file from a
@@ -80,7 +72,7 @@ struct TenantStats {
   std::size_t queue_depth = 0;  ///< queued right now
 };
 
-/// Since PR 9 the daemon counters live in the engine's obs::Registry
+/// The daemon counters live in the engine's obs::Registry
 /// ("pland.requests" etc. — the `metrics` verb exports them alongside the
 /// engine's), and this struct is a causally-consistent snapshot view:
 /// collect_stats reads effects before causes (shed/protocol_errors before
@@ -119,8 +111,8 @@ class Daemon {
   bool start();
 
   /// Graceful stop, idempotent: closes the listen socket, shuts down
-  /// every live connection (their reader threads drain), settles queued
-  /// misses with kUnavailable responses, joins all threads.
+  /// every live connection and waits until each reader has ended, joins
+  /// the plan workers, settles queued misses with kUnavailable responses.
   void stop();
 
   /// Blocks until a stop is requested (a "shutdown" envelope, a signal
@@ -138,8 +130,7 @@ class Daemon {
   const std::shared_ptr<api::Engine>& engine() const { return engine_; }
   DaemonStats stats() const;
 
-  /// Connections currently tracked (live readers plus any finished ones
-  /// the accept loop has not reaped yet — it reaps every poll tick).
+  /// Connections with a live reader thread (at most kMaxConnections).
   std::size_t open_connections() const;
 
  private:

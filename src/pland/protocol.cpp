@@ -1,5 +1,6 @@
 #include "src/pland/protocol.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,7 +17,35 @@ namespace {
 /// frame's buffer never outgrows twice its received bytes plus this.
 constexpr std::size_t kFrameReadStep = 64 * 1024;
 
-bool write_all(int fd, const char* data, std::size_t size) {
+/// The reads of one frame against a deadline (zero bounds nothing). The
+/// first two read no clock: on a socket whose SO_RCVTIMEO is the deadline
+/// each waits at most that long, and a frame that arrives whole (prefix,
+/// then payload: every hit) needs no more. The third starts the frame's
+/// clock, and from there each read first waits only for what is left of
+/// it, so a frame that trickles in is cut off within twice the deadline of
+/// its first byte.
+struct FrameClock {
+  int fd;
+  std::chrono::milliseconds deadline;
+  int reads = 0;
+  std::chrono::steady_clock::time_point end{};
+
+  /// Called before each read; false once the frame is out of time.
+  bool next() {
+    if (++reads < 3 || deadline.count() <= 0) return true;
+    const auto now = std::chrono::steady_clock::now();
+    if (reads == 3) end = now + deadline;
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(end - now);
+    pollfd ready{fd, POLLIN, 0};
+    return left.count() > 0 &&
+           ::poll(&ready, 1, static_cast<int>(left.count())) > 0;
+  }
+};
+
+/// Sends all of `data`. A blocking send comes back short only when a
+/// signal or its SO_SNDTIMEO cut it off, so a `timed` socket (SO_SNDTIMEO
+/// is the deadline) fails the frame there; elsewhere the rest is sent on.
+bool write_all(int fd, const char* data, std::size_t size, bool timed) {
   while (size > 0) {
     // MSG_NOSIGNAL: a peer that hung up mid-response must surface as an
     // EPIPE return, never a process-killing SIGPIPE — one disconnecting
@@ -27,31 +56,32 @@ bool write_all(int fd, const char* data, std::size_t size) {
       if (errno == EINTR) continue;
       return false;
     }
+    if (timed && static_cast<std::size_t>(n) < size) return false;
     data += n;
     size -= static_cast<std::size_t>(n);
   }
   return true;
 }
 
-/// Reads exactly `size` bytes. Returns bytes read (== size on success; 0 =
-/// clean EOF before the first byte; anything else = truncated/error).
-std::size_t read_all(int fd, char* data, std::size_t size) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::read(fd, data + got, size - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return got;
-    }
-    if (n == 0) return got;  // peer closed
-    got += static_cast<std::size_t>(n);
+/// Reads exactly `size` more bytes of a frame whose first byte has
+/// arrived, or false on a close, a failure, a read that times out
+/// (SO_RCVTIMEO: mid-frame, silence is not idling) or a frame past `clock`.
+bool read_all(int fd, char* data, std::size_t size, FrameClock& clock) {
+  while (size > 0) {
+    if (!clock.next()) return false;
+    const ssize_t n = ::read(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
   }
-  return got;
+  return true;
 }
 
 }  // namespace
 
-bool write_frame(int fd, std::string_view payload) {
+bool write_frame(int fd, std::string_view payload,
+                 std::chrono::milliseconds deadline) {
   if (payload.size() > kMaxFrameBytes) return false;
   const auto len = static_cast<std::uint32_t>(payload.size());
   // Little-endian by construction, independent of host order.
@@ -59,16 +89,26 @@ bool write_frame(int fd, std::string_view payload) {
       static_cast<char>(len & 0xff), static_cast<char>((len >> 8) & 0xff),
       static_cast<char>((len >> 16) & 0xff),
       static_cast<char>((len >> 24) & 0xff)};
-  return write_all(fd, prefix, 4) &&
-         write_all(fd, payload.data(), payload.size());
+  const bool timed = deadline.count() > 0;
+  return write_all(fd, prefix, 4, timed) &&
+         write_all(fd, payload.data(), payload.size(), timed);
 }
 
-ReadStatus read_frame(int fd, std::string* payload) {
+ReadStatus read_frame(int fd, std::string* payload,
+                      std::chrono::milliseconds deadline) {
+  FrameClock clock{fd, deadline, /*reads=*/1};  // the read just below
+  // Between frames a connection may idle as long as it likes: a read that
+  // times out before the frame's first byte is simply retried.
   unsigned char prefix[4];
-  const std::size_t got =
-      read_all(fd, reinterpret_cast<char*>(prefix), sizeof prefix);
-  if (got == 0) return ReadStatus::kEof;
-  if (got != sizeof prefix) return ReadStatus::kError;
+  ssize_t got;
+  do {
+    got = ::read(fd, prefix, sizeof prefix);
+  } while (got < 0 && (errno == EINTR || errno == EAGAIN ||
+                       errno == EWOULDBLOCK));
+  if (got <= 0) return ReadStatus::kEof;
+  if (!read_all(fd, reinterpret_cast<char*>(prefix) + got,
+                sizeof prefix - static_cast<std::size_t>(got), clock))
+    return ReadStatus::kError;
   const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
                             (static_cast<std::uint32_t>(prefix[1]) << 8) |
                             (static_cast<std::uint32_t>(prefix[2]) << 16) |
@@ -82,7 +122,7 @@ ReadStatus read_frame(int fd, std::string* payload) {
     const std::size_t step =
         std::min<std::size_t>(len - have, std::max(have, kFrameReadStep));
     payload->resize(have + step);
-    if (read_all(fd, payload->data() + have, step) != step)
+    if (!read_all(fd, payload->data() + have, step, clock))
       return ReadStatus::kError;
   }
   return ReadStatus::kOk;

@@ -34,6 +34,7 @@
 //   {"v":1,"type":"calibrate","id":N,"ok":true,
 //    "calibration":"<hash>","calibration_version":V}
 //   {"v":1,"type":"error","id":N,"ok":false,"error":{...}}   (protocol)
+//   {"v":1,"type":"error","id":0,...}  (code overloaded: past the cap)
 //
 // A lookup asks for the plan cached under a client-computed RequestKey
 // (cache::request_key of the request under `calibration`; its hex()).
@@ -46,35 +47,31 @@
 // hex digits (util::Digest128::from_hex); any other key, a missing
 // `calibration` or a non-bool `probe` is a protocol error.
 //
-// The metrics `metrics` value is the engine registry's deterministic
-// snapshot (obs::Registry::snapshot_json, DESIGN.md §15): every counter,
-// gauge, and latency histogram in the process — engine, cache, and
-// daemon instruments in one document.
+// The `metrics` value is the engine registry's deterministic snapshot
+// (obs::Registry::snapshot_json, DESIGN.md §15): every instrument in the
+// process — engine, cache and daemon — in one document.
 //
 // The calibrate `table` value is a calib::CalibrationTable JSON artifact
 // (table.h). Installing one re-keys every request under the table's
 // content hash engine-wide — stale cached plans become repair seeds
 // (calib/repair.h), and lookups keyed under the old hash miss.
 //
-// Every envelope either side sends is written by write_envelope and every
-// one it receives is read, once, by read_envelope: the format lives in
-// this module alone. The reader pulls the members straight from the
-// bytes (util::json::Reader) and hands each one the protocol knows back
-// as its exact bytes. Every member is validated on the way, except a plan
-// frame's `request`: its bytes are only delimited, because the plan
-// worker's request_from_json reads them and reports a bad request as the
-// plan's own error. So a client validates a plan by skipping it, and a
-// daemon connection thread never parses a model description. No DOM is
-// built: util::json::parse and scan_member stay only for the tests and
-// plannerbench (json.h).
+// On both sides write_envelope is the only envelope writer and
+// read_envelope the only reader. The reader pulls each member the protocol
+// knows straight from the bytes (util::json::Reader, no DOM), validated,
+// as its exact bytes. A plan frame's `request` is only delimited: the plan
+// worker's request_from_json reports a bad request as the plan's own
+// error, and no reader thread parses a model description.
 //
-// Frame reads/writes are blocking with EINTR retry; a frame larger than
-// kMaxFrameBytes is a protocol error (the daemon answers one "error"
-// envelope where it can, then closes — resynchronizing a corrupt length
-// prefix is not possible). A frame's buffer grows as its bytes arrive, so
-// a length prefix alone never buys memory.
+// Frame reads/writes block, with EINTR retry; a client waits as long as
+// the daemon takes. The daemon's sockets and calls carry kIoDeadline: a
+// connection may idle between frames, but once a frame's first byte has
+// moved, the frame must move within the deadline (DESIGN.md §12). A frame
+// over kMaxFrameBytes is a protocol error that closes the connection. A
+// frame's buffer grows as its bytes arrive: a prefix alone buys no memory.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -92,21 +89,32 @@ inline constexpr int kProtocolVersion = 1;
 /// allocation request.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u * 1024 * 1024;
 
+/// The daemon's one I/O deadline, in both directions: every accepted
+/// socket carries it as SO_RCVTIMEO and SO_SNDTIMEO, and the daemon passes
+/// it to read_frame/write_frame.
+inline constexpr std::chrono::milliseconds kIoDeadline{2000};
+
 /// Writes one frame (length prefix + payload). Returns false on any write
-/// failure, including a payload over kMaxFrameBytes. Thread-compatible:
+/// failure, including a payload over kMaxFrameBytes. With a nonzero
+/// `deadline`, which must be the socket's SO_SNDTIMEO, a send that waits
+/// it out with the peer reading nothing fails too. Thread-compatible:
 /// callers serialize writes to one fd themselves.
-bool write_frame(int fd, std::string_view payload);
+bool write_frame(int fd, std::string_view payload,
+                 std::chrono::milliseconds deadline = {});
 
 enum class ReadStatus {
   kOk,        ///< one whole frame read into *payload
   kEof,       ///< clean close before any byte of a frame
-  kError,     ///< read failure or close mid-frame
+  kError,     ///< read failure, close or timeout mid-frame
   kTooLarge,  ///< length prefix exceeds kMaxFrameBytes (do not continue)
 };
 
 /// Reads one whole frame. Blocks until the frame completes, the peer
-/// closes, or an error occurs.
-ReadStatus read_frame(int fd, std::string* payload);
+/// closes, or an error occurs. Before the frame's first byte a read that
+/// times out (SO_RCVTIMEO) is retried: the connection is idling. After it,
+/// a timeout is kError, and so is a frame past a nonzero `deadline`.
+ReadStatus read_frame(int fd, std::string* payload,
+                      std::chrono::milliseconds deadline = {});
 
 /// Appends an envelope's own members after its v/type/id header.
 using EnvelopeMembers = std::function<void(util::json::Writer&)>;

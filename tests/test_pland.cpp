@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <poll.h>
+#include <sched.h>
 #include <signal.h>
 #include <sys/file.h>
 #include <sys/socket.h>
@@ -27,13 +29,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <filesystem>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -812,6 +820,282 @@ TEST(Daemon, StopWithIdleWorkersNeverHangs) {
   }
   driver.join();
   EXPECT_EQ(progress->cycles.load(), kCycles);
+}
+
+// ---------------------------------------------------------------------------
+// Bounds: the connection cap and the I/O deadline
+// ---------------------------------------------------------------------------
+
+/// `len` as a frame's 4-byte little-endian length prefix.
+std::string frame_prefix(std::uint32_t len) {
+  return {static_cast<char>(len & 0xff), static_cast<char>((len >> 8) & 0xff),
+          static_cast<char>((len >> 16) & 0xff),
+          static_cast<char>((len >> 24) & 0xff)};
+}
+
+/// Threads in this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+/// Whether `fd` has bytes or its end to read within `limit`.
+bool readable_within(int fd, std::chrono::milliseconds limit) {
+  pollfd ready{fd, POLLIN, 0};
+  return ::poll(&ready, 1, static_cast<int>(limit.count())) == 1;
+}
+
+/// Whether `fd` reads the end of its stream (EOF, or the reset a close with
+/// unread bytes leaves) within `limit`, without blocking past it.
+bool reads_eof_within(int fd, std::chrono::milliseconds limit) {
+  if (!readable_within(fd, limit)) return false;
+  char byte;
+  const ssize_t n = ::recv(fd, &byte, 1, MSG_DONTWAIT);
+  return n == 0 || (n < 0 && errno == ECONNRESET);
+}
+
+/// Runs `call` on its own thread and waits up to `limit` for it. A call
+/// still blocked then can be neither joined nor abandoned safely, so the
+/// test reports `what` and ends the process.
+void finishes_within(std::chrono::milliseconds limit, const char* what,
+                     std::function<void()> call) {
+  struct Done {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+  };
+  auto done = std::make_shared<Done>();
+  std::thread worker([done, call = std::move(call)] {
+    call();
+    std::lock_guard<std::mutex> lock(done->mu);
+    done->done = true;
+    done->cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(done->mu);
+  if (!done->cv.wait_for(lock, limit, [&] { return done->done; })) {
+    std::fprintf(stderr, "%s: not done within %lld ms\n", what,
+                 static_cast<long long>(limit.count()));
+    std::_Exit(1);
+  }
+  lock.unlock();
+  worker.join();
+}
+
+TEST(Daemon, AClientThatNeverReadsCannotWedgeAnotherTenant) {
+  // Regression: a client that pipelined plan frames for a cached request
+  // and never read its socket left every plan worker blocked in send(),
+  // and another tenant's miss was never answered. A response that cannot
+  // be sent within kIoDeadline now shuts its connection down, and the
+  // plan jobs still queued for it settle without a search.
+  pland::DaemonOptions options;
+  options.num_workers = 1;
+  DaemonFixture fx("wedge", std::move(options));
+  ASSERT_TRUE(fx.daemon->start());
+  const std::string path = fx.daemon->socket_path();
+  const api::PlanRequest cached = resnet_request();
+  ASSERT_TRUE(fresh_ping(path));
+  {
+    auto warm = api::RemoteSession::connect(path, "hog");
+    ASSERT_TRUE(warm.has_value());
+    ASSERT_TRUE(warm->plan_raw(cached).has_value());
+  }
+  const std::string frame =
+      R"({"v":1,"type":"plan","id":1,"tenant":"hog","request":)" +
+      api::request_to_json(cached) + "}";
+  const int hog = connect_raw(path);
+  ASSERT_GE(hog, 0);
+  std::thread pipeliner([hog, &frame] {
+    for (int i = 0; i < 200; ++i)
+      if (!pland::write_frame(hog, frame)) break;  // the daemon hung up
+  });
+
+  bool answered = false;
+  finishes_within(pland::kIoDeadline + std::chrono::seconds(3),
+                  "another tenant's miss", [&] {
+                    auto session = api::RemoteSession::connect(path, "other");
+                    answered = session.has_value() &&
+                               session->plan_raw(resnet_request(64, 10))
+                                   .has_value();
+                  });
+  EXPECT_TRUE(answered);
+  pipeliner.join();
+  // The hog's responses stopped with its connection: it reads what was
+  // sent in time, then the end of the stream.
+  const timeval patience{5, 0};
+  ::setsockopt(hog, SOL_SOCKET, SO_RCVTIMEO, &patience, sizeof patience);
+  char buffer[64 * 1024];
+  ssize_t n;
+  while ((n = ::recv(hog, buffer, sizeof buffer, 0)) > 0) {
+  }
+  EXPECT_TRUE(n == 0 || errno == ECONNRESET) << std::strerror(errno);
+  ::close(hog);
+  EXPECT_EQ(fx.daemon->stats().engine.searches, 2u);  // warm-up + other
+  const auto t0 = std::chrono::steady_clock::now();
+  fx.daemon->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, pland::kIoDeadline);
+}
+
+TEST(Daemon, ConnectionsPastTheCapAreRefusedAndStalledFramesCloseInTime) {
+  DaemonFixture fx("cap");
+  ASSERT_TRUE(fx.daemon->start());
+  const std::string path = fx.daemon->socket_path();
+  ASSERT_TRUE(fresh_ping(path));  // warm the daemon up
+  const int threads_before = process_threads();
+  const std::int64_t rss_before_kb = resident_kb();
+  ASSERT_GT(threads_before, 0);
+  ASSERT_GT(rss_before_kb, 0);
+
+  // Every client announces a 64 MiB frame and sends none of it.
+  const std::string header = frame_prefix(pland::kMaxFrameBytes - 1);
+  const auto opened = std::chrono::steady_clock::now();
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < pland::kMaxConnections + 8; ++i) {
+    const int fd = connect_raw(path);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::write(fd, header.data(), header.size()), 4);
+    fds.push_back(fd);
+  }
+  // Past the cap: one kOverloaded envelope, then the end of the stream.
+  for (std::size_t i = pland::kMaxConnections; i < fds.size(); ++i) {
+    std::string reply;
+    ASSERT_TRUE(readable_within(fds[i], std::chrono::seconds(5))) << i;
+    ASSERT_EQ(pland::read_frame(fds[i], &reply), pland::ReadStatus::kOk);
+    const util::json::Value env = util::json::parse(reply);
+    EXPECT_EQ(env.at("type").as_string(), "error");
+    EXPECT_FALSE(env.at("ok").as_bool());
+    EXPECT_EQ(env.at("error").at("code").as_string(), "overloaded");
+    EXPECT_GT(env.at("error").at("retry_after").as_double(), 0.0);
+    EXPECT_TRUE(reads_eof_within(fds[i], std::chrono::seconds(1))) << i;
+  }
+  EXPECT_EQ(fx.daemon->open_connections(), pland::kMaxConnections);
+  EXPECT_LE(process_threads(),
+            threads_before + static_cast<int>(pland::kMaxConnections));
+  const std::int64_t grown_kb = resident_kb() - rss_before_kb;
+  EXPECT_LT(grown_kb, 8 * 1024) << "RSS grew " << grown_kb << " kB";
+
+  // The held frames never complete: each connection closes within twice
+  // the deadline of its first byte, and a fresh client is served again.
+  for (std::size_t i = 0; i < pland::kMaxConnections; ++i) {
+    const auto left = 2 * pland::kIoDeadline + std::chrono::seconds(1) -
+                      (std::chrono::steady_clock::now() - opened);
+    EXPECT_TRUE(reads_eof_within(
+        fds[i], std::chrono::duration_cast<std::chrono::milliseconds>(left)))
+        << "held connection " << i;
+  }
+  for (const int fd : fds) ::close(fd);
+  EXPECT_TRUE(fresh_ping(path));
+}
+
+TEST(Daemon, AConnectionIdleLongerThanTheDeadlineIsStillServed) {
+  DaemonFixture fx("idle");
+  ASSERT_TRUE(fx.daemon->start());
+  auto session = api::RemoteSession::connect(fx.daemon->socket_path());
+  ASSERT_TRUE(session.has_value());
+  ASSERT_TRUE(session->ping());
+  std::this_thread::sleep_for(pland::kIoDeadline +
+                              std::chrono::milliseconds(500));
+  EXPECT_TRUE(session->ping());
+  EXPECT_EQ(fx.daemon->stats().protocol_errors, 0u);
+}
+
+TEST(Daemon, StopWithHalfSentFramesHeldOpenReturnsPromptly) {
+  DaemonFixture fx("half");
+  ASSERT_TRUE(fx.daemon->start());
+  const std::string path = fx.daemon->socket_path();
+  std::vector<int> fds;
+  for (int i = 0; i < 8; ++i) {
+    const int fd = connect_raw(path);
+    ASSERT_GE(fd, 0);
+    const std::string half = frame_prefix(100) + std::string(10, '{');
+    ASSERT_EQ(::write(fd, half.data(), half.size()),
+              static_cast<ssize_t>(half.size()));
+    fds.push_back(fd);
+  }
+  ASSERT_TRUE(fresh_ping(path));  // every half frame's reader is running
+  const auto t0 = std::chrono::steady_clock::now();
+  fx.daemon->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(500));
+  EXPECT_EQ(fx.daemon->open_connections(), 0u);
+  for (const int fd : fds) ::close(fd);
+}
+
+/// Scheduling policy and CPU ticks (utime + stime) of each of this
+/// process's threads, by tid, from /proc/self/task/<tid>/stat.
+std::map<int, std::pair<int, long>> thread_policies_and_ticks() {
+  std::map<int, std::pair<int, long>> threads;
+  for (const auto& task : fs::directory_iterator("/proc/self/task")) {
+    std::ifstream in(task.path() / "stat");
+    const std::string stat((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const auto comm_end = stat.rfind(')');
+    if (comm_end == std::string::npos) continue;  // the thread just ended
+    // After the command name: field 3 (state) onward. utime and stime are
+    // fields 14 and 15, the policy field 41.
+    std::istringstream rest(stat.substr(comm_end + 2));
+    const std::vector<std::string> f{std::istream_iterator<std::string>(rest),
+                                     std::istream_iterator<std::string>()};
+    if (f.size() < 39) continue;
+    threads[std::stoi(task.path().filename().string())] = {
+        std::stoi(f[38]), std::stol(f[11]) + std::stol(f[12])};
+  }
+  return threads;
+}
+
+TEST(Daemon, BoundedRemoteSearchesRunAtThePlanWorkersPolicy) {
+  // A request with limits searches on the Engine's pool, not on the plan
+  // worker that took it. The pool's threads are started by that worker
+  // and inherit its policy, so every thread that burns CPU during the
+  // search must run at the plan workers' own policy.
+  int worker_policy = -1;
+  std::thread([&worker_policy] {
+    sched_param sp{};
+    if (::sched_setscheduler(0, SCHED_IDLE, &sp) != 0)
+      ::sched_setscheduler(0, SCHED_BATCH, &sp);
+    worker_policy = ::sched_getscheduler(0);
+  }).join();
+  ASSERT_TRUE(worker_policy == SCHED_IDLE || worker_policy == SCHED_BATCH);
+
+  DaemonFixture fx("policy");
+  ASSERT_TRUE(fx.daemon->start());
+  api::PlanRequest request = resnet_request();
+  request.model = graph::make_resnet1001(256);
+  request.planner.anneal_iterations = 50'000'000;
+  request.limits.deadline = 2.0;
+  std::optional<api::PlanErrorCode> code;
+  std::thread client([&] {
+    auto session = api::RemoteSession::connect(fx.daemon->socket_path());
+    if (!session) return;
+    auto plan = session->plan_raw(request);
+    code = plan ? api::PlanErrorCode::kInternalError : plan.error().code;
+  });
+  const auto started = std::chrono::steady_clock::now();
+  while (fx.daemon->stats().engine.searches == 0 &&
+         std::chrono::steady_clock::now() - started < std::chrono::seconds(30))
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto before = thread_policies_and_ticks();
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  const auto after = thread_policies_and_ticks();
+  client.join();
+  ASSERT_TRUE(code.has_value());
+  EXPECT_EQ(*code, api::PlanErrorCode::kDeadline);  // still searching
+
+  const int sampler = static_cast<int>(::gettid());
+  int busy = 0;
+  for (const auto& [tid, policy_ticks] : after) {
+    const auto it = before.find(tid);
+    const long gained =
+        policy_ticks.second - (it == before.end() ? 0 : it->second.second);
+    if (tid == sampler || gained <= 0) continue;
+    ++busy;
+    EXPECT_EQ(policy_ticks.first, worker_policy)
+        << "thread " << tid << " gained " << gained << " ticks";
+  }
+  EXPECT_GT(busy, 0);  // the search did run in the window
 }
 
 // ---------------------------------------------------------------------------

@@ -14,10 +14,17 @@
 //   - a zero-length frame;
 //   - valid frames delivered in 1-byte (and random-size) fragments, which
 //     must come back whole and byte-identical.
+//
+// Frame deadlines, on a socketpair whose timeouts are the deadline (as
+// the daemon's sockets are): idling before a frame is no timeout, a frame
+// that stalls or trickles is cut off, and a response nobody reads fails.
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
@@ -294,6 +301,75 @@ TEST(FrameFuzz, LargeFragmentedFramesInOneStreamComeBackIdentical) {
   writer.join();
   p.close_writer();
   EXPECT_EQ(read_frame(p.reader(), &payload), ReadStatus::kEof);
+}
+
+constexpr std::chrono::milliseconds kDeadline{200};
+
+/// Sets kDeadline as `fd`'s receive and send timeouts.
+void set_timeouts(int fd) {
+  const timeval t{0, kDeadline.count() * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &t, sizeof t);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &t, sizeof t);
+}
+
+TEST(FrameDeadline, IdlingBeforeAFrameIsNoTimeout) {
+  Pair p;
+  ASSERT_GE(p.reader(), 0);
+  set_timeouts(p.reader());
+  std::thread writer([&p] {
+    std::this_thread::sleep_for(3 * kDeadline);
+    write_frame(p.writer(), "late");
+  });
+  std::string payload;
+  EXPECT_EQ(read_frame(p.reader(), &payload, kDeadline), ReadStatus::kOk);
+  EXPECT_EQ(payload, "late");
+  writer.join();
+}
+
+TEST(FrameDeadline, AStalledFrameTimesOut) {
+  Pair p;
+  ASSERT_GE(p.reader(), 0);
+  set_timeouts(p.reader());
+  const std::string half = prefix(100) + "{\"v\"";
+  ASSERT_EQ(::write(p.writer(), half.data(), half.size()),
+            static_cast<ssize_t>(half.size()));
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string payload;
+  EXPECT_EQ(read_frame(p.reader(), &payload, kDeadline), ReadStatus::kError);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, kDeadline);
+}
+
+TEST(FrameDeadline, ATricklingFrameIsCutOffWithinTwiceTheDeadline) {
+  // One byte every quarter deadline: no read ever times out by itself.
+  Pair p;
+  ASSERT_GE(p.reader(), 0);
+  set_timeouts(p.reader());
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    const std::string frame = prefix(1000) + std::string(1000, ' ');
+    for (const char byte : frame) {
+      if (done || ::send(p.writer(), &byte, 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(kDeadline / 4);
+    }
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string payload;
+  EXPECT_EQ(read_frame(p.reader(), &payload, kDeadline), ReadStatus::kError);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  done = true;
+  writer.join();
+  EXPECT_GE(took, kDeadline);
+  EXPECT_LT(took, 2 * kDeadline + kDeadline / 2);
+}
+
+TEST(FrameDeadline, AResponseNobodyReadsFails) {
+  Pair p;
+  ASSERT_GE(p.reader(), 0);
+  set_timeouts(p.writer());
+  const std::string big(4 << 20, 'x');  // far beyond the socket buffer
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(write_frame(p.writer(), big, kDeadline));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, kDeadline);
 }
 
 }  // namespace
