@@ -240,7 +240,13 @@ PlanResult plan_data_parallel(
       weight_state < device.memory_capacity / 2;
 
   // ---- Blocking (Opt-1 for the distributed pipeline) ----
+  // Each variant is scored by makespan() into one reused plan and scratch;
+  // only a new best is replayed with a trace and kept, as in KarmaPlanner.
   std::optional<PlanResult> best;
+  const sim::Engine engine(device);
+  sim::ReplayScratch scratch;
+  Plan plan;
+  std::vector<Seconds> iter_end;
 
   const auto try_candidate = [&](const std::vector<Block>& blocks) {
     // Cooperative cancellation point, once per candidate blocking — the
@@ -345,7 +351,6 @@ PlanResult plan_data_parallel(
       } catch (const InfeasibleError&) {
         continue;  // this policy set overflows a bounded tier
       }
-      Plan plan;
       plan.strategy = weights_resident ? "karma-dp" : "karma-dp+weight-swap";
       plan.hierarchy = std::move(plan_hierarchy);
       plan.host_baseline_resident = shards.pinned_weight_bytes;
@@ -355,45 +360,48 @@ PlanResult plan_data_parallel(
       plan.capacity = weights_resident
                           ? device.memory_capacity - weight_state
                           : device.memory_capacity;
+      plan.ops.clear();
+      plan.stage_of.clear();
       const EmitContext ctx{blocks,  costs,    variant, device,
                             options, exchange, weights_resident};
       for (int it = 0; it < options.iterations; ++it)
         emit_iteration(plan, ctx, it);
 
+      control.count_candidate(/*simulated=*/true);
       try {
-        const sim::Engine engine(device);
-        PlanResult result;
-        result.trace = engine.run(plan);
-        // Steady-state iteration time: span between the completion of the
-        // last op of consecutive iterations.
-        std::vector<Seconds> iter_end(
-            static_cast<std::size_t>(options.iterations), 0.0);
-        for (const auto& r : result.trace.records)
-          iter_end[static_cast<std::size_t>(r.iteration)] =
-              std::max(iter_end[static_cast<std::size_t>(r.iteration)], r.end);
-        result.first_iteration_time = iter_end.front();
-        result.iteration_time =
-            options.iterations > 1
-                ? iter_end[static_cast<std::size_t>(options.iterations - 1)] -
-                      iter_end[static_cast<std::size_t>(options.iterations - 2)]
-                : iter_end.front();
-        result.occupancy = result.trace.occupancy();
-        result.plan = std::move(plan);
-        result.exchange = exchange;
-        result.weights_resident = weights_resident;
-        result.policies = variant;
-        control.count_candidate(/*simulated=*/true);
-        if (!best || result.iteration_time < best->iteration_time) {
-          best = std::move(result);
-          // Snapshot first, progress flag second — as in KarmaPlanner.
-          if (on_improved) on_improved(*best);
-          control.report_best(best->iteration_time);
-        }
+        engine.makespan(plan, scratch);
       } catch (const InfeasibleError&) {
         // infeasible candidate (engine deadlock); anything else — a plan
         // that fails validation, bad_alloc — is a bug and propagates
-        control.count_candidate(/*simulated=*/true);
+        continue;
       }
+      // Steady-state iteration time: span between the completion of the
+      // last op of consecutive iterations.
+      iter_end.assign(static_cast<std::size_t>(options.iterations), 0.0);
+      for (std::size_t i = 0; i < plan.ops.size(); ++i) {
+        Seconds& end =
+            iter_end[static_cast<std::size_t>(plan.ops[i].iteration)];
+        end = std::max(end, scratch.ops[i].end);
+      }
+      const Seconds iteration_time =
+          options.iterations > 1
+              ? iter_end[static_cast<std::size_t>(options.iterations - 1)] -
+                    iter_end[static_cast<std::size_t>(options.iterations - 2)]
+              : iter_end.front();
+      if (best && !(iteration_time < best->iteration_time)) continue;
+      PlanResult result;
+      result.trace = engine.run(plan);
+      result.first_iteration_time = iter_end.front();
+      result.iteration_time = iteration_time;
+      result.occupancy = result.trace.occupancy();
+      result.plan = plan;
+      result.exchange = exchange;
+      result.weights_resident = weights_resident;
+      result.policies = variant;
+      best = std::move(result);
+      // Snapshot first, progress flag second — as in KarmaPlanner.
+      if (on_improved) on_improved(*best);
+      control.report_best(best->iteration_time);
     }
   };
 
