@@ -109,7 +109,8 @@ int main(int argc, char** argv) {
   // unbounded anneal — it would refine for minutes) capped at 150 ms of
   // wall clock: the search returns PlanError{kDeadline} with the best
   // feasible plan it reached attached — a usable (if unpolished)
-  // artifact.
+  // artifact. How far the search got depends on the machine, so only the
+  // outcome is printed.
   api::PlanRequest deep = request;
   deep.model = graph::make_resnet50(512);  // fixed: deep at any CLI batch
   deep.planner.anneal_iterations = 50'000'000;
@@ -118,16 +119,11 @@ int main(int argc, char** argv) {
   api::PlanRequest bounded = deep;
   bounded.limits.deadline = 0.15;  // seconds
   const auto expired = engine->plan(bounded);
-  if (!expired) {
-    std::printf("\ndeadline-bounded plan (150 ms budget): %s\n",
-                api::plan_error_code_name(expired.error().code));
-    if (expired.error().partial) {
-      const api::Plan& partial = *expired.error().partial;
-      std::printf("  best-so-far plan attached: %zu blocks, iteration %s\n",
-                  partial.blocks().size(),
-                  format_seconds(partial.iteration_time).c_str());
-    }
-  }
+  if (!expired)
+    std::printf("\ndeadline-bounded plan (150 ms budget): %s; best-so-far "
+                "plan attached: %s\n",
+                api::plan_error_code_name(expired.error().code),
+                expired.error().partial ? "yes" : "no");
 
   // ---- 6. Async + cancel: PlanFuture over the worker pool ----
   api::PlanRequest doomed = deep;
@@ -139,18 +135,14 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     progress = future.progress();
   }
+  // How many candidates it gets through first depends on timing, so only
+  // the outcome is printed.
   future.cancel();
   const auto cancelled = future.get();
-  if (!cancelled.has_value()) {
-    progress = future.progress();
-    std::printf("\ncancelled async plan: %s after %lld candidates "
-                "(%lld simulated, %lld memo hits); partial attached: %s\n",
+  if (!cancelled.has_value())
+    std::printf("\ncancelled async plan: %s; partial attached: %s\n",
                 api::plan_error_code_name(cancelled.error().code),
-                static_cast<long long>(progress.candidates),
-                static_cast<long long>(progress.simulations),
-                static_cast<long long>(progress.memo_hits),
                 cancelled.error().partial ? "yes" : "no");
-  }
 
   // Compare against the strongest baseline for context.
   if (const auto checkmate =
