@@ -195,10 +195,10 @@ TEST(Daemon, PingStatsAndRemoteShutdown) {
 }
 
 TEST(Daemon, ShortLivedConnectionsAreReapedAndServiceContinues) {
-  // Regression: reader threads and connection slots must be reclaimed as
-  // clients hang up, not accumulated until shutdown. Churn through many
-  // short-lived connections, then prove the daemon still serves and has
-  // reaped the dead readers down to the one live connection.
+  // Regression: reader threads must end as clients hang up, not
+  // accumulate until shutdown. Churn through many short-lived
+  // connections, then prove the daemon still serves and tracks only the
+  // one live connection.
   DaemonFixture fx("churn");
   ASSERT_TRUE(fx.daemon->start());
   constexpr int kChurn = 24;
@@ -211,7 +211,7 @@ TEST(Daemon, ShortLivedConnectionsAreReapedAndServiceContinues) {
   auto session =
       api::RemoteSession::connect(fx.daemon->socket_path(), "churn");
   ASSERT_TRUE(session.has_value());
-  // The accept loop reaps on every poll tick (<= 200 ms apart).
+  // Each reader leaves the live set as its client hangs up.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   EXPECT_LE(fx.daemon->open_connections(), 1u);
   EXPECT_TRUE(session->ping());
@@ -973,8 +973,19 @@ TEST(Daemon, ConnectionsPastTheCapAreRefusedAndStalledFramesCloseInTime) {
   EXPECT_EQ(fx.daemon->open_connections(), pland::kMaxConnections);
   EXPECT_LE(process_threads(),
             threads_before + static_cast<int>(pland::kMaxConnections));
+  // Memory follows the bytes received, not the 4 GiB announced: ~64 KB of
+  // frame buffer and a thread stack's touched pages per reader (~4 MB in
+  // all). Sanitizer builds add their own state per thread, ~1.3 MB of it
+  // under TSan.
+#if defined(__SANITIZE_THREAD__)
+  constexpr std::int64_t kMaxGrowthKb = 128 * 1024;
+#elif defined(__SANITIZE_ADDRESS__)
+  constexpr std::int64_t kMaxGrowthKb = 32 * 1024;
+#else
+  constexpr std::int64_t kMaxGrowthKb = 8 * 1024;
+#endif
   const std::int64_t grown_kb = resident_kb() - rss_before_kb;
-  EXPECT_LT(grown_kb, 8 * 1024) << "RSS grew " << grown_kb << " kB";
+  EXPECT_LT(grown_kb, kMaxGrowthKb) << "RSS grew " << grown_kb << " kB";
 
   // The held frames never complete: each connection closes within twice
   // the deadline of its first byte, and a fresh client is served again.
