@@ -31,17 +31,16 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <iterator>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -242,6 +241,13 @@ int connect_raw(const std::string& path) {
     return -1;
   }
   return fd;
+}
+
+/// `len` as a frame's 4-byte little-endian length prefix.
+std::string frame_prefix(std::uint32_t len) {
+  return {static_cast<char>(len & 0xff), static_cast<char>((len >> 8) & 0xff),
+          static_cast<char>((len >> 16) & 0xff),
+          static_cast<char>((len >> 24) & 0xff)};
 }
 
 /// One request frame out, its response frame's exact bytes back.
@@ -706,16 +712,12 @@ TEST(Daemon, AnnouncedFrameLengthsAllocateNothingUntilBytesArrive) {
   ASSERT_GT(before_kb, 0);
 
   constexpr int kConnections = 8;
-  const std::uint32_t len = pland::kMaxFrameBytes - 1;
-  const char prefix[4] = {static_cast<char>(len & 0xff),
-                          static_cast<char>((len >> 8) & 0xff),
-                          static_cast<char>((len >> 16) & 0xff),
-                          static_cast<char>((len >> 24) & 0xff)};
+  const std::string prefix = frame_prefix(pland::kMaxFrameBytes - 1);
   std::vector<int> fds;
   for (int i = 0; i < kConnections; ++i) {
     const int fd = connect_raw(fx.daemon->socket_path());
     ASSERT_GE(fd, 0);
-    ASSERT_EQ(::write(fd, prefix, sizeof prefix), 4);
+    ASSERT_EQ(::write(fd, prefix.data(), prefix.size()), 4);
     fds.push_back(fd);
   }
   // The readers take their prefixes as soon as they are scheduled; a ping
@@ -826,13 +828,6 @@ TEST(Daemon, StopWithIdleWorkersNeverHangs) {
 // Bounds: the connection cap and the I/O deadline
 // ---------------------------------------------------------------------------
 
-/// `len` as a frame's 4-byte little-endian length prefix.
-std::string frame_prefix(std::uint32_t len) {
-  return {static_cast<char>(len & 0xff), static_cast<char>((len >> 8) & 0xff),
-          static_cast<char>((len >> 16) & 0xff),
-          static_cast<char>((len >> 24) & 0xff)};
-}
-
 /// Threads in this process, from /proc/self/status.
 int process_threads() {
   std::ifstream status("/proc/self/status");
@@ -861,26 +856,15 @@ bool reads_eof_within(int fd, std::chrono::milliseconds limit) {
 /// still blocked then can be neither joined nor abandoned safely, so the
 /// test reports `what` and ends the process.
 void finishes_within(std::chrono::milliseconds limit, const char* what,
-                     std::function<void()> call) {
-  struct Done {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-  };
-  auto done = std::make_shared<Done>();
-  std::thread worker([done, call = std::move(call)] {
-    call();
-    std::lock_guard<std::mutex> lock(done->mu);
-    done->done = true;
-    done->cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(done->mu);
-  if (!done->cv.wait_for(lock, limit, [&] { return done->done; })) {
+                     const std::function<void()>& call) {
+  std::packaged_task<void()> task(call);
+  std::future<void> done = task.get_future();
+  std::thread worker(std::move(task));
+  if (done.wait_for(limit) != std::future_status::ready) {
     std::fprintf(stderr, "%s: not done within %lld ms\n", what,
                  static_cast<long long>(limit.count()));
     std::_Exit(1);
   }
-  lock.unlock();
   worker.join();
 }
 
@@ -896,7 +880,6 @@ TEST(Daemon, AClientThatNeverReadsCannotWedgeAnotherTenant) {
   ASSERT_TRUE(fx.daemon->start());
   const std::string path = fx.daemon->socket_path();
   const api::PlanRequest cached = resnet_request();
-  ASSERT_TRUE(fresh_ping(path));
   {
     auto warm = api::RemoteSession::connect(path, "hog");
     ASSERT_TRUE(warm.has_value());
