@@ -199,7 +199,7 @@ std::int64_t bisect_feasible_batch(const PlanRequest& request,
     const cache::RequestKey key = cache::request_key(probe_request);
     if (const auto cached = probe.cache.lookup(key)) {
       ++probe.cache_hits;
-      return cached->has_value();
+      return cached->outcome().has_value();
     }
     try {
       probe.cache.insert(key, plan_uncached(probe_request, probe_options,
@@ -626,6 +626,17 @@ using detail::Flight;
 using detail::FutureState;
 using detail::Outcome;
 
+namespace {
+
+/// A cache entry's outcome as a settled outcome: shares the entry, copies
+/// nothing.
+std::shared_ptr<const Outcome> shared_outcome(cache::PlanCache::Handle entry) {
+  const Outcome* outcome = &entry->outcome();
+  return {std::move(entry), outcome};
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
@@ -930,7 +941,7 @@ Engine::Prepared Engine::prepare(const PlanRequest& request,
   {
     obs::Span lookup_span("engine.cache_lookup", "cache");
     if (auto hit = impl_->cache->lookup(key, request.probe_feasible_batch)) {
-      prepared.settled = std::make_shared<const Outcome>(std::move(*hit));
+      prepared.settled = shared_outcome(std::move(hit));
       return prepared;
     }
   }
@@ -986,9 +997,10 @@ Engine::Prepared Engine::prepare(const PlanRequest& request,
     if (prior == calib_hash) continue;
     auto seed = impl_->cache->lookup(cache::request_key(request, prior),
                                      /*want_probe=*/false, /*quiet=*/true);
-    if (seed && seed->has_value()) {
+    if (seed && seed->outcome().has_value()) {
+      const Plan* plan = &seed->outcome().value();
       prepared.flight->repair_seed =
-          std::make_shared<const Plan>(std::move(*seed).value());
+          std::shared_ptr<const Plan>(std::move(seed), plan);
       break;
     }
   }
@@ -1011,7 +1023,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
   // the consistent flights_mu > flight->mu order used everywhere. Any
   // joiner that found the flight before the delist still receives this
   // outcome; any caller arriving after goes through the cache.
-  const auto settle = [&](Outcome&& outcome) {
+  const auto settle = [&](std::shared_ptr<const Outcome> outcome) {
     {
       std::lock_guard<std::mutex> lock(impl_->flights_mu);
       const auto it = impl_->flights.find(flight->key);
@@ -1020,7 +1032,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
     }
     {
       std::lock_guard<std::mutex> lock(flight->mu);
-      flight->outcome = std::make_shared<const Outcome>(std::move(outcome));
+      flight->outcome = std::move(outcome);
       flight->done = true;
     }
     flight->cv.notify_all();
@@ -1042,7 +1054,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
   // re-diagnosing would re-run the multi-probe bisection just memoized.
   if (auto hit = impl_->cache->lookup(flight->key, want_probe,
                                       /*quiet=*/true)) {
-    settle(std::move(*hit));
+    settle(shared_outcome(std::move(hit)));
     return;
   }
 
@@ -1064,7 +1076,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
         // re-lookup closes that window.
         if (auto hit = impl_->cache->lookup(flight->key, want_probe,
                                             /*quiet=*/true)) {
-          settle(std::move(*hit));
+          settle(shared_outcome(std::move(hit)));
           return;
         }
         break;  // we lead the fleet-wide search
@@ -1076,7 +1088,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
           // disk) unless the entry fails validation, in which case loop
           // back and try to lead the re-search ourselves.
           if (auto hit = impl_->cache->lookup(flight->key, want_probe)) {
-            settle(std::move(*hit));
+            settle(shared_outcome(std::move(hit)));
             return;
           }
           break;
@@ -1115,7 +1127,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
                           flight->repair_seed.get());
         // Only completed searches are cached.
         impl_->cache->insert(flight->key, artifact);
-        settle(Outcome(std::move(artifact)));
+        settle(std::make_shared<const Outcome>(std::move(artifact)));
         return;
       } catch (const core::SearchInterrupted& interrupted) {
         // A deadline/budget interrupt can be STALE: a new waiter may have
@@ -1140,7 +1152,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
         }
         // Never cached: an interrupt reflects this waiting set's
         // patience, not the request. The next caller re-searches fresh.
-        settle(Outcome(std::move(e)));
+        settle(std::make_shared<const Outcome>(std::move(e)));
         return;
       }
     }
@@ -1171,7 +1183,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
       e = interrupted_error(interrupted.reason, flight->model_name,
                             flight->device_name);
     }
-    settle(Outcome(std::move(e)));
+    settle(std::make_shared<const Outcome>(std::move(e)));
   } catch (const std::exception& ex) {
     // Invariant violation (std::logic_error from plan validation or the
     // sim engine, allocation failure): a bug, and it must surface loudly
@@ -1185,7 +1197,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
     e.message = std::string("internal error during planning: ") + ex.what();
     e.model = flight->model_name;
     e.device = flight->device_name;
-    settle(Outcome(std::move(e)));
+    settle(std::make_shared<const Outcome>(std::move(e)));
     throw;
   }
 }
@@ -1330,12 +1342,19 @@ std::optional<Expected<Plan, PlanError>> Engine::try_cached(
 
 std::optional<Expected<Plan, PlanError>> Engine::try_cached(
     const cache::RequestKey& key, bool probe_feasible_batch) {
+  if (const auto hit = lookup_cached(key, probe_feasible_batch))
+    return hit->outcome();
+  return std::nullopt;
+}
+
+std::shared_ptr<const cache::CachedOutcome> Engine::lookup_cached(
+    const cache::RequestKey& key, bool probe_feasible_batch) {
   // No validate(): the PlanRequest overload validates before it
   // delegates, and only validated requests insert, so a bare key can
   // read nothing an invalid request produced.
   obs::Span lookup_span("engine.cache_lookup", "cache");
-  // quiet: a nullopt probe flows into plan()/plan_async(), whose own
-  // prepare counts the miss — counting it here too would double-bill.
+  // quiet: a miss flows into plan()/plan_async(), whose own prepare
+  // counts it — counting it here too would double-bill.
   auto hit = impl_->cache->lookup(key, probe_feasible_batch, /*quiet=*/true);
   if (hit) impl_->requests->inc();
   return hit;

@@ -32,6 +32,7 @@
 #include "src/api/session.h"
 
 namespace karma::cache {
+class CachedOutcome;
 class PlanCache;
 struct CacheStats;
 struct RequestKey;
@@ -125,17 +126,23 @@ class Engine : public std::enable_shared_from_this<Engine> {
   std::optional<Expected<Plan, PlanError>> try_cached(
       const PlanRequest& request);
 
-  /// Key-addressed variant for callers that hold only the content key
-  /// (karma-pland's `lookup` verb: the client keys its own request, so a
-  /// warm hit never ships or parses the model). No validation runs, and
-  /// none is needed: every entry was inserted under the key of a request
-  /// that validated, so any key reads only what such a request produced.
-  /// `probe_feasible_batch` must be the flag of the keyed request — it
-  /// selects which memoized diagnoses are eligible. This is karma-pland's
-  /// hit path: connection threads serve warm hits directly, so one
-  /// tenant's cold storm queued at the worker pool can never add latency
-  /// to another tenant's hits.
+  /// Key-addressed variant for callers that hold only the content key: a
+  /// copy of what lookup_cached(key, probe_feasible_batch) holds.
   std::optional<Expected<Plan, PlanError>> try_cached(
+      const cache::RequestKey& key, bool probe_feasible_batch);
+
+  /// The cache entry itself, null when only a search could answer: no
+  /// outcome is copied, and its json() is the entry's memoized wire bytes.
+  /// For callers that hold only the content key (karma-pland's `lookup`
+  /// verb: the client keys its own request, so a warm hit never ships or
+  /// parses the model). No validation runs, and none is needed: every
+  /// entry was inserted under the key of a request that validated, so any
+  /// key reads only what such a request produced. `probe_feasible_batch`
+  /// must be the flag of the keyed request — it selects which memoized
+  /// diagnoses are eligible. This is karma-pland's hit path: connection
+  /// threads serve warm hits directly, so one tenant's cold storm queued
+  /// at the worker pool can never add latency to another tenant's hits.
+  std::shared_ptr<const cache::CachedOutcome> lookup_cached(
       const cache::RequestKey& key, bool probe_feasible_batch);
 
   /// Installs (or, with nullptr, clears) the measured-cost calibration

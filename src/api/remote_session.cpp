@@ -1,5 +1,6 @@
 #include "src/api/remote_session.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -79,16 +80,25 @@ Expected<std::string, PlanError> RemoteSession::call(
   const std::int64_t id = next_id_++;
   const std::string failed =
       "karma-pland '" + std::string(type) + "' request failed";
-  if (fd_ < 0 ||
-      !pland::write_frame(fd_, pland::write_envelope(type, id, members)))
-    return unavailable(failed);
+  if (fd_ < 0) return unavailable(failed);
+  // A daemon past its connection cap answers id 0 with kOverloaded and
+  // closes, perhaps before this frame is sent: a failed send still reads
+  // that answer when one is waiting.
+  if (!pland::write_frame(fd_, pland::write_envelope(type, id, members))) {
+    pollfd ready{fd_, POLLIN, 0};
+    if (::poll(&ready, 1, 0) != 1) return unavailable(failed);
+  }
   std::string payload;
   for (;;) {
     if (pland::read_frame(fd_, &payload) != pland::ReadStatus::kOk)
       return unavailable(failed + ": connection lost");
     try {
       const pland::Envelope env = pland::read_envelope(payload);
-      if (env.id != id) continue;  // a stale pipelined response: not ours
+      // Id 0 answers no request (ids start at 1): it is the daemon
+      // refusing this connection, and it settles the call. Any other id
+      // is a stale pipelined response: not ours.
+      const bool refused = env.id == 0 && !env.ok.boolean();
+      if (env.id != id && !refused) continue;
       if (!env.ok.boolean()) return error_from_json(env.error.value());
       const pland::Member& member = env.*result;
       const std::string_view bytes = member.value();

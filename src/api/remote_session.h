@@ -100,7 +100,9 @@ class RemoteSession {
   RemoteSession(int fd, std::string tenant);
 
   /// Sends one `type` envelope carrying `members` and reads frames until
-  /// the response echoing its id arrives, reading each one once. Returns
+  /// the response echoing its id arrives, or the daemon's id-0 error (a
+  /// connection refused past its cap: kOverloaded with retry_after),
+  /// reading each one once. Returns
   /// response member `result`: a JSON string as its value, null as "",
   /// anything else as its exact (validated) bytes. A response's
   /// `calibration` member, when present, becomes the session's

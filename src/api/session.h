@@ -199,7 +199,9 @@ struct CacheOptions {
   /// Max resident bytes of the in-memory outcomes, each counted as its
   /// serialized size (a plan's to_json, a diagnosis's error_to_json) —
   /// capacity is what entries actually weigh, not how many there are.
-  /// 0 = no memory level.
+  /// An entry holds its outcome; one that karma-pland's socket hits serve
+  /// also holds those bytes, memoized by the first hit, which this bound
+  /// does not count again (DESIGN.md §10). 0 = no memory level.
   Bytes cache_memory_bytes = 256ll * 1024 * 1024;
   /// Directory of the persistent plan store. Empty = use the
   /// KARMA_CACHE_DIR environment variable when set, otherwise cache in

@@ -19,6 +19,14 @@ std::string CacheStats::describe() const {
   return os.str();
 }
 
+const std::string& CachedOutcome::json() const {
+  std::call_once(serialized_, [this] {
+    json_ = outcome_.has_value() ? outcome_->to_json()
+                                 : api::error_to_json(outcome_.error());
+  });
+  return json_;
+}
+
 PlanCache::PlanCache(Options options) : options_(std::move(options)) {
   if (!options_.dir.empty())
     disk_ = std::make_unique<DiskStore>(options_.dir);
@@ -50,24 +58,19 @@ bool PlanCache::put_locked(Entry entry) {
   return true;
 }
 
-std::optional<PlanCache::Outcome> PlanCache::lookup(const RequestKey& key,
-                                                    bool want_probe,
-                                                    bool quiet) {
+PlanCache::Handle PlanCache::lookup(const RequestKey& key, bool want_probe,
+                                    bool quiet) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
     // An unprobed diagnosis cannot answer a caller who asked for the
     // feasible-batch bisection: it misses like an absent entry.
-    if (it != index_.end() && (it->second->outcome.has_value() ||
+    if (it != index_.end() && (it->second->handle->outcome().has_value() ||
                                it->second->probed || !want_probe)) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      Outcome hit = lru_.front().outcome;
-      if (hit.has_value()) {
-        ++stats_.memory_hits;
-      } else {
-        ++stats_.negative_hits;
-        hit.error().from_negative_cache = true;
-      }
+      const Handle& hit = lru_.front().handle;
+      ++(hit->outcome().has_value() ? stats_.memory_hits
+                                    : stats_.negative_hits);
       return hit;
     }
   }
@@ -80,13 +83,14 @@ std::optional<PlanCache::Outcome> PlanCache::lookup(const RequestKey& key,
   if (loaded.corrupt && !quiet) ++stats_.corrupt_entries;
   if (!loaded.plan) {
     if (!quiet) ++stats_.misses;
-    return std::nullopt;
+    return nullptr;
   }
   ++stats_.disk_hits;
   // Promote so repeated lookups skip the parse. Not counted as an
   // insertion: nothing new entered the cache.
-  put_locked(Entry{key, *loaded.plan, false, loaded.serialized_bytes});
-  return Outcome(std::move(*loaded.plan));
+  auto hit = std::make_shared<const CachedOutcome>(std::move(*loaded.plan));
+  put_locked(Entry{key, hit, false, loaded.serialized_bytes});
+  return hit;
 }
 
 void PlanCache::insert(const RequestKey& key, Outcome outcome, bool probed) {
@@ -101,16 +105,22 @@ void PlanCache::insert(const RequestKey& key, Outcome outcome, bool probed) {
       return;
   }
   // One serialization weighs the entry and feeds the disk write. Runs
-  // outside the lock (it can be milliseconds on deep plans).
+  // outside the lock (it can be milliseconds on deep plans). The entry
+  // does not keep it: only a socket hit's json() pays for kept bytes
+  // (DESIGN.md §10).
   const bool plan = outcome.has_value();
   const std::string json =
       plan ? outcome->to_json() : api::error_to_json(outcome.error());
+  // Every hit reads a diagnosis as memoized; marking it once here keeps
+  // the handle immutable. The weight stays the inserted serialization's.
+  if (!plan) outcome.error().from_negative_cache = true;
+  auto entry = std::make_shared<const CachedOutcome>(std::move(outcome));
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Counts entries actually accepted into the memory level; a
     // disk-only cache (memory_capacity_bytes 0) reports disk_writes
     // instead.
-    if (put_locked(Entry{key, std::move(outcome), probed, json.size()}))
+    if (put_locked(Entry{key, std::move(entry), probed, json.size()}))
       ++(plan ? stats_.insertions : stats_.negative_insertions);
   }
   // The atomic write happens outside the lock (DiskStore keeps its own

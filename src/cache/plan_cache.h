@@ -7,6 +7,10 @@
 // both kinds, capacity-bounded by RESIDENT BYTES: every entry weighs its
 // serialized size (a plan its to_json(), a diagnosis its error_to_json()),
 // so capacity counts what entries actually weigh, not how many there are.
+// An entry is an immutable shared CachedOutcome: a lookup hands out the
+// handle without copying the outcome under the lock, and the handle
+// serializes its outcome at most once, on the first json() call (the
+// socket hit path's), never at insert.
 // Level 2 is an optional persistent DiskStore of plans sharing the same
 // keys; diagnoses stay in memory (cheap to recompute, not artifacts worth
 // persisting). Lookups consult memory first, then disk (a disk hit is
@@ -25,7 +29,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -58,9 +61,34 @@ struct CacheStats {
   std::string describe() const;
 };
 
-class PlanCache {
+/// One cached outcome as every hit reads it: immutable once cached, a
+/// diagnosis marked from_negative_cache. Shared by the LRU and every
+/// caller holding it, so eviction or a re-insert only drops the cache's
+/// reference.
+class CachedOutcome {
  public:
   using Outcome = api::Expected<api::Plan, api::PlanError>;
+
+  explicit CachedOutcome(Outcome&& outcome) : outcome_(std::move(outcome)) {}
+
+  const Outcome& outcome() const { return outcome_; }
+
+  /// The outcome's wire bytes: a plan's to_json(), a diagnosis's
+  /// error_to_json(). Made by the first call and kept for the handle's
+  /// life (thread-safe), so an entry that hits serve is serialized once
+  /// and one that only in-process hits read is never serialized here.
+  const std::string& json() const;
+
+ private:
+  const Outcome outcome_;
+  mutable std::once_flag serialized_;
+  mutable std::string json_;
+};
+
+class PlanCache {
+ public:
+  using Outcome = CachedOutcome::Outcome;
+  using Handle = std::shared_ptr<const CachedOutcome>;
 
   struct Options {
     /// Max serialized bytes resident in the memory level. 0 disables the
@@ -74,8 +102,9 @@ class PlanCache {
   PlanCache() : PlanCache(Options{}) {}
   explicit PlanCache(Options options);
 
-  /// Memory-then-disk lookup; a diagnosis comes back marked
-  /// from_negative_cache. `want_probe`: the caller wants the
+  /// Memory-then-disk lookup: the entry's handle, null on a miss. A memory
+  /// hit only splices the LRU and copies the handle under the lock. A
+  /// diagnosis comes back marked from_negative_cache. `want_probe`: the caller wants the
   /// feasible-batch bisection, so a diagnosis memoized without it misses
   /// (the re-diagnosis overwrites it with the richer one). A disk hit
   /// revalidates the artifact and promotes it into the LRU. `quiet`
@@ -83,14 +112,15 @@ class PlanCache {
   /// served a caller): the single-flight leader re-checks the cache right
   /// before searching, and that re-check must not double-count the miss
   /// its own prepare already recorded. Thread-safe.
-  std::optional<Outcome> lookup(const RequestKey& key, bool want_probe = false,
-                                bool quiet = false);
+  Handle lookup(const RequestKey& key, bool want_probe = false,
+                bool quiet = false);
 
   /// Memoizes `outcome`: a plan into memory and (when configured) disk, a
   /// diagnosis into memory only, `probed` = it includes the bisection's
-  /// results. No-op for interrupted and internal-error outcomes — those
-  /// describe one caller's patience or a bug, never the request.
-  /// Thread-safe.
+  /// results. The entry is weighed by one serialization that feeds the
+  /// disk write and is then dropped: it keeps no bytes. No-op for
+  /// interrupted and internal-error outcomes — those describe one
+  /// caller's patience or a bug, never the request. Thread-safe.
   void insert(const RequestKey& key, Outcome outcome, bool probed = false);
 
   /// Drops every in-memory entry (disk entries survive); stats persist
@@ -109,7 +139,7 @@ class PlanCache {
  private:
   struct Entry {
     RequestKey key;
-    Outcome outcome;
+    Handle handle;
     bool probed = false;      ///< diagnosis carries bisection results
     std::uint64_t bytes = 0;  ///< serialized size
   };

@@ -18,7 +18,6 @@
 #include <deque>
 #include <fstream>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
@@ -396,31 +395,32 @@ struct Daemon::Impl {
     const std::string calibration = env.calibration.string();
     const bool probe = env.probe.boolean();
     const std::string active = engine->calibration_hash();
-    // (engine->try_cached emits the "engine.cache_lookup" span.)
-    std::optional<api::Expected<api::Plan, api::PlanError>> outcome;
+    // (engine->lookup_cached emits the "engine.cache_lookup" span.) The
+    // entry's memoized bytes are spliced verbatim: each cached outcome is
+    // serialized by its first hit only.
+    std::shared_ptr<const cache::CachedOutcome> hit;
     if (calibration == active)
-      outcome = engine->try_cached(cache::RequestKey{*key}, probe);
-    if (outcome) {
+      hit = engine->lookup_cached(cache::RequestKey{*key}, probe);
+    if (hit) {
       requests->inc();
       std::lock_guard<std::mutex> lock(queue_mu);
       tenant_queue(tenant).hits++;
     }
-    if (outcome && !outcome->has_value()) {
-      conn->send(response("lookup", id, false, "error",
-                          api::error_to_json(outcome->error())));
+    if (hit && !hit->outcome().has_value()) {
+      conn->send(response("lookup", id, false, "error", hit->json()));
     } else {
       conn->send(write_envelope("lookup", id, [&](Writer& w) {
         w.key("ok"); w.value(true);
         w.key("calibration"); w.value(active);
         w.key("plan");
-        if (outcome) {
-          w.raw(outcome->value().to_json());  // spliced verbatim
+        if (hit) {
+          w.raw(hit->json());
         } else {
           w.null();
         }
       }));
     }
-    if (!outcome) return;
+    if (!hit) return;
     hit_seconds->observe(static_cast<double>(obs::trace_now_us() - t0) *
                          1e-6);
     obs::emit_complete("pland.hit", "pland", t0, obs::trace_now_us());

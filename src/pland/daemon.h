@@ -6,8 +6,9 @@
 // protocol (protocol.h) on a unix socket, via api::RemoteSession or
 // karma-planctl. A cold storm never sits in front of a warm hit:
 //   - HIT PATH (reader thread): a `lookup` frame carries the client's
-//     128-bit request key and is answered from Engine::try_cached(key):
-//     no model on the wire, no queue, no worker, no search.
+//     128-bit request key and is answered from Engine::lookup_cached(key)
+//     with the entry's memoized bytes: no model on the wire, no queue, no
+//     worker, no search, no re-serialization.
 //   - MISS PATH (plan workers): a `plan` frame's request bytes join its
 //     tenant's queue; SCHED_IDLE workers drain the queues under stride
 //     scheduling (capacity in proportion to tenant weights), parse the

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -346,16 +349,16 @@ TEST(PlanCache, ByteCountedLruEvictsColdEntriesAndCounts) {
   const RequestKey k2 = request_key(resnet_request(256));
   const RequestKey k3 = request_key(resnet_request(384));
 
-  EXPECT_FALSE(cache.lookup(k1).has_value());
+  EXPECT_EQ(cache.lookup(k1), nullptr);
   cache.insert(k1, plan);
   EXPECT_EQ(cache.stats().resident_bytes,
             static_cast<std::uint64_t>(artifact_bytes));
   cache.insert(k2, plan);
-  EXPECT_TRUE(cache.lookup(k1).has_value());  // k1 now hottest
+  EXPECT_NE(cache.lookup(k1), nullptr);  // k1 now hottest
   cache.insert(k3, plan);                     // over budget: evicts k2
-  EXPECT_FALSE(cache.lookup(k2).has_value());
-  EXPECT_TRUE(cache.lookup(k1).has_value());
-  EXPECT_TRUE(cache.lookup(k3).has_value());
+  EXPECT_EQ(cache.lookup(k2), nullptr);
+  EXPECT_NE(cache.lookup(k1), nullptr);
+  EXPECT_NE(cache.lookup(k3), nullptr);
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.memory_hits, 3u);
@@ -370,7 +373,7 @@ TEST(PlanCache, ByteCountedLruEvictsColdEntriesAndCounts) {
             static_cast<std::uint64_t>(options.memory_capacity_bytes));
 
   cache.clear();
-  EXPECT_FALSE(cache.lookup(k1).has_value());
+  EXPECT_EQ(cache.lookup(k1), nullptr);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
 }
 
@@ -385,7 +388,7 @@ TEST(PlanCache, OversizedArtifactIsNotAdmittedToMemory) {
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.insertions, 0u);  // artifact alone exceeds the level
   EXPECT_EQ(stats.resident_bytes, 0u);
-  EXPECT_FALSE(cache.lookup(request_key(resnet_request(128))).has_value());
+  EXPECT_EQ(cache.lookup(request_key(resnet_request(128))), nullptr);
 }
 
 TEST(PlanCache, PlansAndDiagnosesShareOneByteBoundedLru) {
@@ -424,11 +427,11 @@ TEST(PlanCache, PlansAndDiagnosesShareOneByteBoundedLru) {
   // The unprobed diagnosis answers a caller that wants no bisection,
   // marked as memoized, and misses for one that does.
   const auto quick = cache.lookup(quick_key);
-  ASSERT_TRUE(quick.has_value());
-  ASSERT_FALSE(quick->has_value());
-  EXPECT_TRUE(quick->error().from_negative_cache);
-  EXPECT_EQ(quick->error().message, diagnosis.message);
-  EXPECT_FALSE(cache.lookup(quick_key, /*want_probe=*/true).has_value());
+  ASSERT_NE(quick, nullptr);
+  ASSERT_FALSE(quick->outcome().has_value());
+  EXPECT_TRUE(quick->outcome().error().from_negative_cache);
+  EXPECT_EQ(quick->outcome().error().message, diagnosis.message);
+  EXPECT_EQ(cache.lookup(quick_key, /*want_probe=*/true), nullptr);
   stats = cache.stats();
   EXPECT_EQ(stats.negative_hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -440,21 +443,123 @@ TEST(PlanCache, PlansAndDiagnosesShareOneByteBoundedLru) {
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.resident_bytes, 2 * diagnosis_bytes);
   const auto probed = cache.lookup(probed_key, /*want_probe=*/true);
-  ASSERT_TRUE(probed.has_value());
-  EXPECT_FALSE(probed->has_value());
+  ASSERT_NE(probed, nullptr);
+  EXPECT_FALSE(probed->outcome().has_value());
   // The evicted plan comes back from disk; promoting it evicts the colder
   // diagnosis (quick), which no level can answer any more.
   const auto reloaded = cache.lookup(plan_key);
-  ASSERT_TRUE(reloaded.has_value());
-  ASSERT_TRUE(reloaded->has_value());
-  EXPECT_EQ((*reloaded)->to_json(), plan.to_json());
+  ASSERT_NE(reloaded, nullptr);
+  ASSERT_TRUE(reloaded->outcome().has_value());
+  EXPECT_EQ(reloaded->outcome()->to_json(), plan.to_json());
   stats = cache.stats();
   EXPECT_EQ(stats.memory_hits, 0u);
   EXPECT_EQ(stats.disk_hits, 1u);
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.resident_bytes, plan_bytes + diagnosis_bytes);
-  EXPECT_FALSE(cache.lookup(quick_key).has_value());
-  EXPECT_TRUE(cache.lookup(probed_key).has_value());
+  EXPECT_EQ(cache.lookup(quick_key), nullptr);
+  EXPECT_NE(cache.lookup(probed_key), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// PlanCache: entries are shared handles with lazily memoized bytes
+// ---------------------------------------------------------------------------
+
+TEST(PlanCacheEntry, MemoizedBytesAreTheOutcomesOwnSerialization) {
+  const api::Plan plan =
+      api::Engine::create()->plan_or_throw(resnet_request());
+  api::PlanError diagnosis;
+  diagnosis.code = api::PlanErrorCode::kNoFeasibleBlocking;
+  diagnosis.message = "no deadlock-free blocking found";
+  PlanCache cache;
+  const RequestKey plan_key = request_key(resnet_request(128));
+  const RequestKey diagnosis_key = request_key(resnet_request(256));
+  cache.insert(plan_key, plan);
+  cache.insert(diagnosis_key, diagnosis);
+
+  const auto hit = cache.lookup(plan_key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->json(), plan.to_json());
+  // A diagnosis serves its bytes as every hit reads it: marked memoized.
+  const auto negative = cache.lookup(diagnosis_key);
+  ASSERT_NE(negative, nullptr);
+  api::PlanError served = diagnosis;
+  served.from_negative_cache = true;
+  EXPECT_EQ(negative->json(), api::error_to_json(served));
+  // The weight stays the inserted serialization's, not the memo's.
+  EXPECT_EQ(cache.stats().resident_bytes,
+            plan.to_json().size() + api::error_to_json(diagnosis).size());
+}
+
+TEST(PlanCacheEntry, LookupsShareOneEntrySerializedOnce) {
+  const api::Plan plan =
+      api::Engine::create()->plan_or_throw(resnet_request());
+  PlanCache cache;
+  const RequestKey key = request_key(resnet_request(128));
+  cache.insert(key, plan);
+
+  const auto first = cache.lookup(key);
+  const auto second = cache.lookup(key);
+  ASSERT_NE(first, nullptr);
+  // One entry, not two copies: the same handle and the same bytes.
+  EXPECT_EQ(first, second);
+  const std::string& bytes = first->json();
+  EXPECT_EQ(&second->json(), &bytes);
+  EXPECT_EQ(second->json().data(), bytes.data());
+  EXPECT_EQ(&first->outcome().value(), &second->outcome().value());
+  EXPECT_EQ(cache.stats().memory_hits, 2u);
+}
+
+TEST(PlanCacheEntry, ReinsertAndEvictionDropTheOldBytes) {
+  const api::Plan plan =
+      api::Engine::create()->plan_or_throw(resnet_request());
+  const auto artifact_bytes = static_cast<Bytes>(plan.to_json().size());
+  PlanCache::Options options;
+  options.memory_capacity_bytes = artifact_bytes + artifact_bytes / 2;
+  PlanCache cache(options);
+  const RequestKey k1 = request_key(resnet_request(128));
+  const RequestKey k2 = request_key(resnet_request(256));
+
+  cache.insert(k1, plan);
+  auto old = cache.lookup(k1);
+  ASSERT_NE(old, nullptr);
+  old->json();
+  // A re-insert replaces the entry: the cache lets go of the old handle
+  // (this test holds the only reference), and the new one memoizes anew.
+  cache.insert(k1, plan);
+  EXPECT_EQ(old.use_count(), 1);
+  const auto fresh = cache.lookup(k1);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_NE(fresh, old);
+  EXPECT_EQ(fresh->json(), old->json());
+  EXPECT_NE(fresh->json().data(), old->json().data());
+
+  // Eviction lets go of it too.
+  cache.insert(k2, plan);  // room for one: evicts k1
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.lookup(k1), nullptr);
+  EXPECT_EQ(fresh.use_count(), 1);
+  EXPECT_EQ(cache.stats().resident_bytes,
+            static_cast<std::uint64_t>(artifact_bytes));
+}
+
+TEST(PlanCacheEntry, ConcurrentFirstCallsShareOneSerialization) {
+  const api::Plan plan =
+      api::Engine::create()->plan_or_throw(resnet_request());
+  const auto entry =
+      std::make_shared<const CachedOutcome>(PlanCache::Outcome(plan));
+  constexpr int kThreads = 8;
+  std::vector<const std::string*> seen(kThreads, nullptr);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      seen[i] = &entry->json();
+    });
+  go.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  for (const std::string* bytes : seen) EXPECT_EQ(bytes, seen[0]);
+  EXPECT_EQ(*seen[0], plan.to_json());
 }
 
 // ---------------------------------------------------------------------------
@@ -683,6 +788,30 @@ TEST(NegativeCache, UnprobedEntryCannotAnswerAProbingRequest) {
   const auto fourth = engine->plan(quick);
   ASSERT_FALSE(fourth.has_value());
   EXPECT_TRUE(fourth.error().from_negative_cache);
+}
+
+TEST(PlanCacheEntry, DiagnosisCopiesAreMarkedAndProbeGated) {
+  const auto engine = api::Engine::create();
+  const api::PlanRequest quick = infeasible_request();
+  const auto first = engine->plan(quick);  // memoized, unprobed
+  ASSERT_FALSE(first.has_value());
+  EXPECT_FALSE(first.error().from_negative_cache);
+
+  const RequestKey key = engine->key_for(quick);
+  const auto copy = engine->try_cached(key, /*probe_feasible_batch=*/false);
+  ASSERT_TRUE(copy.has_value());
+  ASSERT_FALSE(copy->has_value());
+  EXPECT_TRUE(copy->error().from_negative_cache);
+  EXPECT_EQ(copy->error().message, first.error().message);
+  const auto entry = engine->lookup_cached(key, false);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_TRUE(entry->outcome().error().from_negative_cache);
+  // An unprobed diagnosis cannot answer a caller that wants the
+  // bisection, through either door.
+  EXPECT_FALSE(
+      engine->try_cached(key, /*probe_feasible_batch=*/true).has_value());
+  EXPECT_EQ(engine->lookup_cached(key, true), nullptr);
+  EXPECT_EQ(engine->cache_stats().negative_hits, 2u);
 }
 
 // ---------------------------------------------------------------------------

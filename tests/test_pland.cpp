@@ -53,6 +53,7 @@
 #include "src/api/request_io.h"
 #include "src/cache/disk_store.h"
 #include "src/cache/request_key.h"
+#include "src/core/distributed.h"
 #include "src/graph/model_zoo.h"
 #include "src/pland/daemon.h"
 #include "src/pland/protocol.h"
@@ -457,6 +458,125 @@ TEST(Daemon, AStaleCalibrationHashNeverServesAPreCalibrationPlan) {
       R"({"v":1,"type":"lookup","id":3,"ok":true,"calibration":")" +
           hash.value() + R"(","plan":null})");
   ::close(fd);
+}
+
+TEST(Daemon, LookupHitsSendTheEnginesOwnBytes) {
+  // A hit's plan bytes are the entry's memoized serialization: they must
+  // equal what the in-process engine serializes for the same request, and
+  // the miss that cached it. Each request warms its entry through the
+  // miss path, then a second plan_raw is a `lookup` hit.
+  DaemonFixture fx("hitbytes");
+  ASSERT_TRUE(fx.daemon->start());
+  auto session = api::RemoteSession::connect(fx.daemon->socket_path(), "t");
+  ASSERT_TRUE(session.has_value());
+  const auto& engine = fx.daemon->engine();
+  std::uint64_t hits = 0;
+  const auto expect_hit_bytes = [&](const api::PlanRequest& request) {
+    const auto miss = session->plan_raw(request);
+    ASSERT_TRUE(miss.has_value()) << miss.error().describe();
+    const auto hit = session->plan_raw(request);
+    ASSERT_TRUE(hit.has_value()) << hit.error().describe();
+    const pland::DaemonStats stats = fx.daemon->stats();
+    ASSERT_EQ(stats.tenants.size(), 1u);
+    EXPECT_EQ(stats.tenants[0].hits, ++hits) << "not served by a lookup";
+    const auto local = engine->plan(request);
+    ASSERT_TRUE(local.has_value());
+    EXPECT_EQ(hit.value(), local->to_json());
+    EXPECT_EQ(hit.value(), miss.value());
+  };
+
+  const api::PlanRequest single = resnet_request(256);
+  {
+    SCOPED_TRACE("single GPU");
+    expect_hit_bytes(single);
+  }
+  api::PlanRequest parallel = resnet_request(256, 0);
+  core::DistributedOptions data_parallel;
+  data_parallel.num_gpus = 16;
+  data_parallel.iterations = 2;
+  parallel.distributed = data_parallel;
+  {
+    SCOPED_TRACE("data parallel");
+    expect_hit_bytes(parallel);
+  }
+  // A calibration keys the request anew: a fresh entry, memoized anew.
+  ASSERT_TRUE(session
+                  ->calibrate(
+                      R"({"version":1,"factors":{"*":{"h2d":1.5,"d2h":1.5}},"sample_count":0,"rejected_outliers":0})")
+                  .has_value());
+  {
+    SCOPED_TRACE("after calibrate");
+    expect_hit_bytes(single);
+  }
+  EXPECT_EQ(fx.daemon->stats().engine.searches, 3u);
+}
+
+TEST(Daemon, AMemoizedDiagnosisAnswersItsLookupWithItsErrorEnvelope) {
+  DaemonFixture fx("diagbytes");
+  ASSERT_TRUE(fx.daemon->start());
+  auto session = api::RemoteSession::connect(fx.daemon->socket_path(), "t");
+  ASSERT_TRUE(session.has_value());
+  api::PlanRequest request = resnet_request(256, 0);
+  request.device = sim::test_device();  // 1 MiB: nothing fits
+  const auto miss = session->plan_raw(request);
+  ASSERT_FALSE(miss.has_value());
+  EXPECT_FALSE(miss.error().from_negative_cache);
+
+  // Served twice from the same entry, once by its first serialization.
+  const auto cached =
+      fx.daemon->engine()->try_cached(fx.daemon->engine()->key_for(request),
+                                      false);
+  ASSERT_TRUE(cached.has_value());
+  ASSERT_FALSE(cached->has_value());
+  const std::string key = fx.daemon->engine()->key_for(request).hex();
+  const int fd = connect_raw(fx.daemon->socket_path());
+  ASSERT_GE(fd, 0);
+  for (int id = 1; id <= 2; ++id)
+    EXPECT_EQ(raw_round_trip(fd, lookup_frame(id, '"' + key + '"')),
+              R"({"v":1,"type":"lookup","id":)" + std::to_string(id) +
+                  R"(,"ok":false,"error":)" +
+                  api::error_to_json(cached->error()) + "}");
+  ::close(fd);
+  const auto hit = session->plan_raw(request);
+  ASSERT_FALSE(hit.has_value());
+  EXPECT_TRUE(hit.error().from_negative_cache);
+  EXPECT_EQ(hit.error().code, miss.error().code);
+  EXPECT_EQ(hit.error().message, miss.error().message);
+  EXPECT_EQ(fx.daemon->stats().engine.searches, 1u);
+}
+
+TEST(RemoteSession, ARefusalPastTheConnectionCapIsOverloadedWithRetryAfter) {
+  pland::DaemonOptions options;
+  options.retry_after = 0.75;
+  DaemonFixture fx("refused", std::move(options));
+  ASSERT_TRUE(fx.daemon->start());
+  const std::string path = fx.daemon->socket_path();
+  std::vector<int> held;
+  for (std::size_t i = 0; i < pland::kMaxConnections; ++i) {
+    const int fd = connect_raw(path);
+    ASSERT_GE(fd, 0);
+    held.push_back(fd);
+  }
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fx.daemon->open_connections() < pland::kMaxConnections &&
+         std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(fx.daemon->open_connections(), pland::kMaxConnections);
+
+  // Asked at once, and asked after the daemon has refused and closed (so
+  // the request itself cannot be sent): the refusal answers both.
+  for (const auto wait : {std::chrono::milliseconds(0),
+                          std::chrono::milliseconds(200)}) {
+    auto session = api::RemoteSession::connect(path);
+    ASSERT_TRUE(session.has_value());
+    std::this_thread::sleep_for(wait);
+    const auto stats = session->stats_json();
+    ASSERT_FALSE(stats.has_value());
+    EXPECT_EQ(stats.error().code, api::PlanErrorCode::kOverloaded)
+        << stats.error().describe();
+    EXPECT_DOUBLE_EQ(stats.error().retry_after, 0.75);
+  }
+  for (const int fd : held) ::close(fd);
 }
 
 TEST(RemoteSession, CalibrationHashIsSharedSafelyAcrossThreads) {
