@@ -57,7 +57,7 @@ int run() {
       std::printf("%-18s infeasible\n", row.name);
       continue;
     }
-    const int nb = result->plan.num_blocks();
+    const int nb = result->schedule.num_blocks();
     auto profile = result->trace.backward_profile(nb);
     std::reverse(profile.begin(), profile.end());  // back-to-front
 
@@ -66,10 +66,11 @@ int run() {
     {
       const core::KarmaPlanner planner(incore_model, device, {});
       std::vector<core::BlockPolicy> resident(
-          result->plan.blocks.size(), core::BlockPolicy::kResident);
+          result->schedule.blocks.size(), core::BlockPolicy::kResident);
       // Re-derive the same blocking on the in-core model (same layer
       // count, smaller batch).
-      const auto ref = planner.evaluate(result->plan.blocks, resident, "ref");
+      const auto ref =
+          planner.evaluate(result->schedule.blocks, resident, "ref");
       if (ref) {
         auto p = ref->trace.backward_profile(nb);
         for (const Seconds v : p) incore_mean += v;

@@ -21,9 +21,9 @@ int run() {
   }
 
   Table table({"block", "layers", "span", "policy", "fwd [ms]", "acts"});
-  for (std::size_t b = 0; b < karma->plan.blocks.size(); ++b) {
-    const sim::Block& blk = karma->plan.blocks[b];
-    const sim::BlockCost& cost = karma->plan.costs[b];
+  for (std::size_t b = 0; b < karma->schedule.blocks.size(); ++b) {
+    const sim::Block& blk = karma->schedule.blocks[b];
+    const sim::BlockCost& cost = karma->schedule.costs[b];
     table.begin_row();
     table.add_cell(static_cast<std::int64_t>(b + 1));
     table.add_cell(std::to_string(blk.first_layer) + ".." +
@@ -36,7 +36,7 @@ int run() {
   }
   std::printf("%s", table.to_ascii().c_str());
   std::printf("\nschedule: %s\n",
-              karma->plan.schedule_string().substr(0, 400).c_str());
+              karma->schedule.schedule_string().substr(0, 400).c_str());
   std::printf("iteration %.3f s, occupancy %.3f, peak %s\n",
               karma->iteration_time, karma->occupancy,
               format_bytes(karma->trace.peak_resident).c_str());

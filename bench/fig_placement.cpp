@@ -79,19 +79,18 @@ int main(int argc, char** argv) {
     return place::plan_fleet(model, spec, options);
   };
 
-  const place::FleetPlanResult cost_based =
-      run(place::PlacementStrategy::kCostBased);
-  const place::FleetPlanResult round_robin =
-      run(place::PlacementStrategy::kRoundRobin);
+  const place::PlacementPlan cost_based =
+      run(place::PlacementStrategy::kCostBased).placement;
+  const place::PlacementPlan round_robin =
+      run(place::PlacementStrategy::kRoundRobin).placement;
 
-  const auto report = [](const char* title,
-                         const place::FleetPlanResult& r) {
+  const auto report = [](const char* title, const place::PlacementPlan& p) {
     std::printf("%s: fleet iteration %s (straggler %s)\n", title,
-                format_seconds(r.iteration_time).c_str(),
-                r.placement.nodes[r.straggler].name.c_str());
+                format_seconds(p.iteration_time).c_str(),
+                p.nodes[p.straggler].name.c_str());
     std::printf("  %-8s %-7s %6s %12s %12s %12s %12s\n", "node", "class",
                 "shards", "plan", "exch tail", "update", "total");
-    for (const place::NodeSummary& n : r.placement.nodes)
+    for (const place::NodeSummary& n : p.nodes)
       std::printf("  %-8s %-7.7s %6d %12s %12s %12s %12s\n", n.name.c_str(),
                   n.device_name.c_str(), n.owned_blocks,
                   format_seconds(n.plan_iteration_time).c_str(),
@@ -110,13 +109,12 @@ int main(int argc, char** argv) {
               faster ? "ok" : "FAIL");
 
   // ---- Gate 2: the placement is bit-identical across runs ----
-  const place::FleetPlanResult again =
-      run(place::PlacementStrategy::kCostBased);
-  const bool identical =
-      api::placement_to_json(again.placement) ==
-          api::placement_to_json(cost_based.placement) &&
-      again.straggler == cost_based.straggler &&
-      again.iteration_time == cost_based.iteration_time;
+  const place::PlacementPlan again =
+      run(place::PlacementStrategy::kCostBased).placement;
+  const bool identical = api::placement_to_json(again) ==
+                             api::placement_to_json(cost_based) &&
+                         again.straggler == cost_based.straggler &&
+                         again.iteration_time == cost_based.iteration_time;
   std::printf("placement bit-identical across runs: %s\n",
               identical ? "yes" : "NO");
 
@@ -153,10 +151,10 @@ int main(int argc, char** argv) {
     w.value(static_cast<double>(weak_host) / (1ll << 30));
     w.key("cost_based_s"); w.value(cost_based.iteration_time);
     w.key("cost_based_straggler");
-    w.value(cost_based.placement.nodes[cost_based.straggler].name);
+    w.value(cost_based.nodes[cost_based.straggler].name);
     w.key("round_robin_s"); w.value(round_robin.iteration_time);
     w.key("round_robin_straggler");
-    w.value(round_robin.placement.nodes[round_robin.straggler].name);
+    w.value(round_robin.nodes[round_robin.straggler].name);
     w.key("speedup"); w.value(speedup);
     w.key("speedup_gate"); w.value(1.2);
     w.key("speedup_ok"); w.value(faster);

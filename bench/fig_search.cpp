@@ -108,7 +108,7 @@ double run_once(const graph::Model& model, const sim::DeviceSpec& device,
   leg.cpu_wall_ratios.push_back((cpu_seconds() - cpu0) / wall);
   leg.allocations_per_candidate =
       static_cast<double>(util::allocations() - allocations) /
-      static_cast<double>(std::max<std::int64_t>(1, r.search.candidates));
+      static_cast<double>(std::max<std::int64_t>(1, r.search_stats.candidates));
   leg.wall = std::min(leg.wall, wall);
   leg.result = std::move(r);
   return wall;
@@ -139,7 +139,7 @@ double replay_us(const Replay& replay) {
 }
 
 void print_leg(const char* name, const LegResult& leg) {
-  const auto& s = leg.result.search;
+  const auto& s = leg.result.search_stats;
   std::printf("%-22s %8.4f s wall  it=%.6f ms  sims=%lld  memo_hits=%lld\n",
               name, leg.wall, leg.result.iteration_time * 1e3,
               static_cast<long long>(s.simulations),
@@ -151,8 +151,8 @@ void write_leg(util::json::Writer& w, const char* name, const LegResult& leg) {
   w.begin_object();
   w.key("wall_s"); w.value(leg.wall);
   w.key("iteration_time_s"); w.value(leg.result.iteration_time);
-  w.key("simulations"); w.value(leg.result.search.simulations);
-  w.key("memo_hits"); w.value(leg.result.search.memo_hits);
+  w.key("simulations"); w.value(leg.result.search_stats.simulations);
+  w.key("memo_hits"); w.value(leg.result.search_stats.memo_hits);
   w.end_object();
 }
 
@@ -160,7 +160,7 @@ struct ScalingLeg {
   double wall = 0.0;  // median over kScalingReps, planner build included
   core::PlanResult result;
   double us_per_candidate() const {
-    return wall * 1e6 / static_cast<double>(result.search.candidates);
+    return wall * 1e6 / static_cast<double>(result.search_stats.candidates);
   }
 };
 
@@ -183,8 +183,8 @@ void print_scaling_leg(const char* name, const graph::Model& model,
                        const ScalingLeg& leg) {
   std::printf("  %-16s %5zu layers  %2zu blocks  %5lld candidates  "
               "%8.3f ms  %7.2f us/candidate\n",
-              name, model.num_layers(), leg.result.plan.blocks.size(),
-              static_cast<long long>(leg.result.search.candidates),
+              name, model.num_layers(), leg.result.schedule.blocks.size(),
+              static_cast<long long>(leg.result.search_stats.candidates),
               leg.wall * 1e3, leg.us_per_candidate());
 }
 
@@ -194,8 +194,8 @@ void write_scaling_leg(util::json::Writer& w, const char* name,
   w.begin_object();
   w.key("layers"); w.value(static_cast<std::int64_t>(model.num_layers()));
   w.key("blocks");
-  w.value(static_cast<std::int64_t>(leg.result.plan.blocks.size()));
-  w.key("candidates"); w.value(leg.result.search.candidates);
+  w.value(static_cast<std::int64_t>(leg.result.schedule.blocks.size()));
+  w.key("candidates"); w.value(leg.result.search_stats.candidates);
   w.key("median_wall_s"); w.value(leg.wall);
   w.key("us_per_candidate"); w.value(leg.us_per_candidate());
   w.end_object();
@@ -229,8 +229,8 @@ int main() {
   print_leg("baseline (workers=1)", serial);
   print_leg("4-worker portfolio", portfolio);
   std::printf("plan: %d blocks, %zu ops\n\n",
-              static_cast<int>(portfolio.result.plan.blocks.size()),
-              portfolio.result.plan.ops.size());
+              static_cast<int>(portfolio.result.schedule.blocks.size()),
+              portfolio.result.schedule.ops.size());
 
   // ---- Gate 3: N-worker determinism ----
   const LegResult portfolio_again =
@@ -239,8 +239,8 @@ int main() {
       portfolio.result.iteration_time ==
           portfolio_again.result.iteration_time &&
       portfolio.result.policies == portfolio_again.result.policies &&
-      portfolio.result.plan.schedule_string() ==
-          portfolio_again.result.plan.schedule_string();
+      portfolio.result.schedule.schedule_string() ==
+          portfolio_again.result.schedule.schedule_string();
   if (!deterministic)
     std::printf("FAIL: two 4-worker runs disagree\n");
 
@@ -339,7 +339,7 @@ int main() {
   // The search scores every candidate with the makespan-only replay and
   // runs the traced one only for a new incumbent.
   const sim::Engine engine(device);
-  const sim::Plan& chosen = portfolio.result.plan;
+  const sim::Plan& chosen = portfolio.result.schedule;
   sim::ReplayScratch scratch;
   const double score_us =
       replay_us([&] { return engine.makespan(chosen, scratch); });
@@ -362,9 +362,9 @@ int main() {
     w.key("batch"); w.value(std::int64_t{1024});
     w.key("anneal_iterations"); w.value(std::int64_t{kIterations});
     w.key("blocks");
-    w.value(static_cast<std::int64_t>(portfolio.result.plan.blocks.size()));
+    w.value(static_cast<std::int64_t>(portfolio.result.schedule.blocks.size()));
     w.key("plan_ops");
-    w.value(static_cast<std::int64_t>(portfolio.result.plan.ops.size()));
+    w.value(static_cast<std::int64_t>(portfolio.result.schedule.ops.size()));
     w.key("hardware_concurrency"); w.value(static_cast<std::int64_t>(hw));
     w.end_object();
     w.key("legs");

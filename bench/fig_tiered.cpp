@@ -86,7 +86,7 @@ int run() {
       continue;
     }
     const auto violations =
-        sim::check_trace_invariants(tiered->plan, tiered->trace);
+        sim::check_trace_invariants(tiered->schedule, tiered->trace);
     if (!violations.empty()) {
       std::printf("TRACE VIOLATION (batch %lld): %s\n",
                   static_cast<long long>(batch), violations[0].c_str());

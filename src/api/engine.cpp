@@ -55,29 +55,18 @@ int block_containing(const graph::Model& model, int layer) {
   return -1;
 }
 
-/// Provenance shell of the artifact; the planner output fills the rest.
-Plan artifact_base(const PlanRequest& request, Bytes reserved_host) {
+/// The one mapping from a search result onto the artifact: `r` becomes
+/// its core::PlanResult base, `request` supplies the provenance.
+Plan artifact_from(const PlanRequest& request, Bytes reserved_host,
+                   core::PlanResult r) {
   Plan artifact;
+  static_cast<core::PlanResult&>(artifact) = std::move(r);
   artifact.model_name = request.model.name();
   artifact.batch = batch_of(request.model);
   artifact.model_layers = static_cast<std::int64_t>(request.model.num_layers());
   artifact.device = request.device;
   artifact.reserved_host_bytes = reserved_host;
   return artifact;
-}
-
-/// The one mapping from a search result onto the artifact `base`.
-Plan artifact_from(Plan base, core::PlanResult r) {
-  base.schedule = std::move(r.plan);
-  base.policies = std::move(r.policies);
-  base.trace = std::move(r.trace);
-  base.iteration_time = r.iteration_time;
-  base.first_iteration_time = r.first_iteration_time;
-  base.occupancy = r.occupancy;
-  base.weights_resident = r.weights_resident;
-  base.exchange = std::move(r.exchange);
-  base.search_stats = r.search;
-  return base;
 }
 
 /// Runs the planners for `request` with the fully derived `options` (the
@@ -92,7 +81,6 @@ Plan plan_uncached(const PlanRequest& request,
                    const CancelToken& control = {},
                    const std::function<void(Plan&&)>& on_best = {},
                    const Plan* repair_seed = nullptr) {
-  const Plan base = artifact_base(request, reserved_host);
   if (request.fleet) {
     // Heterogeneous fleet (DESIGN.md §16). `options` carries the caller's
     // reserve inflated with the WHOLE model's optimizer state — correct
@@ -119,27 +107,28 @@ Plan plan_uncached(const PlanRequest& request,
     // trace — so simulate() replays the binding rank); iteration_time is
     // the fleet max including the exposed exchange and CPU-update tails,
     // and the full per-node story rides in Plan::placement.
-    const std::size_t straggler = static_cast<std::size_t>(r.straggler);
-    Plan artifact = artifact_from(base, std::move(r.nodes[straggler].result));
+    const std::size_t straggler =
+        static_cast<std::size_t>(r.placement.straggler);
+    Plan artifact =
+        artifact_from(request, r.placement.nodes[straggler].reserved_host_bytes,
+                      std::move(r.nodes[straggler]));
     artifact.device = request.fleet->nodes[straggler].device;
-    artifact.iteration_time = r.iteration_time;
-    artifact.first_iteration_time = r.iteration_time;
-    artifact.reserved_host_bytes =
-        r.placement.nodes[straggler].reserved_host_bytes;
+    artifact.iteration_time = r.placement.iteration_time;
+    artifact.first_iteration_time = r.placement.iteration_time;
     artifact.placement = std::move(r.placement);
     return artifact;
   }
   std::function<void(const core::PlanResult&)> publish;
   if (on_best)
     publish = [&](const core::PlanResult& r) {
-      on_best(artifact_from(base, r));
+      on_best(artifact_from(request, reserved_host, r));
     };
   if (request.distributed) {
     core::DistributedOptions opts = *request.distributed;
     // One set of planner knobs: request.planner (with the optimizer
     // reserve) supersedes the copy embedded in DistributedOptions.
     opts.planner = options;
-    return artifact_from(base,
+    return artifact_from(request, reserved_host,
                          core::plan_data_parallel(request.model, request.device,
                                                   opts, control, publish));
   }
@@ -158,9 +147,10 @@ Plan plan_uncached(const PlanRequest& request,
         calib::repair_anneal_budget(options.anneal_iterations);
   const core::KarmaPlanner planner(request.model, request.device, effective);
   return artifact_from(
-      base, seeded ? planner.plan_from(repair_seed->blocks(),
-                                       repair_seed->policies, control, publish)
-                   : planner.plan(control, publish));
+      request, reserved_host,
+      seeded ? planner.plan_from(repair_seed->blocks(), repair_seed->policies,
+                                 control, publish)
+             : planner.plan(control, publish));
 }
 
 /// Cache context for the feasibility bisection: successful probes are

@@ -10,11 +10,13 @@
 //                  limits (deadline / candidate budget);
 //   Engine::plan(request)       -> Expected<Plan, PlanError>
 //   Engine::plan_async(request) -> PlanFuture (wait/get/cancel/progress)
-//   Plan         — the artifact built from the search layers' one
-//                  core::PlanResult, with simulate() (engine replay),
-//                  to_json()/from_json() (deterministic round-trip, plan
-//                  caching), and bind_executor() (derives OocExecutor
-//                  blocks + per-tier policies from planner output).
+//   Plan         — the search layers' one core::PlanResult plus its
+//                  provenance (model, batch, device, host reserve) and,
+//                  for a fleet, the placement; with simulate() (engine
+//                  replay), to_json()/from_json() (deterministic
+//                  round-trip, plan caching), and bind_executor() (derives
+//                  OocExecutor blocks + per-tier policies from planner
+//                  output).
 //
 // The planning handle is a std::shared_ptr<karma::api::Engine>
 // (src/api/engine.h) — the process-wide planning service that owns the
@@ -112,47 +114,31 @@ struct PlanRequest {
   SearchLimits limits;
 };
 
-/// The unified plan artifact: planner output + executor binding + I/O.
-struct Plan {
+/// The unified plan artifact: the search result (core::PlanResult) plus
+/// provenance, the fleet placement, executor binding and I/O. The JSON
+/// schema (DESIGN.md §8) carries the trace's scalar metrics (makespan,
+/// occupancy, peaks) but neither its per-op records nor search_stats, so
+/// a disk-loaded plan has an otherwise empty trace (simulate() rebuilds
+/// it) and zero search_stats; a memory-cache hit keeps the original
+/// run's.
+struct Plan : core::PlanResult {
   // ---- Provenance ----
   std::string model_name;
   std::int64_t batch = 0;        ///< leading batch dim of the planned model
   std::int64_t model_layers = 0; ///< layer count the block ranges index into
   sim::DeviceSpec device;
-
-  // ---- Planner output (core::PlanResult, mapped once by the Engine) ----
-  sim::Plan schedule;            ///< the Plan IR: blocks, costs, ops
-  std::vector<core::BlockPolicy> policies;
-  /// Trace of the planning run. Its per-op records are transient — the
-  /// JSON schema serializes only the scalar metrics (makespan, occupancy,
-  /// peaks) — so plans loaded from the disk cache carry an otherwise
-  /// empty trace; call simulate() to regenerate the full record
-  /// deterministically.
-  sim::ExecutionTrace trace;
-  Seconds iteration_time = 0.0;  ///< steady-state iteration time
-  Seconds first_iteration_time = 0.0;  ///< = iteration_time for single-GPU
-  double occupancy = 0.0;
   Bytes reserved_host_bytes = 0; ///< optimizer pre-charge used in admission
 
-  // ---- Distributed extras (meaningful when distributed()) ----
-  bool weights_resident = true;
-  std::optional<net::ExchangePlan> exchange;
   /// Only data-parallel ranks and fleet nodes carry a gradient exchange,
   /// so the exchange is what makes a plan distributed.
   bool distributed() const { return exchange.has_value(); }
 
   // ---- Fleet extras (set when the request carried a FleetSpec) ----
   /// The shard-ownership placement plus the per-node straggler roll-up.
-  /// The scalar artifact fields above describe the STRAGGLER node (its
+  /// The inherited search result describes the STRAGGLER node (its
   /// device, schedule, trace), so simulate() reproduces the binding rank;
   /// iteration_time is the fleet max including exchange + update tails.
   std::optional<place::PlacementPlan> placement;
-
-  /// Opt-1/Opt-2 search-effort accounting from the planning run that
-  /// produced this artifact (DESIGN.md §10). Transient diagnostics — NOT
-  /// part of the JSON schema: disk-loaded plans and distributed plans
-  /// carry zeros; memory-cache hits carry the original run's counters.
-  core::SearchStats search_stats;
 
   const std::vector<sim::Block>& blocks() const { return schedule.blocks; }
 

@@ -74,8 +74,9 @@ struct RequestKeyHash {
 };
 
 /// The canonical encoding the key hashes, as the words' little-endian
-/// bytes. Exposed for tests and debugging (e.g. diffing why two requests
-/// miss each other); the key path never builds it.
+/// bytes. Exposed for tests, debugging (e.g. diffing why two requests
+/// miss each other) and plannerbench's cache.fingerprint_kb metric; the
+/// key path never builds it.
 ///
 /// `calibration` is the active CalibrationTable's content hash, or ""
 /// when planning against the uncorrected analytic model (DESIGN.md §13).

@@ -9,8 +9,7 @@
 // own memoized search (KarmaPlanner::plan_from), with a reduced anneal
 // budget justified by the warm seed. A seed that does not tile `model`
 // gets the cold search instead. The repaired plan reports its wall-clock
-// and, when a cold baseline is supplied, the repair-vs-cold speedup in
-// SearchStats.
+// in SearchStats.
 #pragma once
 
 #include "src/calib/table.h"
@@ -19,35 +18,30 @@
 namespace karma::calib {
 
 /// The anneal budget a warm-start repair search runs, given the cold
-/// budget: `anneal_scale` of it, floored at 60 iterations so tiny cold
-/// budgets still get a real refinement pass. Shared by repair() and the
-/// api::Engine's internal repair path, so the two agree by construction.
-int repair_anneal_budget(int cold_iterations, double anneal_scale = 0.25);
+/// budget: a quarter of it, floored at 60 iterations so tiny cold budgets
+/// still get a real refinement pass. The seed already sits near an
+/// optimum of a nearby cost surface; a quarter budget recovers the
+/// shifted optimum in practice while keeping repair well under cold
+/// wall-clock. Shared by repair() and the api::Engine's internal repair
+/// path, so the two agree by construction.
+int repair_anneal_budget(int cold_iterations);
 
 struct RepairOptions {
   /// Planner knobs for the repair search. anneal_iterations here is the
-  /// *cold* budget; repair runs anneal_scale of it.
+  /// *cold* budget; repair runs repair_anneal_budget of it.
   core::PlannerOptions planner;
-  /// Fraction of the cold anneal budget the warm-start re-anneal gets
-  /// (floored at 60 iterations). The seed already sits near an optimum of
-  /// a nearby cost surface; a quarter budget recovers the shifted optimum
-  /// in practice while keeping repair well under cold wall-clock.
-  double anneal_scale = 0.25;
 };
 
 /// Repairs `seed_blocks`/`seed_policies` (a plan searched under the
 /// analytic model, or under an older table) for `device` as corrected by
-/// `table`. Returns the planner result with SearchStats::warm_started set
-/// and, when `cold_search_seconds` > 0 (a baseline the caller measured),
-/// SearchStats::repair_vs_cold_speedup filled. Throws like
-/// KarmaPlanner::plan on total infeasibility.
+/// `table`. Returns the planner result with SearchStats::warm_started set.
+/// Throws like KarmaPlanner::plan on total infeasibility.
 core::PlanResult repair(const graph::Model& model,
                         const sim::DeviceSpec& device,
                         const CalibrationTable& table,
                         const std::vector<sim::Block>& seed_blocks,
                         const std::vector<core::BlockPolicy>& seed_policies,
                         const RepairOptions& options = {},
-                        const CancelToken& control = {},
-                        double cold_search_seconds = 0.0);
+                        const CancelToken& control = {});
 
 }  // namespace karma::calib

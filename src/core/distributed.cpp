@@ -394,7 +394,7 @@ PlanResult plan_data_parallel(
       result.first_iteration_time = iter_end.front();
       result.iteration_time = iteration_time;
       result.occupancy = result.trace.occupancy();
-      result.plan = plan;
+      result.schedule = plan;
       result.exchange = exchange;
       result.weights_resident = weights_resident;
       result.policies = variant;

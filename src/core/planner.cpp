@@ -239,9 +239,9 @@ PlanResult KarmaPlanner::simulate_candidate(
     const std::vector<BlockPolicy>& policies,
     const std::string& strategy) const {
   PlanResult result;
-  emit_training_plan(result.plan, device_, blocks, costs, policies, strategy,
-                     options_.schedule);
-  result.trace = lane.engine.run(result.plan);
+  emit_training_plan(result.schedule, device_, blocks, costs, policies,
+                     strategy, options_.schedule);
+  result.trace = lane.engine.run(result.schedule);
   result.policies = policies;
   result.iteration_time = result.trace.makespan;
   result.first_iteration_time = result.iteration_time;
@@ -450,11 +450,12 @@ PlanResult KarmaPlanner::run_search(
 
   // ---- Opt-1 refinement: portfolio anneal of boundary positions (the
   // MIDACO stand-in, parallelized lazy-SMP style — DESIGN.md §14). ----
-  if (options_.anneal_iterations > 0 && best->plan.blocks.size() > 2) {
+  if (options_.anneal_iterations > 0 && best->schedule.blocks.size() > 2) {
     Rng rng(options_.seed);
     std::vector<int> init_cuts;
     init_cuts.push_back(0);
-    for (const auto& b : best->plan.blocks) init_cuts.push_back(b.last_layer);
+    for (const auto& b : best->schedule.blocks)
+      init_cuts.push_back(b.last_layer);
 
     const int workers = std::max(1, options_.anneal_workers);
     anneal_workers_used = workers;
@@ -554,7 +555,7 @@ PlanResult KarmaPlanner::run_search(
       improved = false;
       for (std::size_t b = 0; b < best->policies.size(); ++b) {
         // Constraint 10.1 pre-filter.
-        if (!recompute_beats_swap_in(device_, best->plan.costs[b],
+        if (!recompute_beats_swap_in(device_, best->schedule.costs[b],
                                      best->policies[b]))
           continue;
         std::vector<BlockPolicy>& policies = serial_lane.policies;
@@ -563,7 +564,7 @@ PlanResult KarmaPlanner::run_search(
         // After an accepted flip the outer loop restarts, re-trying every
         // flip it already scored against the same base — those repeats
         // are memo hits inside consider(), not fresh replays.
-        if (consider(best->plan.blocks, best->plan.costs, policies))
+        if (consider(best->schedule.blocks, best->schedule.costs, policies))
           improved = true;
       }
     }
@@ -584,7 +585,7 @@ PlanResult KarmaPlanner::run_search(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     search_start)
           .count();
-  best->search = stats;
+  best->search_stats = stats;
   return std::move(*best);
 }
 

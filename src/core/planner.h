@@ -97,17 +97,14 @@ struct SearchStats {
   /// Wall-clock of the whole search. Observability only: timing never
   /// feeds a search decision, so plans stay deterministic.
   double search_seconds = 0.0;
-  /// Cold-search wall-clock divided by this search's — filled by
-  /// calib::repair when it has a cold baseline to compare against, 0
-  /// otherwise. Transient like the rest of SearchStats (not serialized).
-  double repair_vs_cold_speedup = 0.0;
 };
 
 /// The one result every search layer returns: KarmaPlanner, the
-/// data-parallel pipeline (plan_data_parallel), each fleet node's leg
-/// (place::plan_fleet) and calib::repair. The blocking is plan.blocks.
+/// data-parallel pipeline (plan_data_parallel), each fleet node's search
+/// (place::plan_fleet) and calib::repair. api::Plan extends it with
+/// provenance. The blocking is schedule.blocks.
 struct PlanResult {
-  sim::Plan plan;
+  sim::Plan schedule;              ///< the Plan IR: blocks, costs, ops
   std::vector<BlockPolicy> policies;
   sim::ExecutionTrace trace;       ///< trace of the chosen plan
   Seconds iteration_time = 0.0;    ///< steady state (single-GPU: makespan)
@@ -120,7 +117,7 @@ struct PlanResult {
   /// The gradient exchange of a data-parallel rank or fleet node; unset
   /// for single-GPU plans.
   std::optional<net::ExchangePlan> exchange;
-  SearchStats search;              ///< effort of the search that found it
+  SearchStats search_stats;        ///< effort of the search that found it
 };
 
 /// Positions at which a block boundary does not cut any skip connection

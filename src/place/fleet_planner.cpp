@@ -41,7 +41,7 @@ FleetPlanResult plan_fleet(const graph::Model& model, const FleetSpec& fleet,
     const SearchKey key{node.device.name, summary.reserved_host_bytes};
     const auto hit = searched.find(key);
     if (hit != searched.end()) {
-      out.nodes[n].result = out.nodes[hit->second].result;
+      out.nodes[n] = out.nodes[hit->second];
       summary.warm_started =
           out.placement.nodes[static_cast<std::size_t>(hit->second)]
               .warm_started;
@@ -70,11 +70,11 @@ FleetPlanResult plan_fleet(const graph::Model& model, const FleetSpec& fleet,
 
     try {
       if (seed_node >= 0) {
-        const core::PlanResult& seed = out.nodes[seed_node].result;
-        out.nodes[n].result =
-            planner.plan_from(seed.plan.blocks, seed.policies, control);
+        const core::PlanResult& seed = out.nodes[seed_node];
+        out.nodes[n] =
+            planner.plan_from(seed.schedule.blocks, seed.policies, control);
       } else {
-        out.nodes[n].result = planner.plan(control);
+        out.nodes[n] = planner.plan(control);
       }
     } catch (const FleetInfeasible&) {
       throw;  // already names its node
@@ -86,7 +86,7 @@ FleetPlanResult plan_fleet(const graph::Model& model, const FleetSpec& fleet,
                             "fleet node '" + node.name +
                                 "': " + std::string(ex.what()));
     }
-    summary.warm_started = out.nodes[n].result.search.warm_started;
+    summary.warm_started = out.nodes[n].search_stats.warm_started;
     searched.emplace(key, n);
   }
 
@@ -94,40 +94,34 @@ FleetPlanResult plan_fleet(const graph::Model& model, const FleetSpec& fleet,
   // Every rank exchanges the WHOLE model's gradients (synchronous data
   // parallelism); what differs per node is how much of the AllReduce its
   // backward hides and how long its owned-shard CPU update runs.
+  PlacementPlan& placement = out.placement;
   for (int n = 0; n < num_nodes; ++n) {
-    NodePlanResult& leg = out.nodes[n];
-    NodeSummary& summary = out.placement.nodes[static_cast<std::size_t>(n)];
-    core::PlanResult& result = leg.result;
+    core::PlanResult& result = out.nodes[n];
+    NodeSummary& summary = placement.nodes[static_cast<std::size_t>(n)];
 
     std::vector<Bytes> grad_bytes;
     std::vector<Seconds> bwd_times;
-    grad_bytes.reserve(result.plan.costs.size());
-    bwd_times.reserve(result.plan.costs.size());
-    for (const sim::BlockCost& cost : result.plan.costs) {
+    grad_bytes.reserve(result.schedule.costs.size());
+    bwd_times.reserve(result.schedule.costs.size());
+    for (const sim::BlockCost& cost : result.schedule.costs) {
       grad_bytes.push_back(cost.grad_bytes);
       bwd_times.push_back(cost.bwd_time);
     }
     const net::ExchangePlan& exchange = result.exchange.emplace(
         net::merged_exchange(fleet.net, num_nodes, grad_bytes, bwd_times));
-    leg.exchange_tail =
-        exchange.phases.empty() ? 0.0 : exchange.phases.back().allreduce_time;
-    leg.update_time =
-        fleet.nodes[n].device.cpu_update_time(summary.owned_param_bytes);
-    leg.total_time =
-        result.iteration_time + leg.exchange_tail + leg.update_time;
-
     summary.plan_iteration_time = result.iteration_time;
-    summary.exchange_tail = leg.exchange_tail;
-    summary.update_time = leg.update_time;
-    summary.total_time = leg.total_time;
+    summary.exchange_tail =
+        exchange.phases.empty() ? 0.0 : exchange.phases.back().allreduce_time;
+    summary.update_time =
+        fleet.nodes[n].device.cpu_update_time(summary.owned_param_bytes);
+    summary.total_time = result.iteration_time + summary.exchange_tail +
+                         summary.update_time;
 
-    if (n == 0 || leg.total_time > out.iteration_time) {
-      out.iteration_time = leg.total_time;
-      out.straggler = n;
+    if (n == 0 || summary.total_time > placement.iteration_time) {
+      placement.iteration_time = summary.total_time;
+      placement.straggler = n;
     }
   }
-  out.placement.straggler = out.straggler;
-  out.placement.iteration_time = out.iteration_time;
   return out;
 }
 

@@ -26,24 +26,18 @@ struct FleetPlanOptions {
   PlacementOptions placement;
 };
 
-/// One node's search outcome plus its leg of the straggler composition.
-struct NodePlanResult {
-  core::PlanResult result;  ///< result.exchange: this node's AllReduce
-  Seconds exchange_tail = 0.0;  ///< exposed (post-backward) AllReduce time
-  Seconds update_time = 0.0;    ///< CPU update of this node's owned shards
-  Seconds total_time = 0.0;     ///< iteration_time + tails
-};
-
+/// A fleet's plan: the placement, whose per-node summaries and straggler
+/// fields carry the straggler roll-up, and each node's search result.
 struct FleetPlanResult {
-  PlacementPlan placement;            ///< owner map + per-node roll-up
-  std::vector<NodePlanResult> nodes;  ///< parallel to FleetSpec::nodes
-  int straggler = 0;                  ///< argmax total_time (ties: lowest)
-  Seconds iteration_time = 0.0;       ///< fleet steady state = max total
+  PlacementPlan placement;
+  /// Parallel to FleetSpec::nodes; nodes[n].exchange is node n's AllReduce.
+  std::vector<core::PlanResult> nodes;
 };
 
 /// Places shard ownership (place_blocks), searches a schedule per node —
 /// deduped by (device class, host reserve) and warm-started from the
-/// nearest already-planned class — then composes the straggler time.
+/// nearest already-planned class — then composes the straggler time into
+/// the placement.
 /// Throws FleetInfeasible naming the binding node when placement cannot
 /// admit a block or a node's own search finds no feasible blocking;
 /// rethrows core::SearchInterrupted untouched when `control` fires.

@@ -56,7 +56,7 @@ TEST(Allocations, WarmMakespanAllocatesNothing) {
   for (const graph::Model& model : models) {
     const core::PlanResult r =
         core::KarmaPlanner(model, device, serial_options(50)).plan();
-    EXPECT_EQ(warm_replay_allocations(r.plan, device), 0u) << model.name();
+    EXPECT_EQ(warm_replay_allocations(r.schedule, device), 0u) << model.name();
   }
 }
 
@@ -68,8 +68,8 @@ TEST(Allocations, WarmMakespanOfTieredAndMultiIterationPlansAllocatesNothing) {
   const core::PlanResult tiered =
       core::KarmaPlanner(graph::make_resnet50(1024), nvme, serial_options(50))
           .plan();
-  ASSERT_TRUE(tiered.plan.hierarchy.has_value());
-  EXPECT_EQ(warm_replay_allocations(tiered.plan, nvme), 0u);
+  ASSERT_TRUE(tiered.schedule.hierarchy.has_value());
+  EXPECT_EQ(warm_replay_allocations(tiered.schedule, nvme), 0u);
 
   const sim::DeviceSpec device = sim::v100_abci();
   core::DistributedOptions dp;
@@ -77,7 +77,7 @@ TEST(Allocations, WarmMakespanOfTieredAndMultiIterationPlansAllocatesNothing) {
   dp.iterations = 2;
   const core::PlanResult pipeline =
       core::plan_data_parallel(graph::make_resnet50(256), device, dp);
-  EXPECT_EQ(warm_replay_allocations(pipeline.plan, device), 0u);
+  EXPECT_EQ(warm_replay_allocations(pipeline.schedule, device), 0u);
 }
 
 TEST(Allocations, SerialColdSearchAllocatesFewBlocksPerCandidate) {
@@ -94,15 +94,15 @@ TEST(Allocations, SerialColdSearchAllocatesFewBlocksPerCandidate) {
     const core::PlanResult r =
         core::KarmaPlanner(c.model, device, serial_options(2000)).plan();
     const std::uint64_t spent = util::allocations() - before;
-    ASSERT_GT(r.search.candidates, 0);
+    ASSERT_GT(r.search_stats.candidates, 0);
     const double per_candidate = static_cast<double>(spent) /
-                                 static_cast<double>(r.search.candidates);
+                                 static_cast<double>(r.search_stats.candidates);
     EXPECT_LE(per_candidate, c.max_per_candidate)
         << c.model.name() << ": " << spent << " allocations over "
-        << r.search.candidates << " candidates";
+        << r.search_stats.candidates << " candidates";
     std::printf("%s: %.2f allocations per candidate (%lld candidates)\n",
                 c.model.name().c_str(), per_candidate,
-                static_cast<long long>(r.search.candidates));
+                static_cast<long long>(r.search_stats.candidates));
   }
 }
 

@@ -18,6 +18,7 @@
 #include "src/graph/model_zoo.h"
 #include "src/train/synthetic.h"
 #include "src/util/json.h"
+#include "tests/expect_artifact.h"
 
 namespace karma::api {
 namespace {
@@ -50,27 +51,6 @@ graph::Model chain_model(int layers, std::int64_t batch, std::int64_t width) {
     model.add_layer(std::move(fc));
   }
   return model;
-}
-
-/// The artifact JSON of a schedule and an exchange alone (neither has a
-/// serializer of its own).
-std::string json_of(const sim::Plan& schedule,
-                    const std::optional<net::ExchangePlan>& exchange) {
-  Plan plan;
-  plan.schedule = schedule;
-  plan.exchange = exchange;
-  return plan.to_json();
-}
-
-/// `plan` carries exactly the fields of the search result `r`.
-void expect_artifact_of(const Plan& plan, const core::PlanResult& r) {
-  EXPECT_EQ(json_of(plan.schedule, plan.exchange), json_of(r.plan, r.exchange));
-  EXPECT_EQ(plan.policies, r.policies);
-  EXPECT_EQ(plan.iteration_time, r.iteration_time);
-  EXPECT_EQ(plan.first_iteration_time, r.first_iteration_time);
-  EXPECT_EQ(plan.occupancy, r.occupancy);
-  EXPECT_EQ(plan.weights_resident, r.weights_resident);
-  EXPECT_EQ(plan.distributed(), r.exchange.has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ TEST(Baselines, PeakMemoryWithinDevice) {
 TEST(Baselines, CheckpointingUsesNoSwaps) {
   const auto result = plan_checkpointing(graph::make_resnet200(12), kDevice);
   ASSERT_TRUE(result);
-  for (const auto& op : result->plan.ops) {
+  for (const auto& op : result->schedule.ops) {
     EXPECT_NE(op.kind, sim::OpKind::kSwapIn);
     EXPECT_NE(op.kind, sim::OpKind::kSwapOut);
   }
@@ -89,7 +89,7 @@ TEST(Baselines, SuperNeuronsMixesSwapAndRecompute) {
   const auto result = plan_superneurons(graph::make_resnet200(12), kDevice);
   ASSERT_TRUE(result);
   bool has_swap = false, has_recompute = false;
-  for (const auto& op : result->plan.ops) {
+  for (const auto& op : result->schedule.ops) {
     has_swap |= op.kind == sim::OpKind::kSwapOut;
     has_recompute |= op.kind == sim::OpKind::kRecompute;
   }
@@ -102,9 +102,9 @@ TEST(Baselines, VdnnSwapsEverythingIncludingTail) {
   // immediately needed.
   const auto result = plan_vdnnpp(graph::make_vgg16(64), kDevice);
   ASSERT_TRUE(result);
-  const int nb = result->plan.num_blocks();
+  const int nb = result->schedule.num_blocks();
   bool tail_swapped = false;
-  for (const auto& op : result->plan.ops)
+  for (const auto& op : result->schedule.ops)
     if (op.kind == sim::OpKind::kSwapOut && op.block == nb - 1)
       tail_swapped = true;
   EXPECT_TRUE(tail_swapped);

@@ -18,7 +18,7 @@ sim::Plan karma_plan() {
   PlannerOptions options;
   options.anneal_iterations = 0;
   options.enable_recompute = false;
-  return KarmaPlanner(model, sim::v100_abci(), options).plan().plan;
+  return KarmaPlanner(model, sim::v100_abci(), options).plan().schedule;
 }
 
 TEST(Codegen, EmitsValidStructure) {
@@ -57,10 +57,10 @@ TEST(Codegen, RecomputeWrappedInRematerialization) {
   options.anneal_iterations = 0;
   const auto result = KarmaPlanner(model, sim::v100_abci(), options).plan();
   bool has_recompute = false;
-  for (const auto& op : result.plan.ops)
+  for (const auto& op : result.schedule.ops)
     has_recompute |= op.kind == sim::OpKind::kRecompute;
   if (!has_recompute) GTEST_SKIP() << "plan has no recompute blocks";
-  const std::string script = generate_training_script(result.plan);
+  const std::string script = generate_training_script(result.schedule);
   EXPECT_NE(script.find("recompute_forward()"), std::string::npos);
 }
 

@@ -40,7 +40,7 @@ TEST(Distributed, FiveStageOpsAllPresent) {
   const auto model = graph::make_transformer(graph::megatron_config(0), 4);
   const auto r = plan_data_parallel(model, kDevice, base_options(32));
   bool has[7] = {};
-  for (const auto& op : r.plan.ops) has[static_cast<int>(op.kind)] = true;
+  for (const auto& op : r.schedule.ops) has[static_cast<int>(op.kind)] = true;
   EXPECT_TRUE(has[static_cast<int>(sim::OpKind::kForward)]);
   EXPECT_TRUE(has[static_cast<int>(sim::OpKind::kBackward)]);
   EXPECT_TRUE(has[static_cast<int>(sim::OpKind::kSwapOut)]);   // stage 3
@@ -103,7 +103,7 @@ TEST(Distributed, MoreGpusSlowerExchangeSameCompute) {
 TEST(Distributed, PlanValidates) {
   const auto model = graph::make_transformer(graph::megatron_config(0), 4);
   const auto r = plan_data_parallel(model, kDevice, base_options(16));
-  EXPECT_NO_THROW(sim::validate_plan(r.plan));
+  EXPECT_NO_THROW(sim::validate_plan(r.schedule));
 }
 
 // ---- Bounded per-tier residency (DESIGN.md §9) ----
@@ -121,17 +121,17 @@ TEST(Distributed, MultiIterationPipelineAdmitsAgainstBoundedHostLedger) {
   options.iterations = 4;
   const auto r = plan_data_parallel(model, device, options);
 
-  ASSERT_TRUE(r.plan.hierarchy.has_value());
-  const tier::TierSpec& host = r.plan.hierarchy->spec(tier::Tier::kHost);
+  ASSERT_TRUE(r.schedule.hierarchy.has_value());
+  const tier::TierSpec& host = r.schedule.hierarchy->spec(tier::Tier::kHost);
   EXPECT_FALSE(host.unbounded()) << "unbounded-host carve-out resurfaced";
-  EXPECT_GT(r.plan.host_baseline_resident, 0)
+  EXPECT_GT(r.schedule.host_baseline_resident, 0)
       << "pinned weight shards missing from the host baseline";
   // The engine's ledger replayed 4 iterations inside the bounded tier:
   // peak includes the pinned shards and never exceeds what was admitted.
-  EXPECT_GE(r.trace.peak_host_resident, r.plan.host_baseline_resident);
+  EXPECT_GE(r.trace.peak_host_resident, r.schedule.host_baseline_resident);
   EXPECT_LE(r.trace.peak_host_resident, host.capacity);
   EXPECT_GT(r.iteration_time, 0.0);
-  EXPECT_NO_THROW(sim::validate_plan(r.plan));
+  EXPECT_NO_THROW(sim::validate_plan(r.schedule));
 }
 
 TEST(Distributed, ShardResidencyOverflowIsRejectedNotAdmitted) {
@@ -155,9 +155,9 @@ TEST(Distributed, ZeroShardingShrinksHostBaseline) {
   const auto plain = plan_data_parallel(model, device, options);
   options.weight_shard_fraction = 0.25;
   const auto sharded = plan_data_parallel(model, device, options);
-  EXPECT_GT(plain.plan.host_baseline_resident, 0);
-  EXPECT_LT(sharded.plan.host_baseline_resident,
-            plain.plan.host_baseline_resident);
+  EXPECT_GT(plain.schedule.host_baseline_resident, 0);
+  EXPECT_LT(sharded.schedule.host_baseline_resident,
+            plain.schedule.host_baseline_resident);
   EXPECT_LE(sharded.trace.peak_host_resident, plain.trace.peak_host_resident);
 }
 

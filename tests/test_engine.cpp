@@ -574,7 +574,7 @@ TEST(Engine, MakespanMatchesFullReplayBitForBit) {
           graph::make_transformer(graph::megatron_config(0), 4)}) {
       const core::PlanResult dp =
           core::plan_data_parallel(model, device, options);
-      check(Engine(device), dp.plan,
+      check(Engine(device), dp.schedule,
             model.name() + " data-parallel on " + device.name);
     }
   }

@@ -261,7 +261,7 @@ TEST(ChromeTraceExport, GoldenResNet50TimelineMatches) {
   ASSERT_TRUE(result.has_value());
 
   const std::string actual =
-      obs::export_execution_trace(result->trace, result->plan);
+      obs::export_execution_trace(result->trace, result->schedule);
 
   const std::string path =
       std::string(KARMA_SOURCE_DIR) + "/tests/golden/trace_fixture.json";

@@ -43,9 +43,9 @@ int find_op(const sim::Plan& plan, sim::OpKind kind, int block, int iter) {
 TEST(PipelineStructure, WeightSwapInPrecedesEveryForward) {
   const auto r = weight_swapped_plan();
   for (int it = 0; it < 2; ++it) {
-    for (int b = 0; b < r.plan.num_blocks(); ++b) {
-      const int fwd = find_op(r.plan, sim::OpKind::kForward, b, it);
-      const int win = find_op(r.plan, sim::OpKind::kSwapIn, b, it);
+    for (int b = 0; b < r.schedule.num_blocks(); ++b) {
+      const int fwd = find_op(r.schedule, sim::OpKind::kForward, b, it);
+      const int win = find_op(r.schedule, sim::OpKind::kSwapIn, b, it);
       ASSERT_GE(fwd, 0);
       ASSERT_GE(win, 0) << "no weight swap-in for block " << b;
       EXPECT_LT(win, fwd) << "block " << b << " iter " << it;
@@ -57,14 +57,14 @@ TEST(PipelineStructure, GradientSwapOutFollowsBackward) {
   // Stage 3: every backward is followed by a gradient swap-out of the
   // same block, before any later backward.
   const auto r = weight_swapped_plan();
-  for (int b = 0; b < r.plan.num_blocks(); ++b) {
-    const int bwd = find_op(r.plan, sim::OpKind::kBackward, b, 0);
+  for (int b = 0; b < r.schedule.num_blocks(); ++b) {
+    const int bwd = find_op(r.schedule, sim::OpKind::kBackward, b, 0);
     ASSERT_GE(bwd, 0);
     // Find the first swap-out of b after its backward.
     int gout = -1;
     for (std::size_t i = static_cast<std::size_t>(bwd) + 1;
-         i < r.plan.ops.size(); ++i) {
-      const sim::Op& op = r.plan.ops[i];
+         i < r.schedule.ops.size(); ++i) {
+      const sim::Op& op = r.schedule.ops[i];
       if (op.iteration != 0) break;
       if (op.kind == sim::OpKind::kSwapOut && op.block == b) {
         gout = static_cast<int>(i);
@@ -79,11 +79,11 @@ TEST(PipelineStructure, GradientSwapOutFollowsBackward) {
 TEST(PipelineStructure, EveryBlockUpdatedOncePerIteration) {
   for (const auto& r : {weight_swapped_plan(), weight_resident_plan()}) {
     std::map<std::pair<int, int>, int> updates;  // (iter, block) -> count
-    for (const auto& op : r.plan.ops)
+    for (const auto& op : r.schedule.ops)
       if (op.kind == sim::OpKind::kCpuUpdate)
         ++updates[{op.iteration, op.block}];
     for (int it = 0; it < 2; ++it)
-      for (int b = 0; b < r.plan.num_blocks(); ++b)
+      for (int b = 0; b < r.schedule.num_blocks(); ++b)
         EXPECT_EQ((updates[{it, b}]), 1)
             << "iter " << it << " block " << b;
   }
@@ -91,11 +91,11 @@ TEST(PipelineStructure, EveryBlockUpdatedOncePerIteration) {
 
 TEST(PipelineStructure, UpdatesGatedOnTheirPhaseAllReduce) {
   const auto r = weight_swapped_plan();
-  for (std::size_t i = 0; i < r.plan.ops.size(); ++i) {
-    const sim::Op& op = r.plan.ops[i];
+  for (std::size_t i = 0; i < r.schedule.ops.size(); ++i) {
+    const sim::Op& op = r.schedule.ops[i];
     if (op.kind != sim::OpKind::kCpuUpdate) continue;
     ASSERT_GE(op.after_op, 0) << "update without AllReduce gate";
-    EXPECT_EQ(r.plan.ops[static_cast<std::size_t>(op.after_op)].kind,
+    EXPECT_EQ(r.schedule.ops[static_cast<std::size_t>(op.after_op)].kind,
               sim::OpKind::kAllReduce);
   }
 }
@@ -104,10 +104,10 @@ TEST(PipelineStructure, SecondIterationForwardWaitsForUpdatedWeights) {
   // Fig. 3's point: iteration 2's swap-ins carry the *updated* weights;
   // the per-block chain therefore runs U(b) -> Sin_w(b) -> F(b).
   const auto r = weight_resident_plan();
-  for (int b = 0; b < r.plan.num_blocks(); ++b) {
-    const int up = find_op(r.plan, sim::OpKind::kCpuUpdate, b, 0);
-    const int refresh = find_op(r.plan, sim::OpKind::kSwapIn, b, 1);
-    const int fwd2 = find_op(r.plan, sim::OpKind::kForward, b, 1);
+  for (int b = 0; b < r.schedule.num_blocks(); ++b) {
+    const int up = find_op(r.schedule, sim::OpKind::kCpuUpdate, b, 0);
+    const int refresh = find_op(r.schedule, sim::OpKind::kSwapIn, b, 1);
+    const int fwd2 = find_op(r.schedule, sim::OpKind::kForward, b, 1);
     ASSERT_GE(up, 0);
     ASSERT_GE(refresh, 0);
     ASSERT_GE(fwd2, 0);
@@ -121,7 +121,7 @@ TEST(PipelineStructure, SecondIterationForwardWaitsForUpdatedWeights) {
 
 TEST(PipelineStructure, PhasedExchangeCoversAllGradients) {
   const auto r = weight_swapped_plan();
-  std::vector<int> covered(r.plan.blocks.size(), 0);
+  std::vector<int> covered(r.schedule.blocks.size(), 0);
   for (const auto& phase : r.exchange->phases)
     for (int b : phase.blocks) ++covered[static_cast<std::size_t>(b)];
   for (std::size_t b = 0; b < covered.size(); ++b)
@@ -133,12 +133,12 @@ TEST(PipelineStructure, WeightsDroppedAfterForwardInSwapRegime) {
   // exist per block so parameters never accumulate on the device.
   const auto r = weight_swapped_plan();
   ASSERT_FALSE(r.weights_resident);
-  for (int b = 0; b < r.plan.num_blocks(); ++b) {
-    const int fwd = find_op(r.plan, sim::OpKind::kForward, b, 0);
+  for (int b = 0; b < r.schedule.num_blocks(); ++b) {
+    const int fwd = find_op(r.schedule, sim::OpKind::kForward, b, 0);
     bool dropped = false;
     for (std::size_t i = static_cast<std::size_t>(fwd) + 1;
-         i < r.plan.ops.size(); ++i) {
-      const sim::Op& op = r.plan.ops[i];
+         i < r.schedule.ops.size(); ++i) {
+      const sim::Op& op = r.schedule.ops[i];
       if (op.kind == sim::OpKind::kSwapOut && op.block == b &&
           op.bytes == 0 && op.free > 0) {
         dropped = true;

@@ -20,6 +20,7 @@
 #include "src/graph/model_zoo.h"
 #include "src/place/fleet_planner.h"
 #include "src/sim/device.h"
+#include "tests/expect_artifact.h"
 
 namespace karma::place {
 namespace {
@@ -133,23 +134,26 @@ TEST(Placement, FleetPlanIsBitIdenticalAcrossRuns) {
   const FleetPlanResult b = plan_fleet(model, fleet, fast_options());
   EXPECT_EQ(api::placement_to_json(a.placement),
             api::placement_to_json(b.placement));
-  EXPECT_EQ(a.straggler, b.straggler);
-  EXPECT_EQ(a.iteration_time, b.iteration_time);  // bitwise, not approx
+  EXPECT_EQ(a.placement.straggler, b.placement.straggler);
+  // bitwise, not approx
+  EXPECT_EQ(a.placement.iteration_time, b.placement.iteration_time);
 }
 
 TEST(Placement, StragglerCompositionIsTheMaxOverNodes) {
   const graph::Model model = tiny_transformer();
   const FleetPlanResult r =
       plan_fleet(model, small_fleet(), fast_options());
-  ASSERT_EQ(r.nodes.size(), r.placement.nodes.size());
+  const PlacementPlan& placement = r.placement;
+  ASSERT_EQ(r.nodes.size(), placement.nodes.size());
   Seconds max_total = 0;
-  for (const auto& leg : r.nodes) {
-    EXPECT_GE(leg.total_time,
-              leg.result.iteration_time + leg.exchange_tail);
+  for (std::size_t n = 0; n < r.nodes.size(); ++n) {
+    const NodeSummary& leg = placement.nodes[n];
+    EXPECT_EQ(leg.plan_iteration_time, r.nodes[n].iteration_time);
+    EXPECT_GE(leg.total_time, leg.plan_iteration_time + leg.exchange_tail);
     max_total = std::max(max_total, leg.total_time);
   }
-  EXPECT_EQ(r.iteration_time, max_total);
-  EXPECT_EQ(r.nodes[r.straggler].total_time, max_total);
+  EXPECT_EQ(placement.iteration_time, max_total);
+  EXPECT_EQ(placement.nodes[placement.straggler].total_time, max_total);
 }
 
 // ---------------------------------------------------------------------------
@@ -309,8 +313,8 @@ TEST(FleetSession, PlansEndToEndAndNamesTheStraggler) {
             api::placement_to_json(placement));
   EXPECT_EQ(reloaded->to_json(), plan.to_json());
 
-  // The scalar fields are the straggler leg of the same direct plan_fleet
-  // search, field by field.
+  // The artifact's search result is the straggler's in the same direct
+  // plan_fleet search, with the fleet's iteration time.
   const api::PlanRequest request = fleet_request();
   FleetPlanOptions options;
   options.planner = request.planner;
@@ -319,29 +323,16 @@ TEST(FleetSession, PlansEndToEndAndNamesTheStraggler) {
   };
   const FleetPlanResult direct =
       plan_fleet(request.model, *request.fleet, options);
-  ASSERT_EQ(direct.straggler, placement.straggler);
-  const core::PlanResult& leg =
-      direct.nodes[static_cast<std::size_t>(direct.straggler)].result;
-  // Schedule and exchange compare as artifact JSON (neither has a
-  // serializer of its own).
-  const auto json_of = [](const sim::Plan& schedule,
-                          const std::optional<net::ExchangePlan>& exchange) {
-    api::Plan only;
-    only.schedule = schedule;
-    only.exchange = exchange;
-    return only.to_json();
-  };
-  ASSERT_TRUE(leg.exchange.has_value());
-  EXPECT_EQ(json_of(plan.schedule, plan.exchange),
-            json_of(leg.plan, leg.exchange));
-  EXPECT_EQ(plan.policies, leg.policies);
-  EXPECT_EQ(plan.occupancy, leg.occupancy);
-  EXPECT_EQ(plan.weights_resident, leg.weights_resident);
-  EXPECT_EQ(plan.iteration_time, direct.iteration_time);
-  EXPECT_EQ(plan.first_iteration_time, direct.iteration_time);
+  const std::size_t straggler =
+      static_cast<std::size_t>(direct.placement.straggler);
+  ASSERT_EQ(direct.placement.straggler, placement.straggler);
+  core::PlanResult expected = direct.nodes[straggler];
+  ASSERT_TRUE(expected.exchange.has_value());
+  expected.iteration_time = direct.placement.iteration_time;
+  expected.first_iteration_time = direct.placement.iteration_time;
+  expect_artifact_of(plan, expected);
   EXPECT_EQ(plan.reserved_host_bytes,
-            direct.placement.nodes[static_cast<std::size_t>(direct.straggler)]
-                .reserved_host_bytes);
+            direct.placement.nodes[straggler].reserved_host_bytes);
 }
 
 TEST(FleetSession, InfeasibleFleetReportsBindingNodeAsStructuredError) {

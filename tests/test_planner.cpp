@@ -23,10 +23,12 @@ PlannerOptions fast_options(bool recompute) {
 
 /// Same blocks, policies and (bitwise) iteration time.
 void expect_same_plan(const PlanResult& got, const PlanResult& want) {
-  ASSERT_EQ(got.plan.blocks.size(), want.plan.blocks.size());
-  for (std::size_t b = 0; b < got.plan.blocks.size(); ++b) {
-    EXPECT_EQ(got.plan.blocks[b].first_layer, want.plan.blocks[b].first_layer);
-    EXPECT_EQ(got.plan.blocks[b].last_layer, want.plan.blocks[b].last_layer);
+  ASSERT_EQ(got.schedule.blocks.size(), want.schedule.blocks.size());
+  for (std::size_t b = 0; b < got.schedule.blocks.size(); ++b) {
+    EXPECT_EQ(got.schedule.blocks[b].first_layer,
+              want.schedule.blocks[b].first_layer);
+    EXPECT_EQ(got.schedule.blocks[b].last_layer,
+              want.schedule.blocks[b].last_layer);
   }
   EXPECT_EQ(got.policies, want.policies);
   EXPECT_EQ(got.iteration_time, want.iteration_time);
@@ -71,7 +73,7 @@ TEST(Planner, OutOfCoreBatchIsFeasible) {
   const PlanResult r = planner.plan();
   EXPECT_GT(r.iteration_time, 0.0);
   EXPECT_LE(r.trace.peak_resident, sim::v100_abci().memory_capacity);
-  EXPECT_GT(r.plan.blocks.size(), 1u);
+  EXPECT_GT(r.schedule.blocks.size(), 1u);
 }
 
 TEST(Planner, RecomputeNeverHurts) {
@@ -111,9 +113,9 @@ TEST(Planner, UnetLongSkipBlocksNotSwapped) {
   const PlanResult r = planner.plan();
   const sim::LayerCostTable table(unet, sim::v100_abci());
   std::vector<int> reach;
-  for (const auto& b : r.plan.blocks) reach.push_back(table.reach(b));
-  const auto mask = blocks_with_long_skips(r.plan.blocks, reach);
-  for (std::size_t b = 0; b < r.plan.blocks.size(); ++b) {
+  for (const auto& b : r.schedule.blocks) reach.push_back(table.reach(b));
+  const auto mask = blocks_with_long_skips(r.schedule.blocks, reach);
+  for (std::size_t b = 0; b < r.schedule.blocks.size(); ++b) {
     if (mask[b]) {
       EXPECT_FALSE(is_swap_policy(r.policies[b]))
           << "contracting-path block " << b << " must not swap (III-F.4)";
@@ -135,9 +137,10 @@ TEST(Planner, DeterministicAcrossRuns) {
   const PlanResult a = planner.plan();
   const PlanResult b = planner.plan();
   EXPECT_DOUBLE_EQ(a.iteration_time, b.iteration_time);
-  ASSERT_EQ(a.plan.blocks.size(), b.plan.blocks.size());
-  for (std::size_t i = 0; i < a.plan.blocks.size(); ++i) {
-    EXPECT_EQ(a.plan.blocks[i].first_layer, b.plan.blocks[i].first_layer);
+  ASSERT_EQ(a.schedule.blocks.size(), b.schedule.blocks.size());
+  for (std::size_t i = 0; i < a.schedule.blocks.size(); ++i) {
+    EXPECT_EQ(a.schedule.blocks[i].first_layer,
+              b.schedule.blocks[i].first_layer);
     EXPECT_EQ(a.policies[i], b.policies[i]);
   }
 }
@@ -157,7 +160,7 @@ TEST(Planner, BlockingRespectsCleanCuts) {
   const KarmaPlanner planner(m, sim::v100_abci(), fast_options(true));
   const PlanResult r = planner.plan();
   const auto cuts = clean_cut_points(m);
-  for (const auto& blk : r.plan.blocks) {
+  for (const auto& blk : r.schedule.blocks) {
     EXPECT_TRUE(std::binary_search(cuts.begin(), cuts.end(), blk.first_layer))
         << "boundary " << blk.first_layer << " not a clean cut";
   }
@@ -179,19 +182,19 @@ TEST(Planner, PlanFromFallsBackToColdWhenTheSeedDoesNotTileTheModel) {
   const PlanResult long_cold = long_planner.plan();
 
   const PlanResult from_short =
-      long_planner.plan_from(short_cold.plan.blocks, short_cold.policies);
-  EXPECT_FALSE(from_short.search.warm_started);
+      long_planner.plan_from(short_cold.schedule.blocks, short_cold.policies);
+  EXPECT_FALSE(from_short.search_stats.warm_started);
   expect_same_plan(from_short, long_cold);
 
   const PlanResult from_long =
-      short_planner.plan_from(long_cold.plan.blocks, long_cold.policies);
-  EXPECT_FALSE(from_long.search.warm_started);
+      short_planner.plan_from(long_cold.schedule.blocks, long_cold.policies);
+  EXPECT_FALSE(from_long.search_stats.warm_started);
   expect_same_plan(from_long, short_cold);
 
   // The model's own plan still warm-starts.
-  EXPECT_TRUE(short_planner.plan_from(short_cold.plan.blocks,
+  EXPECT_TRUE(short_planner.plan_from(short_cold.schedule.blocks,
                                       short_cold.policies)
-                  .search.warm_started);
+                  .search_stats.warm_started);
 }
 
 TEST(Planner, SeedTilesModelOnlyForContiguousFullCoverage) {
@@ -216,7 +219,7 @@ TEST(Planner, ConcurrentPlansOnOneInstanceMatchSerial) {
   const graph::Model m = graph::make_resnet50(512);
   const KarmaPlanner planner(m, sim::v100_abci(), fast_options(true));
   const PlanResult serial = planner.plan();
-  ASSERT_GT(serial.plan.blocks.size(), 2u);  // the portfolio anneal runs
+  ASSERT_GT(serial.schedule.blocks.size(), 2u);  // the portfolio anneal runs
   std::optional<PlanResult> a;
   std::optional<PlanResult> b;
   std::thread ta([&] { a = planner.plan(); });

@@ -58,7 +58,7 @@ TEST_P(PlannerGrid, PlansFeasiblyWithinCapacity) {
   EXPECT_GT(result.occupancy, 0.2);
   EXPECT_LE(result.occupancy, 1.0 + 1e-9);
   // Plans validate structurally.
-  EXPECT_NO_THROW(sim::validate_plan(result.plan));
+  EXPECT_NO_THROW(sim::validate_plan(result.schedule));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -390,8 +390,8 @@ TEST(Determinism, SameSeedSamePlanSameTrace) {
       core::KarmaPlanner(model, sim::v100_abci(), options).plan();
   const auto b =
       core::KarmaPlanner(model, sim::v100_abci(), options).plan();
-  ASSERT_EQ(a.plan.ops.size(), b.plan.ops.size());
-  EXPECT_EQ(a.plan.schedule_string(), b.plan.schedule_string());
+  ASSERT_EQ(a.schedule.ops.size(), b.schedule.ops.size());
+  EXPECT_EQ(a.schedule.schedule_string(), b.schedule.schedule_string());
   EXPECT_DOUBLE_EQ(a.iteration_time, b.iteration_time);
 }
 

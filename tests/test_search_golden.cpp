@@ -31,16 +31,16 @@ void pin(std::ostringstream& out, const std::string& name,
          const core::PlanResult& r) {
   out << (out.tellp() > 0 ? ",\n" : "") << "  \"" << name
       << "\": {\"blocks\": [";
-  for (std::size_t b = 0; b < r.plan.blocks.size(); ++b)
-    out << (b ? "," : "") << "[" << r.plan.blocks[b].first_layer << ","
-        << r.plan.blocks[b].last_layer << "]";
+  for (std::size_t b = 0; b < r.schedule.blocks.size(); ++b)
+    out << (b ? "," : "") << "[" << r.schedule.blocks[b].first_layer << ","
+        << r.schedule.blocks[b].last_layer << "]";
   out << "], \"policies\": [";
   for (std::size_t b = 0; b < r.policies.size(); ++b)
     out << (b ? "," : "") << "\"" << core::block_policy_name(r.policies[b])
         << "\"";
   char time[32];
   std::snprintf(time, sizeof time, "%.17g", r.iteration_time);
-  out << "], \"ops\": " << r.plan.ops.size() << ", \"iteration_time\": "
+  out << "], \"ops\": " << r.schedule.ops.size() << ", \"iteration_time\": "
       << time << "}";
 }
 
@@ -68,7 +68,7 @@ std::string searched_plans() {
   calib::CalibrationTable table;  // swaps measured ~4x slower than modeled
   table.factors["*"] = {{"h2d", 4.0}, {"d2h", 4.0}};
   pin(out, "repair/resnet50-512/v100-slow-swaps",
-      calib::repair(resnet50_512, v100, table, deep.plan.blocks,
+      calib::repair(resnet50_512, v100, table, deep.schedule.blocks,
                     deep.policies));
 
   core::DistributedOptions dp;
@@ -103,8 +103,7 @@ std::string searched_plans() {
       graph::make_transformer_chain(chain, 8),
       place::mixed_generation_fleet(2, 2, 8_GiB), fleet_options);
   for (std::size_t n = 0; n < fleet.nodes.size(); ++n)
-    pin(out, "fleet/mixed-2x2/node" + std::to_string(n),
-        fleet.nodes[n].result);
+    pin(out, "fleet/mixed-2x2/node" + std::to_string(n), fleet.nodes[n]);
 
   const graph::Model resnet200 = graph::make_resnet200(16);
   for (const auto& entry : baselines::all_strategies()) {

@@ -61,9 +61,9 @@ PlannerOptions search_options(int workers) {
 void expect_results_identical(const PlanResult& a, const PlanResult& b,
                               const std::string& what) {
   EXPECT_EQ(a.iteration_time, b.iteration_time) << what;
-  EXPECT_EQ(a.plan.blocks.size(), b.plan.blocks.size()) << what;
+  EXPECT_EQ(a.schedule.blocks.size(), b.schedule.blocks.size()) << what;
   EXPECT_EQ(a.policies, b.policies) << what;
-  EXPECT_EQ(a.plan.schedule_string(), b.plan.schedule_string()) << what;
+  EXPECT_EQ(a.schedule.schedule_string(), b.schedule.schedule_string()) << what;
   expect_traces_identical(a.trace, b.trace, what);
 }
 
@@ -75,7 +75,7 @@ TEST(PortfolioSearch, NWorkerPlanBitIdenticalAcrossRuns) {
   const PlanResult a = planner.plan();
   const PlanResult b = planner.plan();
   expect_results_identical(a, b, "two 4-worker runs");
-  EXPECT_EQ(a.search.anneal_workers, 4);
+  EXPECT_EQ(a.search_stats.anneal_workers, 4);
 }
 
 TEST(PortfolioSearch, NWorkersNeverWorseThanOne) {
@@ -102,8 +102,8 @@ TEST(PortfolioSearch, RepairRidesSuffixResim) {
   const KarmaPlanner planner(m, sim::v100_abci(), search_options(4));
   const PlanResult cold = planner.plan();
   const PlanResult repaired =
-      planner.plan_from(cold.plan.blocks, cold.policies);
-  EXPECT_TRUE(repaired.search.warm_started);
+      planner.plan_from(cold.schedule.blocks, cold.policies);
+  EXPECT_TRUE(repaired.search_stats.warm_started);
   // Warm start must not land anywhere worse than the seed it was given.
   EXPECT_LE(repaired.iteration_time, cold.iteration_time * (1.0 + 1e-9));
 }
@@ -130,7 +130,7 @@ TEST(PortfolioSearch, ReportedIterationTimeMatchesFullReplay) {
     o.seed = c.seed;
     const PlanResult result = KarmaPlanner(m, device, o).plan();
     EXPECT_EQ(result.iteration_time,
-              sim::Engine(device).run(result.plan).makespan)
+              sim::Engine(device).run(result.schedule).makespan)
         << "batch " << c.batch << " seed " << c.seed;
   }
 }

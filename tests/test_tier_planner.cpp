@@ -122,10 +122,10 @@ TEST(TieredPlanner, AmpleHostReproducesSeedPlanBitIdentically) {
       KarmaPlanner(m, tiered_device, fast_options(true)).plan();
 
   EXPECT_EQ(a.policies, b.policies);
-  ASSERT_EQ(a.plan.ops.size(), b.plan.ops.size());
-  for (std::size_t i = 0; i < a.plan.ops.size(); ++i) {
-    const sim::Op& x = a.plan.ops[i];
-    const sim::Op& y = b.plan.ops[i];
+  ASSERT_EQ(a.schedule.ops.size(), b.schedule.ops.size());
+  for (std::size_t i = 0; i < a.schedule.ops.size(); ++i) {
+    const sim::Op& x = a.schedule.ops[i];
+    const sim::Op& y = b.schedule.ops[i];
     EXPECT_EQ(x.kind, y.kind) << "op " << i;
     EXPECT_EQ(x.block, y.block) << "op " << i;
     EXPECT_EQ(x.tier, y.tier) << "op " << i;
@@ -135,7 +135,7 @@ TEST(TieredPlanner, AmpleHostReproducesSeedPlanBitIdentically) {
     EXPECT_EQ(x.after_op, y.after_op) << "op " << i;
   }
   EXPECT_DOUBLE_EQ(a.iteration_time, b.iteration_time);
-  EXPECT_TRUE(b.plan.hierarchy.has_value());  // but tier-audited
+  EXPECT_TRUE(b.schedule.hierarchy.has_value());  // but tier-audited
 }
 
 TEST(TieredPlanner, TinyHostSpillsToNvmeAndPassesTraceCheck) {
@@ -153,7 +153,7 @@ TEST(TieredPlanner, TinyHostSpillsToNvmeAndPassesTraceCheck) {
     if (p == BlockPolicy::kSwapNvme) ++nvme_blocks;
   EXPECT_GT(nvme_blocks, 0) << "2 GiB host cannot hold the swap set";
 
-  const auto violations = sim::check_trace_invariants(r.plan, r.trace);
+  const auto violations = sim::check_trace_invariants(r.schedule, r.trace);
   EXPECT_TRUE(violations.empty())
       << "first violation: " << (violations.empty() ? "" : violations[0]);
   EXPECT_LE(r.trace.peak_host_resident, d.host_capacity);

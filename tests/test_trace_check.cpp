@@ -22,7 +22,7 @@ TEST(TraceCheck, CleanTracePasses) {
   const auto result = baselines::plan_karma_recompute(model, v100_abci());
   ASSERT_TRUE(result);
   const auto violations =
-      check_trace_invariants(result->plan, result->trace);
+      check_trace_invariants(result->schedule, result->trace);
   for (const auto& v : violations) ADD_FAILURE() << v;
 }
 
@@ -43,7 +43,7 @@ TEST(TraceCheck, DetectsTamperedOverlap) {
       break;
     }
   }
-  const auto violations = check_trace_invariants(result->plan, tampered);
+  const auto violations = check_trace_invariants(result->schedule, tampered);
   EXPECT_FALSE(violations.empty());
 }
 
@@ -51,7 +51,7 @@ TEST(TraceCheck, DetectsMemoryOverflow) {
   const graph::Model model = graph::make_vgg16(64);
   const auto result = baselines::plan_karma(model, v100_abci());
   ASSERT_TRUE(result);
-  Plan squeezed = result->plan;
+  Plan squeezed = result->schedule;
   squeezed.capacity /= 64;  // trace was produced for the real capacity
   const auto violations = check_trace_invariants(squeezed, result->trace);
   bool has_memory_violation = false;
@@ -82,8 +82,8 @@ TEST(TraceCheck, KarmaRowsIgnoreTheUserPlanCache) {
   std::filesystem::remove_all(dir, ec);
   ASSERT_TRUE(first);
   ASSERT_TRUE(second);
-  EXPECT_EQ(second->trace.records.size(), second->plan.ops.size());
-  EXPECT_TRUE(check_trace_invariants(second->plan, second->trace).empty());
+  EXPECT_EQ(second->trace.records.size(), second->schedule.ops.size());
+  EXPECT_TRUE(check_trace_invariants(second->schedule, second->trace).empty());
 }
 
 class StrategyTraces : public ::testing::TestWithParam<int> {};
@@ -97,7 +97,7 @@ TEST_P(StrategyTraces, AllStrategiesProduceConsistentTraces) {
     const auto result = entry.plan(model, v100_abci());
     if (!result) continue;
     const auto violations =
-        check_trace_invariants(result->plan, result->trace);
+        check_trace_invariants(result->schedule, result->trace);
     for (const auto& v : violations)
       ADD_FAILURE() << entry.name << " on " << model.name() << ": " << v;
   }
@@ -114,7 +114,7 @@ TEST(TraceCheck, DistributedPipelineTraceConsistent) {
   options.planner.anneal_iterations = 0;
   const auto result =
       core::plan_data_parallel(model, v100_abci(), options);
-  const auto violations = check_trace_invariants(result.plan, result.trace);
+  const auto violations = check_trace_invariants(result.schedule, result.trace);
   for (const auto& v : violations) ADD_FAILURE() << v;
 }
 
@@ -136,11 +136,11 @@ TEST(TraceCheck, DistributedTieredTraceReplaysBoundedHostLedger) {
   // bounded per-tier ledger (no phantom overflow from the broken
   // swap-out/swap-in pairing the old carve-out worked around).
   const auto result = tiered_distributed_result();
-  ASSERT_TRUE(result.plan.hierarchy.has_value());
-  ASSERT_FALSE(result.plan.hierarchy->spec(tier::Tier::kHost).unbounded())
+  ASSERT_TRUE(result.schedule.hierarchy.has_value());
+  ASSERT_FALSE(result.schedule.hierarchy->spec(tier::Tier::kHost).unbounded())
       << "host tier must be bounded — the unbounded carve-out is gone";
-  EXPECT_GT(result.plan.host_baseline_resident, 0);
-  const auto violations = check_trace_invariants(result.plan, result.trace);
+  EXPECT_GT(result.schedule.host_baseline_resident, 0);
+  const auto violations = check_trace_invariants(result.schedule, result.trace);
   for (const auto& v : violations) ADD_FAILURE() << v;
 }
 
@@ -148,13 +148,13 @@ TEST(TraceCheck, DetectsHostTierOverflowWhenHierarchyShrinks) {
   // The same trace against a host tier too small for the pinned shards
   // plus in-flight gradients must be flagged.
   auto result = tiered_distributed_result();
-  ASSERT_TRUE(result.plan.hierarchy.has_value());
-  std::vector<tier::TierSpec> tiers = result.plan.hierarchy->tiers();
+  ASSERT_TRUE(result.schedule.hierarchy.has_value());
+  std::vector<tier::TierSpec> tiers = result.schedule.hierarchy->tiers();
   for (auto& t : tiers)
     if (t.tier == tier::Tier::kHost)
-      t.capacity = result.plan.host_baseline_resident;  // no room for grads
-  result.plan.hierarchy = tier::StorageHierarchy(std::move(tiers));
-  const auto violations = check_trace_invariants(result.plan, result.trace);
+      t.capacity = result.schedule.host_baseline_resident;  // no room for grads
+  result.schedule.hierarchy = tier::StorageHierarchy(std::move(tiers));
+  const auto violations = check_trace_invariants(result.schedule, result.trace);
   bool found = false;
   for (const auto& v : violations)
     found |= v.find("'host' exceeds capacity") != std::string::npos;
