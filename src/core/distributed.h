@@ -18,6 +18,12 @@
 //     for B(b), dropped with the gradient swap-out. This is what makes
 //     pure data parallelism possible for billion-parameter models.
 //
+// One function emits the iteration: core::emit_iteration writes
+// Algorithm 1 (stages 1-2, exactly the single-GPU ops) and, given the
+// rank's DataParallelStages, stages 3-5 and the weight shards with it.
+// Candidates are scored through core::CandidateStep, the step
+// KarmaPlanner's search takes.
+//
 // All ranks are symmetric in synchronous data parallelism, so simulating
 // one rank's pipeline with the collective costs from src/net reproduces
 // the cluster's iteration time.
@@ -28,7 +34,6 @@
 namespace karma::core {
 
 enum class ExchangeMode { kBulk, kPerBlock, kMerged };
-enum class UpdateSite { kCpu, kDevice };
 
 struct DistributedOptions {
   int num_gpus = 2;
@@ -58,9 +63,10 @@ struct DistributedOptions {
 /// deficits included).
 ///
 /// `control` / `on_improved` follow the KarmaPlanner::plan contract: the
-/// token is polled per candidate blocking (raising SearchInterrupted),
-/// each engine-ranked variant counts one candidate, and every new
-/// incumbent best is published through the callback.
+/// token is polled per candidate (raising SearchInterrupted), each
+/// admitted variant counts one candidate, every new incumbent best is
+/// published through the callback, and the result's search_stats report
+/// the effort. The uniform block-count scan runs no anneal.
 PlanResult plan_data_parallel(
     const graph::Model& model, const sim::DeviceSpec& device,
     const DistributedOptions& options, const CancelToken& control = {},

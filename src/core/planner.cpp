@@ -1,20 +1,17 @@
 #include "src/core/planner.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "src/core/candidate_step.h"
 #include "src/obs/span.h"
 #include "src/sim/device.h"
 #include "src/solver/anneal.h"
-#include "src/solver/memo.h"
 #include "src/util/infeasible.h"
 #include "src/util/rng.h"
 
@@ -149,21 +146,6 @@ struct alignas(64) KarmaPlanner::SearchLane {
   std::string key;
 };
 
-/// The candidate table is sharded so the portfolio workers share it
-/// lock-cheap; its values are deterministic functions of their keys, so
-/// concurrent fills cannot diverge (solver::SharedEvalMemo).
-struct KarmaPlanner::SearchMemo {
-  SearchMemo(int num_lanes, const sim::DeviceSpec& device) {
-    lanes.reserve(static_cast<std::size_t>(num_lanes));
-    for (int w = 0; w < num_lanes; ++w) lanes.emplace_back(device);
-  }
-  std::vector<SearchLane> lanes;
-  solver::SharedEvalMemo<std::string, double> candidates;
-  /// Harvested into SearchStats at the end of the search.
-  std::atomic<std::int64_t> simulations{0};
-  std::atomic<std::int64_t> memo_hits{0};
-};
-
 KarmaPlanner::KarmaPlanner(const graph::Model& model, sim::DeviceSpec device,
                            PlannerOptions options)
     : model_(model),
@@ -279,72 +261,35 @@ PlanResult KarmaPlanner::run_search(
     const std::vector<sim::Block>* seed_blocks,
     const std::vector<BlockPolicy>* seed_policies, const CancelToken& control,
     const std::function<void(const PlanResult&)>& on_improved) const {
-  const auto search_start = std::chrono::steady_clock::now();
   const std::string strategy =
       options_.enable_recompute ? "karma+recompute" : "karma";
-  std::optional<PlanResult> best;
-  constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 
-  // This call's memo state: the tables are an optimization of this one
+  // This call's candidate step and lanes: an optimization of this one
   // deterministic run, never shared across runs or callers.
-  SearchMemo memo(std::max(1, options_.anneal_workers), device_);
-  SearchLane& serial_lane = memo.lanes[0];
+  CandidateStep step(control, on_improved);
+  const std::optional<PlanResult>& best = step.best();
+  std::vector<SearchLane> lanes;
+  const int num_lanes = std::max(1, options_.anneal_workers);
+  lanes.reserve(static_cast<std::size_t>(num_lanes));
+  for (int w = 0; w < num_lanes; ++w) lanes.emplace_back(device_);
+  SearchLane& serial_lane = lanes[0];
   bool warm_started = false;
   int anneal_workers_used = 0;
 
-  // The one memo step behind every candidate: poll the token, look the
-  // candidate up by its packed key, and either serve the memoized makespan
-  // or score it with a lean replay and store the outcome. Exact: a score
-  // is the deterministic makespan of the candidate's plan, which also
-  // makes the table safe to share across portfolio workers — when two
-  // workers race to fill the same key they store the same value.
-  // candidates == simulations + memo_hits holds by construction.
-  const auto memo_step = [&](SearchLane& lane,
-                             const std::vector<sim::Block>& blocks,
-                             const std::vector<sim::BlockCost>& costs,
-                             const std::vector<BlockPolicy>& policies) {
-    // The one cooperative cancellation point, polled at candidate
-    // boundaries only — never mid-simulation — so an interrupt can never
-    // leave a half-evaluated candidate behind. SearchInterrupted tunnels
-    // through the InfeasibleError handlers by design (it is not a
-    // std::exception at all).
-    if (const StopReason reason = control.stop_reason();
-        reason != StopReason::kNone)
-      throw SearchInterrupted{reason};
-    pack_candidate_key(blocks, policies, lane.key);
-    if (const auto memoized = memo.candidates.find(lane.key)) {
-      memo.memo_hits.fetch_add(1, std::memory_order_relaxed);
-      control.count_candidate(/*simulated=*/false);
-      return *memoized;
-    }
-    memo.simulations.fetch_add(1, std::memory_order_relaxed);
-    control.count_candidate(/*simulated=*/true);
-    double value = kInfeasible;
-    try {
-      value = score(lane, blocks, costs, policies, strategy);
-    } catch (const InfeasibleError&) {
-    }
-    memo.candidates.store(lane.key, value);
-    return value;
-  };
-
-  // Best-tracking consideration; returns whether the candidate became the
-  // new best. Only a score that beats the incumbent is materialized into a
-  // full PlanResult (plan, trace, policies). Serial phases only (it moves
-  // `best`); the portfolio workers call memo_step directly.
+  // Best-tracking consideration through the serial lane; returns whether
+  // the candidate became the new best. Only a score that beats the
+  // incumbent is materialized into a full PlanResult (plan, trace,
+  // policies); the portfolio workers score through step.score directly.
   const auto consider = [&](const std::vector<sim::Block>& blocks,
                             const std::vector<sim::BlockCost>& costs,
                             const std::vector<BlockPolicy>& policies) {
-    const double value = memo_step(serial_lane, blocks, costs, policies);
-    if (value == kInfeasible || (best && value >= best->iteration_time))
-      return false;
-    best = simulate_candidate(serial_lane, blocks, costs, policies, strategy);
-    // Publish the artifact snapshot BEFORE the progress flag: an observer
-    // that sees best_cost become finite must also find the best-so-far
-    // plan attached.
-    if (on_improved) on_improved(*best);
-    control.report_best(best->iteration_time);
-    return true;
+    return step.offer(
+        blocks, policies, serial_lane.key,
+        [&] { return score(serial_lane, blocks, costs, policies, strategy); },
+        [&] {
+          return simulate_candidate(serial_lane, blocks, costs, policies,
+                                    strategy);
+        });
   };
   // A blocking's tier-routed candidate, with `costs` its block_costs
   // through the serial lane (which also left the reaches there). Policy
@@ -464,14 +409,16 @@ PlanResult KarmaPlanner::run_search(
     anneal_span.arg("iterations", options_.anneal_iterations);
     const std::function<double(const std::vector<int>&, int)> energy =
         [&](const std::vector<int>& cuts, int w) {
-          SearchLane& lane = memo.lanes[static_cast<std::size_t>(w)];
+          SearchLane& lane = lanes[static_cast<std::size_t>(w)];
           blocks_from_boundaries(cuts, lane.blocks);
           const auto& costs = block_costs(lane, lane.blocks);
           try {
-            return memo_step(lane, lane.blocks, costs,
-                             initial_policies(lane, lane.blocks, costs));
+            const auto& policies = initial_policies(lane, lane.blocks, costs);
+            return step.score(lane.blocks, policies, lane.key, [&] {
+              return score(lane, lane.blocks, costs, policies, strategy);
+            });
           } catch (const InfeasibleError&) {
-            return kInfeasible;  // no spill route at this blocking
+            return CandidateStep::kInfeasible;  // no spill route here
           }
         };
     const std::function<std::vector<int>(const std::vector<int>&, Rng&)>
@@ -507,38 +454,33 @@ PlanResult KarmaPlanner::run_search(
           }
           return key;
         };
-    // Doubles as the per-worker trace hook: both callbacks run on the
-    // worker's own thread, so the emitted slice lands on that thread's
-    // trace track (one "anneal.worker" lane per portfolio member).
+    // The per-worker trace hook: both callbacks run on the walk's own
+    // thread, so the emitted slice lands on that thread's trace track (one
+    // "anneal.worker" slice per portfolio member).
     std::vector<std::uint64_t> worker_trace_start(
         static_cast<std::size_t>(workers), 0);
-    const std::function<void(int, bool)> worker_gauge =
-        [&control, &worker_trace_start](int w, bool starting) {
-          if (starting) {
-            if (obs::tracing_enabled())
-              worker_trace_start[static_cast<std::size_t>(w)] =
-                  obs::trace_now_us();
-            control.worker_started();
-          } else {
-            control.worker_finished();
-            if (obs::tracing_enabled())
-              obs::emit_complete(
-                  "anneal.worker", "search",
-                  worker_trace_start[static_cast<std::size_t>(w)],
-                  obs::trace_now_us(), "worker", w);
-          }
+    const std::function<void(int, bool)> trace_worker =
+        [&worker_trace_start](int w, bool starting) {
+          if (!obs::tracing_enabled()) return;
+          std::uint64_t& start =
+              worker_trace_start[static_cast<std::size_t>(w)];
+          if (starting)
+            start = obs::trace_now_us();
+          else
+            obs::emit_complete("anneal.worker", "search", start,
+                               obs::trace_now_us(), "worker", w);
         };
     solver::AnnealParams params;
     params.iterations = options_.anneal_iterations;
     params.initial_temperature = best->iteration_time * 0.05;
-    // Belt to memo_step's token poll: a tripped token also
+    // Belt to the candidate step's token poll: a tripped token also
     // truncates each walk between iterations (e.g. during runs of
     // rejected no-op moves that never call the energy at all).
     if (control.valid())
       params.should_stop = [&control] { return control.should_stop(); };
     const auto reduced = solver::portfolio_anneal<std::vector<int>>(
         init_cuts, energy, neighbor, params, workers, rng, reduce_key,
-        worker_gauge);
+        trace_worker);
     blocks_from_boundaries(reduced.state, serial_lane.blocks);
     try {
       consider_routed(serial_lane.blocks,
@@ -569,24 +511,14 @@ PlanResult KarmaPlanner::run_search(
       }
     }
   }
-  // Every candidate evaluation request either replayed or was served by
-  // the memo: candidates == simulations + memo_hits, by construction.
   SearchStats stats;
-  stats.candidates = memo.candidates.lookups();
-  stats.simulations = memo.simulations.load(std::memory_order_relaxed);
-  stats.memo_hits = memo.memo_hits.load(std::memory_order_relaxed);
-  for (const SearchLane& lane : memo.lanes) {
+  for (const SearchLane& lane : lanes) {
     stats.block_cost_lookups += lane.lookups;
     stats.block_cost_hits += lane.hits;
   }
   stats.anneal_workers = anneal_workers_used;
   stats.warm_started = warm_started;
-  stats.search_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    search_start)
-          .count();
-  best->search_stats = stats;
-  return std::move(*best);
+  return step.finish(stats);
 }
 
 }  // namespace karma::core

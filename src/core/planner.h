@@ -226,8 +226,6 @@ class KarmaPlanner {
   const graph::Model& model() const { return model_; }
 
  private:
-  /// One run_search call's memo tables and effort counters.
-  struct SearchMemo;
   /// One thread's block-extent memo and candidate-scoring buffers.
   struct SearchLane;
 

@@ -229,7 +229,6 @@ void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
   if (costs.size() != blocks.size())
     throw std::invalid_argument(
         "build_training_plan: precomputed costs/blocks size mismatch");
-  const int nb = static_cast<int>(blocks.size());
 
   plan.strategy = strategy;
   plan.blocks = blocks;
@@ -239,7 +238,7 @@ void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
   plan.host_baseline_resident = 0;
 
   // Weights and weight gradients stay on the device for single-GPU plans
-  // (the distributed planner handles weight swapping separately).
+  // (the data-parallel planner swaps them when they do not fit).
   Bytes weights = 0;
   for (const auto& c : plan.costs) weights += c.param_bytes + c.grad_bytes;
   if (weights >= device.memory_capacity)
@@ -252,38 +251,87 @@ void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
   // ---- Per-tier plan admission (tiered-offload extension) ----
   plan.hierarchy = admit_tiered_plan(device, plan.costs, policies,
                                      options.reserved_host_bytes);
+  emit_iteration(plan, device, policies, options.prefetch_window);
+}
 
-  int stage = 0;
+void emit_iteration(sim::Plan& plan, const sim::DeviceSpec& device,
+                    const std::vector<BlockPolicy>& policies,
+                    int prefetch_window, int iteration,
+                    const DataParallelStages* stages) {
+  const int nb = static_cast<int>(plan.costs.size());
+  const auto policy = [&](int b) {
+    return policies[static_cast<std::size_t>(b)];
+  };
+  const auto cost = [&](int b) -> const sim::BlockCost& {
+    return plan.costs[static_cast<std::size_t>(b)];
+  };
+  // Per-rank weight and gradient shard of block b.
+  const auto shard = [&](Bytes bytes) {
+    return static_cast<Bytes>(std::llround(static_cast<double>(bytes) *
+                                           stages->shard_fraction));
+  };
+  const auto param_sw = [&](int b) { return shard(cost(b).param_bytes); };
+  const auto grad_sw = [&](int b) { return shard(cost(b).grad_bytes); };
+  const bool swap_weights = stages && !stages->weights_resident;
+
+  int stage = plan.stage_of.empty() ? 0 : plan.stage_of.back();
   const auto push = [&](sim::Op op, int op_stage) {
+    op.iteration = iteration;
     plan.ops.push_back(op);
     plan.stage_of.push_back(op_stage);
     return static_cast<int>(plan.ops.size()) - 1;
   };
 
   // ---- Forward phase ----
+  int forward_back1 = -1, forward_back2 = -1;  // ops F(b-1), F(b-2)
   for (int b = 0; b < nb; ++b) {
+    ++stage;
+    if (swap_weights || (stages && iteration > 0)) {
+      // Weight-swapping regime: stream this block's weight shard in from
+      // the pinned host master copy, two blocks of lookahead at most so
+      // parameters never pile up on the device. Resident regime: refresh
+      // the weights in place with the updated values (the dependency
+      // chain gates this on the block's update). Weight-shard reads leave
+      // the host ledger alone.
+      sim::Op win;
+      win.kind = sim::OpKind::kSwapIn;
+      win.block = b;
+      win.residency = tier::Residency::kWeightShard;
+      win.bytes = param_sw(b);
+      win.alloc = swap_weights ? win.bytes : 0;
+      if (swap_weights) win.after_op = forward_back2;
+      push(win, stage);
+    }
     sim::Op fwd;
     fwd.kind = sim::OpKind::kForward;
     fwd.block = b;
-    fwd.retains = policies[static_cast<std::size_t>(b)] != BlockPolicy::kRecompute;
-    push(fwd, ++stage);
-    if (is_swap_policy(policies[static_cast<std::size_t>(b)])) {
+    fwd.retains = policy(b) != BlockPolicy::kRecompute;
+    forward_back2 = forward_back1;
+    forward_back1 = push(fwd, stage);
+    if (is_swap_policy(policy(b))) {
       // Swap-out trails on the D2H stream (or the NVMe-write stream for
       // storage-bound blocks); same display stage as the next forward
       // (paper notation "F2||Sout1").
       sim::Op out;
       out.kind = sim::OpKind::kSwapOut;
       out.block = b;
-      out.tier = swap_tier_of(policies[static_cast<std::size_t>(b)]);
+      out.tier = swap_tier_of(policy(b));
       push(out, stage + (b + 1 < nb ? 1 : 0));
     }
+    if (swap_weights) {
+      // Drop the (unmodified) weights: the host copy is authoritative, so
+      // eviction is free — no PCIe traffic and no host ledger charge.
+      sim::Op drop;
+      drop.kind = sim::OpKind::kSwapOut;
+      drop.block = b;
+      drop.residency = tier::Residency::kWeightShard;
+      drop.bytes = 0;
+      drop.free = param_sw(b);
+      drop.duration = 0.0;
+      push(drop, stage);
+    }
   }
-  const int last_forward_index = [&] {
-    for (int i = static_cast<int>(plan.ops.size()) - 1; i >= 0; --i)
-      if (plan.ops[static_cast<std::size_t>(i)].kind == sim::OpKind::kForward)
-        return i;
-    return -1;
-  }();
+  const int last_forward = forward_back1;
 
   // ---- Backward phase ----
   // Swap-ins are issued descending (the order backward consumes them).
@@ -293,47 +341,54 @@ void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
   // `next_swap` is the highest swapped block (host and NVMe alike) whose
   // swap-in is not issued yet, -1 once all are.
   const auto swapped_below = [&](int b) {
-    while (b >= 0 && !is_swap_policy(policies[static_cast<std::size_t>(b)]))
-      --b;
+    while (b >= 0 && !is_swap_policy(policy(b))) --b;
     return b;
   };
   int next_swap = swapped_below(nb - 1);
 
-  const auto issue_swap_ins = [&](int gate_op, int count, int display_stage) {
+  const auto issue_swap_ins = [&](int gate_op, int count) {
     for (int k = 0; k < count && next_swap >= 0; ++k) {
       sim::Op in;
       in.kind = sim::OpKind::kSwapIn;
       in.block = next_swap;
-      in.tier = swap_tier_of(policies[static_cast<std::size_t>(next_swap)]);
+      in.tier = swap_tier_of(policy(next_swap));
       in.after_op = gate_op;
-      push(in, display_stage);
+      push(in, stage);
       next_swap = swapped_below(next_swap - 1);
     }
   };
 
   // Initial window, gated only on the end of the forward pass.
-  issue_swap_ins(last_forward_index, options.prefetch_window, stage);
+  issue_swap_ins(last_forward, prefetch_window);
 
-  int last_backward_pushed = -1;
+  int last_backward = -1;
+  std::size_t next_phase = 0;  // the next exchange phase to launch
   for (int b = nb - 1; b >= 0; --b) {
-    if (policies[static_cast<std::size_t>(b)] == BlockPolicy::kRecompute) {
+    if (swap_weights) {
+      // Weights (and a gradient buffer) return for the backward of this
+      // block, gated on backward progress for liveness.
+      sim::Op win;
+      win.kind = sim::OpKind::kSwapIn;
+      win.block = b;
+      win.residency = tier::Residency::kWeightShard;
+      win.bytes = param_sw(b);
+      win.alloc = param_sw(b) + grad_sw(b);
+      win.after_op = last_backward;
+      push(win, stage);
+    }
+    if (policy(b) == BlockPolicy::kRecompute) {
       // A recompute reads its predecessor block's boundary output; if the
       // predecessor is swap-policy its swap-in must be *issued* by now
       // (the engine still decides when it actually runs). Fast-forward
       // the prefetch queue to cover it.
-      while (next_swap >= 0 && next_swap >= b - 1) {
-        issue_swap_ins(last_backward_pushed >= 0 ? last_backward_pushed
-                                                 : last_forward_index,
-                       1, stage);
-      }
+      while (next_swap >= 0 && next_swap >= b - 1)
+        issue_swap_ins(last_backward >= 0 ? last_backward : last_forward, 1);
       sim::Op re;
       re.kind = sim::OpKind::kRecompute;
       re.block = b;
       // The boundary checkpoint is already resident; rematerialize the
       // interior activations only.
-      re.alloc = std::max<Bytes>(
-          0, plan.costs[static_cast<std::size_t>(b)].act_bytes -
-                 plan.costs[static_cast<std::size_t>(b)].boundary_bytes);
+      re.alloc = std::max<Bytes>(0, cost(b).act_bytes - cost(b).boundary_bytes);
       push(re, ++stage);
     }
     sim::Op bwd;
@@ -342,13 +397,64 @@ void emit_training_plan(sim::Plan& plan, const sim::DeviceSpec& device,
     // The gradient wavefront borrows the bytes freed as activations are
     // consumed within the block (documented approximation, DESIGN.md §5).
     bwd.alloc = 0;
-    bwd.free = plan.costs[static_cast<std::size_t>(b)].act_bytes;
-    last_backward_pushed =
-        push(bwd, is_swap_policy(policies[static_cast<std::size_t>(b)])
-                      ? ++stage
-                      : stage);
+    bwd.free = cost(b).act_bytes;
+    last_backward = push(bwd, is_swap_policy(policy(b)) ? ++stage : stage);
     // Each completed backward opens the next prefetch slot.
-    issue_swap_ins(last_backward_pushed, 1, stage);
+    issue_swap_ins(last_backward, 1);
+    if (!stages) continue;
+
+    // Stage 3: gradients stream to the host (dropping the weight shard
+    // too in the weight-swapping regime). The gradient bytes occupy host
+    // DRAM until the block's update consumes them — a bounded, ledgered
+    // lifetime, not an unbounded mirror.
+    sim::Op gout;
+    gout.kind = sim::OpKind::kSwapOut;
+    gout.block = b;
+    gout.residency = tier::Residency::kGradient;
+    gout.bytes = grad_sw(b);
+    gout.free = swap_weights ? param_sw(b) + grad_sw(b) : 0;
+    const int gout_index = push(gout, stage);
+
+    // Stages 4 + 5: the exchange phase launching at this block, then the
+    // update of every block it carries.
+    const auto& phases = stages->exchange.phases;
+    for (; next_phase < phases.size() &&
+           phases[next_phase].launch_after_block == b;
+         ++next_phase) {
+      const net::ExchangePhase& phase = phases[next_phase];
+      sim::Op ar;
+      ar.kind = sim::OpKind::kAllReduce;
+      ar.block = b;
+      ar.duration = phase.allreduce_time;
+      ar.after_op = gout_index;
+      const int ar_index = push(ar, stage);
+      for (const int p : phase.blocks) {
+        sim::Op up;
+        up.block = p;
+        up.after_op = ar_index;
+        // The update is the gradient's consumer: its bytes tell the
+        // engine how much kGradient residency to return to the ledger.
+        up.bytes = grad_sw(p);
+        up.residency = tier::Residency::kGradient;
+        if (stages->update == UpdateSite::kCpu) {
+          up.kind = sim::OpKind::kCpuUpdate;
+          up.duration = device.cpu_update_time(param_sw(p));
+        } else {
+          // Ablation: device-side update. The weights+grads must sit on
+          // the GPU, occupying the compute stream; in the weight-swapping
+          // regime this also forces an extra round trip, which is exactly
+          // the "unacceptable performance penalty" of the trivial
+          // workaround in Sec. III-G.
+          up.kind = sim::OpKind::kDeviceUpdate;
+          up.duration =
+              static_cast<double>(3 * param_sw(p)) / device.device_mem_bw +
+              (swap_weights ? device.h2d_time(param_sw(p) + grad_sw(p)) +
+                                  device.d2h_time(param_sw(p))
+                            : 0.0);
+        }
+        push(up, stage);
+      }
+    }
   }
 }
 

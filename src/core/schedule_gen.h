@@ -1,4 +1,4 @@
-// Schedule generation (paper Algorithm 1 + Sec. III-E/F).
+// Schedule generation (paper Algorithm 1 + Sec. III-E/F/G).
 //
 // Given a blocking and a per-block policy — keep resident, swap, or
 // discard-and-recompute — emit the Plan IR for one training iteration:
@@ -13,6 +13,12 @@
 //             backward that consumes them (Fig. 2c), backwards run
 //             back-to-front.
 //
+// A data-parallel rank's iteration is the same Algorithm 1 plus the
+// Sec. III-G stages 3-5 (gradient swap-out, phased AllReduce, host-side
+// update) and, when weights exceed the device, per-block weight shards:
+// emit_iteration writes both, so the single-GPU and the data-parallel
+// planners share one emitter.
+//
 // The engine turns this issue order into actual overlap; stalls appear
 // exactly where a dependency or the capacity limit blocks a stream.
 #pragma once
@@ -21,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/phased_exchange.h"
 #include "src/sim/engine.h"
 #include "src/sim/plan.h"
 
@@ -141,6 +148,42 @@ bool recompute_beats_swap_in(const sim::DeviceSpec& device,
 /// recomputed but the last, which stays resident (checkpointing's policy,
 /// and the one KARMA's search adds to stay a superset of it).
 std::vector<BlockPolicy> remat_policies(std::size_t num_blocks);
+
+/// Where a data-parallel rank applies its optimizer step (stage 5).
+enum class UpdateSite { kCpu, kDevice };
+
+/// A data-parallel rank's Sec. III-G stages 3-5, which emit_iteration adds
+/// to Algorithm 1's iteration: after each backward the block's gradient
+/// shard swaps out to the host (3), each `exchange` phase AllReduces once
+/// its launch block's gradients are out (4), and the phase's blocks are
+/// updated at `update` (5). The phases must be listed in launch order,
+/// back to front, as net's exchange builders return them. With
+/// `weights_resident` false each block's weight shard also streams in for
+/// its forward and backward and is dropped after both; with it true,
+/// every iteration after the first refreshes the resident weights in
+/// place. Weight and gradient payloads are the blocks' bytes scaled by
+/// `shard_fraction` (ZeRO partitioning).
+struct DataParallelStages {
+  const net::ExchangePlan& exchange;
+  bool weights_resident = true;
+  double shard_fraction = 1.0;
+  UpdateSite update = UpdateSite::kCpu;
+};
+
+/// Appends one training iteration (Algorithm 1) of `plan.blocks` under
+/// `policies` to `plan.ops` and `plan.stage_of`, with each op tagged
+/// `iteration`; `plan.costs` must hold the blocks' costs. `stages` null is
+/// a single-GPU iteration; otherwise the rank's stages 3-5 and weight
+/// shards join it, and the ops Algorithm 1 emits stay exactly those of the
+/// single-GPU iteration. Display stages follow Fig. 2 ("F2||Sout1": a
+/// swap-out shares the next forward's stage; a recompute or a swapped
+/// block's backward opens a new one); a forward's weight shard shares its
+/// forward's stage and every other stage 3-5 or weight op the stage of
+/// the op before it. `device` prices the stage-5 updates.
+void emit_iteration(sim::Plan& plan, const sim::DeviceSpec& device,
+                    const std::vector<BlockPolicy>& policies,
+                    int prefetch_window, int iteration = 0,
+                    const DataParallelStages* stages = nullptr);
 
 /// Emits the single-GPU training plan for one iteration. `model` supplies
 /// weights footprint (kept resident; must fit), `device` the capacity.

@@ -57,9 +57,12 @@ class TensorShape {
 
   std::string to_string() const {
     std::string s = "[";
-    for (std::size_t i = 0; i < dims_.size(); ++i)
-      s += (i ? "x" : "") + std::to_string(dims_[i]);
-    return s + "]";
+    for (std::size_t i = 0; i < dims_.size(); ++i) {
+      if (i) s += 'x';
+      s += std::to_string(dims_[i]);
+    }
+    s += ']';
+    return s;
   }
 
  private:

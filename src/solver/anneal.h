@@ -121,7 +121,8 @@ inline double portfolio_temperature_scale(int worker) {
 /// Exceptions: a worker whose energy/neighbor throws (including non-std
 /// interrupt types like the planners' SearchInterrupted) has its
 /// exception captured; after all workers join, the lowest-index captured
-/// exception is rethrown. workers <= 1 runs inline on the caller's thread
+/// exception is rethrown. Walk 0 runs on the caller's thread and walks
+/// 1..workers-1 on threads of their own, so workers <= 1 starts no thread
 /// (one split stream, full budget, unscaled temperature).
 ///
 /// Returns {best state, best energy, winning worker index}.
@@ -145,9 +146,7 @@ PortfolioResult<State> portfolio_anneal(
   streams.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) streams.push_back(rng.split());
 
-  const int per_worker =
-      workers == 1 ? params.iterations
-                   : (params.iterations + workers - 1) / workers;
+  const int per_worker = (params.iterations + workers - 1) / workers;
   std::vector<std::pair<State, double>> results(
       static_cast<std::size_t>(workers),
       {init, std::numeric_limits<double>::infinity()});
@@ -160,9 +159,7 @@ PortfolioResult<State> portfolio_anneal(
       p.iterations = per_worker;
       p.initial_temperature =
           params.initial_temperature * portfolio_temperature_scale(w);
-      p.cooling = workers == 1
-                      ? params.cooling
-                      : std::pow(params.cooling, static_cast<double>(workers));
+      p.cooling = std::pow(params.cooling, static_cast<double>(workers));
       std::function<double(const State&)> e = [&, w](const State& s) {
         return energy(s, w);
       };
@@ -174,14 +171,11 @@ PortfolioResult<State> portfolio_anneal(
     if (on_worker) on_worker(w, false);
   };
 
-  if (workers == 1) {
-    run_worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(run_worker, w);
-    for (auto& t : pool) t.join();
-  }
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) pool.emplace_back(run_worker, w);
+  run_worker(0);
+  for (auto& t : pool) t.join();
   for (auto& err : errors)
     if (err) std::rethrow_exception(err);
 

@@ -114,17 +114,6 @@ class CancelToken {
         .fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Portfolio-annealing workers check in and out around their walks so
-  /// waiters can see how much of the search is running concurrently.
-  /// Purely observational — never feeds a stop decision, so worker
-  /// accounting cannot perturb determinism.
-  void worker_started() const {
-    if (state_) state_->active_workers.fetch_add(1, std::memory_order_relaxed);
-  }
-  void worker_finished() const {
-    if (state_) state_->active_workers.fetch_sub(1, std::memory_order_relaxed);
-  }
-
   /// A new best feasible objective value (monotone non-increasing).
   void report_best(double cost) const {
     if (!state_) return;
@@ -150,11 +139,6 @@ class CancelToken {
     return state_ ? state_->best_cost.load(std::memory_order_relaxed)
                   : std::numeric_limits<double>::infinity();
   }
-  /// Annealing workers currently inside their walks (0 outside the
-  /// portfolio phase).
-  int active_workers() const {
-    return state_ ? state_->active_workers.load(std::memory_order_relaxed) : 0;
-  }
 
  private:
   struct State {
@@ -167,7 +151,6 @@ class CancelToken {
     std::atomic<std::int64_t> simulations{0};
     std::atomic<std::int64_t> memo_hits{0};
     std::atomic<double> best_cost{std::numeric_limits<double>::infinity()};
-    std::atomic<int> active_workers{0};
   };
 
   static std::int64_t to_ns(Clock::time_point t) {

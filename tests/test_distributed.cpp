@@ -2,6 +2,10 @@
 // large-scale analytic baselines.
 #include "src/core/distributed.h"
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/baselines/parallelism.h"
@@ -159,6 +163,116 @@ TEST(Distributed, ZeroShardingShrinksHostBaseline) {
   EXPECT_LT(sharded.schedule.host_baseline_resident,
             plain.schedule.host_baseline_resident);
   EXPECT_LE(sharded.trace.peak_host_resident, plain.trace.peak_host_resident);
+}
+
+TEST(Distributed, SearchStatsCountTheTokensCandidates) {
+  // The data-parallel scan scores through the same candidate step as
+  // KarmaPlanner, so its artifact reports the effort the token saw.
+  const CancelToken token = CancelToken::make();
+  const auto r = plan_data_parallel(graph::make_resnet50(256), kDevice,
+                                    base_options(16), token);
+  const SearchStats& stats = r.search_stats;
+  EXPECT_GT(stats.candidates, 0);
+  EXPECT_EQ(stats.candidates, stats.simulations + stats.memo_hits);
+  EXPECT_GT(stats.search_seconds, 0.0);
+  EXPECT_EQ(stats.candidates, token.candidates());
+  EXPECT_EQ(stats.simulations, token.simulations());
+}
+
+/// Iteration `it` of a data-parallel schedule without its stage 3-5 and
+/// weight-shard ops: after_op remapped through that filter, the iteration
+/// tag cleared, and display stages counted from the iteration's first.
+sim::Plan algorithm1_ops(const sim::Plan& schedule, int it) {
+  sim::Plan out;
+  std::vector<int> kept(schedule.ops.size(), -1);
+  int stage_base = -1;
+  for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
+    sim::Op op = schedule.ops[i];
+    if (op.iteration != it || op.kind == sim::OpKind::kAllReduce ||
+        op.residency != tier::Residency::kActivation)
+      continue;
+    if (stage_base < 0) stage_base = schedule.stage_of[i] - 1;
+    kept[i] = static_cast<int>(out.ops.size());
+    if (op.after_op >= 0)
+      op.after_op = kept[static_cast<std::size_t>(op.after_op)];
+    op.iteration = 0;
+    out.ops.push_back(op);
+    out.stage_of.push_back(schedule.stage_of[i] - stage_base);
+  }
+  return out;
+}
+
+void expect_same_ops(const sim::Plan& actual, const sim::Plan& expected) {
+  ASSERT_EQ(actual.ops.size(), expected.ops.size());
+  EXPECT_EQ(actual.stage_of, expected.stage_of);
+  for (std::size_t i = 0; i < actual.ops.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    const sim::Op& a = actual.ops[i];
+    const sim::Op& e = expected.ops[i];
+    EXPECT_EQ(a.kind, e.kind);
+    EXPECT_EQ(a.block, e.block);
+    EXPECT_EQ(a.tier, e.tier);
+    EXPECT_EQ(a.residency, e.residency);
+    EXPECT_EQ(a.bytes, e.bytes);
+    EXPECT_EQ(a.alloc, e.alloc);
+    EXPECT_EQ(a.free, e.free);
+    EXPECT_EQ(a.duration, e.duration);
+    EXPECT_EQ(a.retains, e.retains);
+    EXPECT_EQ(a.iteration, e.iteration);
+    EXPECT_EQ(a.after_op, e.after_op);
+  }
+}
+
+TEST(Distributed, EveryIterationIsAlgorithmOnePlusStagesThreeToFive) {
+  // Property: stripping a rank's stage 3-5 and weight-shard ops from any
+  // of its iterations leaves exactly the single-GPU schedule of the same
+  // blocks and policies (Sec. III-G: stages 1-2 are as single-GPU).
+  struct Case {
+    std::string name;
+    graph::Model model;
+    DistributedOptions options;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](std::string name, graph::Model model, int iterations,
+                       const std::function<void(DistributedOptions&)>& tweak =
+                           {}) {
+    DistributedOptions options = base_options(16);
+    options.iterations = iterations;
+    if (tweak) tweak(options);
+    cases.push_back({std::move(name), std::move(model), options});
+  };
+  add("resnet50-256", graph::make_resnet50(256), 2);
+  add("resnet50-512/window-1", graph::make_resnet50(512), 1,
+      [](DistributedOptions& o) { o.planner.schedule.prefetch_window = 1; });
+  add("unet-16", graph::make_unet(16), 2);
+  add("vgg16-128/device-update", graph::make_vgg16(128), 1,
+      [](DistributedOptions& o) { o.update = UpdateSite::kDevice; });
+  add("megatron0-4/bulk", graph::make_transformer(graph::megatron_config(0), 4),
+      2, [](DistributedOptions& o) { o.exchange = ExchangeMode::kBulk; });
+  add("megatron2-4", graph::make_transformer(graph::megatron_config(2), 4), 2);
+  add("megatron2-4/per-block",
+      graph::make_transformer(graph::megatron_config(2), 4), 1,
+      [](DistributedOptions& o) { o.exchange = ExchangeMode::kPerBlock; });
+
+  bool saw_resident = false, saw_swapped = false;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const PlanResult r = plan_data_parallel(c.model, kDevice, c.options);
+    (r.weights_resident ? saw_resident : saw_swapped) = true;
+    // The reference device only lifts the weight check, which the
+    // weight-swapping regime exists to get round; ops never read it.
+    sim::DeviceSpec roomy = kDevice;
+    roomy.memory_capacity *= 1024;
+    const sim::Plan single = build_training_plan(
+        c.model, roomy, r.schedule.blocks, r.policies, "single-gpu",
+        c.options.planner.schedule, &r.schedule.costs);
+    for (int it = 0; it < c.options.iterations; ++it) {
+      SCOPED_TRACE("iteration " + std::to_string(it));
+      expect_same_ops(algorithm1_ops(r.schedule, it), single);
+    }
+  }
+  EXPECT_TRUE(saw_resident);
+  EXPECT_TRUE(saw_swapped);
 }
 
 // ---- Analytic parallelism baselines ----

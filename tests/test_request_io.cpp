@@ -410,6 +410,7 @@ TEST(RequestIo, ClientKeyIsTheDaemonKeyForEveryZooModelAndShape) {
   // from request_to_json. Were the two ever to differ, every socket hit
   // of that shape would miss silently, forever.
   std::vector<std::pair<std::string, PlanRequest>> shapes;
+  shapes.reserve(19);  // the shapes below
   const auto model_request = [](graph::Model model) {
     PlanRequest request;
     request.model = std::move(model);
